@@ -15,12 +15,10 @@
 #                    instrument with TSan (-DSTAGG_SANITIZE=thread) instead;
 #                    the CI tsan job runs the concurrency-heavy suites this
 #                    way (CTEST_ARGS="-R 'Serve|Socket|Vm|Search|Parallel'")
-#   --bench          performance mode: locate google-benchmark (the
-#                    bench/micro_primitives target builds only when found),
-#                    build Release, run the micro_primitives binary when
-#                    present, and run `stagg bench --json` into
-#                    $BUILD_DIR/bench.json — the entry point both the CI
-#                    perf job and local perf runs share
+#   --bench          performance mode: build Release and run
+#                    `stagg bench --json` into $BUILD_DIR/bench.json — the
+#                    entry point both the CI perf job and local perf runs
+#                    share
 #   --tidy           static lint: export compile_commands.json and run
 #                    clang-tidy (.clang-tidy: bugprone-*, performance-*,
 #                    concurrency-*) over src/; exits nonzero on findings
@@ -127,13 +125,6 @@ EXTRA_ARGS=()
 if [ "$BENCH" = ON ]; then
   # Benchmarks are only meaningful with optimizations on.
   EXTRA_ARGS+=(-DCMAKE_BUILD_TYPE=Release)
-  # No `grep -q`: under pipefail its early exit can SIGPIPE ldconfig and
-  # turn a found library into a spurious not-found note.
-  if ! ldconfig -p 2>/dev/null | grep libbenchmark >/dev/null; then
-    echo "check.sh: note: google-benchmark not found" \
-         "(apt: libbenchmark-dev); bench/micro_primitives will be skipped," \
-         "\`stagg bench\` runs regardless"
-  fi
 fi
 
 # CMAKE_ARGS is intentionally word-split: it carries whole -D... arguments.
@@ -146,11 +137,6 @@ cmake -B "$BUILD_DIR" -S . \
 cmake --build "$BUILD_DIR" -j"$JOBS"
 
 if [ "$BENCH" = ON ]; then
-  if [ -x "$BUILD_DIR/bench/micro_primitives" ]; then
-    # Default min-time; the flag's spelling changed across google-benchmark
-    # versions, so we do not pass it.
-    "$BUILD_DIR/bench/micro_primitives"
-  fi
   # shellcheck disable=SC2086
   "$BUILD_DIR/stagg" bench ${BENCH_ARGS:---suite real --threads 1} \
     --json "$BUILD_DIR/bench.json"

@@ -43,7 +43,7 @@ namespace api {
 /// Per-request configuration overrides. Every field is optional; set fields
 /// replace the corresponding service-wide value for one request (patch
 /// precedence is total — a set field always wins), unset fields inherit.
-/// Serving-layer knobs (queue depth, batching, cache shape) are fixed per
+/// Serving-layer knobs (queue depth, cache shape) are fixed per
 /// service and deliberately not patchable — except "execute_threads", which
 /// tiles one request's execute pass and is bit-identical at any value.
 struct ConfigPatch {

@@ -102,9 +102,6 @@ public:
   };
   VmCacheStats vmCacheStats() const;
 
-  serve::BatchingStats batchingStats() const {
-    return Service.batchingStats();
-  }
   int threads() const { return Service.threads(); }
   int queueDepth() const { return Service.queueDepth(); }
   size_t queueLength() const { return Service.queueLength(); }

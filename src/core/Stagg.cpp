@@ -202,15 +202,19 @@ std::string core::describeResult(const std::string &Name,
 }
 
 std::string core::configFingerprint(const StaggConfig &Config) {
-  // Every field read anywhere in liftBenchmark (or below it) appears here;
-  // the serving knobs in Config.Serve deliberately do not — queue depth,
-  // batching, and cache shape never change a result — with one exception:
-  // Serve.ExecuteThreads is patchable from the wire and fingerprinted
-  // below. Adding a pipeline knob
-  // without extending this list is a cache-correctness bug, which
-  // ApiTest.FingerprintCoversResultAffectingKnobs guards against for the
-  // knobs reachable from the wire protocol.
-  std::string F = "v1";
+  // Every field that can change what liftBenchmark returns appears here.
+  // Knobs that only change how fast it gets there do not: the evaluation
+  // engine (UseVm, UseVmOpt), search parallelism (Search.Threads) and the
+  // serving knobs in Config.Serve (queue depth, cache shape, execute
+  // tiling) are bit-identical by contract (VmOptimizerTest and
+  // ParallelSearchTest pin this across the registry), so requests that
+  // differ only in them share cache entries. Adding a result-affecting
+  // knob without extending this list is a cache-correctness bug, which
+  // ConfigPatch.FingerprintCoversResultAffectingKnobs guards against for
+  // the knobs reachable from the wire protocol. The version prefix changes
+  // whenever the token set does, so journal entries keyed under an older
+  // layout can never alias a new key.
+  std::string F = "v2";
   auto Add = [&F](const std::string &Token) {
     F += '|';
     F += Token;
@@ -220,11 +224,6 @@ std::string core::configFingerprint(const StaggConfig &Config) {
   Add(std::to_string(Config.NumIoExamples));
   Add(std::to_string(Config.ExampleSeed));
   Add(Config.SkipVerification ? "noverify" : "verify");
-  // Fingerprinted even though VM and tree-walk verdicts are bit-identical:
-  // a cached result should record exactly which engine produced it.
-  Add(Config.UseVm ? "vm" : "novm");
-  // Same record-keeping rationale for the VM optimizer passes.
-  Add(Config.UseVmOpt ? "vmopt" : "novmopt");
   const grammar::GrammarOptions &G = Config.Grammar;
   Add(std::string(G.FullGrammar ? "fg" : "-") +
       (G.EqualProbability ? "ep" : "-"));
@@ -240,15 +239,6 @@ std::string core::configFingerprint(const StaggConfig &Config) {
   Add(std::to_string(S.TimeoutSeconds));
   Add(std::to_string(S.MaxExpansions));
   Add(std::to_string(S.MaxAttempts));
-  // Fingerprinted even though results are bit-identical across thread
-  // counts (same rationale as UseVm): a cached result should record how it
-  // was produced, and the serve layer clamps this knob per deployment.
-  Add("t" + std::to_string(S.Threads));
-  // The one Serve knob that IS fingerprinted: execute-path tiling is
-  // patchable per request ("execute_threads") and, like S.Threads, a
-  // cached result should record how it was produced even though tiles are
-  // bit-identical to the serial pass.
-  Add("x" + std::to_string(Config.Serve.ExecuteThreads));
   const verify::VerifyOptions &V = Config.Verify;
   Add(std::to_string(V.MaxSize));
   Add(std::to_string(V.RandomTrials));

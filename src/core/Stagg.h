@@ -46,14 +46,6 @@ struct ServeOptions {
   /// are in flight (backpressure toward the client).
   int QueueDepth = 64;
 
-  /// Oracle batching: up to this many concurrent oracle queries are
-  /// coalesced into one propose round. 1 disables batching.
-  int BatchSize = 1;
-
-  /// How long a propose round waits for the batch to fill before flushing
-  /// a partial one.
-  int BatchWaitMicros = 200;
-
   /// Result-cache entries across all shards; 0 disables caching.
   size_t CacheCapacity = 1024;
 
@@ -117,19 +109,19 @@ struct StaggConfig {
 
   /// Evaluate candidates through the bytecode VM (src/vm) in the validator
   /// and the bounded verifier. Results are bit-identical with the tree-walk
-  /// (`--no-vm` flips this off for A/B runs); it is fingerprinted anyway so
-  /// cached serve results always record which engine produced them.
+  /// (`--no-vm` flips this off for A/B runs), so it is not part of the
+  /// config fingerprint.
   bool UseVm = true;
 
   /// Run vm::optimize over every compiled program (load hoisting, fused
   /// span superinstructions, dead-register elimination) before execution.
   /// Results are bit-identical with the raw stream — the passes preserve
   /// accumulation order exactly (`--no-vm-opt` flips this off for A/B
-  /// runs); fingerprinted for the same record-keeping reason as UseVm.
+  /// runs); left out of the fingerprint for the same reason as UseVm.
   /// Ignored when UseVm is false.
   bool UseVmOpt = true;
 
-  /// Serving-layer knobs (queue depth, batching, result cache).
+  /// Serving-layer knobs (queue depth, result cache).
   ServeOptions Serve;
 };
 

@@ -126,9 +126,8 @@ struct MicroFixtures {
   }
 };
 
-/// The micro suite. Mirrors bench/micro_primitives.cpp (the google-benchmark
-/// build of the same measurements) and adds the validator/verifier hot
-/// paths this repo's perf work targets.
+/// The micro suite: the pipeline's hot primitives plus the
+/// validator/verifier hot paths this repo's perf work targets.
 std::vector<Micro> buildMicros(const MicroFixtures &F) {
   std::vector<Micro> Micros;
 

@@ -11,10 +11,8 @@
 ///  * *Micro benchmarks* over the hot primitives (TACO parsing, einsum
 ///    evaluation, the mini-C interpreter, grammar construction, search
 ///    enumeration, validator substitution enumeration, and the bounded
-///    verifier with and without its reference cache) — the same suite
-///    bench/micro_primitives.cpp registers with google-benchmark, here
-///    driven by a self-contained adaptive harness so the subcommand works
-///    without the optional dependency.
+///    verifier with and without its reference cache), driven by a
+///    self-contained adaptive harness.
 ///  * An *end-to-end lift-latency sweep* over a named benchmark suite
 ///    (--suite/--limit), reporting per-benchmark lift wall time and the
 ///    total.

@@ -80,7 +80,6 @@ const std::vector<std::string> &knownFlags() {
       "--io-examples",   "--max-depth",
       "--max-size",      "--seed",
       "--example-seed",  "--queue-depth",
-      "--batch",         "--batch-wait-us",
       "--cache-capacity", "--cache-shards",
       "--timeout",        "--json",
       "--min-time",       "--Werror",
@@ -370,8 +369,7 @@ CliParse driver::parseArgs(const std::vector<std::string> &Args) {
         O.OracleSeed = static_cast<uint64_t>(N);
       else // --example-seed
         O.Config.ExampleSeed = static_cast<uint64_t>(N);
-    } else if (F.Name == "--queue-depth" || F.Name == "--batch" ||
-               F.Name == "--batch-wait-us" || F.Name == "--cache-capacity" ||
+    } else if (F.Name == "--queue-depth" || F.Name == "--cache-capacity" ||
                F.Name == "--cache-shards") {
       if (!takeValue(F, Value))
         break;
@@ -380,10 +378,9 @@ CliParse driver::parseArgs(const std::vector<std::string> &Args) {
         Parse.Error = F.Name + " expects an integer, got '" + Value + "'";
         break;
       }
-      // Zero means "off" for the wait and the cache; the structural knobs
-      // (queue depth, batch width, shard count) need at least one.
-      bool ZeroOk =
-          F.Name == "--batch-wait-us" || F.Name == "--cache-capacity";
+      // Zero means "off" for the cache; the structural knobs (queue
+      // depth, shard count) need at least one.
+      bool ZeroOk = F.Name == "--cache-capacity";
       if (N < 0 || (!ZeroOk && N == 0) ||
           (F.Name != "--cache-capacity" &&
            N > std::numeric_limits<int>::max())) {
@@ -393,10 +390,6 @@ CliParse driver::parseArgs(const std::vector<std::string> &Args) {
       }
       if (F.Name == "--queue-depth")
         O.Config.Serve.QueueDepth = static_cast<int>(N);
-      else if (F.Name == "--batch")
-        O.Config.Serve.BatchSize = static_cast<int>(N);
-      else if (F.Name == "--batch-wait-us")
-        O.Config.Serve.BatchWaitMicros = static_cast<int>(N);
       else if (F.Name == "--cache-capacity")
         O.Config.Serve.CacheCapacity = static_cast<size_t>(N);
       else // --cache-shards
@@ -673,16 +666,12 @@ std::string driver::usage() {
      << "Serving layer (both modes run on it):\n"
      << "  --queue-depth N     request-queue bound; full = backpressure\n"
      << "                      (default 64)\n"
-     << "  --batch N           coalesce up to N oracle calls per propose\n"
-     << "                      round (default 1 = off)\n"
-     << "  --batch-wait-us N   how long a round waits to fill (default "
-        "200)\n"
      << "  --cache-capacity N  kernel-text result-cache entries; 0 "
         "disables\n"
      << "                      (default 1024)\n"
      << "  --cache-shards N    independently locked cache shards (default "
         "8)\n"
-     << "  --cache-stats       print cache/batching counters to stderr\n"
+     << "  --cache-stats       print cache counters to stderr\n"
      << "  --input PATH        serve: read requests from PATH, not stdin\n"
      << "\n"
      << "Socket transport (stagg serve --listen):\n"
@@ -737,7 +726,7 @@ std::string driver::usage() {
      << "  stagg --suite blas --limit 3\n"
      << "  stagg --suite real --search bu --threads 8 --csv results.csv\n"
      << "  stagg --suite all --drop-penalty a --equal-probability\n"
-     << "  stagg serve --threads 4 --batch 4 --cache-stats < requests.txt\n"
+     << "  stagg serve --threads 4 --cache-stats < requests.txt\n"
      << "  stagg serve --listen 127.0.0.1:0 --cache-file lift-cache.jsonl\n"
      << "  stagg bench --suite real --threads 1 --json bench.json\n"
      << "  stagg list --suite pointer\n"

@@ -42,7 +42,7 @@ enum class DriverMode { Run, Serve, Bench, List, Check, Disasm };
 struct CliOptions {
   /// The pipeline configuration assembled from the ablation flags,
   /// including the serving-layer knobs in Config.Serve (--queue-depth,
-  /// --batch, --batch-wait-us, --cache-capacity, --cache-shards).
+  /// --cache-capacity, --cache-shards).
   core::StaggConfig Config;
 
   DriverMode Mode = DriverMode::Run;
@@ -63,7 +63,7 @@ struct CliOptions {
   /// gates do not ride on a single timing sample. Default 1.
   int BenchRepeat = 1;
 
-  /// Print cache and batching counters to stderr after the run.
+  /// Print cache counters to stderr after the run.
   bool ShowCacheStats = false;
 
   /// Suite selector: "all" (full registry), "paper" (the original 77),

@@ -36,7 +36,6 @@
 
 #include "api/Endpoint.h"
 #include "driver/Cli.h"
-#include "serve/BatchingOracle.h"
 #include "serve/ResultCache.h"
 
 #include <iosfwd>
@@ -53,13 +52,11 @@ enum ServeExitCode {
   ServeExitUnsafeKernel = 5,
 };
 
-/// Renders the --cache-stats report: the cache counter line, plus the
-/// batching counter line when batching is enabled, plus (serve sessions
-/// only) the execute-path compiled-program cache counters when \p Vm is
-/// non-null. Shared by batch mode (Main) and the serve loop so the two
-/// reports can never drift apart.
+/// Renders the --cache-stats report: the cache counter line, plus (serve
+/// sessions only) the execute-path compiled-program cache counters when
+/// \p Vm is non-null. Shared by batch mode (Main) and the serve loop so the
+/// two reports can never drift apart.
 void printServeStats(std::ostream &Err, const serve::CacheStats &Cache,
-                     const serve::BatchingStats &Batching, int BatchSize,
                      const api::Endpoint::VmCacheStats *Vm = nullptr);
 
 /// Runs the serving loop over \p In, streaming result lines to \p Out and

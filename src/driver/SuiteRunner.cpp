@@ -98,7 +98,6 @@ SuiteReport driver::runSuite(const std::vector<const bench::Benchmark *> &Suite,
 
   Report.WallSeconds = Wall.seconds();
   Report.Cache = Lifter.cacheStats();
-  Report.Batching = Lifter.batchingStats();
   return Report;
 }
 

@@ -6,15 +6,15 @@
 ///
 /// \file
 /// The serving layer: a long-lived pool of lifting workers behind a bounded
-/// request queue, with oracle batching and a kernel-text result cache in
-/// front of the pipeline. One LiftService instance outlives any number of
+/// request queue, with a kernel-text result cache in front of the
+/// pipeline. One LiftService instance outlives any number of
 /// requests — `stagg serve` keeps one for a whole session, and the batch
 /// driver (driver/SuiteRunner) is a thin client that submits a suite and
 /// collects the futures. Both paths execute the same code.
 ///
-/// Determinism: every worker's oracle is constructed from the same factory
-/// and seed, and the pipeline derives everything else from the request, so
-/// results are independent of worker count, queue order, batching, and
+/// Determinism: every worker owns a private oracle constructed from the same
+/// factory and seed, and the pipeline derives everything else from the
+/// request, so results are independent of worker count, queue order, and
 /// cache state. ServeTest pins this down.
 ///
 //===----------------------------------------------------------------------===//
@@ -22,21 +22,24 @@
 #ifndef STAGG_SERVE_LIFTSERVICE_H
 #define STAGG_SERVE_LIFTSERVICE_H
 
-#include "serve/BatchingOracle.h"
+#include "llm/Oracle.h"
 #include "serve/RequestQueue.h"
 #include "serve/ResultCache.h"
 
+#include <atomic>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <thread>
+#include <vector>
 
 namespace stagg {
 namespace serve {
 
 /// Everything a service instance needs at construction.
 struct ServiceConfig {
-  /// Pipeline configuration, including Config.Serve (queue depth, batch
-  /// size, cache capacity/shards).
+  /// Pipeline configuration, including Config.Serve (queue depth, cache
+  /// capacity/shards).
   core::StaggConfig Config;
 
   /// Worker-pool width; <= 0 means hardware concurrency.
@@ -71,7 +74,7 @@ public:
 
   /// Enqueues \p B (ownership transfers to the request) under \p Override
   /// instead of the service-wide configuration. The serving knobs inside
-  /// \p Override (queue depth, batching, cache shape) are fixed at service
+  /// \p Override (queue depth, cache shape) are fixed at service
   /// construction and ignored here; everything else — search kind,
   /// candidate counts, verification, timeouts — takes effect for this
   /// request alone, and the result cache keys on it.
@@ -97,9 +100,6 @@ public:
 
   CacheStats cacheStats() const { return Cache.stats(); }
 
-  /// Zeroed when batching is disabled (BatchSize <= 1).
-  BatchingStats batchingStats() const;
-
   int threads() const { return static_cast<int>(Pool.size()); }
   int queueDepth() const { return Queue.depth(); }
 
@@ -119,12 +119,6 @@ private:
 
   RequestQueue Queue;
   ResultCache Cache;
-
-  /// Batching path: one shared inner oracle behind the coalescing
-  /// decorator. Null when BatchSize <= 1 (workers then own private
-  /// oracles, created once and reused across requests).
-  std::unique_ptr<llm::CandidateOracle> SharedInner;
-  std::unique_ptr<BatchingOracle> Batcher;
 
   std::vector<std::thread> Pool;
   std::atomic<uint64_t> NextTicket{0};

@@ -476,9 +476,10 @@ TEST(ConfigPatch, FromJsonValidatesKeysAndTypes) {
 }
 
 TEST(ConfigPatch, FingerprintCoversResultAffectingKnobs) {
-  // Every knob reachable from the wire must change the cache fingerprint,
-  // or a patched request could be answered from a run under different
-  // settings.
+  // Every result-affecting knob reachable from the wire must change the
+  // cache fingerprint, or a patched request could be answered from a run
+  // under different settings. The engine and thread-count knobs must NOT:
+  // their answers are bit-identical, so they share cache entries.
   core::StaggConfig Base;
   std::string Baseline = core::configFingerprint(Base);
 
@@ -499,10 +500,14 @@ TEST(ConfigPatch, FingerprintCoversResultAffectingKnobs) {
   Patches[13].SearchThreads = 4;
   Patches[14].UseVmOpt = false;
   Patches[15].ExecuteThreads = 4;
+  const size_t FirstSpeedOnly = 12;
 
-  for (size_t I = 0; I < Patches.size(); ++I)
+  for (size_t I = 0; I < FirstSpeedOnly; ++I)
     EXPECT_NE(core::configFingerprint(Patches[I].apply(Base)), Baseline)
         << "patch #" << I << " is invisible to the cache key";
+  for (size_t I = FirstSpeedOnly; I < Patches.size(); ++I)
+    EXPECT_EQ(core::configFingerprint(Patches[I].apply(Base)), Baseline)
+        << "patch #" << I << " splits the cache without changing an answer";
 }
 
 //===----------------------------------------------------------------------===//
@@ -633,6 +638,34 @@ TEST(Endpoint, PerRequestOverridesChangeBehaviorAndNeverAliasInCache) {
   EXPECT_TRUE(Endpoint.lift(Skipping).CacheHit);
 }
 
+TEST(Endpoint, SpeedOnlyOverridesHitTheDefaultCacheEntry) {
+  // Engine choice and thread counts change how fast a lift runs, never
+  // what it returns, so a request that differs only in them is answered
+  // from the entry the default configuration filled.
+  api::Endpoint Endpoint(miniService(1));
+
+  api::LiftRequest Plain;
+  Plain.RegistryName = "blas_axpy";
+  api::LiftResponse First = Endpoint.lift(Plain);
+  ASSERT_TRUE(First.ok()) << First.Error;
+  ASSERT_TRUE(First.Result.Solved);
+  EXPECT_FALSE(First.CacheHit);
+
+  std::vector<api::LiftRequest> Patched(4, Plain);
+  Patched[0].Patch.UseVm = false;
+  Patched[1].Patch.UseVmOpt = false;
+  Patched[2].Patch.SearchThreads = 4;
+  Patched[3].Patch.ExecuteThreads = 4;
+  for (size_t I = 0; I < Patched.size(); ++I) {
+    api::LiftResponse Again = Endpoint.lift(Patched[I]);
+    ASSERT_TRUE(Again.ok()) << Again.Error;
+    EXPECT_TRUE(Again.CacheHit) << "patch #" << I;
+    EXPECT_EQ(taco::printProgram(Again.Result.Concrete),
+              taco::printProgram(First.Result.Concrete))
+        << "patch #" << I;
+  }
+}
+
 TEST(Endpoint, AdmissionErrorsResolveImmediately) {
   api::Endpoint Endpoint(miniService(1));
 
@@ -735,8 +768,9 @@ TEST(Endpoint, ExecuteThreadsIsPatchablePerRequest) {
   Patched.Patch.ExecuteThreads = 4;
   api::LiftResponse PatchedLift = Endpoint.lift(Patched);
   ASSERT_TRUE(PatchedLift.ok()) << PatchedLift.Error;
-  // Different fingerprint, so the patched lift is its own cache entry.
-  EXPECT_FALSE(PatchedLift.CacheHit);
+  // Execute tiling is not part of the fingerprint: the patched lift is
+  // answered from the plain one's cache entry.
+  EXPECT_TRUE(PatchedLift.CacheHit);
 
   api::ExecuteIo Io;
   const int64_t N = 64;

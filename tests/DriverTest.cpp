@@ -139,15 +139,12 @@ TEST(DriverCli, SearchThreadsFlag) {
 }
 
 TEST(DriverCli, ServeModeAndServingKnobs) {
-  CliParse P = parse({"serve", "--queue-depth", "16", "--batch=4",
-                      "--batch-wait-us", "500", "--cache-capacity", "32",
-                      "--cache-shards=2", "--cache-stats", "--input",
+  CliParse P = parse({"serve", "--queue-depth", "16", "--cache-capacity",
+                      "32", "--cache-shards=2", "--cache-stats", "--input",
                       "/tmp/requests.txt"});
   ASSERT_TRUE(P.ok()) << P.Error;
   EXPECT_EQ(P.Options.Mode, DriverMode::Serve);
   EXPECT_EQ(P.Options.Config.Serve.QueueDepth, 16);
-  EXPECT_EQ(P.Options.Config.Serve.BatchSize, 4);
-  EXPECT_EQ(P.Options.Config.Serve.BatchWaitMicros, 500);
   EXPECT_EQ(P.Options.Config.Serve.CacheCapacity, 32u);
   EXPECT_EQ(P.Options.Config.Serve.CacheShards, 2);
   EXPECT_TRUE(P.Options.ShowCacheStats);
@@ -159,15 +156,11 @@ TEST(DriverCli, ServeModeAndServingKnobs) {
   EXPECT_EQ(P.Options.Mode, DriverMode::Run);
   core::ServeOptions Reference;
   EXPECT_EQ(P.Options.Config.Serve.QueueDepth, Reference.QueueDepth);
-  EXPECT_EQ(P.Options.Config.Serve.BatchSize, Reference.BatchSize);
   EXPECT_EQ(P.Options.Config.Serve.CacheCapacity, Reference.CacheCapacity);
 
-  // Zero means "off" for the cache and the wait, but the structural knobs
-  // reject it.
+  // Zero means "off" for the cache, but the structural knobs reject it.
   EXPECT_TRUE(parse({"--cache-capacity", "0"}).ok());
-  EXPECT_TRUE(parse({"--batch-wait-us", "0"}).ok());
   EXPECT_FALSE(parse({"--queue-depth", "0"}).ok());
-  EXPECT_FALSE(parse({"--batch", "0"}).ok());
   EXPECT_FALSE(parse({"--cache-shards", "0"}).ok());
   EXPECT_FALSE(parse({"--queue-depth", "-1"}).ok());
 
@@ -267,6 +260,18 @@ TEST(DriverCli, UnknownFlagSuggestsNearestSpelling) {
   EXPECT_NE(P.Error.find("did you mean 'serve'"), std::string::npos)
       << P.Error;
   EXPECT_FALSE(parse({"frobnicate"}).ok());
+}
+
+TEST(DriverCli, OracleBatchingFlagsAreUnknown) {
+  // Every serve worker owns a private oracle and no batching knob exists,
+  // so these spellings must fail like any other unknown flag.
+  for (const char *Flag : {"--batch", "--batch-wait-us"}) {
+    CliParse P = parse({"serve", Flag, "2"});
+    ASSERT_FALSE(P.ok()) << Flag;
+    EXPECT_NE(P.Error.find(std::string("unknown flag '") + Flag + "'"),
+              std::string::npos)
+        << P.Error;
+  }
 }
 
 TEST(DriverCli, Diagnostics) {

@@ -4,10 +4,9 @@
 //
 // Pins down the serving layer's contracts: the bounded queue's blocking and
 // backpressure semantics, LRU eviction and counters in the sharded result
-// cache, round coalescing in the batching oracle, cache-hit determinism
-// (a second lift of identical kernel text never reaches the oracle),
-// batched-vs-unbatched bit-identity, and schedule independence under
-// concurrent clients.
+// cache, cache-hit determinism (a second lift of identical kernel text
+// never reaches the oracle), and schedule independence under concurrent
+// clients.
 //
 //===----------------------------------------------------------------------===//
 
@@ -389,7 +388,7 @@ TEST(ResultCachePersist, EmptyJournalPathStaysInMemory) {
 }
 
 //===----------------------------------------------------------------------===//
-// BatchingOracle
+// LiftService
 //===----------------------------------------------------------------------===//
 
 /// Counts propose() calls through to a SimulatedLlm.
@@ -407,64 +406,6 @@ private:
   llm::SimulatedLlm Inner;
   std::shared_ptr<std::atomic<uint64_t>> Calls;
 };
-
-llm::OracleTask taskFor(const bench::Benchmark &B) {
-  llm::OracleTask Task;
-  Task.Query = &B;
-  Task.NumCandidates = 10;
-  return Task;
-}
-
-TEST(BatchingOracle, MatchesInnerBitForBit) {
-  const bench::Benchmark &B = bench::allBenchmarks().front();
-  llm::SimulatedLlm Reference(99);
-  llm::SimulatedLlm Inner(99);
-  BatchingOracle Batched(Inner, 4, /*BatchWaitMicros=*/1000);
-
-  llm::OracleTask Task = taskFor(B);
-  EXPECT_EQ(Batched.propose(Task), Reference.propose(Task));
-  EXPECT_EQ(Batched.stats().ProposeCalls, 1u);
-  EXPECT_EQ(Batched.stats().Rounds, 1u);
-}
-
-TEST(BatchingOracle, CoalescesConcurrentCallsIntoRounds) {
-  const std::vector<bench::Benchmark> &All = bench::allBenchmarks();
-  // More clients than the batch bound: coalescing must happen, but no
-  // round may ever exceed BatchSize (backends can have hard limits).
-  const int Clients = 6;
-  const int BatchBound = 3;
-  llm::SimulatedLlm Inner(7);
-  // A generous wait so concurrent clients land in shared rounds even
-  // under load.
-  BatchingOracle Batched(Inner, BatchBound, /*BatchWaitMicros=*/200000);
-
-  std::vector<std::vector<std::string>> Got(Clients);
-  std::vector<std::thread> Pool;
-  for (int C = 0; C < Clients; ++C)
-    Pool.emplace_back([&, C] {
-      llm::OracleTask Task = taskFor(All[static_cast<size_t>(C)]);
-      Got[static_cast<size_t>(C)] = Batched.propose(Task);
-    });
-  for (std::thread &T : Pool)
-    T.join();
-
-  BatchingStats Stats = Batched.stats();
-  EXPECT_EQ(Stats.ProposeCalls, 6u);
-  EXPECT_LT(Stats.Rounds, 6u); // at least some coalescing happened
-  EXPECT_GE(Stats.MaxBatch, 2u);
-  EXPECT_LE(Stats.MaxBatch, static_cast<uint64_t>(BatchBound));
-
-  // Fan-out gave every client exactly its own task's candidates.
-  llm::SimulatedLlm Reference(7);
-  for (int C = 0; C < Clients; ++C) {
-    llm::OracleTask Task = taskFor(All[static_cast<size_t>(C)]);
-    EXPECT_EQ(Got[static_cast<size_t>(C)], Reference.propose(Task)) << C;
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// LiftService
-//===----------------------------------------------------------------------===//
 
 ServiceConfig miniService(int Threads) {
   ServiceConfig Config;
@@ -525,43 +466,6 @@ TEST(LiftService, DisabledCacheAlwaysRunsThePipeline) {
   LiftResponse Second = Service.lift(B);
   EXPECT_FALSE(Second.CacheHit);
   EXPECT_GT(Calls->load(), AfterFirst);
-}
-
-TEST(LiftService, BatchedMatchesUnbatchedBitForBit) {
-  // The whole artificial suite through a batch-4 service and a batch-less
-  // one: per-benchmark results must be identical, program text included.
-  std::vector<const bench::Benchmark *> Suite;
-  for (const bench::Benchmark &B : bench::allBenchmarks())
-    if (B.Category == "artificial")
-      Suite.push_back(&B);
-  ASSERT_EQ(Suite.size(), 10u);
-
-  ServiceConfig Plain = miniService(4);
-  ServiceConfig Batched = miniService(4);
-  Batched.Config.Serve.BatchSize = 4;
-  Batched.Config.Serve.BatchWaitMicros = 2000;
-
-  auto runAll = [&Suite](ServiceConfig Config) {
-    LiftService Service(std::move(Config));
-    std::vector<std::future<LiftResponse>> Replies;
-    for (const bench::Benchmark *B : Suite)
-      Replies.push_back(Service.submit(*B));
-    std::vector<LiftResponse> Out;
-    for (std::future<LiftResponse> &F : Replies)
-      Out.push_back(F.get());
-    return Out;
-  };
-
-  std::vector<LiftResponse> A = runAll(Plain);
-  std::vector<LiftResponse> C = runAll(Batched);
-  ASSERT_EQ(A.size(), C.size());
-  for (size_t I = 0; I < A.size(); ++I) {
-    EXPECT_EQ(A[I].Result.Solved, C[I].Result.Solved) << A[I].Benchmark;
-    EXPECT_EQ(A[I].Result.Attempts, C[I].Result.Attempts) << A[I].Benchmark;
-    EXPECT_EQ(taco::printProgram(A[I].Result.Concrete),
-              taco::printProgram(C[I].Result.Concrete))
-        << A[I].Benchmark;
-  }
 }
 
 TEST(LiftService, ConcurrentClientsScheduleIndependence) {
