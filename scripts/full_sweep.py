@@ -4,7 +4,7 @@
 Usage:
     scripts/full_sweep.py --stagg build/stagg [--threads 1,4,8]
         [--expected tests/expected_sweep.csv] [--out-dir sweep-out]
-        [--write-expected]
+        [--search td|bu] [--drop-penalty SEL] [--write-expected]
 
 The determinism contract of the parallel frontier (search/Frontier.h) is
 that --search-threads N is bit-identical to --search-threads 1 for every
@@ -19,6 +19,11 @@ The expectation file (tests/expected_sweep.csv) pins the solved set across
 time, not just across thread counts: a grammar or search change that flips
 a benchmark shows up as a nightly diff even though all thread counts agree
 with each other. Refresh it deliberately with --write-expected.
+
+--search and --drop-penalty are passed through to stagg, so the other
+enumeration modes are pinned the same way: tests/expected_sweep_bu.csv is
+the `--search bu` sweep, tests/expected_sweep_drop_a.csv the
+`--drop-penalty a` one.
 
 Exit codes: 0 identical, 1 divergence found, 2 bad input/run failure.
 """
@@ -35,11 +40,11 @@ DETERMINISTIC = ["benchmark", "category", "solved", "attempts",
                  "expansions", "detail"]
 
 
-def run_sweep(stagg, threads, out_dir, timeout):
+def run_sweep(stagg, threads, out_dir, timeout, mode_args):
     csv_path = out_dir / f"sweep_t{threads}.csv"
     cmd = [str(stagg), "--suite", "all", "--threads", "1",
            "--search-threads", str(threads), "--timeout", str(timeout),
-           "--format", "csv", "--csv", str(csv_path)]
+           *mode_args, "--format", "csv", "--csv", str(csv_path)]
     print(f"full_sweep: {' '.join(cmd)}")
     proc = subprocess.run(cmd, stdout=subprocess.DEVNULL)
     if proc.returncode != 0:
@@ -102,6 +107,10 @@ def main():
     parser.add_argument("--timeout", type=float, default=30.0,
                         help="per-benchmark search timeout seconds "
                              "(default 30)")
+    parser.add_argument("--search", choices=["td", "bu"],
+                        help="passed through to stagg (default: stagg's, td)")
+    parser.add_argument("--drop-penalty", metavar="SEL",
+                        help="passed through to stagg (e.g. a, b, a3)")
     parser.add_argument("--write-expected", action="store_true",
                         help="refresh the expectation file from the "
                              "--search-threads 1 run instead of diffing "
@@ -115,13 +124,19 @@ def main():
     if not thread_counts:
         sys.exit("full_sweep: --threads selected nothing")
 
+    mode_args = []
+    if args.search:
+        mode_args += ["--search", args.search]
+    if args.drop_penalty:
+        mode_args += ["--drop-penalty", args.drop_penalty]
+
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     runs = {}
     for threads in thread_counts:
         runs[threads] = project(
-            run_sweep(args.stagg, threads, out_dir, args.timeout))
+            run_sweep(args.stagg, threads, out_dir, args.timeout, mode_args))
 
     base_threads = thread_counts[0]
     base = runs[base_threads]

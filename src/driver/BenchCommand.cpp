@@ -266,6 +266,31 @@ std::vector<Micro> buildMicros(const MicroFixtures &F) {
                       }});
   }
 
+  // Three-tensor chain templates, the shape of misc_mm3_chain: 3215 pops
+  // and a heap of 17,115 partial templates by the 2000th candidate, where
+  // the two-template toy above peaks at 113, so this one measures push and
+  // pop cost on a large queue.
+  {
+    auto T = std::make_shared<std::vector<grammar::Templatized>>();
+    for (const char *S : {"r(i,j) = x(i,k) * y(k,l) * z(l,j)",
+                          "r(i,j) = x(i,k) * (y(k,l) * z(l,j))",
+                          "r(i,j) = x(k,i) * y(k,l) * z(l,j)"})
+      T->push_back(grammar::templatize(*taco::parseTacoProgram(S).Prog));
+    *T = grammar::dedupTemplates(*T);
+    auto G = std::make_shared<grammar::TemplateGrammar>(
+        grammar::buildTemplateGrammar(*T, grammar::predictDimensionList(*T, 2),
+                                      2, grammar::GrammarOptions()));
+    Micros.push_back({"micro/topdown_enumeration_deep", [G] {
+                        search::SearchConfig Config;
+                        Config.MaxAttempts = 2000;
+                        search::SearchResult R = search::runTopDown(
+                            *G, Config,
+                            [](const taco::Program &) { return false; });
+                        if (R.Attempts <= 0)
+                          std::abort();
+                      }});
+  }
+
   // The parallel frontier (search/Frontier.h): identical probe workloads —
   // one 32x32 VM matmul per candidate, heavy enough to amortize worker
   // spawn — driven serially and at four workers. The perf gate

@@ -5,11 +5,11 @@
 #include "search/CostModel.h"
 #include "search/Frontier.h"
 #include "search/Penalty.h"
+#include "search/TemplateState.h"
 #include "support/Timer.h"
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
 #include <utility>
 
 using namespace stagg;
@@ -24,6 +24,7 @@ struct ChainState {
   uint64_t Seq = 0;
   std::vector<const grammar::TensorRule *> Leaves;
   std::vector<BinOpKind> Ops; ///< Ops.size() == Leaves.size() - 1.
+  StateMetrics M;             ///< Leaves, operators and symbol order.
 };
 
 struct ChainGreater {
@@ -52,22 +53,6 @@ ExprPtr chainToExpr(const ChainState &S) {
   return foldPrecedenceChain(std::move(Leaves), S.Ops);
 }
 
-std::vector<std::string> chainSymbols(const ChainState &S) {
-  std::vector<std::string> Symbols;
-  for (const grammar::TensorRule *R : S.Leaves)
-    if (!R->IsConst)
-      Symbols.push_back(R->Symbol);
-  return Symbols;
-}
-
-std::vector<BinOpKind> chainDistinctOps(const ChainState &S) {
-  std::vector<BinOpKind> Ops;
-  for (BinOpKind Op : S.Ops)
-    if (std::find(Ops.begin(), Ops.end(), Op) == Ops.end())
-      Ops.push_back(Op);
-  return Ops;
-}
-
 /// Algorithm 2 as a resumable generator — same mechanics as the top-down
 /// TopDownEnumerator: probe call sites become yield points, and since probe
 /// outcomes never fed back into the queue, the pop order and counters are
@@ -76,7 +61,7 @@ class BottomUpEnumerator : public CandidateStream {
 public:
   BottomUpEnumerator(const grammar::TemplateGrammar &G,
                      const SearchConfig &Config)
-      : G(G), Config(Config), Costs(G),
+      : G(G), Config(Config), Costs(G), Rules(G),
         RhsSlots(static_cast<int>(G.DimList.size()) - 1) {
     if (G.DimList.empty() || G.TensorRules.empty()) {
       Done = true;
@@ -103,15 +88,16 @@ public:
       return false;
     static const BinOpKind AllOps[] = {BinOpKind::Add, BinOpKind::Sub,
                                        BinOpKind::Mul, BinOpKind::Div};
-    while (!Queue.empty()) {
+    while (!Heap.empty()) {
       if (Clock.seconds() > Config.TimeoutSeconds)
         return fail("timeout");
       if (Expansions >= Config.MaxExpansions ||
           Attempts >= Config.MaxAttempts)
         return fail("budget exhausted");
 
-      ChainState Current = Queue.top();
-      Queue.pop();
+      std::pop_heap(Heap.begin(), Heap.end(), Cmp);
+      ChainState Current = std::move(Heap.back());
+      Heap.pop_back();
       ++Expansions;
 
       // Algorithm 2, line 5: once the chain holds as many tensors as the
@@ -131,12 +117,13 @@ public:
       if (static_cast<int>(Current.Leaves.size()) >= RhsSlots)
         continue;
       int NextPosition = static_cast<int>(Current.Leaves.size()) + 2;
-      std::vector<const grammar::TensorRule *> Rules =
+      std::vector<const grammar::TensorRule *> Slot =
           G.rulesForPosition(NextPosition);
       if (Current.Leaves.empty()) {
-        for (const grammar::TensorRule *Rule : Rules) {
+        for (const grammar::TensorRule *Rule : Slot) {
           ChainState Child = Current;
           Child.Leaves.push_back(Rule);
+          Child.M.addLeaf(Rules, Rules.indexOf(*Rule));
           Child.C += Rule->Cost;
           push(std::move(Child));
         }
@@ -146,10 +133,12 @@ public:
         double OpCost = Costs.costOp(Op);
         if (std::isinf(OpCost))
           continue;
-        for (const grammar::TensorRule *Rule : Rules) {
+        for (const grammar::TensorRule *Rule : Slot) {
           ChainState Child = Current;
           Child.Ops.push_back(Op);
+          Child.M.addOp(Op);
           Child.Leaves.push_back(Rule);
+          Child.M.addLeaf(Rules, Rules.indexOf(*Rule));
           Child.C += OpCost + Rule->Cost;
           push(std::move(Child));
         }
@@ -165,9 +154,7 @@ public:
 
 private:
   void push(ChainState S) {
-    double Penalty = bottomUpPenalty(chainSymbols(S), chainDistinctOps(S),
-                                     static_cast<int>(S.Leaves.size()), G,
-                                     Config);
+    double Penalty = bottomUpPenalty(S.M, G, Config);
     if (std::isinf(Penalty))
       return;
     size_t Filled = S.Leaves.size();
@@ -175,7 +162,8 @@ private:
         Filled <= static_cast<size_t>(RhsSlots) ? SuffixCost[Filled] : 0;
     S.F = S.C + Remaining + Penalty;
     S.Seq = NextSeq++;
-    Queue.push(std::move(S));
+    Heap.push_back(std::move(S));
+    std::push_heap(Heap.begin(), Heap.end(), Cmp);
   }
 
   bool fail(const char *Why) {
@@ -188,9 +176,11 @@ private:
   const SearchConfig &Config;
   Timer Clock;
   CostModel Costs;
+  RuleTable Rules;
   const int RhsSlots;
   std::vector<double> SuffixCost;
-  std::priority_queue<ChainState, std::vector<ChainState>, ChainGreater> Queue;
+  std::vector<ChainState> Heap;
+  ChainGreater Cmp;
   uint64_t NextSeq = 0;
   uint64_t NextTicket = 0;
   int Attempts = 0;

@@ -2,8 +2,6 @@
 
 #include "search/Penalty.h"
 
-#include "grammar/Template.h"
-
 #include <limits>
 
 using namespace stagg;
@@ -11,50 +9,6 @@ using namespace stagg::search;
 
 double search::infinitePenalty() {
   return std::numeric_limits<double>::infinity();
-}
-
-bool search::tensorsInCanonicalOrder(
-    const std::vector<std::string> &TensorOrder) {
-  for (size_t I = 0; I < TensorOrder.size(); ++I)
-    if (TensorOrder[I] !=
-        grammar::tensorSymbolForPosition(static_cast<int>(I) + 2))
-      return false;
-  return true;
-}
-
-bool search::tensorsInCanonicalOrder(const std::vector<std::string> &TensorOrder,
-                                     const grammar::TemplateGrammar &G) {
-  if (!G.PositionalSymbols)
-    return tensorsInCanonicalOrder(TensorOrder);
-
-  // Grammar symbols per dimension class, in minting (= alphabetical) order.
-  std::map<int, std::vector<std::string>> ClassSymbols;
-  for (size_t Position = 2; Position <= G.DimList.size(); ++Position)
-    ClassSymbols[G.DimList[Position - 1]].push_back(
-        grammar::tensorSymbolForPosition(static_cast<int>(Position)));
-
-  // The template's distinct symbols, grouped by their class.
-  std::map<int, std::vector<std::string>> Used;
-  for (const std::string &Symbol : TensorOrder) {
-    if (Symbol.size() != 1 || Symbol[0] < 'b')
-      return false; // Not a positional symbol: treat as out of order.
-    size_t Position = static_cast<size_t>(Symbol[0] - 'a') + 1;
-    if (Position < 2 || Position > G.DimList.size())
-      return false;
-    Used[G.DimList[Position - 1]].push_back(Symbol);
-  }
-
-  // Within each class, the used symbols must be exactly the class's first
-  // N symbols in order; anything else is a rename-duplicate.
-  for (const auto &[Dim, Sequence] : Used) {
-    const std::vector<std::string> &Canon = ClassSymbols[Dim];
-    if (Sequence.size() > Canon.size())
-      return false;
-    for (size_t I = 0; I < Sequence.size(); ++I)
-      if (Sequence[I] != Canon[I])
-        return false;
-  }
-  return true;
 }
 
 double search::topDownPenalty(const StateMetrics &M,
@@ -75,18 +29,18 @@ double search::topDownPenalty(const StateMetrics &M,
   // a2: length must match the dimension list. Partial templates are charged
   // only once they can no longer reach the target length.
   if (Config.PenaltyA2 && DimLen > 0) {
-    if (M.Complete ? (Length != DimLen) : (MinFinalLength > DimLen))
+    if (M.complete() ? (Length != DimLen) : (MinFinalLength > DimLen))
       Penalty += 100;
   }
 
   // a3: tensor symbols must appear in alphabetical order of first
   // appearance (within their dimension class); violating templates
   // duplicate already-enumerated structures.
-  if (Config.PenaltyA3 && !tensorsInCanonicalOrder(M.TensorOrder, G))
+  if (Config.PenaltyA3 && !M.InCanonicalOrder)
     return infinitePenalty();
 
   // a4: complete templates must not apply + - / to the same access.
-  if (Config.PenaltyA4 && M.Complete && M.DegenerateOp)
+  if (Config.PenaltyA4 && M.complete() && M.DegenerateOp)
     return infinitePenalty();
 
   // a5: complete templates must employ at least half of the operations
@@ -94,37 +48,27 @@ double search::topDownPenalty(const StateMetrics &M,
   // "Half" is integer (floor) division: a grammar with one learned operator
   // admits operator-free templates, and the motivating one-operator
   // solution survives a three-operator grammar.
-  if (Config.PenaltyA5 && M.Complete &&
-      static_cast<int>(M.OpsUsed.size()) <
-          static_cast<int>(G.LearnedOps.size()) / 2)
+  if (Config.PenaltyA5 && M.complete() &&
+      M.distinctOps() < static_cast<int>(G.LearnedOps.size()) / 2)
     return infinitePenalty();
 
   return Penalty;
 }
 
-double search::bottomUpPenalty(const std::vector<std::string> &TensorSymbols,
-                               const std::vector<taco::BinOpKind> &OpsUsed,
-                               int RhsLeaves,
+double search::bottomUpPenalty(const StateMetrics &M,
                                const grammar::TemplateGrammar &G,
                                const SearchConfig &Config) {
   double Penalty = 0;
 
-  // Distinct symbols in first-appearance order.
-  std::vector<std::string> Order;
-  for (const std::string &S : TensorSymbols)
-    if (std::find(Order.begin(), Order.end(), S) == Order.end())
-      Order.push_back(S);
-
   // b1: out-of-order tensor symbols are structural duplicates.
-  if (Config.PenaltyB1 && !tensorsInCanonicalOrder(Order, G))
+  if (Config.PenaltyB1 && !M.InCanonicalOrder)
     Penalty += 100;
 
   // b2: once the chain is as long as predicted it must use at least half
   // (floor, as in a5) of the learned operations.
   int DimLen = static_cast<int>(G.DimList.size());
-  if (Config.PenaltyB2 && DimLen > 0 && RhsLeaves + 1 >= DimLen &&
-      static_cast<int>(OpsUsed.size()) <
-          static_cast<int>(G.LearnedOps.size()) / 2)
+  if (Config.PenaltyB2 && DimLen > 0 && M.Leaves + 1 >= DimLen &&
+      M.distinctOps() < static_cast<int>(G.LearnedOps.size()) / 2)
     return infinitePenalty();
 
   return Penalty;

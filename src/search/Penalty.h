@@ -30,26 +30,10 @@ double infinitePenalty();
 double topDownPenalty(const StateMetrics &M, const grammar::TemplateGrammar &G,
                       const SearchConfig &Config);
 
-/// Bottom-up penalty over the flat chain state: \p TensorSymbols is the
-/// in-order list of non-constant tensor symbols chosen so far, \p OpsUsed the
-/// distinct operators, \p RhsLeaves the number of leaves placed.
-double bottomUpPenalty(const std::vector<std::string> &TensorSymbols,
-                       const std::vector<taco::BinOpKind> &OpsUsed,
-                       int RhsLeaves, const grammar::TemplateGrammar &G,
+/// Bottom-up penalty over the metrics of a flat chain state: its leaves
+/// placed, its distinct operators, and the order of its tensor symbols.
+double bottomUpPenalty(const StateMetrics &M, const grammar::TemplateGrammar &G,
                        const SearchConfig &Config);
-
-/// Shared helper: true when the distinct symbols of \p TensorOrder appear in
-/// canonical alphabetical order (first new symbol is `b`, second `c`, ...).
-bool tensorsInCanonicalOrder(const std::vector<std::string> &TensorOrder);
-
-/// Class-aware canonical-order check used by penalties a3/b1. With the
-/// refined grammar, symbols are interchangeable only within a dimension
-/// class, so the order requirement applies per class: a template may use
-/// the 1-D symbol `c` without the 0-D symbol `b`, but using `e` before `c`
-/// (both 1-D) duplicates an already-enumerated structure. With the full
-/// grammar every symbol is equivalent and the global rule applies.
-bool tensorsInCanonicalOrder(const std::vector<std::string> &TensorOrder,
-                             const grammar::TemplateGrammar &G);
 
 } // namespace search
 } // namespace stagg

@@ -1,15 +1,25 @@
-//===- search/TemplateState.h - Partial template trees ----------*- C++ -*-===//
+//===- search/TemplateState.h - Partial template states ---------*- C++ -*-===//
 //
 // Part of the STAGG reproduction of "Guided Tensor Lifting" (PLDI 2025).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The top-down search state: a partial abstract syntax tree over the
-/// template grammar. Unexpanded EXPR nonterminals appear as holes; a binary
-/// node whose OP nonterminal has not been expanded yet carries an "op hole".
-/// Expansion always rewrites the *leftmost* nonterminal (matching the
-/// leftmost-derivation convention used when learning weights).
+/// The top-down search state. A partial template is a leftmost derivation
+/// over the template grammar, stored as a chain of immutable Step nodes:
+/// each records the production it applied to the leftmost nonterminal, the
+/// integer metrics of the partial template after that step, and the stack
+/// of nonterminals still open (leftmost on top). Unexpanded EXPR
+/// nonterminals are holes; a binary node whose OP nonterminal has not been
+/// expanded yet is an "op hole". A child shares its parent by reference,
+/// so one expansion costs O(1) integer work plus a copy of a stack whose
+/// height is bounded by the depth limit. The template itself is only built,
+/// by replaying the chain, once it is complete.
+///
+/// The incremental metrics are exact because in a leftmost derivation every
+/// terminal precedes the leftmost nonterminal: a new leaf always appends to
+/// the leaf order, and the left operand of a binary node is complete before
+/// its operator and right operand are chosen.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,70 +29,210 @@
 #include "grammar/Pcfg.h"
 #include "taco/Ast.h"
 
-#include <memory>
-#include <string>
+#include <cstddef>
+#include <cstdint>
+#include <new>
+#include <utility>
 #include <vector>
 
 namespace stagg {
 namespace search {
 
-/// One node of a partial template tree.
-struct TNode {
-  enum class Kind {
-    Hole, ///< Unexpanded EXPR nonterminal.
-    Leaf, ///< TENSOR or CONSTANT production applied (Rule set).
-    Bin,  ///< EXPR OP EXPR; OpKnown says whether OP was expanded.
-    Max,  ///< max(EXPR, EXPR); only reachable when the grammar has the rule.
+/// Per-grammar facts about every TENSOR production, built once per search.
+/// Each non-constant symbol is interned to one bit; its dimension class is
+/// the mask of all symbols interchangeable with it, and its rank is its
+/// position within that class in minting (= alphabetical) order. With the
+/// refined grammar symbols are interchangeable only within a dimension
+/// class; with the full grammar every symbol is, so all share one class.
+/// This is the canonical-order table of penalties a3/b1: a symbol's first
+/// use is in order iff its rank equals the number of symbols of its class
+/// already used.
+class RuleTable {
+public:
+  explicit RuleTable(const grammar::TemplateGrammar &G);
+
+  struct Entry {
+    bool IsConst = false;
+    bool HasI = false;       ///< Indexed by the first canonical variable.
+    int Rank = -1;           ///< -1: not a canonical symbol, never in order.
+    uint64_t SymbolBit = 0;  ///< 0 for the constant.
+    uint64_t ClassMask = 0;  ///< Symbol bits of the rule's class.
   };
 
-  Kind K = Kind::Hole;
-  const grammar::TensorRule *Rule = nullptr;
-  taco::BinOpKind Op = taco::BinOpKind::Add;
-  bool OpKnown = false;
-  std::unique_ptr<TNode> Lhs, Rhs;
+  const Entry &operator[](int Index) const {
+    return Entries[static_cast<size_t>(Index)];
+  }
 
-  static std::unique_ptr<TNode> hole() { return std::make_unique<TNode>(); }
+  /// Position of \p R in the grammar's TensorRules.
+  int indexOf(const grammar::TensorRule &R) const {
+    return static_cast<int>(&R - G.TensorRules.data());
+  }
 
-  std::unique_ptr<TNode> clone() const;
+private:
+  const grammar::TemplateGrammar &G;
+  std::vector<Entry> Entries;
 };
 
-/// Identifies the leftmost nonterminal in a tree.
-struct Frontier {
-  enum class Kind { None, ExprHole, OpHole };
-  Kind K = Kind::None;
-  TNode *Node = nullptr; ///< The hole itself, or the Bin node missing its op.
-};
-
-/// In-order scan for the leftmost nonterminal.
-Frontier leftmostNonterminal(TNode &Root);
-
-/// Structural metrics consumed by the penalty functions.
+/// Structural metrics consumed by the penalty functions. The top-down search
+/// carries them on every Step; the bottom-up search on every chain.
 struct StateMetrics {
-  int Leaves = 0;        ///< Tensor/constant leaves placed so far.
-  int Holes = 0;         ///< Unexpanded EXPR holes.
-  int OpHoles = 0;       ///< Unexpanded OP slots.
-  int Depth = 1;         ///< Paper depth (accesses depth 1, holes too).
-  int ConstLeaves = 0;   ///< Leaves that are the symbolic constant.
-  int TensorsWithI = 0;  ///< Leaves indexed by the first canonical variable.
-  bool Complete = false; ///< No nonterminals remain.
+  int Leaves = 0;       ///< Tensor/constant leaves placed so far.
+  int Holes = 0;        ///< Unexpanded EXPR holes.
+  int OpHoles = 0;      ///< Unexpanded OP slots.
+  int Depth = 1;        ///< Paper depth (accesses depth 1, holes too).
+  int ConstLeaves = 0;  ///< Leaves that are the symbolic constant.
+  int TensorsWithI = 0; ///< Leaves indexed by the first canonical variable.
 
-  /// Distinct non-constant tensor symbols in order of first appearance.
-  std::vector<std::string> TensorOrder;
+  /// Distinct operators already fixed, one bit per taco::BinOpKind.
+  unsigned OpsUsed = 0;
 
-  /// Distinct operators already fixed.
-  std::vector<taco::BinOpKind> OpsUsed;
+  /// Every symbol was first used in canonical order within its class
+  /// (penalties a3/b1).
+  bool InCanonicalOrder = true;
 
-  /// True if some binary node with + - or / has structurally identical
-  /// access leaves on both sides (penalty a4).
+  /// Some binary node with + - or / (or some max) has the identical
+  /// non-constant access on both sides (penalty a4).
   bool DegenerateOp = false;
+
+  /// RuleTable symbol bits of the distinct non-constant symbols used.
+  uint64_t SymbolsSeen = 0;
+
+  bool complete() const { return Holes == 0 && OpHoles == 0; }
+  int distinctOps() const { return __builtin_popcount(OpsUsed); }
+
+  /// Accounts for one more leaf, appended to the leaf order, applying rule
+  /// \p Index of \p Rules.
+  void addLeaf(const RuleTable &Rules, int Index);
+
+  void addOp(taco::BinOpKind Op) { OpsUsed |= 1u << static_cast<int>(Op); }
 };
 
-/// Computes metrics for a partial tree.
-StateMetrics computeMetrics(const TNode &Root);
+/// One production applied to the leftmost nonterminal.
+struct Production {
+  enum class Kind : uint8_t {
+    Leaf, ///< EXPR -> TENSOR | CONSTANT, the rule at index Rule.
+    Bin,  ///< EXPR -> EXPR OP EXPR.
+    Max,  ///< EXPR -> max(EXPR, EXPR).
+    Op,   ///< OP -> Op.
+  };
 
-/// Converts a complete tree into a TACO expression. Must only be called when
-/// the tree has no nonterminals.
-taco::ExprPtr treeToExpr(const TNode &Root);
+  Kind K = Kind::Leaf;
+  taco::BinOpKind Op = taco::BinOpKind::Add;
+  int Rule = -1; ///< Index into TemplateGrammar::TensorRules.
+
+  static Production leaf(int Rule) { return {Kind::Leaf, {}, Rule}; }
+  static Production bin() { return {Kind::Bin, {}, -1}; }
+  static Production max() { return {Kind::Max, {}, -1}; }
+  static Production op(taco::BinOpKind Op) { return {Kind::Op, Op, -1}; }
+};
+
+/// One open nonterminal of a partial template.
+struct Pending {
+  enum class Kind : uint8_t { Expr, Op };
+  Kind K = Kind::Expr;
+
+  /// Left operand of a binary node or max: a non-constant leaf placed here
+  /// is recorded as the Twin of the entry below (its operator or sibling).
+  bool FeedsTwin = false;
+
+  /// For an Op entry: the left operand's leaf rule. For an Expr entry: the
+  /// rule whose use here makes the parent degenerate (a4). -1 when none.
+  int Twin = -1;
+
+  int Depth = 1; ///< Paper depth of an Expr hole.
+};
+
+class StepRef;
+
+/// One node of a derivation chain. Immutable once built; shared between
+/// children through StepRef.
+class Step {
+public:
+  /// The initial state: a single EXPR hole at depth 1.
+  static StepRef root();
+
+  /// The metrics after applying \p P to this state's leftmost nonterminal,
+  /// in O(1). \p P must match the leftmost nonterminal's kind.
+  StateMetrics metricsAfter(const Production &P, const RuleTable &Rules) const;
+
+  /// The child state of \p Parent under \p P. \p M must be
+  /// Parent->metricsAfter(P, Rules), computed first so pruned children
+  /// are never built.
+  static StepRef extend(const StepRef &Parent, const Production &P,
+                        const StateMetrics &M, const RuleTable &Rules);
+
+  const StateMetrics &metrics() const { return M; }
+
+  /// The leftmost open nonterminal, or nullptr when the template is
+  /// complete.
+  const Pending *leftmost() const {
+    return NumPending ? &pending()[NumPending - 1] : nullptr;
+  }
+  size_t numPending() const { return NumPending; }
+
+  /// Replays the derivation into the template's RHS. Only valid when the
+  /// template is complete.
+  taco::ExprPtr toExpr(const grammar::TemplateGrammar &G) const;
+
+private:
+  friend class StepRef;
+
+  Step(Step *Parent, const Production &Applied, const StateMetrics &M,
+       uint32_t NumPending)
+      : Parent(Parent), NumPending(NumPending), Applied(Applied), M(M) {}
+
+  /// Allocates a Step followed by room for \p NumPending stack entries,
+  /// which the caller fills.
+  static Step *allocate(Step *Parent, const Production &Applied,
+                        const StateMetrics &M, size_t NumPending);
+
+  /// The open-nonterminal stack, stored right after the Step; the leftmost
+  /// nonterminal is the last entry.
+  Pending *pending() {
+    return std::launder(reinterpret_cast<Pending *>(this + 1));
+  }
+  const Pending *pending() const {
+    return std::launder(reinterpret_cast<const Pending *>(this + 1));
+  }
+
+  Step *Parent; ///< Holds one reference; nullptr for the root.
+  uint32_t Refs = 1;
+  uint32_t NumPending;
+  Production Applied; ///< Meaningless for the root.
+  StateMetrics M;
+};
+
+/// Owning reference to a Step. Counts are not atomic: a chain belongs to one
+/// enumerator, which one thread drives (search/Frontier.h), and the
+/// candidates it hands to other threads are built expressions that never
+/// point into it.
+class StepRef {
+public:
+  StepRef() = default;
+  StepRef(const StepRef &Other) : S(Other.S) {
+    if (S)
+      ++S->Refs;
+  }
+  StepRef(StepRef &&Other) noexcept : S(Other.S) { Other.S = nullptr; }
+  StepRef &operator=(StepRef Other) noexcept {
+    std::swap(S, Other.S);
+    return *this;
+  }
+  ~StepRef() { release(S); }
+
+  const Step &operator*() const { return *S; }
+  const Step *operator->() const { return S; }
+
+private:
+  friend class Step;
+  explicit StepRef(Step *S) : S(S) {}
+
+  /// Drops one reference, freeing every node of the chain nothing else
+  /// reaches.
+  static void release(Step *S);
+
+  Step *S = nullptr;
+};
 
 } // namespace search
 } // namespace stagg

@@ -22,7 +22,7 @@ struct Item {
   double F = 0;
   double C = 0;
   uint64_t Seq = 0;
-  std::unique_ptr<TNode> Root;
+  StepRef State;
 };
 
 /// Min-heap ordering on F with FIFO tie-breaking (std::*_heap builds a
@@ -43,13 +43,16 @@ class TopDownEnumerator : public CandidateStream {
 public:
   TopDownEnumerator(const grammar::TemplateGrammar &G,
                     const SearchConfig &Config)
-      : G(G), Config(Config), Costs(G) {
+      : G(G), Config(Config), Costs(G), Rules(G) {
     if (G.DimList.empty() || G.TensorRules.empty()) {
       Done = true;
       Reason = "empty grammar (no usable LLM candidates)";
       return;
     }
-    push(0, TNode::hole());
+    StepRef Root = Step::root();
+    double F = priority(0, Root->metrics());
+    if (!std::isinf(F))
+      push(F, 0, std::move(Root));
   }
 
   bool next(Candidate &Out) override {
@@ -67,64 +70,42 @@ public:
       Heap.pop_back();
       ++Expansions;
 
-      StateMetrics M = computeMetrics(*Current.Root);
-      if (M.Depth > Config.MaxDepth)
+      const Step &State = *Current.State;
+      if (State.metrics().Depth > Config.MaxDepth)
         continue; // Algorithm 1, line 5.
 
-      Frontier F = leftmostNonterminal(*Current.Root);
-      if (F.K == Frontier::Kind::None) {
+      const Pending *Leftmost = State.leftmost();
+      if (!Leftmost) {
         // Complete template: yield it for validation + verification.
         Out.Ticket = NextTicket++;
-        Out.Program = taco::Program(G.Lhs, treeToExpr(*Current.Root));
+        Out.Program = taco::Program(G.Lhs, State.toExpr(G));
         Out.AttemptsAtYield = ++Attempts;
         Out.ExpansionsAtYield = Expansions;
         return true;
       }
 
-      if (F.K == Frontier::Kind::OpHole) {
+      if (Leftmost->K == Pending::Kind::Op) {
         static const taco::BinOpKind Ops[] = {
             taco::BinOpKind::Add, taco::BinOpKind::Sub, taco::BinOpKind::Mul,
             taco::BinOpKind::Div};
-        for (taco::BinOpKind Op : Ops) {
-          std::unique_ptr<TNode> Child = Current.Root->clone();
-          Frontier CF = leftmostNonterminal(*Child);
-          CF.Node->Op = Op;
-          CF.Node->OpKnown = true;
-          push(Current.C + Costs.costOp(Op), std::move(Child));
-        }
+        for (taco::BinOpKind Op : Ops)
+          expand(Current, Production::op(Op), Costs.costOp(Op));
         continue;
       }
 
       // EXPR hole: TENSOR / CONSTANT / EXPR OP EXPR.
-      for (const grammar::TensorRule &Rule : G.TensorRules) {
-        std::unique_ptr<TNode> Child = Current.Root->clone();
-        Frontier CF = leftmostNonterminal(*Child);
-        CF.Node->K = TNode::Kind::Leaf;
-        CF.Node->Rule = &Rule;
+      for (size_t I = 0; I < G.TensorRules.size(); ++I) {
+        const grammar::TensorRule &Rule = G.TensorRules[I];
         double RuleCost = Rule.IsConst ? Costs.costExprConst()
                                        : Costs.costExprTensor() + Rule.Cost;
-        push(Current.C + RuleCost, std::move(Child));
+        expand(Current, Production::leaf(static_cast<int>(I)), RuleCost);
       }
-      {
-        std::unique_ptr<TNode> Child = Current.Root->clone();
-        Frontier CF = leftmostNonterminal(*Child);
-        CF.Node->K = TNode::Kind::Bin;
-        CF.Node->OpKnown = false;
-        CF.Node->Lhs = TNode::hole();
-        CF.Node->Rhs = TNode::hole();
-        push(Current.C + Costs.costExprBin(), std::move(Child));
-      }
+      expand(Current, Production::bin(), Costs.costExprBin());
       // EXPR -> max(EXPR, EXPR), only when candidates supplied the
       // evidence — max-free grammars expand exactly the pre-max state space
       // in the same order.
-      if (G.HasMaxRule) {
-        std::unique_ptr<TNode> Child = Current.Root->clone();
-        Frontier CF = leftmostNonterminal(*Child);
-        CF.Node->K = TNode::Kind::Max;
-        CF.Node->Lhs = TNode::hole();
-        CF.Node->Rhs = TNode::hole();
-        push(Current.C + Costs.costExprMax(), std::move(Child));
-      }
+      if (G.HasMaxRule)
+        expand(Current, Production::max(), Costs.costExprMax());
     }
     return fail("search space exhausted");
   }
@@ -135,20 +116,28 @@ public:
   double seconds() const override { return Clock.seconds(); }
 
 private:
-  void push(double C, std::unique_ptr<TNode> Root) {
-    StateMetrics M = computeMetrics(*Root);
+  /// f(x) = c(x) + g(x) + X(x); infinite when the penalty prunes x.
+  double priority(double C, const StateMetrics &M) const {
     double Penalty = topDownPenalty(M, G, Config);
     if (std::isinf(Penalty))
-      return;
+      return Penalty;
     double G2 = M.Holes * Costs.holeCharge() + M.OpHoles * Costs.opHoleCharge();
-    Item It;
-    It.F = C + G2 + Penalty;
-    It.C = C;
-    It.Seq = NextSeq++;
-    It.Root = std::move(Root);
-    if (std::isinf(It.F))
+    return C + G2 + Penalty;
+  }
+
+  /// Pushes the child of \p Parent under \p P unless it is pruned. Its
+  /// metrics come first, so a pruned child is never built.
+  void expand(const Item &Parent, const Production &P, double StepCost) {
+    double C = Parent.C + StepCost;
+    StateMetrics M = Parent.State->metricsAfter(P, Rules);
+    double F = priority(C, M);
+    if (std::isinf(F))
       return;
-    Heap.push_back(std::move(It));
+    push(F, C, Step::extend(Parent.State, P, M, Rules));
+  }
+
+  void push(double F, double C, StepRef State) {
+    Heap.push_back(Item{F, C, NextSeq++, std::move(State)});
     std::push_heap(Heap.begin(), Heap.end(), Cmp);
   }
 
@@ -162,6 +151,7 @@ private:
   const SearchConfig &Config;
   Timer Clock;
   CostModel Costs;
+  RuleTable Rules;
   std::vector<Item> Heap;
   ItemGreater Cmp;
   uint64_t NextSeq = 0;

@@ -4,11 +4,14 @@
 
 #include "grammar/DimensionList.h"
 #include "taco/Parser.h"
+#include "taco/Printer.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
+#include <stdexcept>
 
 using namespace stagg;
 using namespace stagg::search;
@@ -18,7 +21,8 @@ namespace {
 
 /// Builds a grammar from candidate sources (shared fixture helper).
 TemplateGrammar makeGrammar(std::initializer_list<const char *> Sources,
-                            int LhsDim) {
+                            int LhsDim,
+                            GrammarOptions Options = GrammarOptions()) {
   std::vector<Templatized> T;
   for (const char *S : Sources) {
     taco::ParseResult R = taco::parseTacoProgram(S);
@@ -27,60 +31,112 @@ TemplateGrammar makeGrammar(std::initializer_list<const char *> Sources,
   }
   T = dedupTemplates(T);
   return buildTemplateGrammar(T, predictDimensionList(T, LhsDim), LhsDim,
-                              GrammarOptions());
+                              Options);
 }
 
-StateMetrics metricsFor(const TemplateGrammar &G, const std::string &Expr,
-                        bool Complete = true) {
-  StateMetrics M;
+/// Index of the grammar rule spelling an access (or the constant).
+int ruleFor(const TemplateGrammar &G, const taco::Expr &E) {
+  for (size_t I = 0; I < G.TensorRules.size(); ++I) {
+    const TensorRule &R = G.TensorRules[I];
+    if (E.kind() == taco::Expr::Kind::Constant ? R.IsConst
+                                               : (!R.IsConst &&
+                                                  R.spelling() ==
+                                                      taco::printExpr(E)))
+      return static_cast<int>(I);
+  }
+  throw std::runtime_error("no grammar rule for " + taco::printExpr(E));
+}
+
+/// Metrics of the complete template \p Expr, derived by replaying its
+/// leftmost derivation through the top-down search's own state steps.
+StateMetrics metricsFor(const TemplateGrammar &G, const std::string &Expr) {
   taco::ParseExprResult R = taco::parseTacoExpr(Expr);
   EXPECT_TRUE(R.ok()) << Expr;
-  M.Complete = Complete;
-  M.Leaves = taco::countLeaves(*R.E);
-  std::function<void(const taco::Expr &)> Scan = [&](const taco::Expr &E) {
+  RuleTable Rules(G);
+  StepRef State = Step::root();
+  auto Apply = [&](const Production &P) {
+    State = Step::extend(State, P, State->metricsAfter(P, Rules), Rules);
+  };
+  std::function<void(const taco::Expr &)> Derive = [&](const taco::Expr &E) {
     switch (E.kind()) {
-    case taco::Expr::Kind::Access: {
-      const auto &A = taco::exprCast<taco::AccessExpr>(E);
-      for (const std::string &V : A.indices())
-        if (V == "i") {
-          ++M.TensorsWithI;
-          break;
-        }
-      if (std::find(M.TensorOrder.begin(), M.TensorOrder.end(), A.name()) ==
-          M.TensorOrder.end())
-        M.TensorOrder.push_back(A.name());
-      return;
-    }
+    case taco::Expr::Kind::Access:
     case taco::Expr::Kind::Constant:
-      ++M.ConstLeaves;
+      Apply(Production::leaf(ruleFor(G, E)));
       return;
     case taco::Expr::Kind::Binary: {
       const auto &B = taco::exprCast<taco::BinaryExpr>(E);
-      if (std::find(M.OpsUsed.begin(), M.OpsUsed.end(), B.op()) ==
-          M.OpsUsed.end())
-        M.OpsUsed.push_back(B.op());
-      Scan(B.lhs());
-      Scan(B.rhs());
+      Apply(Production::bin());
+      Derive(B.lhs());
+      Apply(Production::op(B.op()));
+      Derive(B.rhs());
       return;
     }
-    default:
+    case taco::Expr::Kind::Max: {
+      const auto &M = taco::exprCast<taco::MaxExpr>(E);
+      Apply(Production::max());
+      Derive(M.lhs());
+      Derive(M.rhs());
       return;
     }
+    case taco::Expr::Kind::Negate:
+      break;
+    }
+    throw std::runtime_error("outside the template grammar: " + Expr);
   };
-  Scan(*R.E);
-  (void)G;
-  return M;
+  try {
+    Derive(*R.E);
+  } catch (const std::runtime_error &Err) {
+    ADD_FAILURE() << Err.what();
+    return StateMetrics();
+  }
+  EXPECT_TRUE(State->metrics().complete()) << Expr;
+  return State->metrics();
+}
+
+/// Whether first using the symbols of \p Symbols in that order keeps the
+/// canonical order of \p G (penalties a3/b1).
+bool inCanonicalOrder(const TemplateGrammar &G,
+                      std::initializer_list<const char *> Symbols) {
+  RuleTable Rules(G);
+  StateMetrics M;
+  for (const char *Symbol : Symbols) {
+    auto It = std::find_if(G.TensorRules.begin(), G.TensorRules.end(),
+                           [&](const TensorRule &R) {
+                             return !R.IsConst && R.Symbol == Symbol;
+                           });
+    EXPECT_NE(It, G.TensorRules.end()) << Symbol;
+    if (It != G.TensorRules.end())
+      M.addLeaf(Rules, Rules.indexOf(*It));
+  }
+  return M.InCanonicalOrder;
 }
 
 } // namespace
 
 TEST(Penalty, CanonicalTensorOrder) {
-  EXPECT_TRUE(tensorsInCanonicalOrder({}));
-  EXPECT_TRUE(tensorsInCanonicalOrder({"b"}));
-  EXPECT_TRUE(tensorsInCanonicalOrder({"b", "c", "d"}));
-  EXPECT_FALSE(tensorsInCanonicalOrder({"c"}));
-  EXPECT_FALSE(tensorsInCanonicalOrder({"b", "d"}));
-  EXPECT_FALSE(tensorsInCanonicalOrder({"c", "b"}));
+  // Full grammar: every symbol offers every dimension, so first uses must
+  // run b, c, d, ... globally.
+  GrammarOptions Full;
+  Full.FullGrammar = true;
+  TemplateGrammar G = makeGrammar({"r(i) = m(i) + v(i)"}, 1, Full);
+  EXPECT_TRUE(inCanonicalOrder(G, {}));
+  EXPECT_TRUE(inCanonicalOrder(G, {"b"}));
+  EXPECT_TRUE(inCanonicalOrder(G, {"b", "c", "d"}));
+  EXPECT_TRUE(inCanonicalOrder(G, {"b", "c", "b", "d"})); // Reuse is free.
+  EXPECT_FALSE(inCanonicalOrder(G, {"c"}));
+  EXPECT_FALSE(inCanonicalOrder(G, {"b", "d"}));
+  EXPECT_FALSE(inCanonicalOrder(G, {"c", "b"}));
+
+  // Refined grammar: symbols are interchangeable only within a dimension
+  // class, so the order applies per class.
+  TemplateGrammar R = makeGrammar({"r(i) = m(i) + s * v(i)"}, 1);
+  ASSERT_EQ(R.DimList, (std::vector<int>{1, 1, 0, 1}));
+  EXPECT_TRUE(inCanonicalOrder(R, {"c"}));      // First 0-D symbol.
+  EXPECT_TRUE(inCanonicalOrder(R, {"b", "d"})); // First two 1-D symbols.
+  EXPECT_TRUE(inCanonicalOrder(R, {"c", "b", "d"}));
+  EXPECT_FALSE(inCanonicalOrder(R, {"d"}));
+  EXPECT_FALSE(inCanonicalOrder(R, {"d", "b"}));
+  EXPECT_FALSE(inCanonicalOrder(R, {"c", "d"}));
 }
 
 TEST(Penalty, A2ChargesWrongLength) {
@@ -96,7 +152,7 @@ TEST(Penalty, A2ChargesWrongLength) {
 TEST(Penalty, A2SkippedWhileStillReachable) {
   TemplateGrammar G = makeGrammar({"r(i) = m(i,j) * v(j)"}, 1);
   SearchConfig Config;
-  StateMetrics Partial = metricsFor(G, "b(i,j)", /*Complete=*/false);
+  StateMetrics Partial = metricsFor(G, "b(i,j)");
   Partial.Holes = 1; // One hole can still complete the template.
   EXPECT_EQ(topDownPenalty(Partial, G, Config), 0);
 }
@@ -113,11 +169,16 @@ TEST(Penalty, A3PrunesOutOfOrderTensors) {
 TEST(Penalty, A4PrunesDegenerateCompleteTemplates) {
   TemplateGrammar G = makeGrammar({"r(i) = m(i) - v(i)"}, 1);
   SearchConfig Config;
-  StateMetrics M = metricsFor(G, "b(i) - c(i)");
-  M.DegenerateOp = true; // e.g. b(i) - b(i).
+  EXPECT_FALSE(std::isinf(topDownPenalty(metricsFor(G, "b(i) - c(i)"), G,
+                                          Config)));
+  StateMetrics M = metricsFor(G, "b(i) - b(i)");
+  ASSERT_TRUE(M.DegenerateOp);
   EXPECT_TRUE(std::isinf(topDownPenalty(M, G, Config)));
-  M.Complete = false; // Partial templates are not charged by a4.
+  M.Holes = 1; // Partial templates are not charged by a4.
   EXPECT_FALSE(std::isinf(topDownPenalty(M, G, Config)));
+  Config.PenaltyA4 = false;
+  EXPECT_FALSE(std::isinf(topDownPenalty(metricsFor(G, "b(i) - b(i)"), G,
+                                         Config)));
 }
 
 TEST(Penalty, A5RequiresHalfTheLearnedOps) {
@@ -133,7 +194,7 @@ TEST(Penalty, A5RequiresHalfTheLearnedOps) {
   Config.PenaltyA2 = false; // Isolate a5.
   StateMetrics OneOp = metricsFor(G, "b(i) + c(i)");
   EXPECT_TRUE(std::isinf(topDownPenalty(OneOp, G, Config)));
-  StateMetrics TwoOps = metricsFor(G, "b(i) + c(i) * c(j)");
+  StateMetrics TwoOps = metricsFor(G, "b(i) + c(i) * d(i)");
   EXPECT_FALSE(std::isinf(topDownPenalty(TwoOps, G, Config)));
 }
 
@@ -154,9 +215,8 @@ TEST(Penalty, A1BiasesConstantGrammars) {
   TemplateGrammar G = makeGrammar({"r(i) = m(i) * 2 + v(i) + w(i)"}, 1);
   ASSERT_TRUE(G.HasConstRule);
   SearchConfig Config;
-  // Four leaves, no constant, single i-indexed tensor counted twice is fine;
-  // missing constant triggers the +10 bias.
-  StateMetrics M = metricsFor(G, "b(i) + c(i) + d(i) + b(j)");
+  // Four leaves and no constant: the missing constant triggers the +10 bias.
+  StateMetrics M = metricsFor(G, "b(i) + d(i) + e(i) + b(i)");
   double P = topDownPenalty(M, G, Config);
   EXPECT_GE(P, 10);
   Config.PenaltyA1 = false;
@@ -166,12 +226,8 @@ TEST(Penalty, A1BiasesConstantGrammars) {
 TEST(Penalty, BottomUpAlphabeticalOrderIsSoft) {
   TemplateGrammar G = makeGrammar({"r(i) = m(i) + v(i)"}, 1);
   SearchConfig Config;
-  double Bad = bottomUpPenalty({"c", "b"}, {taco::BinOpKind::Add}, 2, G,
-                               Config);
-  EXPECT_EQ(Bad, 100);
-  double Good =
-      bottomUpPenalty({"b", "c"}, {taco::BinOpKind::Add}, 2, G, Config);
-  EXPECT_EQ(Good, 0);
+  EXPECT_EQ(bottomUpPenalty(metricsFor(G, "c(i) + b(i)"), G, Config), 100);
+  EXPECT_EQ(bottomUpPenalty(metricsFor(G, "b(i) + c(i)"), G, Config), 0);
 }
 
 TEST(Penalty, BottomUpB2PrunesOpPoorFullChains) {
@@ -184,13 +240,10 @@ TEST(Penalty, BottomUpB2PrunesOpPoorFullChains) {
   ASSERT_EQ(G.DimList.size(), 4u); // Occurrence-counted: [1,1,1,1].
   SearchConfig Config;
   // Full-length chain with a single distinct op < floor(4/2).
-  double P = bottomUpPenalty({"b", "c", "d"}, {taco::BinOpKind::Add}, 3, G,
-                             Config);
-  EXPECT_TRUE(std::isinf(P));
+  StateMetrics M = metricsFor(G, "b(i) + c(i) + d(i)");
+  EXPECT_TRUE(std::isinf(bottomUpPenalty(M, G, Config)));
   Config.PenaltyB2 = false;
-  EXPECT_FALSE(std::isinf(bottomUpPenalty({"b", "c", "d"},
-                                          {taco::BinOpKind::Add}, 3, G,
-                                          Config)));
+  EXPECT_FALSE(std::isinf(bottomUpPenalty(M, G, Config)));
 }
 
 TEST(Penalty, DropAllSwitches) {

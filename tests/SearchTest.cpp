@@ -59,26 +59,49 @@ TEST(CostModelTest, ConstCostInfiniteWithoutConstRule) {
 }
 
 TEST(TemplateState, LeftmostExpansionOrder) {
-  auto Root = TNode::hole();
-  Root->K = TNode::Kind::Bin;
-  Root->Lhs = TNode::hole();
-  Root->Rhs = TNode::hole();
-  Frontier F = leftmostNonterminal(*Root);
-  ASSERT_EQ(F.K, Frontier::Kind::ExprHole);
-  EXPECT_EQ(F.Node, Root->Lhs.get());
+  TemplateGrammar G = makeGrammar({"r(i) = m(i) + v(i)"}, 1);
+  RuleTable Rules(G);
+  auto Apply = [&](const StepRef &S, const Production &P) {
+    return Step::extend(S, P, S->metricsAfter(P, Rules), Rules);
+  };
 
-  // Fill the left child: now the op slot is leftmost.
-  grammar::TensorRule Rule;
-  Rule.Symbol = "b";
-  Root->Lhs->K = TNode::Kind::Leaf;
-  Root->Lhs->Rule = &Rule;
-  F = leftmostNonterminal(*Root);
-  EXPECT_EQ(F.K, Frontier::Kind::OpHole);
+  StepRef Root = Step::root();
+  ASSERT_NE(Root->leftmost(), nullptr);
+  EXPECT_EQ(Root->leftmost()->K, Pending::Kind::Expr);
+  EXPECT_EQ(Root->metrics().Holes, 1);
 
-  Root->OpKnown = true;
-  F = leftmostNonterminal(*Root);
-  ASSERT_EQ(F.K, Frontier::Kind::ExprHole);
-  EXPECT_EQ(F.Node, Root->Rhs.get());
+  // EXPR -> EXPR OP EXPR: the left operand is leftmost, one level down.
+  StepRef Bin = Apply(Root, Production::bin());
+  ASSERT_EQ(Bin->numPending(), 3u);
+  EXPECT_EQ(Bin->leftmost()->K, Pending::Kind::Expr);
+  EXPECT_EQ(Bin->leftmost()->Depth, 2);
+  EXPECT_EQ(Bin->metrics().Depth, 2);
+  EXPECT_EQ(Bin->metrics().Holes, 2);
+  EXPECT_EQ(Bin->metrics().OpHoles, 1);
+
+  // Fill the left operand: now the op slot is leftmost.
+  StepRef Left = Apply(Bin, Production::leaf(0));
+  ASSERT_NE(Left->leftmost(), nullptr);
+  EXPECT_EQ(Left->leftmost()->K, Pending::Kind::Op);
+  EXPECT_EQ(Left->metrics().Leaves, 1);
+
+  // Fix the op: the right operand is leftmost.
+  StepRef Op = Apply(Left, Production::op(taco::BinOpKind::Sub));
+  ASSERT_NE(Op->leftmost(), nullptr);
+  EXPECT_EQ(Op->leftmost()->K, Pending::Kind::Expr);
+  EXPECT_EQ(Op->metrics().OpHoles, 0);
+
+  // The same access on both sides of '-' is degenerate (a4); a different
+  // one is not. Both children share the parent chain.
+  StepRef Same = Apply(Op, Production::leaf(0));
+  StepRef Other = Apply(Op, Production::leaf(1));
+  EXPECT_EQ(Same->leftmost(), nullptr);
+  EXPECT_TRUE(Same->metrics().complete());
+  EXPECT_TRUE(Same->metrics().DegenerateOp);
+  EXPECT_FALSE(Other->metrics().DegenerateOp);
+  EXPECT_EQ(taco::printExpr(*Other->toExpr(G)),
+            G.TensorRules[0].spelling() + " - " +
+                G.TensorRules[1].spelling());
 }
 
 TEST(TopDown, FindsMatVecTemplate) {
