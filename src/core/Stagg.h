@@ -113,8 +113,9 @@ struct StaggConfig {
   /// config fingerprint.
   bool UseVm = true;
 
-  /// Run vm::optimize over every compiled program (load hoisting, fused
-  /// span superinstructions, dead-register elimination) before execution.
+  /// Run vm::optimize over every program the verifier and execute compile
+  /// (load hoisting, fused span superinstructions, dead-register
+  /// elimination) before execution; the validator never optimizes.
   /// Results are bit-identical with the raw stream — the passes preserve
   /// accumulation order exactly (`--no-vm-opt` flips this off for A/B
   /// runs); left out of the fingerprint for the same reason as UseVm.

@@ -103,6 +103,12 @@ struct MicroFixtures {
   taco::Program GemvTemplate;
   taco::Program GemvTruth;
 
+  // misc_mm3_chain: four rank-2 arguments, so a three-symbol chain template
+  // has 64 bindings to check.
+  const bench::Benchmark *Mm3 = bench::findBenchmark("misc_mm3_chain");
+  std::unique_ptr<cfront::CFunction> Mm3Fn;
+  std::vector<validate::IoExample> Mm3Examples;
+
   MicroFixtures() {
     {
       cfront::CParseResult R = cfront::parseCFunction(Axpy->CSource);
@@ -122,6 +128,12 @@ struct MicroFixtures {
                          *taco::parseTacoProgram(Gemv->GroundTruth).Prog)
                          .Template;
       GemvTruth = *taco::parseTacoProgram(Gemv->GroundTruth).Prog;
+    }
+    {
+      cfront::CParseResult R = cfront::parseCFunction(Mm3->CSource);
+      Mm3Fn = std::move(R.Function);
+      Rng Rand(42);
+      Mm3Examples = validate::generateExamples(*Mm3, *Mm3Fn, 3, Rand);
     }
   }
 };
@@ -153,6 +165,19 @@ std::vector<Micro> buildMicros(const MicroFixtures &F) {
     Micros.push_back({"micro/einsum_matmul16", [P, Ops] {
                         auto R = taco::evalEinsum<double>(*P, *Ops, {16, 16});
                         if (!R.Ok)
+                          std::abort();
+                      }});
+  }
+
+  // Structure compilation alone (slots, nodes, reduction placement) for a
+  // three-tensor chain with two reductions: the front half of every
+  // vm::compileProgram call the validator makes.
+  {
+    auto P = std::make_shared<taco::Program>(
+        *taco::parseTacoProgram("a(i,j) = b(i,k) * c(k,l) * d(l,j)").Prog);
+    Micros.push_back({"micro/einsum_structure", [P] {
+                        taco::EinsumProgram S(*P);
+                        if (S.nodes().size() != 5)
                           std::abort();
                       }});
   }
@@ -371,6 +396,26 @@ std::vector<Micro> buildMicros(const MicroFixtures &F) {
     auto T = std::make_shared<taco::Program>(F.GemvTemplate);
     Micros.push_back({"micro/validator_gemv", [V, T] {
                         if (V->validate(*T).empty())
+                          std::abort();
+                      }});
+  }
+  // The validator's two extremes on misc_mm3_chain: a template whose
+  // rank-4 symbol no argument can bind (rejected by the rank pre-check
+  // before any per-template state is built), and the three-symbol chain,
+  // which pays setup, compile and 64 binding evaluations.
+  {
+    auto V = std::make_shared<validate::Validator>(
+        *F.Mm3, F.Mm3Examples, std::vector<int64_t>{1});
+    auto Reject = std::make_shared<taco::Program>(
+        *taco::parseTacoProgram("a(i,j) = b(i,j,k,l) * c(k,l)").Prog);
+    Micros.push_back({"micro/validator_reject_rank", [V, Reject] {
+                        if (!V->validate(*Reject).empty())
+                          std::abort();
+                      }});
+    auto Chain = std::make_shared<taco::Program>(
+        *taco::parseTacoProgram("a(i,j) = b(i,k) * c(k,l) * d(l,j)").Prog);
+    Micros.push_back({"micro/validator_chain3", [V, Chain] {
+                        if (V->validate(*Chain).empty())
                           std::abort();
                       }});
   }

@@ -654,10 +654,11 @@ std::string driver::usage() {
      << "  --no-vm             evaluate candidates with the tree-walking\n"
      << "                      evaluator instead of the bytecode VM (A/B;\n"
      << "                      results are bit-identical, just slower)\n"
-     << "  --no-vm-opt         run the raw VM instruction stream, skipping\n"
-     << "                      vm::optimize (load hoisting, fused spans,\n"
-     << "                      dead-register elimination; A/B — results are\n"
-     << "                      bit-identical, just slower)\n"
+     << "  --no-vm-opt         run the raw VM instruction stream in the\n"
+     << "                      verifier and execute, skipping vm::optimize\n"
+     << "                      (load hoisting, fused spans, dead-register\n"
+     << "                      elimination; A/B — results are bit-identical,\n"
+     << "                      just slower). The validator never optimizes.\n"
      << "  --full-grammar      FullGrammar: skip dimension refinement\n"
      << "  --equal-probability EqualProbability: uniform rule weights\n"
      << "  --drop-penalty P    disable penalty a1..a5|b1|b2, or a|b|all;\n"

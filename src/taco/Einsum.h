@@ -47,9 +47,9 @@
 #include "taco/Semantics.h"
 #include "taco/Tensor.h"
 
+#include <algorithm>
 #include <functional>
 #include <map>
-#include <set>
 #include <string>
 
 namespace stagg {
@@ -107,38 +107,35 @@ public:
     }
 
     // Slot assignment: LHS variables first, then RHS variables in order of
-    // first appearance.
+    // first appearance. Slot ids double as variable ids below.
     for (const std::string &Var : P.Lhs.indices())
       slotOf(Var);
+    NumLhsSlots = static_cast<int>(Vars.size());
     collectVars(*P.Rhs);
 
     for (const std::string &Var : P.Lhs.indices())
-      OutSlots.push_back(Slots.at(Var));
+      OutSlots.push_back(slotOf(Var));
 
-    // Reduction indices: on the RHS but not the LHS.
-    std::set<std::string> OutVarSet(P.Lhs.indices().begin(),
-                                    P.Lhs.indices().end());
-    for (const std::string &Var : exprIndexVariables(*P.Rhs))
-      if (!OutVarSet.count(Var))
-        ReductionVars.insert(Var);
-
-    // Reduction placement: total uses per variable, then the LCA rule.
-    TotalUses = countUses(*P.Rhs);
-    placeReductions(*P.Rhs);
+    // Reduction variables are the slots the LHS does not pin. Nodes list
+    // their introduced reductions in variable-name order, the order the
+    // direct evaluator nested them in.
+    for (int Slot = NumLhsSlots; Slot < static_cast<int>(Vars.size()); ++Slot)
+      ReduceOrder.push_back(Slot);
+    std::sort(ReduceOrder.begin(), ReduceOrder.end(), [this](int A, int B) {
+      return *Vars[static_cast<size_t>(A)] < *Vars[static_cast<size_t>(B)];
+    });
 
     Root = compile(*P.Rhs);
 
-    // The placement maps are only needed during compilation.
-    UsesAt.clear();
-    IntroducedAt.clear();
+    // The use-count table is only needed during compilation.
+    Uses.clear();
     TotalUses.clear();
-    ReductionVars.clear();
   }
 
   bool ok() const { return StructureError.empty(); }
   const std::string &error() const { return StructureError; }
   const Program &program() const { return P; }
-  size_t numSlots() const { return Slots.size(); }
+  size_t numSlots() const { return Vars.size(); }
 
   /// One compiled expression node. Children are indices into Nodes, so the
   /// hot evaluation loop touches only flat vectors.
@@ -168,18 +165,35 @@ public:
   int root() const { return Root; }
 
 private:
+  /// Interns \p Var: a short linear scan, since templates use a handful of
+  /// index variables.
   int slotOf(const std::string &Var) {
-    auto [It, Inserted] = Slots.emplace(Var, static_cast<int>(Slots.size()));
-    (void)Inserted;
-    return It->second;
+    for (size_t I = 0; I < Vars.size(); ++I)
+      if (*Vars[I] == Var)
+        return static_cast<int>(I);
+    Vars.push_back(&Var);
+    return static_cast<int>(Vars.size() - 1);
   }
 
+  bool isReduction(int Slot) const { return Slot >= NumLhsSlots; }
+
+  /// Interns the RHS variables and counts, per reduction variable, the
+  /// accesses that use it (an access repeating a variable counts once).
   void collectVars(const Expr &E) {
     switch (E.kind()) {
-    case Expr::Kind::Access:
-      for (const std::string &Var : exprCast<AccessExpr>(E).indices())
-        slotOf(Var);
+    case Expr::Kind::Access: {
+      const std::vector<std::string> &Indices =
+          exprCast<AccessExpr>(E).indices();
+      for (size_t I = 0; I < Indices.size(); ++I) {
+        int Slot = slotOf(Indices[I]);
+        if (!isReduction(Slot) || repeatsEarlier(Indices, I))
+          continue;
+        if (TotalUses.size() <= static_cast<size_t>(Slot))
+          TotalUses.resize(static_cast<size_t>(Slot) + 1, 0);
+        ++TotalUses[static_cast<size_t>(Slot)];
+      }
       return;
+    }
     case Expr::Kind::Constant:
       return;
     case Expr::Kind::Binary: {
@@ -200,107 +214,24 @@ private:
     }
   }
 
-  /// Counts, for every reduction variable, how many accesses in the subtree
-  /// use it; memoized per node in UsesAt.
-  const std::map<std::string, int> &countUses(const Expr &E) {
-    std::map<std::string, int> Here;
-    switch (E.kind()) {
-    case Expr::Kind::Access: {
-      const auto &A = exprCast<AccessExpr>(E);
-      std::set<std::string> Seen;
-      for (const std::string &Var : A.indices())
-        if (ReductionVars.count(Var) && Seen.insert(Var).second)
-          ++Here[Var];
-      break;
-    }
-    case Expr::Kind::Constant:
-      break;
-    case Expr::Kind::Binary: {
-      const auto &B = exprCast<BinaryExpr>(E);
-      for (const auto &[Var, N] : countUses(B.lhs()))
-        Here[Var] += N;
-      for (const auto &[Var, N] : countUses(B.rhs()))
-        Here[Var] += N;
-      break;
-    }
-    case Expr::Kind::Negate:
-      for (const auto &[Var, N] : countUses(exprCast<NegateExpr>(E).operand()))
-        Here[Var] += N;
-      break;
-    case Expr::Kind::Max: {
-      const auto &M = exprCast<MaxExpr>(E);
-      for (const auto &[Var, N] : countUses(M.lhs()))
-        Here[Var] += N;
-      for (const auto &[Var, N] : countUses(M.rhs()))
-        Here[Var] += N;
-      break;
-    }
-    }
-    UsesAt[&E] = std::move(Here);
-    return UsesAt[&E];
+  static bool repeatsEarlier(const std::vector<std::string> &Indices,
+                             size_t I) {
+    for (size_t J = 0; J < I; ++J)
+      if (Indices[J] == Indices[I])
+        return true;
+    return false;
   }
 
-  /// A variable is reduced at the *smallest* node containing all its uses:
-  /// the node where its use count reaches the total while no single child
-  /// already contains them all.
-  void placeReductions(const Expr &E) {
-    const std::map<std::string, int> &Here = UsesAt[&E];
-    auto ChildHasAll = [&](const Expr &Child, const std::string &Var,
-                           int Total) {
-      auto It = UsesAt[&Child].find(Var);
-      return It != UsesAt[&Child].end() && It->second == Total;
-    };
-    for (const auto &[Var, Count] : Here) {
-      int Total = TotalUses[Var];
-      if (Count != Total)
-        continue;
-      bool InOneChild = false;
-      switch (E.kind()) {
-      case Expr::Kind::Binary: {
-        const auto &B = exprCast<BinaryExpr>(E);
-        InOneChild = ChildHasAll(B.lhs(), Var, Total) ||
-                     ChildHasAll(B.rhs(), Var, Total);
-        break;
-      }
-      case Expr::Kind::Negate:
-        InOneChild =
-            ChildHasAll(exprCast<NegateExpr>(E).operand(), Var, Total);
-        break;
-      case Expr::Kind::Max: {
-        const auto &M = exprCast<MaxExpr>(E);
-        InOneChild = ChildHasAll(M.lhs(), Var, Total) ||
-                     ChildHasAll(M.rhs(), Var, Total);
-        break;
-      }
-      default:
-        break;
-      }
-      if (!InOneChild)
-        IntroducedAt[&E].push_back(Var);
-    }
-    switch (E.kind()) {
-    case Expr::Kind::Binary: {
-      const auto &B = exprCast<BinaryExpr>(E);
-      placeReductions(B.lhs());
-      placeReductions(B.rhs());
-      return;
-    }
-    case Expr::Kind::Negate:
-      placeReductions(exprCast<NegateExpr>(E).operand());
-      return;
-    case Expr::Kind::Max: {
-      const auto &M = exprCast<MaxExpr>(E);
-      placeReductions(M.lhs());
-      placeReductions(M.rhs());
-      return;
-    }
-    default:
-      return;
-    }
+  int uses(int NodeId, int Slot) const {
+    return Uses[static_cast<size_t>(NodeId) * Vars.size() +
+                static_cast<size_t>(Slot)];
   }
 
-  /// Lowers \p E (and its reduction annotation) to a compiled node; returns
-  /// its index in Nodes.
+  /// Lowers \p E to a compiled node and returns its index in Nodes. Nodes
+  /// are numbered in post-order, so both children's rows of the use-count
+  /// table exist when the node's own row is summed from them. A variable is
+  /// reduced at the *smallest* node containing all its uses: the node whose
+  /// count reaches the total while no child's already does.
   int compile(const Expr &E) {
     Node N;
     N.Kind = E.kind();
@@ -309,7 +240,7 @@ private:
       const auto &A = exprCast<AccessExpr>(E);
       N.Access = &A;
       for (const std::string &Var : A.indices())
-        N.Slots.push_back(Slots.at(Var));
+        N.Slots.push_back(slotOf(Var));
       break;
     }
     case Expr::Kind::Constant:
@@ -332,31 +263,54 @@ private:
       break;
     }
     }
-    auto It = IntroducedAt.find(&E);
-    if (It != IntroducedAt.end())
-      for (const std::string &Var : It->second)
-        N.ReduceSlots.push_back(Slots.at(Var));
+
+    int Id = static_cast<int>(Nodes.size());
+    size_t Row = Uses.size();
+    Uses.resize(Row + Vars.size(), 0);
+    if (N.Kind == Expr::Kind::Access) {
+      for (size_t I = 0; I < N.Slots.size(); ++I)
+        if (isReduction(N.Slots[I]) && !repeatsEarlier(N.Access->indices(), I))
+          ++Uses[Row + static_cast<size_t>(N.Slots[I])];
+    } else {
+      for (int Child : {N.ChildA, N.ChildB})
+        if (Child >= 0)
+          for (size_t V = 0; V < Vars.size(); ++V)
+            Uses[Row + V] += uses(Child, static_cast<int>(V));
+    }
+    for (int Slot : ReduceOrder) {
+      int Total = TotalUses[static_cast<size_t>(Slot)];
+      if (uses(Id, Slot) != Total)
+        continue;
+      bool InOneChild = false;
+      for (int Child : {N.ChildA, N.ChildB})
+        InOneChild = InOneChild || (Child >= 0 && uses(Child, Slot) == Total);
+      if (!InOneChild)
+        N.ReduceSlots.push_back(Slot);
+    }
+
     if (N.Kind == Expr::Kind::Access) {
       N.AccessOrdinal = static_cast<int>(AccessNodes.size());
+      AccessNodes.push_back(Id);
     } else if (N.Kind == Expr::Kind::Constant) {
       N.ConstOrdinal = static_cast<int>(ConstNodes.size());
+      ConstNodes.push_back(Id);
     }
     Nodes.push_back(std::move(N));
-    int Id = static_cast<int>(Nodes.size() - 1);
-    if (Nodes.back().Kind == Expr::Kind::Access)
-      AccessNodes.push_back(Id);
-    else if (Nodes.back().Kind == Expr::Kind::Constant)
-      ConstNodes.push_back(Id);
     return Id;
   }
 
   const Program &P;
   std::string StructureError;
-  std::map<std::string, int> Slots;
-  std::set<std::string> ReductionVars;
-  std::map<std::string, int> TotalUses;
-  std::map<const Expr *, std::map<std::string, int>> UsesAt;
-  std::map<const Expr *, std::vector<std::string>> IntroducedAt;
+  /// Slot id -> variable name, pointing into P's index lists.
+  std::vector<const std::string *> Vars;
+  int NumLhsSlots = 0;
+  /// Reduction slots sorted by variable name.
+  std::vector<int> ReduceOrder;
+  /// Accesses using each slot over the whole RHS (zero for LHS slots).
+  std::vector<int> TotalUses;
+  /// Row per node (post-order id), column per slot: accesses in the node's
+  /// subtree that use the slot's reduction variable.
+  std::vector<int> Uses;
   std::vector<Node> Nodes;
   std::vector<int> AccessNodes;
   std::vector<int> ConstNodes;

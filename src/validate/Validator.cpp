@@ -5,12 +5,10 @@
 #include "taco/Einsum.h"
 #include "taco/Semantics.h"
 #include "vm/Compiler.h"
-#include "vm/Optimizer.h"
 #include "vm/Interpreter.h"
 
 #include <cmath>
 #include <functional>
-#include <optional>
 
 using namespace stagg;
 using namespace stagg::validate;
@@ -66,49 +64,18 @@ taco::Program validate::instantiateTemplate(
 }
 
 Validator::Validator(const bench::Benchmark &B, std::vector<IoExample> Examples,
-                     std::vector<int64_t> Constants, bool UseVm, bool UseVmOpt)
+                     std::vector<int64_t> Constants, bool UseVm,
+                     bool /*UseVmOpt*/)
     : B(B), Examples(std::move(Examples)), Constants(std::move(Constants)),
-      UseVm(UseVm), UseVmOpt(UseVmOpt) {
+      UseVm(UseVm) {
   // An empty pool would make constant templates uninstantiable even though
   // the grammar can propose them; keep the degenerate default of the source
   // having no literals.
   if (this->Constants.empty())
     this->Constants.push_back(1);
-}
-
-void Validator::ensureOperandCache() const {
-  if (OperandCacheReady)
-    return;
-  OperandCacheReady = true;
-  const bench::ArgSpec *OutArg = B.outputArg();
-  OperandCache.reserve(Examples.size());
-  for (const IoExample &Ex : Examples) {
-    ExampleEval Eval;
-    for (const bench::ArgSpec &Arg : B.Args) {
-      if (Arg.K == bench::ArgSpec::Kind::Array) {
-        auto It = Ex.Inputs.Arrays.find(Arg.Name);
-        if (It == Ex.Inputs.Arrays.end())
-          continue; // eval of a candidate reading it fails as "unbound"
-        Tensor<double> T(resolveShape(Arg, Ex.Sizes));
-        T.flat() = It->second;
-        Eval.Operands.emplace(Arg.Name, std::move(T));
-      } else if (Arg.K == bench::ArgSpec::Kind::SizeScalar) {
-        auto It = Ex.Sizes.find(Arg.Name);
-        if (It == Ex.Sizes.end())
-          continue;
-        Eval.Operands.emplace(
-            Arg.Name, Tensor<double>::scalar(static_cast<double>(It->second)));
-      } else {
-        auto It = Ex.Inputs.NumScalars.find(Arg.Name);
-        if (It == Ex.Inputs.NumScalars.end())
-          continue;
-        Eval.Operands.emplace(Arg.Name, Tensor<double>::scalar(It->second));
-      }
-    }
-    if (OutArg)
-      Eval.OutShape = resolveShape(*OutArg, Ex.Sizes);
-    OperandCache.push_back(std::move(Eval));
-  }
+  for (const bench::ArgSpec &Arg : B.Args)
+    if (Arg.rank() < 64)
+      ArgRanks |= uint64_t(1) << Arg.rank();
 }
 
 namespace {
@@ -198,114 +165,202 @@ bool validate::runsConsistently(const bench::Benchmark &B,
   return true;
 }
 
-namespace {
 
-/// One distinct RHS tensor symbol with every access spelled against it.
-struct SymbolAccesses {
-  std::string Name;
-  int Order = 0; ///< Rank of the first occurrence (the rank filter's key).
+/// Everything the validator keeps between calls. The argument table is
+/// built once per validator; the rest is per-template scratch whose buffers
+/// are reused, so a call allocates only when a template outgrows them.
+struct Validator::State {
+  //===-- Argument table: one row per I/O example --------------------------===
+  struct ExampleArgs {
+    /// Storage for every bound argument (an argument missing from the
+    /// example stays unbound; evaluating a candidate that reads it fails).
+    std::map<std::string, Tensor<double>> Operands;
+    /// Per argument (B.Args order): its operand, nullptr when unbound.
+    std::vector<const Tensor<double> *> Ptr;
+    /// Every argument's resolved shape, concatenated (see DimBegin).
+    std::vector<int64_t> Dims;
+    std::vector<int64_t> OutShape;
+    const Tensor<double> *Out = nullptr;
+  };
+  std::vector<ExampleArgs> Table;
+  /// Per argument: offset of its shape in ExampleArgs::Dims (rank-sized).
+  std::vector<size_t> DimBegin;
+
+  //===-- Per-template scratch ---------------------------------------------===
+  /// RHS access leaves in leaf order — the access-ordinal order of the
+  /// compiled code — with each leaf's symbol (-1 for the LHS symbol, else
+  /// an index into SymNames) and its index-variable ids (LeafVars from
+  /// LeafVarBegin[L] to LeafVarBegin[L + 1]).
   std::vector<const AccessExpr *> Leaves;
+  std::vector<int> LeafSym;
+  std::vector<int> LeafVars;
+  std::vector<size_t> LeafVarBegin;
+  /// Distinct non-LHS symbols in order of first appearance, with the rank
+  /// of that first appearance (the rank filter's key).
+  std::vector<const std::string *> SymNames;
+  std::vector<int> SymOrder;
+  /// Distinct index variables; a variable's id is its position.
+  std::vector<const std::string *> VarNames;
+  std::vector<int> LhsVars;
+  /// Extents pinned by the output shape: [Example * NumVars + Var], -1 when
+  /// unpinned.
+  std::vector<int64_t> BaseExtents;
+  /// Options: argument indices of symbol S's candidates are
+  /// ChoiceArg[ChoiceBegin[S]] .. ChoiceArg[ChoiceBegin[S + 1] - 1].
+  std::vector<int> ChoiceArg;
+  std::vector<size_t> ChoiceBegin;
+  /// Unpinned (var, extent) pairs option O imposes on example E:
+  /// Cons[ConsBegin[O * NumExamples + E]] .. Cons[ConsBegin[... + 1] - 1].
+  std::vector<std::pair<int, int64_t>> Cons;
+  std::vector<size_t> ConsBegin;
+  std::vector<int64_t> Local;
+  std::vector<int64_t> JointExtent;
+  std::vector<uint64_t> JointStamp;
+  std::vector<size_t> Pick;
+  std::vector<size_t> ConstPick;
+  std::vector<int64_t> ConstValues;
+  std::vector<uint64_t> BoundEpoch;
+  std::vector<char> BindOk;
+  /// The template with its symbolic constants made mutable (when it has
+  /// any), its bytecode, and one interpreter per example re-pointed at each
+  /// new template's code.
+  Program Bound;
+  std::vector<ConstantExpr *> ConstNodes;
+  vm::Code Code;
+  std::vector<vm::Interpreter<double>> Interps;
 };
 
-/// Collects the RHS access leaves grouped per symbol, in order of first
-/// appearance (the same order tensorInventory reports them).
-void collectSymbolAccesses(const Expr &E, std::vector<SymbolAccesses> &Out) {
+Validator::~Validator() = default;
+
+Validator::State &Validator::state() const {
+  if (Cache)
+    return *Cache;
+  Cache = std::make_unique<State>();
+  State &S = *Cache;
+  const bench::ArgSpec *OutArg = B.outputArg();
+  size_t Dims = 0;
+  for (const bench::ArgSpec &Arg : B.Args) {
+    S.DimBegin.push_back(Dims);
+    Dims += static_cast<size_t>(Arg.rank());
+  }
+  S.Table.resize(Examples.size());
+  for (size_t E = 0; E < Examples.size(); ++E) {
+    const IoExample &Ex = Examples[E];
+    State::ExampleArgs &Row = S.Table[E];
+    for (const bench::ArgSpec &Arg : B.Args) {
+      std::vector<int64_t> Shape = resolveShape(Arg, Ex.Sizes);
+      Row.Dims.insert(Row.Dims.end(), Shape.begin(), Shape.end());
+      if (Arg.K == bench::ArgSpec::Kind::Array) {
+        auto It = Ex.Inputs.Arrays.find(Arg.Name);
+        if (It == Ex.Inputs.Arrays.end())
+          continue;
+        Tensor<double> T(std::move(Shape));
+        T.flat() = It->second;
+        Row.Operands.emplace(Arg.Name, std::move(T));
+      } else if (Arg.K == bench::ArgSpec::Kind::SizeScalar) {
+        auto It = Ex.Sizes.find(Arg.Name);
+        if (It == Ex.Sizes.end())
+          continue;
+        Row.Operands.emplace(
+            Arg.Name, Tensor<double>::scalar(static_cast<double>(It->second)));
+      } else {
+        auto It = Ex.Inputs.NumScalars.find(Arg.Name);
+        if (It == Ex.Inputs.NumScalars.end())
+          continue;
+        Row.Operands.emplace(Arg.Name, Tensor<double>::scalar(It->second));
+      }
+    }
+    auto Find = [&Row](const std::string &Name) -> const Tensor<double> * {
+      auto It = Row.Operands.find(Name);
+      return It == Row.Operands.end() ? nullptr : &It->second;
+    };
+    for (const bench::ArgSpec &Arg : B.Args)
+      Row.Ptr.push_back(Find(Arg.Name));
+    if (OutArg) {
+      Row.OutShape = resolveShape(*OutArg, Ex.Sizes);
+      Row.Out = Find(OutArg->Name);
+    }
+  }
+  return S;
+}
+
+namespace {
+
+/// False when some RHS access other than the LHS symbol has a rank no
+/// argument has: that symbol has no option, so the template validates
+/// nothing. Allocation-free.
+bool ranksAvailable(const Expr &E, const std::string &LhsName,
+                    uint64_t ArgRanks) {
   switch (E.kind()) {
   case Expr::Kind::Access: {
     const auto &A = exprCast<AccessExpr>(E);
-    for (SymbolAccesses &S : Out) {
-      if (S.Name == A.name()) {
-        S.Leaves.push_back(&A);
-        return;
-      }
-    }
-    SymbolAccesses S;
-    S.Name = A.name();
-    S.Order = static_cast<int>(A.order());
-    S.Leaves.push_back(&A);
-    Out.push_back(std::move(S));
-    return;
-  }
-  case Expr::Kind::Binary: {
-    const auto &B = exprCast<BinaryExpr>(E);
-    collectSymbolAccesses(B.lhs(), Out);
-    collectSymbolAccesses(B.rhs(), Out);
-    return;
-  }
-  case Expr::Kind::Negate:
-    collectSymbolAccesses(exprCast<NegateExpr>(E).operand(), Out);
-    return;
-  case Expr::Kind::Max: {
-    const auto &M = exprCast<MaxExpr>(E);
-    collectSymbolAccesses(M.lhs(), Out);
-    collectSymbolAccesses(M.rhs(), Out);
-    return;
+    if (A.name() == LhsName)
+      return true;
+    return A.order() < 64 && (ArgRanks >> A.order() & 1) != 0;
   }
   case Expr::Kind::Constant:
-    return;
+    return true;
+  case Expr::Kind::Binary: {
+    const auto &Bin = exprCast<BinaryExpr>(E);
+    return ranksAvailable(Bin.lhs(), LhsName, ArgRanks) &&
+           ranksAvailable(Bin.rhs(), LhsName, ArgRanks);
   }
+  case Expr::Kind::Negate:
+    return ranksAvailable(exprCast<NegateExpr>(E).operand(), LhsName,
+                          ArgRanks);
+  case Expr::Kind::Max: {
+    const auto &M = exprCast<MaxExpr>(E);
+    return ranksAvailable(M.lhs(), LhsName, ArgRanks) &&
+           ranksAvailable(M.rhs(), LhsName, ArgRanks);
+  }
+  }
+  return true;
 }
 
-/// The template with symbol names bound to argument names and every symbolic
-/// constant replaced by a mutable literal node, so the constant odometer can
-/// sweep assignments in place instead of re-cloning the template.
-struct BoundTemplate {
-  Program Concrete;
-  std::vector<ConstantExpr *> ConstNodes; ///< In leaf (substitution) order.
-};
-
-BoundTemplate bindSymbols(const Program &Template,
-                          const std::map<std::string, std::string> &Binding) {
-  BoundTemplate Bound;
-  std::function<ExprPtr(const Expr &)> Rewrite =
-      [&](const Expr &E) -> ExprPtr {
-    switch (E.kind()) {
-    case Expr::Kind::Access: {
-      const auto &A = exprCast<AccessExpr>(E);
-      auto It = Binding.find(A.name());
-      std::string Name = It != Binding.end() ? It->second : A.name();
-      return std::make_unique<AccessExpr>(Name, A.indices());
-    }
-    case Expr::Kind::Constant: {
-      const auto &C = exprCast<ConstantExpr>(E);
-      if (!C.isSymbolic())
-        return C.clone();
-      auto Node = std::make_unique<ConstantExpr>(0);
-      Bound.ConstNodes.push_back(Node.get());
-      return Node;
-    }
-    case Expr::Kind::Binary: {
-      const auto &B = exprCast<BinaryExpr>(E);
-      ExprPtr Lhs = Rewrite(B.lhs());
-      ExprPtr Rhs = Rewrite(B.rhs());
-      return std::make_unique<BinaryExpr>(B.op(), std::move(Lhs),
-                                          std::move(Rhs));
-    }
-    case Expr::Kind::Negate:
-      return std::make_unique<NegateExpr>(
-          Rewrite(exprCast<NegateExpr>(E).operand()));
-    case Expr::Kind::Max: {
-      const auto &M = exprCast<MaxExpr>(E);
-      ExprPtr Lhs = Rewrite(M.lhs());
-      ExprPtr Rhs = Rewrite(M.rhs());
-      return std::make_unique<MaxExpr>(std::move(Lhs), std::move(Rhs));
-    }
-    }
-    return nullptr;
-  };
-
-  auto LhsIt = Binding.find(Template.Lhs.name());
-  AccessExpr Lhs(LhsIt != Binding.end() ? LhsIt->second : Template.Lhs.name(),
-                 Template.Lhs.indices());
-  Bound.Concrete = Program(std::move(Lhs),
-                           Template.Rhs ? Rewrite(*Template.Rhs) : nullptr);
-  return Bound;
+/// Interns \p Name into \p Names by a short linear scan; returns its id.
+int intern(std::vector<const std::string *> &Names, const std::string &Name) {
+  for (size_t I = 0; I < Names.size(); ++I)
+    if (*Names[I] == Name)
+      return static_cast<int>(I);
+  Names.push_back(&Name);
+  return static_cast<int>(Names.size() - 1);
 }
 
-/// Extent constraints one (symbol, candidate argument) pair imposes per
-/// example: variable id -> extent, for variables not already pinned by the
-/// output shape. Conflicting pairs were filtered out beforehand.
-using ConstraintList = std::vector<std::pair<int, int64_t>>;
+/// Rewrites \p E with every symbolic constant replaced by a mutable literal
+/// node (appended to \p ConstNodes in leaf order), so the constant odometer
+/// can sweep assignments in place instead of re-cloning the template.
+ExprPtr withMutableConstants(const Expr &E,
+                             std::vector<ConstantExpr *> &ConstNodes) {
+  switch (E.kind()) {
+  case Expr::Kind::Access:
+    return E.clone();
+  case Expr::Kind::Constant: {
+    const auto &C = exprCast<ConstantExpr>(E);
+    if (!C.isSymbolic())
+      return C.clone();
+    auto Node = std::make_unique<ConstantExpr>(0);
+    ConstNodes.push_back(Node.get());
+    return Node;
+  }
+  case Expr::Kind::Binary: {
+    const auto &Bin = exprCast<BinaryExpr>(E);
+    ExprPtr Lhs = withMutableConstants(Bin.lhs(), ConstNodes);
+    ExprPtr Rhs = withMutableConstants(Bin.rhs(), ConstNodes);
+    return std::make_unique<BinaryExpr>(Bin.op(), std::move(Lhs),
+                                        std::move(Rhs));
+  }
+  case Expr::Kind::Negate:
+    return std::make_unique<NegateExpr>(
+        withMutableConstants(exprCast<NegateExpr>(E).operand(), ConstNodes));
+  case Expr::Kind::Max: {
+    const auto &M = exprCast<MaxExpr>(E);
+    ExprPtr Lhs = withMutableConstants(M.lhs(), ConstNodes);
+    ExprPtr Rhs = withMutableConstants(M.rhs(), ConstNodes);
+    return std::make_unique<MaxExpr>(std::move(Lhs), std::move(Rhs));
+  }
+  }
+  return nullptr;
+}
 
 } // namespace
 
@@ -322,133 +377,148 @@ Validator::validate(const Program &Template, size_t MaxResults) const {
   // The LHS symbol is pinned to the output argument; ranks must agree.
   if (static_cast<int>(Template.Lhs.order()) != OutArg->rank())
     return Valid;
+  if (!ranksAvailable(*Template.Rhs, Template.Lhs.name(), ArgRanks))
+    return Valid;
 
-  ensureOperandCache();
-  size_t NumExamples = Examples.size();
+  State &S = state();
+  const size_t NumExamples = Examples.size();
+  const size_t NumArgs = B.Args.size();
+  const std::string &LhsName = Template.Lhs.name();
 
-  // Distinct RHS tensor symbols with every access, and the constant count.
-  std::vector<SymbolAccesses> AllSymbols;
-  collectSymbolAccesses(*Template.Rhs, AllSymbols);
-  int ConstLeaves = 0;
-  {
-    // Count constant *leaves* (each is substituted independently).
-    std::function<void(const Expr &)> Count = [&](const Expr &E) {
-      switch (E.kind()) {
-      case Expr::Kind::Constant:
-        if (exprCast<ConstantExpr>(E).isSymbolic())
-          ++ConstLeaves;
-        return;
-      case Expr::Kind::Binary: {
-        const auto &Bin = exprCast<BinaryExpr>(E);
-        Count(Bin.lhs());
-        Count(Bin.rhs());
-        return;
-      }
-      case Expr::Kind::Negate:
-        Count(exprCast<NegateExpr>(E).operand());
-        return;
-      case Expr::Kind::Max: {
-        const auto &M = exprCast<MaxExpr>(E);
-        Count(M.lhs());
-        Count(M.rhs());
-        return;
-      }
-      case Expr::Kind::Access:
-        return;
-      }
-    };
-    Count(*Template.Rhs);
-  }
-
-  // Index-variable ids across the whole template.
-  std::map<std::string, int> VarIds;
-  auto IdOf = [&VarIds](const std::string &Var) {
-    auto [It, Inserted] = VarIds.emplace(Var, static_cast<int>(VarIds.size()));
-    (void)Inserted;
-    return It->second;
-  };
+  // One walk of the RHS: access leaves with their symbol and variable ids,
+  // and the symbolic-constant count (each leaf is substituted
+  // independently).
+  S.Leaves.clear();
+  S.LeafSym.clear();
+  S.LeafVars.clear();
+  S.LeafVarBegin.clear();
+  S.SymNames.clear();
+  S.SymOrder.clear();
+  S.VarNames.clear();
+  S.LhsVars.clear();
   for (const std::string &Var : Template.Lhs.indices())
-    IdOf(Var);
-  for (const SymbolAccesses &S : AllSymbols)
-    for (const AccessExpr *Leaf : S.Leaves)
-      for (const std::string &Var : Leaf->indices())
-        IdOf(Var);
-  size_t NumVars = VarIds.size();
+    S.LhsVars.push_back(intern(S.VarNames, Var));
+  size_t ConstLeaves = 0;
+  auto Walk = [&](auto &Self, const Expr &E) -> void {
+    switch (E.kind()) {
+    case Expr::Kind::Access: {
+      const auto &A = exprCast<AccessExpr>(E);
+      int Sym = -1;
+      if (A.name() != LhsName) {
+        size_t Before = S.SymNames.size();
+        Sym = intern(S.SymNames, A.name());
+        if (S.SymNames.size() != Before)
+          S.SymOrder.push_back(static_cast<int>(A.order()));
+      }
+      S.Leaves.push_back(&A);
+      S.LeafSym.push_back(Sym);
+      S.LeafVarBegin.push_back(S.LeafVars.size());
+      for (const std::string &Var : A.indices())
+        S.LeafVars.push_back(intern(S.VarNames, Var));
+      return;
+    }
+    case Expr::Kind::Constant:
+      if (exprCast<ConstantExpr>(E).isSymbolic())
+        ++ConstLeaves;
+      return;
+    case Expr::Kind::Binary: {
+      const auto &Bin = exprCast<BinaryExpr>(E);
+      Self(Self, Bin.lhs());
+      Self(Self, Bin.rhs());
+      return;
+    }
+    case Expr::Kind::Negate:
+      Self(Self, exprCast<NegateExpr>(E).operand());
+      return;
+    case Expr::Kind::Max: {
+      const auto &M = exprCast<MaxExpr>(E);
+      Self(Self, M.lhs());
+      Self(Self, M.rhs());
+      return;
+    }
+    }
+  };
+  Walk(Walk, *Template.Rhs);
+  S.LeafVarBegin.push_back(S.LeafVars.size());
+  const size_t NumLeaves = S.Leaves.size();
+  const size_t NumSymbols = S.SymNames.size();
+  const size_t NumVars = S.VarNames.size();
+  auto LeafVar = [&S](size_t L, size_t P) {
+    return static_cast<size_t>(S.LeafVars[S.LeafVarBegin[L] + P]);
+  };
 
   // Base extents per example: variables pinned by the output shape, both
   // through the LHS and through RHS occurrences of the LHS symbol (which
   // read the output argument). A conflict here dooms every binding — the
   // einsum evaluator would reject each one on that example.
-  std::vector<std::vector<int64_t>> BaseExtents(
-      NumExamples, std::vector<int64_t>(NumVars, -1));
+  S.BaseExtents.assign(NumExamples * NumVars, -1);
   for (size_t E = 0; E < NumExamples; ++E) {
-    const std::vector<int64_t> &OutShape = OperandCache[E].OutShape;
-    auto Pin = [&](const std::vector<std::string> &Vars,
-                   const std::vector<int64_t> &Shape) {
-      if (Vars.size() != Shape.size())
+    const std::vector<int64_t> &OutShape = S.Table[E].OutShape;
+    int64_t *Base = S.BaseExtents.data() + E * NumVars;
+    auto Pin = [&](size_t Var, int64_t Extent) {
+      if (Base[Var] >= 0 && Base[Var] != Extent)
         return false;
-      for (size_t I = 0; I < Vars.size(); ++I) {
-        int64_t &Slot = BaseExtents[E][static_cast<size_t>(IdOf(Vars[I]))];
-        if (Slot >= 0 && Slot != Shape[I])
-          return false;
-        Slot = Shape[I];
-      }
+      Base[Var] = Extent;
       return true;
     };
-    if (!Pin(Template.Lhs.indices(), OutShape))
+    if (S.LhsVars.size() != OutShape.size())
       return Valid;
-    for (const SymbolAccesses &S : AllSymbols) {
-      if (S.Name != Template.Lhs.name())
+    for (size_t I = 0; I < OutShape.size(); ++I)
+      if (!Pin(static_cast<size_t>(S.LhsVars[I]), OutShape[I]))
+        return Valid;
+    for (size_t L = 0; L < NumLeaves; ++L) {
+      if (S.LeafSym[L] >= 0)
         continue;
-      for (const AccessExpr *Leaf : S.Leaves)
-        if (!Pin(Leaf->indices(), OutShape))
+      if (S.Leaves[L]->order() != OutShape.size())
+        return Valid;
+      for (size_t P = 0; P < OutShape.size(); ++P)
+        if (!Pin(LeafVar(L, P), OutShape[P]))
           return Valid;
     }
   }
-
-  // RHS symbols still needing a binding (everything but the LHS symbol).
-  std::vector<const SymbolAccesses *> Symbols;
-  for (const SymbolAccesses &S : AllSymbols)
-    if (S.Name != Template.Lhs.name())
-      Symbols.push_back(&S);
 
   // Candidate arguments per symbol, filtered by rank (Fig. 8's "discard
   // substitutions that bind tensors to scalars and vice versa") and by
   // shape compatibility: an option whose extents conflict — internally,
   // across the symbol's repeated accesses, or against the output-pinned
   // variables — in any example can never produce a valid instantiation,
-  // because the einsum evaluator rejects exactly that conflict.
-  std::vector<std::vector<const bench::ArgSpec *>> Choices(Symbols.size());
-  // Constraints[S][Option][Example] lists the unpinned (var, extent) pairs
-  // that picking Option for symbol S imposes.
-  std::vector<std::vector<std::vector<ConstraintList>>> Constraints(
-      Symbols.size());
-  for (size_t SI = 0; SI < Symbols.size(); ++SI) {
-    const SymbolAccesses &Symbol = *Symbols[SI];
-    for (const bench::ArgSpec &Arg : B.Args) {
-      if (Arg.rank() != Symbol.Order)
+  // because the einsum evaluator rejects exactly that conflict. Each kept
+  // option records the unpinned (var, extent) pairs it imposes per example.
+  S.ChoiceArg.clear();
+  S.ChoiceBegin.clear();
+  S.Cons.clear();
+  S.ConsBegin.clear();
+  for (size_t SI = 0; SI < NumSymbols; ++SI) {
+    S.ChoiceBegin.push_back(S.ChoiceArg.size());
+    for (size_t K = 0; K < NumArgs; ++K) {
+      const int Rank = B.Args[K].rank();
+      if (Rank != S.SymOrder[SI])
         continue;
+      const size_t ConsMark = S.Cons.size();
+      const size_t BeginMark = S.ConsBegin.size();
       bool Compatible = true;
-      std::vector<ConstraintList> PerExample(NumExamples);
       for (size_t E = 0; E < NumExamples && Compatible; ++E) {
-        std::vector<int64_t> Local(NumVars, -1);
-        std::vector<int64_t> Shape = resolveShape(Arg, Examples[E].Sizes);
-        for (const AccessExpr *Leaf : Symbol.Leaves) {
-          if (Leaf->order() != Shape.size()) {
+        S.ConsBegin.push_back(S.Cons.size());
+        S.Local.assign(NumVars, -1);
+        const int64_t *Shape = S.Table[E].Dims.data() + S.DimBegin[K];
+        const int64_t *Base = S.BaseExtents.data() + E * NumVars;
+        for (size_t L = 0; L < NumLeaves && Compatible; ++L) {
+          if (S.LeafSym[L] != static_cast<int>(SI))
+            continue;
+          if (S.Leaves[L]->order() != static_cast<size_t>(Rank)) {
             Compatible = false;
             break;
           }
-          for (size_t P = 0; P < Shape.size(); ++P) {
-            int Var = VarIds.at(Leaf->indices()[P]);
-            int64_t Pinned = BaseExtents[E][static_cast<size_t>(Var)];
-            if (Pinned >= 0) {
-              if (Pinned != Shape[P]) {
+          for (size_t P = 0; P < static_cast<size_t>(Rank); ++P) {
+            size_t Var = LeafVar(L, P);
+            if (Base[Var] >= 0) {
+              if (Base[Var] != Shape[P]) {
                 Compatible = false;
                 break;
               }
               continue;
             }
-            int64_t &Slot = Local[static_cast<size_t>(Var)];
+            int64_t &Slot = S.Local[Var];
             if (Slot >= 0) {
               if (Slot != Shape[P]) {
                 Compatible = false;
@@ -457,46 +527,22 @@ Validator::validate(const Program &Template, size_t MaxResults) const {
               continue;
             }
             Slot = Shape[P];
-            PerExample[E].emplace_back(Var, Shape[P]);
+            S.Cons.emplace_back(static_cast<int>(Var), Shape[P]);
           }
-          if (!Compatible)
-            break;
         }
       }
-      if (!Compatible)
+      if (!Compatible) {
+        S.Cons.resize(ConsMark);
+        S.ConsBegin.resize(BeginMark);
         continue;
-      Choices[SI].push_back(&Arg);
-      Constraints[SI].push_back(std::move(PerExample));
+      }
+      S.ChoiceArg.push_back(static_cast<int>(K));
     }
-    if (Choices[SI].empty())
+    if (S.ChoiceArg.size() == S.ChoiceBegin.back())
       return Valid;
   }
-
-  // Operand pointers per (symbol, option, example) and for the output
-  // argument, resolved once; the enumeration then never touches the
-  // operand maps.
-  std::vector<std::vector<std::vector<const Tensor<double> *>>> PtrTable(
-      Symbols.size());
-  for (size_t SI = 0; SI < Symbols.size(); ++SI) {
-    PtrTable[SI].resize(Choices[SI].size());
-    for (size_t O = 0; O < Choices[SI].size(); ++O) {
-      PtrTable[SI][O].resize(NumExamples, nullptr);
-      for (size_t E = 0; E < NumExamples; ++E) {
-        auto It = OperandCache[E].Operands.find(Choices[SI][O]->Name);
-        if (It != OperandCache[E].Operands.end())
-          PtrTable[SI][O][E] = &It->second;
-      }
-    }
-  }
-  std::vector<const Tensor<double> *> OutPtr(NumExamples, nullptr);
-  for (size_t E = 0; E < NumExamples; ++E) {
-    auto It = OperandCache[E].Operands.find(OutArg->Name);
-    if (It != OperandCache[E].Operands.end())
-      OutPtr[E] = &It->second;
-  }
-  std::map<std::string, size_t> SymIndex;
-  for (size_t SI = 0; SI < Symbols.size(); ++SI)
-    SymIndex.emplace(Symbols[SI]->Name, SI);
+  S.ChoiceBegin.push_back(S.ChoiceArg.size());
+  S.ConsBegin.push_back(S.Cons.size());
 
   // The template is compiled *once* and evaluated directly under each
   // symbol binding: instantiation only renames tensors and fills constant
@@ -506,64 +552,44 @@ Validator::validate(const Program &Template, size_t MaxResults) const {
   // constants they become mutable literal nodes (in a one-time clone) the
   // constant odometer rewrites in place; otherwise the template itself is
   // compiled, clone-free.
-  std::vector<size_t> Pick(Symbols.size(), 0);
-  BoundTemplate EvalT;
+  S.ConstNodes.clear();
   if (ConstLeaves > 0)
-    EvalT = bindSymbols(Template, {});
-  const Program &EvalProgram = ConstLeaves > 0 ? EvalT.Concrete : Template;
-  // The VM lowering delegates slot assignment and reduction placement to
-  // the same structure compiler, so when it succeeds the compiled bytecode
-  // evaluates cell-for-cell in the tree-walk's order and the verdicts stay
-  // bit-identical. Any lowering failure falls back to the tree-walk, whose
-  // EinsumProgram is only built on that path (a candidate is validated
-  // once, so the compile is paid per call and must not be paid twice).
-  vm::Code VmProgram;
-  if (UseVm) {
-    VmProgram = vm::compileProgram(EvalProgram);
-    if (UseVmOpt && VmProgram.ok()) {
-      // Constants must NOT be frozen here: the odometer below rewrites the
-      // template's ConstantExpr leaves in place between refreshConstants()
-      // calls, so value-based constant dedup would be unsound. The
-      // optimizer still hoists invariant loads, fuses spans, and prunes
-      // dead registers — all bit-identity preserving.
-      vm::OptimizeOptions OO;
-      OO.FreezeConstants = false;
-      VmProgram = vm::optimize(VmProgram, OO);
-    }
-  }
-  const bool ViaVm = UseVm && VmProgram.ok();
-  std::optional<taco::EinsumProgram> Compiled;
-  if (!ViaVm) {
-    Compiled.emplace(EvalProgram);
-    if (!Compiled->ok())
-      return Valid;
-  }
-  size_t CurExample = 0;
-  auto Resolve = [&](const std::string &Name) -> const Tensor<double> * {
-    if (Name == Template.Lhs.name())
-      return OutPtr[CurExample];
-    size_t SI = SymIndex.find(Name)->second;
-    return PtrTable[SI][Pick[SI]][CurExample];
+    S.Bound = Program(AccessExpr(Template.Lhs.name(), Template.Lhs.indices()),
+                      withMutableConstants(*Template.Rhs, S.ConstNodes));
+  const Program &EvalProgram = ConstLeaves > 0 ? S.Bound : Template;
+
+  S.Pick.assign(NumSymbols, 0);
+  auto OptionOf = [&S](size_t SI) { return S.ChoiceBegin[SI] + S.Pick[SI]; };
+  // The operand of access ordinal \p Ord under the current binding.
+  auto OperandAt = [&](size_t E, size_t Ord) -> const Tensor<double> * {
+    int Sym = S.LeafSym[Ord];
+    if (Sym < 0)
+      return S.Table[E].Out;
+    size_t Arg = static_cast<size_t>(
+        S.ChoiceArg[OptionOf(static_cast<size_t>(Sym))]);
+    return S.Table[E].Ptr[Arg];
   };
 
   // Cross-symbol consistency scratch, generation-stamped so the joint check
   // allocates nothing per binding.
-  std::vector<int64_t> JointExtent(NumVars, -1);
-  std::vector<uint64_t> JointStamp(NumVars, 0);
+  S.JointExtent.assign(NumVars, -1);
+  S.JointStamp.assign(NumVars, 0);
   uint64_t Generation = 0;
   auto BindingShapesConsistent = [&]() {
     for (size_t E = 0; E < NumExamples; ++E) {
       ++Generation;
-      for (size_t SI = 0; SI < Symbols.size(); ++SI) {
-        for (const auto &[Var, Extent] : Constraints[SI][Pick[SI]][E]) {
+      for (size_t SI = 0; SI < NumSymbols; ++SI) {
+        size_t At = OptionOf(SI) * NumExamples + E;
+        for (size_t C = S.ConsBegin[At]; C < S.ConsBegin[At + 1]; ++C) {
+          const auto &[Var, Extent] = S.Cons[C];
           size_t V = static_cast<size_t>(Var);
-          if (JointStamp[V] == Generation) {
-            if (JointExtent[V] != Extent)
+          if (S.JointStamp[V] == Generation) {
+            if (S.JointExtent[V] != Extent)
               return false;
             continue;
           }
-          JointStamp[V] = Generation;
-          JointExtent[V] = Extent;
+          S.JointStamp[V] = Generation;
+          S.JointExtent[V] = Extent;
         }
       }
     }
@@ -575,31 +601,30 @@ Validator::validate(const Program &Template, size_t MaxResults) const {
   // (their entire constant block would have failed evaluation). The loop is
   // generic over the evaluator vector so the VM and the tree-walk share one
   // definition of the enumeration (and thus one enumeration order).
-  std::vector<size_t> ConstPick(static_cast<size_t>(ConstLeaves), 0);
-  std::vector<int64_t> ConstValues(static_cast<size_t>(ConstLeaves), 0);
-  auto RunEnum = [&](auto &Evaluators) {
+  S.ConstPick.assign(ConstLeaves, 0);
+  S.ConstValues.assign(ConstLeaves, 0);
+  auto RunEnum = [&](auto &Evaluators, const auto &BindExample) {
     // Examples are (re)bound lazily per binding, preserving the fail-fast
     // behavior of the naive loop: a binding rejected on the first example
     // never pays for the others.
     uint64_t BindEpoch = 0;
-    std::vector<uint64_t> BoundEpoch(NumExamples, 0);
-    std::vector<bool> BindOk(NumExamples, false);
+    S.BoundEpoch.assign(NumExamples, 0);
+    S.BindOk.assign(NumExamples, 0);
     auto EnsureBound = [&](size_t E) -> bool {
-      if (BoundEpoch[E] == BindEpoch)
-        return BindOk[E];
-      BoundEpoch[E] = BindEpoch;
-      CurExample = E;
-      BindOk[E] = Evaluators[E].bind(Resolve, OperandCache[E].OutShape);
-      return BindOk[E];
+      if (S.BoundEpoch[E] == BindEpoch)
+        return S.BindOk[E] != 0;
+      S.BoundEpoch[E] = BindEpoch;
+      S.BindOk[E] = BindExample(E);
+      return S.BindOk[E] != 0;
     };
 
     for (;;) {
       if (BindingShapesConsistent()) {
         ++BindEpoch;
         for (bool More = true; More;) {
-          for (size_t I = 0; I < ConstPick.size(); ++I) {
-            ConstValues[I] = Constants[ConstPick[I]];
-            EvalT.ConstNodes[I]->setValue(ConstValues[I]);
+          for (size_t I = 0; I < ConstLeaves; ++I) {
+            S.ConstValues[I] = Constants[S.ConstPick[I]];
+            S.ConstNodes[I]->setValue(S.ConstValues[I]);
           }
 
           ++Tried;
@@ -620,57 +645,87 @@ Validator::validate(const Program &Template, size_t MaxResults) const {
 
           if (Consistent) {
             Instantiation Inst;
-            Inst.SymbolBinding[Template.Lhs.name()] = OutArg->Name;
-            for (size_t I = 0; I < Symbols.size(); ++I)
-              Inst.SymbolBinding[Symbols[I]->Name] = Choices[I][Pick[I]]->Name;
-            Inst.Concrete =
-                instantiateTemplate(Template, Inst.SymbolBinding, ConstValues);
-            Inst.ConstantValues = ConstValues;
+            Inst.SymbolBinding[LhsName] = OutArg->Name;
+            for (size_t SI = 0; SI < NumSymbols; ++SI)
+              Inst.SymbolBinding[*S.SymNames[SI]] =
+                  B.Args[static_cast<size_t>(S.ChoiceArg[OptionOf(SI)])].Name;
+            Inst.Concrete = instantiateTemplate(Template, Inst.SymbolBinding,
+                                                S.ConstValues);
+            Inst.ConstantValues = S.ConstValues;
             Valid.push_back(std::move(Inst));
             if (Valid.size() >= MaxResults)
               return;
           }
 
           // Advance the constant odometer.
-          size_t Axis = ConstPick.size();
+          size_t Axis = S.ConstPick.size();
           bool Wrapped = true;
           while (Axis > 0) {
             --Axis;
-            if (++ConstPick[Axis] < Constants.size()) {
+            if (++S.ConstPick[Axis] < Constants.size()) {
               Wrapped = false;
               break;
             }
-            ConstPick[Axis] = 0;
+            S.ConstPick[Axis] = 0;
           }
-          if (ConstPick.empty() || Wrapped)
+          if (S.ConstPick.empty() || Wrapped)
             More = false;
         }
       }
 
       // Advance the symbol odometer.
-      size_t Axis = Pick.size();
+      size_t Axis = S.Pick.size();
       bool Wrapped = true;
       while (Axis > 0) {
         --Axis;
-        if (++Pick[Axis] < Choices[Axis].size()) {
+        if (++S.Pick[Axis] < S.ChoiceBegin[Axis + 1] - S.ChoiceBegin[Axis]) {
           Wrapped = false;
           break;
         }
-        Pick[Axis] = 0;
+        S.Pick[Axis] = 0;
       }
-      if (Pick.empty() || Wrapped)
+      if (S.Pick.empty() || Wrapped)
         return;
     }
   };
 
-  if (ViaVm) {
-    std::vector<vm::Interpreter<double>> Evaluators(
-        NumExamples, vm::Interpreter<double>(VmProgram));
-    RunEnum(Evaluators);
+  if (UseVm) {
+    // Plain compiled bytecode: no vm::optimize, whose passes cost more
+    // than they save on a few small examples. The per-example interpreters
+    // keep their buffers across templates and bind operands by access
+    // ordinal straight from the argument table.
+    S.Code = vm::compileProgram(EvalProgram);
+    if (!S.Code.ok())
+      return Valid;
+    for (size_t E = 0; E < NumExamples; ++E) {
+      if (E < S.Interps.size())
+        S.Interps[E].reset(S.Code);
+      else
+        S.Interps.emplace_back(S.Code);
+    }
+    RunEnum(S.Interps, [&](size_t E) {
+      return S.Interps[E].bindByAccess(
+          [&](size_t Ord) { return OperandAt(E, Ord); }, S.Table[E].OutShape);
+    });
   } else {
+    taco::EinsumProgram Compiled(EvalProgram);
+    if (!Compiled.ok())
+      return Valid;
     std::vector<taco::EinsumEvaluator<double>> Evaluators(
-        NumExamples, taco::EinsumEvaluator<double>(*Compiled));
-    RunEnum(Evaluators);
+        NumExamples, taco::EinsumEvaluator<double>(Compiled));
+    RunEnum(Evaluators, [&](size_t E) {
+      return Evaluators[E].bind(
+          [&](const std::string &Name) -> const Tensor<double> * {
+            if (Name == LhsName)
+              return S.Table[E].Out;
+            for (size_t SI = 0; SI < NumSymbols; ++SI)
+              if (*S.SymNames[SI] == Name)
+                return S.Table[E].Ptr[static_cast<size_t>(
+                    S.ChoiceArg[OptionOf(SI)])];
+            return nullptr;
+          },
+          S.Table[E].OutShape);
+    });
   }
   return Valid;
 }

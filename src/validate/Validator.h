@@ -10,10 +10,11 @@
 /// substitutions binding the LHS symbol to the kernel's output argument, the
 /// RHS symbols to *any* argument of compatible rank (including the output
 /// and repeated bindings, exactly as in Fig. 8), and constant symbols to the
-/// integer literals collected from the source. Each instantiation is
-/// evaluated by the einsum reference evaluator against the I/O examples; all
-/// consistent instantiations are returned in enumeration order, so the
-/// verifier can reject one and fall back to the next.
+/// integer literals collected from the source. The template is compiled once
+/// to VM bytecode and each instantiation is evaluated by rebinding it against
+/// the I/O examples; all consistent instantiations are returned in
+/// enumeration order, so the verifier can reject one and fall back to the
+/// next.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,6 +27,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -50,17 +52,20 @@ struct Instantiation {
 /// The enumeration is heavily pruned relative to the naive cartesian
 /// product, without changing the returned instantiations or their order:
 ///
+///  * a template naming a symbol whose rank no argument has is rejected by
+///    one walk of the RHS against a per-validator rank mask, before any
+///    per-template state is built;
 ///  * per-symbol options are filtered by rank *and* by shape compatibility
 ///    (an argument whose extents conflict with the output shape, or with
 ///    the symbol's own repeated accesses, in any I/O example can never
 ///    validate);
 ///  * each symbol binding is checked for cross-symbol extent consistency
 ///    before any instantiation is built or evaluated;
-///  * the per-example operand tensors are materialized once and shared by
-///    every instantiation (they depend only on the argument, not the
-///    candidate);
+///  * every argument's operand tensor and resolved shape are tabulated once
+///    per validator (they depend only on the argument and the example, not
+///    the candidate), so the per-template work is integer indexing;
 ///  * instantiation evaluation short-circuits on the first failing output
-///    cell of the first failing I/O example (taco::einsumCompare).
+///    cell of the first failing I/O example.
 ///
 /// Every pruned candidate is one the einsum evaluator would have rejected,
 /// so the surviving set — and the enumeration order within it — is
@@ -70,14 +75,16 @@ public:
   /// \p Constants is the literal pool harvested from the source by the
   /// static analysis. \p UseVm selects the bytecode VM for instantiation
   /// evaluation (bit-identical verdicts and order; the tree-walk remains
-  /// available behind `--no-vm` for A/B comparison). \p UseVmOpt
-  /// additionally runs vm::optimize over the compiled template — with
-  /// constants *not* frozen, because the validator's constant odometer
-  /// rewrites the template's ConstantExpr leaves between evaluations
-  /// (`--no-vm-opt` disables for A/B comparison).
+  /// available behind `--no-vm` for A/B comparison). \p UseVmOpt is
+  /// ignored: the validator never runs vm::optimize, because a template's
+  /// stream is evaluated on a few small examples and optimizing it cost
+  /// several times what it saved. The parameter stays because existing
+  /// callers (the repository benchmark among them) pass it; `--no-vm-opt`
+  /// still governs the verifier and execute.
   Validator(const bench::Benchmark &B, std::vector<IoExample> Examples,
             std::vector<int64_t> Constants, bool UseVm = true,
             bool UseVmOpt = true);
+  ~Validator();
 
   /// Enumerates substitutions for \p Template and returns every
   /// instantiation that satisfies all I/O examples, up to \p MaxResults.
@@ -91,24 +98,22 @@ public:
   const std::vector<IoExample> &examples() const { return Examples; }
 
 private:
-  /// Candidate-independent evaluation state for one I/O example: every
-  /// argument materialized as a tensor, plus the resolved output shape.
-  struct ExampleEval {
-    std::map<std::string, taco::Tensor<double>> Operands;
-    std::vector<int64_t> OutShape;
-  };
+  /// The per-validator argument table (operands and resolved shapes per
+  /// example) plus the per-template scratch reused across calls; defined in
+  /// Validator.cpp.
+  struct State;
 
-  /// Builds OperandCache on first use (it needs no template).
-  void ensureOperandCache() const;
+  /// Builds the argument table on first use (it needs no template).
+  State &state() const;
 
   const bench::Benchmark &B;
   std::vector<IoExample> Examples;
   std::vector<int64_t> Constants;
   bool UseVm = true;
-  bool UseVmOpt = true;
+  /// Bit R is set when some argument has rank R.
+  uint64_t ArgRanks = 0;
   mutable int64_t Tried = 0;
-  mutable std::vector<ExampleEval> OperandCache;
-  mutable bool OperandCacheReady = false;
+  mutable std::unique_ptr<State> Cache;
 };
 
 /// Rewrites \p Template by applying \p SymbolBinding to tensor names and

@@ -45,12 +45,20 @@ public:
   /// Resolves an access name to its operand, or nullptr when unbound.
   using Resolver = std::function<const taco::Tensor<T> *(const std::string &)>;
 
-  explicit Interpreter(const Code &C) : C(C) {
-    States.resize(C.statements().size());
-    Scratch.resize(C.statements().size());
+  explicit Interpreter(const Code &C) { reset(C); }
+
+  /// Re-points this interpreter at \p NewC, keeping every grown buffer: the
+  /// validator compiles one Code per template and rebinds the same
+  /// per-example interpreters to it. Any previous binding is dropped.
+  void reset(const Code &NewC) {
+    C = &NewC;
+    States.resize(NewC.statements().size());
+    Scratch.resize(NewC.statements().size());
+    for (StmtState &St : States)
+      St.Bound = false;
   }
 
-  const std::string &error() const { return C.ok() ? Error : C.error(); }
+  const std::string &error() const { return C->ok() ? Error : C->error(); }
 
   /// Number of buffer growths since construction. Stable across rebinds of
   /// equal-or-smaller shapes: the zero-allocation re-execution contract.
@@ -67,10 +75,21 @@ public:
   /// signature (a plain lambda avoids the std::function indirection).
   template <typename ResolveFn>
   bool bind(const ResolveFn &Resolve, const std::vector<int64_t> &OutputShape) {
-    if (!C.ok())
+    if (!C->ok())
+      return false;
+    return bindByAccess(byName(0, Resolve), OutputShape);
+  }
+
+  /// bind() with operands resolved by access ordinal (leaf order) instead
+  /// of by name: \p ResolveAt(size_t Ordinal) returns the operand or
+  /// nullptr. Same checks, order and diagnostics as bind().
+  template <typename ResolveAtFn>
+  bool bindByAccess(const ResolveAtFn &ResolveAt,
+                    const std::vector<int64_t> &OutputShape) {
+    if (!C->ok())
       return false;
     Error.clear();
-    return bindStmt(0, Resolve, OutputShape);
+    return bindStmt(0, ResolveAt, OutputShape);
   }
 
   /// bind() against a plain name->tensor map.
@@ -87,7 +106,7 @@ public:
   /// Re-reads every ConstantExpr the code references (the validator's
   /// constant odometer rewrites them in place).
   void refreshConstants() {
-    for (size_t K = 0; K < C.statements().size(); ++K)
+    for (size_t K = 0; K < C->statements().size(); ++K)
       refreshStmtConstants(K);
   }
 
@@ -136,7 +155,7 @@ public:
     if (Want.size() != Total)
       return taco::EinsumCompare::Mismatch;
 
-    const StmtCode &SC = C.statements()[0];
+    const StmtCode &SC = C->statements()[0];
     if (isMapSpan(SC)) {
       // Same row-major cell order, same per-cell arithmetic; only the
       // dispatch is amortized, so the first-mismatch verdict is identical.
@@ -168,10 +187,10 @@ public:
   template <typename ResolveFn>
   bool run(const ResolveFn &Resolve, const std::string &OutputName,
            taco::Tensor<T> &Out) {
-    if (!C.ok())
+    if (!C->ok())
       return false;
     Error.clear();
-    const std::vector<StmtCode> &Stmts = C.statements();
+    const std::vector<StmtCode> &Stmts = C->statements();
 
     // Name resolution chains through the scratch results of statements
     // executed so far this run (latest definition wins), then the caller's
@@ -189,7 +208,7 @@ public:
       StmtState &St = States[K];
       if (!inferShape(SC, St, Chain))
         return false;
-      if (!bindStmt(K, Chain, St.InferredShape))
+      if (!bindStmt(K, byName(K, Chain), St.InferredShape))
         return false;
       reshape(Scratch[K], St.OutShape);
       evalStmtInto(K, Scratch[K].flat());
@@ -271,12 +290,22 @@ private:
     return true;
   }
 
+  /// Adapts a by-name resolver to statement \p K's access ordinals.
+  template <typename ResolveFn>
+  auto byName(size_t K, const ResolveFn &Resolve) const {
+    const std::vector<AccessInfo> &Accesses = C->statements()[K].Accesses;
+    return [&Accesses, &Resolve](size_t Ord) -> const taco::Tensor<T> * {
+      return Resolve(Accesses[Ord].Name);
+    };
+  }
+
   /// EinsumEvaluator::bind for statement \p K: same check order, same
   /// diagnostics, strides row-major with the innermost dimension last.
-  template <typename ResolveFn>
-  bool bindStmt(size_t K, const ResolveFn &Resolve,
+  /// \p ResolveAt maps an access ordinal to its operand.
+  template <typename ResolveAtFn>
+  bool bindStmt(size_t K, const ResolveAtFn &ResolveAt,
                 const std::vector<int64_t> &OutputShape) {
-    const StmtCode &SC = C.statements()[K];
+    const StmtCode &SC = C->statements()[K];
     StmtState &St = States[K];
     St.Bound = false;
     if (SC.LhsIndices.size() != OutputShape.size()) {
@@ -292,7 +321,7 @@ private:
     grow(St.Binds, SC.Accesses.size());
     for (size_t Ord = 0; Ord < SC.Accesses.size(); ++Ord) {
       const AccessInfo &A = SC.Accesses[Ord];
-      const taco::Tensor<T> *Operand = Resolve(A.Name);
+      const taco::Tensor<T> *Operand = ResolveAt(Ord);
       if (!Operand) {
         Error = "unbound tensor '" + A.Name + "'";
         return false;
@@ -327,7 +356,7 @@ private:
   }
 
   void refreshStmtConstants(size_t K) {
-    const StmtCode &SC = C.statements()[K];
+    const StmtCode &SC = C->statements()[K];
     StmtState &St = States[K];
     if (St.Regs.size() < static_cast<size_t>(SC.NumRegs))
       grow(St.Regs, static_cast<size_t>(SC.NumRegs));
@@ -627,7 +656,7 @@ private:
 
   /// The row-major output odometer of EinsumEvaluator::evaluate.
   void evalStmtInto(size_t K, std::vector<T> &Flat) {
-    const StmtCode &SC = C.statements()[K];
+    const StmtCode &SC = C->statements()[K];
     StmtState &St = States[K];
     if (St.OutShape.empty()) {
       // Rank-0 output: one cell, no out slots to drive (MapSpan is never
@@ -644,7 +673,7 @@ private:
   /// per-cell arithmetic match the full odometer exactly.
   void evalStmtRows(size_t K, std::vector<T> &Flat, int64_t RowBegin,
                     int64_t RowEnd) {
-    const StmtCode &SC = C.statements()[K];
+    const StmtCode &SC = C->statements()[K];
     StmtState &St = States[K];
     if (isMapSpan(SC)) {
       forMapCells(SC, St, RowBegin, RowEnd, [&Flat](size_t L, T V) {
@@ -671,7 +700,7 @@ private:
     }
   }
 
-  const Code &C;
+  const Code *C = nullptr;
   std::string Error;
   std::vector<StmtState> States;
   std::vector<taco::Tensor<T>> Scratch;

@@ -13,9 +13,9 @@
 ///  * Classic passes on the flat stream: loop-invariant load hoisting (a
 ///    Load whose access does not use the enclosing loop's slot moves above
 ///    the LoopBegin), constant-register dedup (only when the caller promises
-///    the constants are frozen — the validator's constant odometer rewrites
-///    ConstantExpr values in place, which makes value-based merging unsound
-///    there), and dead-register elimination with compact renumbering.
+///    the constants are frozen — a caller that rewrites ConstantExpr values
+///    in place between runs makes value-based merging unsound), and
+///    dead-register elimination with compact renumbering.
 ///
 ///  * Fused span superinstructions: an innermost reduction loop whose body
 ///    is exactly {Load, Load, MulAcc} becomes one Op::DotSpan; {Load,
@@ -45,15 +45,16 @@
 namespace stagg {
 namespace vm {
 
-/// Optimizer knobs. Defaults are what every consumer except the validator
-/// wants; the individual pass switches exist for the per-pass unit tests.
+/// Optimizer knobs. The individual pass switches exist for the per-pass
+/// unit tests. (The validator, whose constant odometer retunes constants in
+/// place, does not optimize at all.)
 struct OptimizeOptions {
   /// Promise that the ConstantExpr nodes the code references will not be
   /// rewritten (ConstantExpr::setValue) for the lifetime of the optimized
-  /// Code. Enables value-based constant dedup. The validator must pass
-  /// false: its constant odometer retunes every constant leaf between
-  /// refreshConstants() calls, so two constants that are equal now may
-  /// diverge later. Pointer-identical constants are always merged.
+  /// Code. Enables value-based constant dedup. A caller that retunes
+  /// constant leaves between refreshConstants() calls must pass false, since
+  /// two constants that are equal now may diverge later. Pointer-identical
+  /// constants are always merged.
   bool FreezeConstants = false;
 
   bool HoistLoads = true;     ///< Loop-invariant load hoisting.

@@ -231,6 +231,46 @@ TEST(Einsum, MaxOfReductionsPlacesSumsInsideTheCall) {
   EXPECT_EQ(R.Value.flat(), (std::vector<double>{3, 4}));
 }
 
+TEST(Einsum, ReduceSlotsFollowVariableNamesNotFirstAppearance) {
+  // Slots follow first appearance (i, k, j), but a node introducing several
+  // reductions nests them in variable-name order (j outside k), the order
+  // the direct recursive evaluator used.
+  Program P = parse("a(i) = b(i,k,j) * c(j,k)");
+  EinsumProgram S(P);
+  ASSERT_TRUE(S.ok()) << S.error();
+  EXPECT_EQ(S.numSlots(), 3u);
+  EXPECT_EQ(S.outSlots(), (std::vector<int>{0}));
+  const EinsumProgram::Node &Root =
+      S.nodes()[static_cast<size_t>(S.root())];
+  EXPECT_EQ(Root.Kind, Expr::Kind::Binary);
+  EXPECT_EQ(Root.ReduceSlots, (std::vector<int>{2, 1})); // j, k
+  ASSERT_EQ(S.accessNodes().size(), 2u);
+  EXPECT_EQ(S.nodes()[static_cast<size_t>(S.accessNodes()[0])].Slots,
+            (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(S.nodes()[static_cast<size_t>(S.accessNodes()[1])].Slots,
+            (std::vector<int>{2, 1}));
+  for (int Id : S.accessNodes())
+    EXPECT_TRUE(S.nodes()[static_cast<size_t>(Id)].ReduceSlots.empty());
+}
+
+TEST(Einsum, ReductionsPlacedAtSmallestCoveringNode) {
+  // k is private to the first product, l to the second; j spans both and
+  // is reduced at the root. An access alone introduces its private index.
+  Program P = parse("a(i) = b(i,k,j) * c(k) + d(j,l) + e(i,m)");
+  EinsumProgram S(P);
+  ASSERT_TRUE(S.ok()) << S.error();
+  // Slots: i=0, k=1, j=2, l=3, m=4. Post-order nodes: b, c, b*c, d,
+  // (b*c)+d, e, root.
+  ASSERT_EQ(S.nodes().size(), 7u);
+  auto Reduces = [&S](size_t Id) { return S.nodes()[Id].ReduceSlots; };
+  EXPECT_EQ(Reduces(2), (std::vector<int>{1}));    // b*c sums k
+  EXPECT_EQ(Reduces(3), (std::vector<int>{3}));    // d sums l
+  EXPECT_EQ(Reduces(4), (std::vector<int>{2}));    // (b*c)+d sums j
+  EXPECT_EQ(Reduces(5), (std::vector<int>{4}));    // e sums m
+  EXPECT_TRUE(Reduces(6).empty());
+  EXPECT_EQ(S.root(), 6);
+}
+
 TEST(Einsum, SequenceExecutesStatementsInOrder) {
   ParseStatementsResult Seq = parseTacoStatements(
       "out(i) = x(i) * x(i); out(i) = out(i) + y(i)");

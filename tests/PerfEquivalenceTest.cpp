@@ -159,6 +159,8 @@ naiveValidate(const bench::Benchmark &B, const std::vector<IoExample> &Examples,
 
 struct Fixture {
   const bench::Benchmark *B = nullptr;
+  /// Storage for a kernel ingested from C rather than found in the registry.
+  bench::Benchmark Ingested;
   std::unique_ptr<cfront::CFunction> Fn;
   std::vector<IoExample> Examples;
   std::vector<int64_t> Constants;
@@ -166,8 +168,15 @@ struct Fixture {
   /// registry kernel must fail the test, not crash the binary.
   bool Ok = false;
 
-  explicit Fixture(const std::string &Name) {
-    B = bench::findBenchmark(Name);
+  explicit Fixture(const std::string &Name) { init(bench::findBenchmark(Name)); }
+
+  explicit Fixture(api::IngestResult R) : Ingested(std::move(R.Kernel)) {
+    if (R.ok())
+      init(&Ingested);
+  }
+
+  void init(const bench::Benchmark *Kernel) {
+    B = Kernel;
     if (!B)
       return;
     cfront::CParseResult R = cfront::parseCFunction(B->CSource);
@@ -224,6 +233,12 @@ const std::vector<std::string> &templatePool() {
       "a(i,j) = b(i,j) + c(i,j)",
       "a(i,j) = b(j,i)",
       "a(i,j) = b(i,k) * c(k,j)",
+      "a(i,j) = b(i) * c(j)",
+      // Rejected by rank alone on most kernels: no argument of rank 4, and
+      // no scalar argument on the constant-bound ingested kernel.
+      "a(i) = b(i,j,k,l) * c(i)",
+      "a(i) = b * c(i)",
+      "a(i,j) = b(i,j,k,l) * c(k,l)",
   };
   return Pool;
 }
@@ -232,12 +247,33 @@ const std::vector<std::string> &templatePool() {
 
 TEST(PerfEquivalence, ValidatorMatchesNaiveEnumerator) {
   // ≥5 registry kernels spanning output ranks 0-2, scalar arguments, and a
-  // non-empty constant pool.
+  // non-empty constant pool; plus two ingested kernels whose shapes carry
+  // literal extents ({"N", "4"}), one of them with no scalar argument.
+  std::vector<std::unique_ptr<Fixture>> Kernels;
   for (const char *Name :
        {"blas_axpy", "blas_gemv_ptr", "art_matmul", "dk_avg_pair",
-        "misc_trace", "art_scal_const", "ll_rmsnorm_ss"}) {
-    Fixture F(Name);
-    ASSERT_TRUE(F.Ok) << Name;
+        "misc_trace", "art_scal_const", "ll_rmsnorm_ss", "misc_mm3_chain"})
+    Kernels.push_back(std::make_unique<Fixture>(Name));
+  Kernels.push_back(std::make_unique<Fixture>(api::ingestKernel(
+      "void kernel(int N, float* x, float* w, float* out) {"
+      "  for (int i = 0; i < N; i++)"
+      "    for (int j = 0; j < 4; j++)"
+      "      out[i * 4 + j] = x[i] * w[j];"
+      "}",
+      "const_extent")));
+  Kernels.push_back(std::make_unique<Fixture>(api::ingestKernel(
+      "void kernel(float* x, float* y, float* out) {"
+      "  for (int i = 0; i < 4; i++)"
+      "    out[i] = 3 * x[i] + y[i];"
+      "}",
+      "no_scalar")));
+  ASSERT_TRUE(Kernels.back()->Ok);
+  for (const bench::ArgSpec &Arg : Kernels.back()->B->Args)
+    EXPECT_NE(Arg.rank(), 0) << Arg.Name;
+  for (const std::unique_ptr<Fixture> &K : Kernels) {
+    const Fixture &F = *K;
+    ASSERT_TRUE(F.Ok) << (F.B ? F.B->Name : "ingestion failed");
+    const std::string &Name = F.B->Name;
     Validator V(*F.B, F.Examples, F.Constants);
     for (const std::string &Source : templatePool()) {
       taco::Program Template = parse(Source);

@@ -90,6 +90,24 @@ TEST(Validator, RanksFilterSubstitutions) {
   EXPECT_TRUE(V.validate(parse("a(i) = b(i,j,k) * c(j)")).empty());
 }
 
+TEST(Validator, RankRejectedTemplateLeavesTriedUnchanged) {
+  // misc_mm3_chain has rank-0 and rank-2 arguments only: a rank-4 symbol
+  // (or a rank-1 one) can bind nothing, so the template is rejected before
+  // any instantiation is evaluated.
+  Fixture F("misc_mm3_chain");
+  Validator V(*F.B, F.Examples, F.Constants);
+  ASSERT_FALSE(V.validate(parse("a(i,j) = b(i,k) * c(k,l) * d(l,j)")).empty());
+  int64_t Before = V.instantiationsTried();
+  EXPECT_GT(Before, 0);
+  EXPECT_TRUE(V.validate(parse("a(i,j) = b(i,j,k,l) * c(k,l)")).empty());
+  EXPECT_TRUE(V.validate(parse("a(i,j) = b(i,k) * c(k) + a(i,j)")).empty());
+  EXPECT_EQ(V.instantiationsTried(), Before);
+  // The LHS symbol is exempt: it reads the output argument, whatever the
+  // ranks of the others.
+  EXPECT_TRUE(V.validate(parse("a(i,j) = a(i,j) * b(i,j)")).empty());
+  EXPECT_GT(V.instantiationsTried(), Before);
+}
+
 TEST(Validator, LhsRankMustMatchOutput) {
   Fixture F("blas_gemv_ptr");
   Validator V(*F.B, F.Examples, F.Constants);
