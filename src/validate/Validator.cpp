@@ -188,10 +188,9 @@ struct Validator::State {
 
   //===-- Per-template scratch ---------------------------------------------===
   /// RHS access leaves in leaf order — the access-ordinal order of the
-  /// compiled code — with each leaf's symbol (-1 for the LHS symbol, else
-  /// an index into SymNames) and its index-variable ids (LeafVars from
+  /// compiled code: each leaf's symbol (-1 for the LHS symbol, else an
+  /// index into SymNames) and its index-variable ids (LeafVars from
   /// LeafVarBegin[L] to LeafVarBegin[L + 1]).
-  std::vector<const AccessExpr *> Leaves;
   std::vector<int> LeafSym;
   std::vector<int> LeafVars;
   std::vector<size_t> LeafVarBegin;
@@ -388,7 +387,6 @@ Validator::validate(const Program &Template, size_t MaxResults) const {
   // One walk of the RHS: access leaves with their symbol and variable ids,
   // and the symbolic-constant count (each leaf is substituted
   // independently).
-  S.Leaves.clear();
   S.LeafSym.clear();
   S.LeafVars.clear();
   S.LeafVarBegin.clear();
@@ -410,7 +408,6 @@ Validator::validate(const Program &Template, size_t MaxResults) const {
         if (S.SymNames.size() != Before)
           S.SymOrder.push_back(static_cast<int>(A.order()));
       }
-      S.Leaves.push_back(&A);
       S.LeafSym.push_back(Sym);
       S.LeafVarBegin.push_back(S.LeafVars.size());
       for (const std::string &Var : A.indices())
@@ -440,9 +437,12 @@ Validator::validate(const Program &Template, size_t MaxResults) const {
   };
   Walk(Walk, *Template.Rhs);
   S.LeafVarBegin.push_back(S.LeafVars.size());
-  const size_t NumLeaves = S.Leaves.size();
+  const size_t NumLeaves = S.LeafSym.size();
   const size_t NumSymbols = S.SymNames.size();
   const size_t NumVars = S.VarNames.size();
+  auto LeafOrder = [&S](size_t L) {
+    return S.LeafVarBegin[L + 1] - S.LeafVarBegin[L];
+  };
   auto LeafVar = [&S](size_t L, size_t P) {
     return static_cast<size_t>(S.LeafVars[S.LeafVarBegin[L] + P]);
   };
@@ -461,15 +461,13 @@ Validator::validate(const Program &Template, size_t MaxResults) const {
       Base[Var] = Extent;
       return true;
     };
-    if (S.LhsVars.size() != OutShape.size())
-      return Valid;
     for (size_t I = 0; I < OutShape.size(); ++I)
       if (!Pin(static_cast<size_t>(S.LhsVars[I]), OutShape[I]))
         return Valid;
     for (size_t L = 0; L < NumLeaves; ++L) {
       if (S.LeafSym[L] >= 0)
         continue;
-      if (S.Leaves[L]->order() != OutShape.size())
+      if (LeafOrder(L) != OutShape.size())
         return Valid;
       for (size_t P = 0; P < OutShape.size(); ++P)
         if (!Pin(LeafVar(L, P), OutShape[P]))
@@ -505,7 +503,7 @@ Validator::validate(const Program &Template, size_t MaxResults) const {
         for (size_t L = 0; L < NumLeaves && Compatible; ++L) {
           if (S.LeafSym[L] != static_cast<int>(SI))
             continue;
-          if (S.Leaves[L]->order() != static_cast<size_t>(Rank)) {
+          if (LeafOrder(L) != static_cast<size_t>(Rank)) {
             Compatible = false;
             break;
           }

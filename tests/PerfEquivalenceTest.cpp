@@ -275,6 +275,9 @@ TEST(PerfEquivalence, ValidatorMatchesNaiveEnumerator) {
     ASSERT_TRUE(F.Ok) << (F.B ? F.B->Name : "ingestion failed");
     const std::string &Name = F.B->Name;
     Validator V(*F.B, F.Examples, F.Constants);
+    // The `--no-vm` validator shares the enumeration but binds through the
+    // tree-walking evaluator; it must agree call for call.
+    Validator TreeWalk(*F.B, F.Examples, F.Constants, /*UseVm=*/false);
     for (const std::string &Source : templatePool()) {
       taco::Program Template = parse(Source);
       std::vector<Instantiation> Fast = V.validate(Template);
@@ -282,13 +285,19 @@ TEST(PerfEquivalence, ValidatorMatchesNaiveEnumerator) {
           naiveValidate(*F.B, F.Examples, F.Constants, Template);
       expectSameInstantiations(Fast, Naive,
                                std::string(Name) + " / " + Source);
+      expectSameInstantiations(TreeWalk.validate(Template), Naive,
+                               std::string(Name) + " / " + Source +
+                                   " (tree-walk)");
     }
+    EXPECT_EQ(TreeWalk.instantiationsTried(), V.instantiationsTried())
+        << Name;
     // The kernel's own templatized ground truth, with a deeper result cap.
     taco::Program Truth =
         grammar::templatize(parse(F.B->GroundTruth)).Template;
+    std::vector<Instantiation> TruthFast = V.validate(Truth, 64);
+    EXPECT_FALSE(TruthFast.empty()) << Name;
     expectSameInstantiations(
-        V.validate(Truth, 64),
-        naiveValidate(*F.B, F.Examples, F.Constants, Truth, 64),
+        TruthFast, naiveValidate(*F.B, F.Examples, F.Constants, Truth, 64),
         std::string(Name) + " / templatized ground truth");
   }
 }

@@ -381,6 +381,47 @@ TEST(VmTest, RebindReuseAllocatesNothing) {
   EXPECT_EQ(Out.flat(), Want.Value.flat());
 }
 
+TEST(VmTest, ResetRepointsAtNewCodeKeepingBuffers) {
+  // The validator's pattern: one interpreter re-pointed at each template's
+  // code and bound by access ordinal (leaf order), not by name.
+  taco::Program First = parse("r(i) = m(i,j) * v(j)");
+  taco::Program Second = parse("r(i) = v(j) * m(i,j)");
+  vm::Code C1 = vm::compileProgram(First);
+  vm::Code C2 = vm::compileProgram(Second);
+  ASSERT_TRUE(C1.ok() && C2.ok());
+  std::map<std::string, taco::Tensor<double>> Ops;
+  Ops.emplace("m", filled({6, 8}, 1));
+  Ops.emplace("v", filled({8}, 2));
+  const taco::Tensor<double> *M = &Ops.at("m"), *V = &Ops.at("v");
+
+  vm::Interpreter<double> Interp(C1);
+  taco::Tensor<double> Out({6});
+  auto RunBoth = [&] {
+    Interp.reset(C1);
+    ASSERT_TRUE(Interp.bindByAccess(
+        [&](size_t Ord) { return Ord == 0 ? M : V; }, {6}));
+    Interp.evaluateInto(Out);
+    EXPECT_EQ(Out.flat(), taco::evalEinsum<double>(First, Ops, {6}).Value.flat());
+    Interp.reset(C2);
+    ASSERT_TRUE(Interp.bindByAccess(
+        [&](size_t Ord) { return Ord == 0 ? V : M; }, {6}));
+    Interp.evaluateInto(Out);
+    EXPECT_EQ(Out.flat(),
+              taco::evalEinsum<double>(Second, Ops, {6}).Value.flat());
+  };
+  RunBoth();
+  int64_t Settled = Interp.allocEvents();
+  for (int Round = 0; Round < 10; ++Round)
+    RunBoth();
+  EXPECT_EQ(Interp.allocEvents(), Settled);
+
+  // Diagnostics still name the access.
+  Interp.reset(C1);
+  EXPECT_FALSE(Interp.bindByAccess(
+      [&](size_t Ord) { return Ord == 0 ? M : nullptr; }, {6}));
+  EXPECT_EQ(Interp.error(), "unbound tensor 'v'");
+}
+
 //===----------------------------------------------------------------------===
 // Concurrency: one immutable Code, many interpreters (TSan target).
 //===----------------------------------------------------------------------===
