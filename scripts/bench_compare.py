@@ -16,10 +16,9 @@ also checked against the looser --abs-max-ratio.
 
 --min-speedup KEY:RATIO adds a *within-report* speedup gate: KEY names the
 fast side of a twin pair, resolved by suffix — `KEY_par` pairs with
-`KEY_ser` (parallel vs serial), and `KEY_fused` / `KEY_tiled` pair with
-the bare `KEY` (optimized vs raw). Both twins must be present in the
-CURRENT report; the gate fails unless current[slow] / current[fast]
->= RATIO. Because both sides come from the same run on the same machine,
+`KEY_ser` (parallel vs serial), and `KEY_fused` pairs with the bare `KEY`
+(optimized vs raw). Both twins must be present in the CURRENT report; the
+gate fails unless current[slow] / current[fast] >= RATIO. Because both sides come from the same run on the same machine,
 no normalization is needed — this is how CI proves the parallel frontier
 scales and the VM optimizer actually pays, instead of merely not
 regressing.
@@ -81,7 +80,7 @@ def main():
                         help="fail unless the current report shows "
                              "cur[twin of KEY] / cur[KEY] >= RATIO; the twin "
                              "is KEY with _par->_ser, or KEY without its "
-                             "_fused/_tiled suffix (repeatable)")
+                             "_fused suffix (repeatable)")
     parser.add_argument("--allow-missing", action="store_true",
                         help="do not fail when a baseline entry is missing "
                              "from the current report (local comparisons "
@@ -171,14 +170,12 @@ def main():
             twin = key[:-len("_par")] + "_ser"
         elif key.endswith("_fused"):
             twin = key[:-len("_fused")]
-        elif key.endswith("_tiled"):
-            twin = key[:-len("_tiled")]
         else:
             twin = ""
         if not sep or not key or not twin:
             sys.exit(f"bench_compare: bad --min-speedup spec '{spec}' "
-                     "(expected KEY:RATIO with KEY ending in _par, _fused "
-                     "or _tiled)")
+                     "(expected KEY:RATIO with KEY ending in _par or "
+                     "_fused)")
         try:
             min_ratio = float(ratio_text)
         except ValueError:

@@ -43,9 +43,8 @@ namespace api {
 /// Per-request configuration overrides. Every field is optional; set fields
 /// replace the corresponding service-wide value for one request (patch
 /// precedence is total — a set field always wins), unset fields inherit.
-/// Serving-layer knobs (queue depth, cache shape) are fixed per
-/// service and deliberately not patchable — except "execute_threads", which
-/// tiles one request's execute pass and is bit-identical at any value.
+/// Serving-layer knobs (queue depth, cache shape, execute limits) are fixed
+/// per service and deliberately not patchable.
 struct ConfigPatch {
   std::optional<core::SearchKind> Kind;        ///< "search": "td" | "bu"
   std::optional<int> NumCandidates;            ///< "candidates"
@@ -62,7 +61,6 @@ struct ConfigPatch {
   std::optional<bool> UseVm;                   ///< "use_vm"
   std::optional<bool> UseVmOpt;                ///< "use_vm_opt"
   std::optional<int> SearchThreads;            ///< "search_threads"
-  std::optional<int> ExecuteThreads;           ///< "execute_threads"
 
   bool empty() const;
 

@@ -33,8 +33,7 @@ bool ConfigPatch::empty() const {
   return !Kind && !NumCandidates && !NumIoExamples && !ExampleSeed &&
          !SkipVerification && !TimeoutSeconds && !MaxDepth &&
          !MaxExpansions && !MaxAttempts && !VerifyMaxSize && !FullGrammar &&
-         !EqualProbability && !UseVm && !UseVmOpt && !SearchThreads &&
-         !ExecuteThreads;
+         !EqualProbability && !UseVm && !UseVmOpt && !SearchThreads;
 }
 
 core::StaggConfig ConfigPatch::apply(const core::StaggConfig &Base) const {
@@ -69,8 +68,6 @@ core::StaggConfig ConfigPatch::apply(const core::StaggConfig &Base) const {
     Out.UseVmOpt = *UseVmOpt;
   if (SearchThreads)
     Out.Search.Threads = *SearchThreads;
-  if (ExecuteThreads)
-    Out.Serve.ExecuteThreads = *ExecuteThreads;
   return Out;
 }
 
@@ -153,9 +150,6 @@ std::string ConfigPatch::fromJson(const Json &Object, ConfigPatch &Out) {
     } else if (Key == "search_threads") {
       Error = expectPositiveInt(Value, "search_threads", Out.SearchThreads,
                                 std::numeric_limits<int>::max());
-    } else if (Key == "execute_threads") {
-      Error = expectPositiveInt(Value, "execute_threads", Out.ExecuteThreads,
-                                std::numeric_limits<int>::max());
     } else {
       Error = "unknown config key \"" + Key + "\"";
     }
@@ -198,7 +192,5 @@ Json ConfigPatch::toJson() const {
     Out.set("use_vm_opt", Json::boolean(*UseVmOpt));
   if (SearchThreads)
     Out.set("search_threads", Json::integer(*SearchThreads));
-  if (ExecuteThreads)
-    Out.set("execute_threads", Json::integer(*ExecuteThreads));
   return Out;
 }

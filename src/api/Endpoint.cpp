@@ -3,7 +3,6 @@
 #include "api/Endpoint.h"
 
 #include "api/KernelIngest.h"
-#include "search/WorkerPool.h"
 #include "support/StringUtils.h"
 #include "taco/Printer.h"
 #include "validate/IoExamples.h"
@@ -11,7 +10,6 @@
 #include "vm/Optimizer.h"
 #include "vm/Interpreter.h"
 
-#include <algorithm>
 #include <chrono>
 
 using namespace stagg;
@@ -343,43 +341,6 @@ ExecuteOutcome Endpoint::executeLifted(const LiftRequest &Request,
   core::StaggConfig Effective = Request.Patch.apply(Base);
   const vm::Code &Code = Effective.UseVmOpt ? K->Opt : K->Code;
   std::vector<int64_t> OutShape = validate::resolveShape(*OutArg, Io.Sizes);
-
-  // Tile when the request asks for threads and the output is big enough to
-  // amortize the per-tile spawn + bind: disjoint row ranges of the
-  // outermost dimension, one interpreter per tile over the shared Code,
-  // every cell written exactly once at its serial position — bit-identical
-  // to the serial pass by construction.
-  int64_t OutCells = 0;
-  checkedCellCount(OutShape, OutCells); // arg loop above already validated
-  const int64_t Rows = OutShape.empty() ? 0 : OutShape[0];
-  const int Threads =
-      search::resolveThreads(Effective.Serve.ExecuteThreads);
-  const int Tiles = static_cast<int>(
-      std::min<int64_t>(Threads, Rows > 0 ? Rows : 1));
-  if (Tiles > 1 && OutCells >= Effective.Serve.ExecuteTileMinCells) {
-    taco::Tensor<double> Output(OutShape);
-    std::vector<double> &Flat = Output.flat();
-    std::vector<std::string> TileErrors(static_cast<size_t>(Tiles));
-    search::WorkerPool Pool;
-    Pool.run(Tiles, [&](int Worker) {
-      vm::Interpreter<double> Tile(Code);
-      if (!Tile.bindMap(Operands, OutShape)) {
-        TileErrors[static_cast<size_t>(Worker)] = Tile.error();
-        return;
-      }
-      Tile.evaluateRows(Flat, Rows * Worker / Tiles,
-                        Rows * (Worker + 1) / Tiles);
-    });
-    for (const std::string &E : TileErrors)
-      if (!E.empty()) {
-        Out.Error = "failed to bind inputs: " + E;
-        return Out;
-      }
-    Out.Shape = Output.shape();
-    Out.Data = std::move(Output.flat());
-    Out.Ok = true;
-    return Out;
-  }
 
   vm::Interpreter<double> Interp(Code);
   if (!Interp.bindMap(Operands, OutShape)) {

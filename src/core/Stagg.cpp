@@ -205,8 +205,8 @@ std::string core::configFingerprint(const StaggConfig &Config) {
   // Every field that can change what liftBenchmark returns appears here.
   // Knobs that only change how fast it gets there do not: the evaluation
   // engine (UseVm, UseVmOpt), search parallelism (Search.Threads) and the
-  // serving knobs in Config.Serve (queue depth, cache shape, execute
-  // tiling) are bit-identical by contract (VmOptimizerTest and
+  // serving knobs in Config.Serve (queue depth, cache shape, transport
+  // limits) are bit-identical by contract (VmOptimizerTest and
   // ParallelSearchTest pin this across the registry), so requests that
   // differ only in them share cache entries. Adding a result-affecting
   // knob without extending this list is a cache-correctness bug, which

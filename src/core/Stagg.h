@@ -72,20 +72,6 @@ struct ServeOptions {
   /// Persistent result-cache journal; empty keeps the cache in-memory
   /// only. Loaded at service startup, written through on every insert.
   std::string CachePath;
-
-  /// Worker threads for v2 "execute" requests whose output crosses the
-  /// tiling cell threshold: the outermost output dimension is partitioned
-  /// into disjoint row tiles, each evaluated by its own interpreter over
-  /// the shared compiled program — bit-identical to the serial pass by
-  /// construction. 1 (the default) keeps execution serial; 0 means
-  /// hardware concurrency; patchable per request as "execute_threads".
-  int ExecuteThreads = 1;
-
-  /// Minimum output cell count before an execute request is tiled at all:
-  /// below this, spawn cost dominates and the request runs serially even
-  /// when ExecuteThreads allows more. Not patchable (a deployment-shape
-  /// knob, and bit-identical either way).
-  int64_t ExecuteTileMinCells = 4096;
 };
 
 /// Pipeline configuration.
@@ -114,7 +100,7 @@ struct StaggConfig {
   bool UseVm = true;
 
   /// Run vm::optimize over every program the verifier and execute compile
-  /// (load hoisting, fused span superinstructions, dead-register
+  /// (fused span superinstructions, constant dedup, dead-register
   /// elimination) before execution; the validator never optimizes.
   /// Results are bit-identical with the raw stream — the passes preserve
   /// accumulation order exactly (`--no-vm-opt` flips this off for A/B

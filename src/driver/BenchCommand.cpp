@@ -13,7 +13,6 @@
 #include "grammar/Pcfg.h"
 #include "grammar/Template.h"
 #include "search/TopDown.h"
-#include "search/WorkerPool.h"
 #include "serve/ResultCache.h"
 #include "serve/SocketServer.h"
 #include "support/Json.h"
@@ -494,44 +493,6 @@ std::vector<Micro> buildMicros(const MicroFixtures &F) {
                       [FusedInterp, Out, Fused, Ops] {
                         FusedInterp->evaluateInto(*Out);
                         if (Out->flat().empty())
-                          std::abort();
-                      }});
-  }
-
-  // Parallel tiled execute: the serve execute path above the cell
-  // threshold — a 128x128 matmul partitioned over the output's outer
-  // dimension on a four-worker pool via evaluateRows, including the
-  // per-request pool spawn and per-tile bind the endpoint pays.
-  {
-    auto P = std::make_shared<taco::Program>(
-        *taco::parseTacoProgram("a(i,j) = b(i,k) * c(k,j)").Prog);
-    vm::OptimizeOptions OO;
-    OO.FreezeConstants = true;
-    auto Code = std::make_shared<vm::Code>(
-        vm::optimize(vm::compileProgram(*P), OO));
-    auto Ops =
-        std::make_shared<std::map<std::string, taco::Tensor<double>>>();
-    taco::Tensor<double> Bm({128, 128}), Cm({128, 128});
-    for (size_t I = 0; I < Bm.flat().size(); ++I) {
-      Bm.flat()[I] = static_cast<double>(I % 7);
-      Cm.flat()[I] = static_cast<double>(I % 5);
-    }
-    Ops->emplace("b", std::move(Bm));
-    Ops->emplace("c", std::move(Cm));
-    auto Out = std::make_shared<taco::Tensor<double>>(
-        std::vector<int64_t>{128, 128});
-    Micros.push_back({"micro/vm_execute_tiled", [Code, Ops, Out] {
-                        constexpr int Tiles = 4;
-                        std::vector<double> &Flat = Out->flat();
-                        search::WorkerPool Pool;
-                        Pool.run(Tiles, [&](int Worker) {
-                          vm::Interpreter<double> Tile(*Code);
-                          if (!Tile.bindMap(*Ops, {128, 128}))
-                            std::abort();
-                          Tile.evaluateRows(Flat, 128 * Worker / Tiles,
-                                            128 * (Worker + 1) / Tiles);
-                        });
-                        if (Flat.empty())
                           std::abort();
                       }});
   }

@@ -71,7 +71,7 @@ const std::vector<std::string> &knownFlags() {
       "--no-vm",         "--no-vm-opt",
       "--full-grammar",  "--equal-probability",
       "--cache-stats",   "--suite",
-      "--repeat",        "--execute-threads",
+      "--repeat",
       "--search",        "--drop-penalty",
       "--format",        "--csv",
       "--input",         "--limit",
@@ -453,18 +453,6 @@ CliParse driver::parseArgs(const std::vector<std::string> &Args) {
         break;
       }
       O.Config.Serve.MaxExecuteCells = static_cast<int64_t>(N);
-    } else if (F.Name == "--execute-threads") {
-      ServeOnly = F.Name;
-      if (!takeValue(F, Value))
-        break;
-      long long N = 0;
-      if (!parseInt(Value, N) || N < 0 ||
-          N > std::numeric_limits<int>::max()) {
-        Parse.Error = "--execute-threads expects a value >= 0 (0 means "
-                      "hardware concurrency), got '" + Value + "'";
-        break;
-      }
-      O.Config.Serve.ExecuteThreads = static_cast<int>(N);
     } else if (F.Name == "--timeout") {
       if (!takeValue(F, Value))
         break;
@@ -656,7 +644,7 @@ std::string driver::usage() {
      << "                      results are bit-identical, just slower)\n"
      << "  --no-vm-opt         run the raw VM instruction stream in the\n"
      << "                      verifier and execute, skipping vm::optimize\n"
-     << "                      (load hoisting, fused spans, dead-register\n"
+     << "                      (fused spans, constant dedup, dead-register\n"
      << "                      elimination; A/B — results are bit-identical,\n"
      << "                      just slower). The validator never optimizes.\n"
      << "  --full-grammar      FullGrammar: skip dimension refinement\n"
@@ -695,12 +683,6 @@ std::string driver::usage() {
      << "                      may materialize (inputs + output); larger\n"
      << "                      requests answer a result error instead of\n"
      << "                      allocating. 0 disables (default 4194304)\n"
-     << "  --execute-threads N worker threads for one v2 execute request:\n"
-     << "                      outputs above a cell threshold are split\n"
-     << "                      into disjoint row tiles, bit-identical to\n"
-     << "                      the serial pass. 0 = hardware concurrency\n"
-     << "                      (default 1 = serial); patchable per request\n"
-     << "                      as \"execute_threads\"\n"
      << "\n"
      << "Benchmarking (stagg bench):\n"
      << "  --json PATH         write the versioned JSON report to PATH\n"

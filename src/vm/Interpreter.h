@@ -128,20 +128,6 @@ public:
     evalStmtInto(0, Out.flat());
   }
 
-  /// Evaluates only the output rows [RowBegin, RowEnd) of the *outermost*
-  /// dimension, writing them at their usual row-major positions in \p Flat
-  /// (the full-size output buffer). The parallel tiled execute path: workers
-  /// with disjoint row ranges write disjoint cells of a shared buffer, each
-  /// through its own Interpreter, producing exactly the cells a serial
-  /// evaluate() would. Requires bind() and an output rank >= 1.
-  void evaluateRows(std::vector<T> &Flat, int64_t RowBegin, int64_t RowEnd) {
-    StmtState &St = States[0];
-    (void)St;
-    assert(St.Bound && "evaluateRows() requires a successful bind()");
-    assert(!St.OutShape.empty() && "evaluateRows() requires rank >= 1");
-    evalStmtRows(0, Flat, RowBegin, RowEnd);
-  }
-
   /// Evaluates cell by cell against \p Want, stopping at the first cell for
   /// which \p CellOk(got, want) is false. Verdict-identical to
   /// EinsumEvaluator::compare. Requires bind().
@@ -159,7 +145,7 @@ public:
     if (isMapSpan(SC)) {
       // Same row-major cell order, same per-cell arithmetic; only the
       // dispatch is amortized, so the first-mismatch verdict is identical.
-      return forMapCells(SC, St, 0, St.OutShape[0],
+      return forMapCells(SC, St,
                          [&](size_t L, T Got) { return CellOk(Got, Want[L]); })
                  ? taco::EinsumCompare::Match
                  : taco::EinsumCompare::Mismatch;
@@ -535,10 +521,10 @@ private:
   }
 
   /// Advances the output odometer over every dimension *except* the
-  /// outermost (which evalStmtRows owns). False when the inner dims wrap.
-  static bool advanceInnerDims(std::vector<int64_t> &Coord,
-                               const std::vector<int64_t> &Shape) {
-    for (size_t I = Shape.size(); I > 1; --I) {
+  /// innermost (which a MapSpan row covers). False when the outer dims wrap.
+  static bool advanceRowDims(std::vector<int64_t> &Coord,
+                             const std::vector<int64_t> &Shape) {
+    for (size_t I = Shape.size() - 1; I > 0; --I) {
       if (++Coord[I - 1] < Shape[I - 1])
         return true;
       Coord[I - 1] = 0;
@@ -547,16 +533,10 @@ private:
   }
 
   /// Drives \p Cell(linear, value) over the cells of a MapSpan statement in
-  /// row-major order, restricted to outermost rows [RowBegin, RowEnd),
-  /// stopping early when \p Cell returns false. The span runs over the
-  /// innermost output dimension as a tight pointer loop; for rank 1 the
-  /// outermost dimension *is* the span, so the row restriction becomes a
-  /// span segment.
+  /// row-major order, stopping early when \p Cell returns false. The span
+  /// runs over the innermost output dimension as a tight pointer loop.
   template <typename CellFn>
-  bool forMapCells(const StmtCode &SC, StmtState &St, int64_t RowBegin,
-                   int64_t RowEnd, const CellFn &Cell) {
-    if (RowBegin >= RowEnd)
-      return true;
+  bool forMapCells(const StmtCode &SC, StmtState &St, const CellFn &Cell) {
     const Inst &M = SC.Instrs[0];
     const size_t Rank = St.OutShape.size();
     const AccessBind &BA = St.Binds[static_cast<size_t>(M.A)];
@@ -565,92 +545,79 @@ private:
     const MapOp MO = static_cast<MapOp>(M.Dst);
     int64_t *Coords = St.Coords.data();
 
-    const int64_t SpanLen =
-        Rank == 1 ? RowEnd - RowBegin : St.OutShape[Rank - 1];
-    const int64_t SpanOff = Rank == 1 ? RowBegin : 0;
-    const int64_t OuterEnd = Rank == 1 ? RowBegin + 1 : RowEnd;
+    const int64_t SpanLen = St.OutShape[Rank - 1];
 
     assign(St.OutCoord, SC.OutSlots.size(), int64_t(0));
-    for (int64_t Row = RowBegin; Row < OuterEnd; ++Row) {
-      St.OutCoord[0] = Row;
-      for (size_t I = 1; I < Rank; ++I)
-        St.OutCoord[I] = 0;
-      bool More = true;
-      while (More) {
-        for (size_t I = 0; I + 1 < Rank; ++I)
-          Coords[static_cast<size_t>(SC.OutSlots[I])] = St.OutCoord[I];
-        size_t Linear = static_cast<size_t>(St.OutCoord[0]);
-        for (size_t I = 1; I < Rank; ++I)
-          Linear = Linear * static_cast<size_t>(St.OutShape[I]) +
-                   static_cast<size_t>(I + 1 < Rank ? St.OutCoord[I] : 0);
+    size_t Linear = 0;
+    do {
+      for (size_t I = 0; I + 1 < Rank; ++I)
+        Coords[static_cast<size_t>(SC.OutSlots[I])] = St.OutCoord[I];
 
-        size_t BaseA, StepA;
-        spanBase(BA, Coords, M.C, BaseA, StepA);
-        const T *Pa = BA.Data->data() + BaseA +
-                      static_cast<size_t>(SpanOff) * StepA;
-        const T *Pb = nullptr;
-        size_t StepB = 0;
-        if (BB) {
-          size_t BaseB;
-          spanBase(*BB, Coords, M.C, BaseB, StepB);
-          Pb = BB->Data->data() + BaseB + static_cast<size_t>(SpanOff) * StepB;
-        }
-        // One switch per row, then a tight loop per sub-operation; each
-        // cell performs exactly the scalar stream's load(s) + op.
-        switch (MO) {
-        case MapOp::Copy:
-          for (int64_t K = 0; K < SpanLen; ++K)
-            if (!Cell(Linear + static_cast<size_t>(K),
-                      Pa[static_cast<size_t>(K) * StepA]))
-              return false;
-          break;
-        case MapOp::Neg:
-          for (int64_t K = 0; K < SpanLen; ++K)
-            if (!Cell(Linear + static_cast<size_t>(K),
-                      -Pa[static_cast<size_t>(K) * StepA]))
-              return false;
-          break;
-        case MapOp::Add:
-          for (int64_t K = 0; K < SpanLen; ++K)
-            if (!Cell(Linear + static_cast<size_t>(K),
-                      Pa[static_cast<size_t>(K) * StepA] +
-                          Pb[static_cast<size_t>(K) * StepB]))
-              return false;
-          break;
-        case MapOp::Sub:
-          for (int64_t K = 0; K < SpanLen; ++K)
-            if (!Cell(Linear + static_cast<size_t>(K),
-                      Pa[static_cast<size_t>(K) * StepA] -
-                          Pb[static_cast<size_t>(K) * StepB]))
-              return false;
-          break;
-        case MapOp::Mul:
-          for (int64_t K = 0; K < SpanLen; ++K)
-            if (!Cell(Linear + static_cast<size_t>(K),
-                      Pa[static_cast<size_t>(K) * StepA] *
-                          Pb[static_cast<size_t>(K) * StepB]))
-              return false;
-          break;
-        case MapOp::Div:
-          for (int64_t K = 0; K < SpanLen; ++K)
-            if (!Cell(Linear + static_cast<size_t>(K),
-                      Pa[static_cast<size_t>(K) * StepA] /
-                          Pb[static_cast<size_t>(K) * StepB]))
-              return false;
-          break;
-        case MapOp::Max: {
-          for (int64_t K = 0; K < SpanLen; ++K) {
-            const T &Va = Pa[static_cast<size_t>(K) * StepA];
-            const T &Vb = Pb[static_cast<size_t>(K) * StepB];
-            if (!Cell(Linear + static_cast<size_t>(K), Va < Vb ? Vb : Va))
-              return false;
-          }
-          break;
-        }
-        }
-        More = advanceInnerDims(St.OutCoord, St.OutShape);
+      size_t BaseA, StepA;
+      spanBase(BA, Coords, M.C, BaseA, StepA);
+      const T *Pa = BA.Data->data() + BaseA;
+      const T *Pb = nullptr;
+      size_t StepB = 0;
+      if (BB) {
+        size_t BaseB;
+        spanBase(*BB, Coords, M.C, BaseB, StepB);
+        Pb = BB->Data->data() + BaseB;
       }
-    }
+      // One switch per row, then a tight loop per sub-operation; each
+      // cell performs exactly the scalar stream's load(s) + op.
+      switch (MO) {
+      case MapOp::Copy:
+        for (int64_t K = 0; K < SpanLen; ++K)
+          if (!Cell(Linear + static_cast<size_t>(K),
+                    Pa[static_cast<size_t>(K) * StepA]))
+            return false;
+        break;
+      case MapOp::Neg:
+        for (int64_t K = 0; K < SpanLen; ++K)
+          if (!Cell(Linear + static_cast<size_t>(K),
+                    -Pa[static_cast<size_t>(K) * StepA]))
+            return false;
+        break;
+      case MapOp::Add:
+        for (int64_t K = 0; K < SpanLen; ++K)
+          if (!Cell(Linear + static_cast<size_t>(K),
+                    Pa[static_cast<size_t>(K) * StepA] +
+                        Pb[static_cast<size_t>(K) * StepB]))
+            return false;
+        break;
+      case MapOp::Sub:
+        for (int64_t K = 0; K < SpanLen; ++K)
+          if (!Cell(Linear + static_cast<size_t>(K),
+                    Pa[static_cast<size_t>(K) * StepA] -
+                        Pb[static_cast<size_t>(K) * StepB]))
+            return false;
+        break;
+      case MapOp::Mul:
+        for (int64_t K = 0; K < SpanLen; ++K)
+          if (!Cell(Linear + static_cast<size_t>(K),
+                    Pa[static_cast<size_t>(K) * StepA] *
+                        Pb[static_cast<size_t>(K) * StepB]))
+            return false;
+        break;
+      case MapOp::Div:
+        for (int64_t K = 0; K < SpanLen; ++K)
+          if (!Cell(Linear + static_cast<size_t>(K),
+                    Pa[static_cast<size_t>(K) * StepA] /
+                        Pb[static_cast<size_t>(K) * StepB]))
+            return false;
+        break;
+      case MapOp::Max: {
+        for (int64_t K = 0; K < SpanLen; ++K) {
+          const T &Va = Pa[static_cast<size_t>(K) * StepA];
+          const T &Vb = Pb[static_cast<size_t>(K) * StepB];
+          if (!Cell(Linear + static_cast<size_t>(K), Va < Vb ? Vb : Va))
+            return false;
+        }
+        break;
+      }
+      }
+      Linear += static_cast<size_t>(SpanLen);
+    } while (advanceRowDims(St.OutCoord, St.OutShape));
     return true;
   }
 
@@ -658,46 +625,20 @@ private:
   void evalStmtInto(size_t K, std::vector<T> &Flat) {
     const StmtCode &SC = C->statements()[K];
     StmtState &St = States[K];
-    if (St.OutShape.empty()) {
-      // Rank-0 output: one cell, no out slots to drive (MapSpan is never
-      // emitted for rank 0).
-      assign(St.OutCoord, size_t(0), int64_t(0));
-      Flat[0] = execCell(SC, St);
-      return;
-    }
-    evalStmtRows(K, Flat, 0, St.OutShape[0]);
-  }
-
-  /// Evaluates outermost rows [RowBegin, RowEnd) of statement \p K into
-  /// their row-major positions in \p Flat. Cell order within the range and
-  /// per-cell arithmetic match the full odometer exactly.
-  void evalStmtRows(size_t K, std::vector<T> &Flat, int64_t RowBegin,
-                    int64_t RowEnd) {
-    const StmtCode &SC = C->statements()[K];
-    StmtState &St = States[K];
     if (isMapSpan(SC)) {
-      forMapCells(SC, St, RowBegin, RowEnd, [&Flat](size_t L, T V) {
+      forMapCells(SC, St, [&Flat](size_t L, T V) {
         Flat[L] = V;
         return true;
       });
       return;
     }
-    const size_t Rank = St.OutShape.size();
-    size_t InnerCells = 1;
-    for (size_t I = 1; I < Rank; ++I)
-      InnerCells *= static_cast<size_t>(St.OutShape[I]);
     assign(St.OutCoord, SC.OutSlots.size(), int64_t(0));
-    for (int64_t Row = RowBegin; Row < RowEnd; ++Row) {
-      St.OutCoord[0] = Row;
-      for (size_t I = 1; I < Rank; ++I)
-        St.OutCoord[I] = 0;
-      size_t Linear = static_cast<size_t>(Row) * InnerCells;
-      do {
-        for (size_t I = 0; I < SC.OutSlots.size(); ++I)
-          St.Coords[static_cast<size_t>(SC.OutSlots[I])] = St.OutCoord[I];
-        Flat[Linear++] = execCell(SC, St);
-      } while (advanceInnerDims(St.OutCoord, St.OutShape));
-    }
+    size_t Linear = 0;
+    do {
+      for (size_t I = 0; I < SC.OutSlots.size(); ++I)
+        St.Coords[static_cast<size_t>(SC.OutSlots[I])] = St.OutCoord[I];
+      Flat[Linear++] = execCell(SC, St);
+    } while (taco::detail::advanceCounter(St.OutCoord, St.OutShape));
   }
 
   const Code *C = nullptr;

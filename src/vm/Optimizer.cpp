@@ -209,52 +209,7 @@ RegCounts countRegs(const StmtCode &SC, const std::vector<Node> &Items) {
 }
 
 //===----------------------------------------------------------------------===//
-// Pass 1: loop-invariant load hoisting
-//
-// A Load depends only on the coordinates of the slots its access indexes, so
-// it is invariant with respect to any enclosing loop whose slot it does not
-// use and can move above that LoopBegin. Bottom-up recursion bubbles a load
-// out of every loop it is invariant in; results are identical because the
-// load produces the same value at the hoisted position (single-assignment
-// registers, coordinates untouched by anything but LoopBegin/LoopEnd).
-//===----------------------------------------------------------------------===//
-
-bool loadUsesSlot(const StmtCode &SC, const Inst &Load, int Slot) {
-  const AccessInfo &A = SC.Accesses[static_cast<size_t>(Load.A)];
-  return std::find(A.Slots.begin(), A.Slots.end(), Slot) != A.Slots.end();
-}
-
-void hoistLoads(const StmtCode &SC, std::vector<Node> &Items) {
-  for (size_t Pos = 0; Pos < Items.size(); ++Pos) {
-    if (!Items[Pos].IsLoop)
-      continue;
-    hoistLoads(SC, Items[Pos].Body); // inner loads surface first
-    std::vector<Node> Hoisted, Kept;
-    for (Node &Child : Items[Pos].Body) {
-      if (!Child.IsLoop && Child.I.K == Op::Load &&
-          !loadUsesSlot(SC, Child.I, Items[Pos].Slot))
-        Hoisted.push_back(std::move(Child));
-      else
-        Kept.push_back(std::move(Child));
-    }
-    // The split moved every child out of the body, so it must be committed
-    // back even when nothing hoists (a moved-from nested loop is an empty
-    // shell).
-    Items[Pos].Body = std::move(Kept);
-    if (Hoisted.empty())
-      continue;
-    // Insert the hoisted loads immediately before this loop, preserving
-    // their relative order, and skip past them (they are final here: an
-    // outer pass over the enclosing body will consider them again).
-    Items.insert(Items.begin() + static_cast<std::ptrdiff_t>(Pos),
-                 std::make_move_iterator(Hoisted.begin()),
-                 std::make_move_iterator(Hoisted.end()));
-    Pos += Hoisted.size();
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// Pass 2: fused span superinstructions (DotSpan / SumSpan)
+// Pass 1: fused span superinstructions (DotSpan / SumSpan)
 //
 // An innermost loop whose body is exactly the canonical reduction pattern
 // collapses to one superinstruction. The fused execution performs the same
@@ -312,7 +267,7 @@ void fuseSpans(const StmtCode &SC, std::vector<Node> &Items,
 }
 
 //===----------------------------------------------------------------------===//
-// Pass 3: whole-statement elementwise maps (MapSpan)
+// Pass 2: whole-statement elementwise maps (MapSpan)
 //
 // A loop-free statement whose stream is one of the tiny elementwise shapes
 // becomes a single MapSpan over the innermost output slot, executed one
@@ -384,7 +339,7 @@ bool tryMapSpan(StmtCode &SC, std::vector<Node> &Items,
 }
 
 //===----------------------------------------------------------------------===//
-// Pass 4: constant-register dedup
+// Pass 3: constant-register dedup
 //===----------------------------------------------------------------------===//
 
 void dedupConstants(StmtCode &SC, std::vector<Node> &Items,
@@ -440,7 +395,7 @@ void dedupConstants(StmtCode &SC, std::vector<Node> &Items,
 }
 
 //===----------------------------------------------------------------------===//
-// Pass 5: dead-register elimination + compact renumbering
+// Pass 4: dead-register elimination + compact renumbering
 //===----------------------------------------------------------------------===//
 
 /// Deletes pure instructions whose destination is never read; repeats to a
@@ -560,17 +515,11 @@ void optimizeStmt(StmtCode &SC, const OptimizeOptions &Options) {
   if (!parseInto(SC.Instrs, Pos, -1, Items))
     return; // malformed nesting: leave the statement untouched
 
-  if (Options.HoistLoads)
-    hoistLoads(SC, Items);
-  if (Options.FuseSpans) {
-    RegCounts Counts = countRegs(SC, Items);
-    fuseSpans(SC, Items, Counts);
-    tryMapSpan(SC, Items, Counts);
-  }
-  if (Options.DedupConstants)
-    dedupConstants(SC, Items, Options.FreezeConstants);
-  if (Options.EliminateDead)
-    eliminateDead(SC, Items);
+  RegCounts Counts = countRegs(SC, Items);
+  fuseSpans(SC, Items, Counts);
+  tryMapSpan(SC, Items, Counts);
+  dedupConstants(SC, Items, Options.FreezeConstants);
+  eliminateDead(SC, Items);
 
   SC.Instrs.clear();
   emitFlat(Items, SC.Instrs);

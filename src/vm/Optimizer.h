@@ -6,16 +6,15 @@
 ///
 /// \file
 /// vm::optimize rewrites a compiled vm::Code into a faster but
-/// result-identical stream. Three families of passes, all bit-identity
-/// preserving by construction (no reassociation, no fast-math, no change to
-/// accumulation order):
+/// result-identical stream through one fixed pipeline of passes, all
+/// bit-identity preserving by construction (no reassociation, no fast-math,
+/// no change to accumulation order):
 ///
-///  * Classic passes on the flat stream: loop-invariant load hoisting (a
-///    Load whose access does not use the enclosing loop's slot moves above
-///    the LoopBegin), constant-register dedup (only when the caller promises
-///    the constants are frozen — a caller that rewrites ConstantExpr values
-///    in place between runs makes value-based merging unsound), and
-///    dead-register elimination with compact renumbering.
+///  * Classic passes on the flat stream: constant-register dedup
+///    (pointer-identical constants always; equal values only when the caller
+///    promises the constants are frozen — a caller that rewrites
+///    ConstantExpr values in place between runs makes value-based merging
+///    unsound), and dead-register elimination with compact renumbering.
 ///
 ///  * Fused span superinstructions: an innermost reduction loop whose body
 ///    is exactly {Load, Load, MulAcc} becomes one Op::DotSpan; {Load,
@@ -26,8 +25,8 @@
 ///    bit-identical; the win is that the interpreter's dispatch switch runs
 ///    once per span instead of once per element.
 ///
-///  * vm::disassemble renders either stream human-readably, for the
-///    `stagg disasm` subcommand and for debugging the passes themselves.
+/// vm::disassemble renders either stream human-readably, for the
+/// `stagg disasm` subcommand and for debugging the passes themselves.
 ///
 /// optimize() is idempotent (span opcodes are opaque to the pattern
 /// matchers) and total: a malformed or already-minimal stream comes back
@@ -45,9 +44,8 @@
 namespace stagg {
 namespace vm {
 
-/// Optimizer knobs. The individual pass switches exist for the per-pass
-/// unit tests. (The validator, whose constant odometer retunes constants in
-/// place, does not optimize at all.)
+/// Optimizer knobs; the pass pipeline itself is fixed. (The validator, whose
+/// constant odometer retunes constants in place, does not optimize at all.)
 struct OptimizeOptions {
   /// Promise that the ConstantExpr nodes the code references will not be
   /// rewritten (ConstantExpr::setValue) for the lifetime of the optimized
@@ -56,11 +54,6 @@ struct OptimizeOptions {
   /// two constants that are equal now may diverge later. Pointer-identical
   /// constants are always merged.
   bool FreezeConstants = false;
-
-  bool HoistLoads = true;     ///< Loop-invariant load hoisting.
-  bool FuseSpans = true;      ///< DotSpan/SumSpan/MapSpan recognition.
-  bool EliminateDead = true;  ///< Dead-register elimination + renumbering.
-  bool DedupConstants = true; ///< Constant-register dedup (see above).
 };
 
 /// Returns an optimized copy of \p C. A !ok() input is returned unchanged.

@@ -483,7 +483,7 @@ TEST(ConfigPatch, FingerprintCoversResultAffectingKnobs) {
   core::StaggConfig Base;
   std::string Baseline = core::configFingerprint(Base);
 
-  std::vector<api::ConfigPatch> Patches(16);
+  std::vector<api::ConfigPatch> Patches(15);
   Patches[0].Kind = core::SearchKind::BottomUp;
   Patches[1].NumCandidates = 11;
   Patches[2].NumIoExamples = 4;
@@ -499,7 +499,6 @@ TEST(ConfigPatch, FingerprintCoversResultAffectingKnobs) {
   Patches[12].UseVm = false;
   Patches[13].SearchThreads = 4;
   Patches[14].UseVmOpt = false;
-  Patches[15].ExecuteThreads = 4;
   const size_t FirstSpeedOnly = 12;
 
   for (size_t I = 0; I < FirstSpeedOnly; ++I)
@@ -651,11 +650,10 @@ TEST(Endpoint, SpeedOnlyOverridesHitTheDefaultCacheEntry) {
   ASSERT_TRUE(First.Result.Solved);
   EXPECT_FALSE(First.CacheHit);
 
-  std::vector<api::LiftRequest> Patched(4, Plain);
+  std::vector<api::LiftRequest> Patched(3, Plain);
   Patched[0].Patch.UseVm = false;
   Patched[1].Patch.UseVmOpt = false;
   Patched[2].Patch.SearchThreads = 4;
-  Patched[3].Patch.ExecuteThreads = 4;
   for (size_t I = 0; I < Patched.size(); ++I) {
     api::LiftResponse Again = Endpoint.lift(Patched[I]);
     ASSERT_TRUE(Again.ok()) << Again.Error;
@@ -711,84 +709,8 @@ TEST(Endpoint, SubmittedKernelOutlivesItsSourceBuffer) {
 }
 
 //===----------------------------------------------------------------------===//
-// api::Endpoint — parallel tiled execute
+// api::Endpoint — execute
 //===----------------------------------------------------------------------===//
-
-TEST(Endpoint, TiledExecuteIsBitIdenticalToSerial) {
-  // A 4-thread endpoint with a tiny tiling threshold against the serial
-  // default: every output size must produce exactly the same cells.
-  // N = 1 exercises the one-row degenerate case (fewer rows than
-  // threads), 7 sits below the threshold (serial path even with threads
-  // allowed), 8 is the tiling boundary, 97 is prime so the row tiles are
-  // deliberately unequal.
-  serve::ServiceConfig TiledConfig = miniService(1);
-  TiledConfig.Config.Serve.ExecuteThreads = 4;
-  TiledConfig.Config.Serve.ExecuteTileMinCells = 8;
-  api::Endpoint Tiled(TiledConfig);
-  api::Endpoint Serial(miniService(1));
-
-  api::LiftRequest Request;
-  Request.RegistryName = "art_add";
-  api::LiftResponse TiledLift = Tiled.lift(Request);
-  api::LiftResponse SerialLift = Serial.lift(Request);
-  ASSERT_TRUE(TiledLift.ok()) << TiledLift.Error;
-  ASSERT_TRUE(SerialLift.ok()) << SerialLift.Error;
-
-  for (int64_t N : {int64_t(1), int64_t(7), int64_t(8), int64_t(97)}) {
-    api::ExecuteIo Io;
-    Io.Sizes["N"] = N;
-    std::vector<double> A(static_cast<size_t>(N)), B(A.size());
-    for (size_t I = 0; I < A.size(); ++I) {
-      A[I] = 0.25 * static_cast<double>(I) + 1.0;
-      B[I] = 1.0 / (static_cast<double>(I) + 3.0);
-    }
-    Io.Arrays["a"] = A;
-    Io.Arrays["b"] = B;
-
-    api::ExecuteOutcome Par = Tiled.executeLifted(Request, Io, TiledLift);
-    api::ExecuteOutcome Ser = Serial.executeLifted(Request, Io, SerialLift);
-    ASSERT_TRUE(Par.Ok) << "N=" << N << ": " << Par.Error;
-    ASSERT_TRUE(Ser.Ok) << "N=" << N << ": " << Ser.Error;
-    EXPECT_EQ(Par.Shape, Ser.Shape) << "N=" << N;
-    EXPECT_EQ(Par.Data, Ser.Data) << "N=" << N; // bitwise, not approximate
-  }
-}
-
-TEST(Endpoint, ExecuteThreadsIsPatchablePerRequest) {
-  // The wire knob: a serial endpoint executes tiled when the request
-  // patches execute_threads, with identical cells.
-  api::Endpoint Endpoint(miniService(1));
-
-  api::LiftRequest Plain;
-  Plain.RegistryName = "art_add";
-  api::LiftResponse PlainLift = Endpoint.lift(Plain);
-  ASSERT_TRUE(PlainLift.ok()) << PlainLift.Error;
-
-  api::LiftRequest Patched = Plain;
-  Patched.Patch.ExecuteThreads = 4;
-  api::LiftResponse PatchedLift = Endpoint.lift(Patched);
-  ASSERT_TRUE(PatchedLift.ok()) << PatchedLift.Error;
-  // Execute tiling is not part of the fingerprint: the patched lift is
-  // answered from the plain one's cache entry.
-  EXPECT_TRUE(PatchedLift.CacheHit);
-
-  api::ExecuteIo Io;
-  const int64_t N = 64;
-  Io.Sizes["N"] = N;
-  std::vector<double> A(static_cast<size_t>(N)), B(A.size());
-  for (size_t I = 0; I < A.size(); ++I) {
-    A[I] = static_cast<double>(I % 13) * 0.5;
-    B[I] = static_cast<double>(I % 7) * 0.125;
-  }
-  Io.Arrays["a"] = A;
-  Io.Arrays["b"] = B;
-
-  api::ExecuteOutcome Ser = Endpoint.executeLifted(Plain, Io, PlainLift);
-  api::ExecuteOutcome Par = Endpoint.executeLifted(Patched, Io, PatchedLift);
-  ASSERT_TRUE(Ser.Ok) << Ser.Error;
-  ASSERT_TRUE(Par.Ok) << Par.Error;
-  EXPECT_EQ(Ser.Data, Par.Data);
-}
 
 TEST(Endpoint, VmCacheCountsCompilesAndHits) {
   api::Endpoint Endpoint(miniService(1));

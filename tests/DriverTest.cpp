@@ -185,30 +185,14 @@ TEST(DriverCli, ServeModeAndServingKnobs) {
 }
 
 TEST(DriverCli, VmOptimizerAndExecuteKnobs) {
-  // Defaults: optimizer on, serial execute, single bench measurement.
+  // Defaults: optimizer on, single bench measurement.
   CliParse P = parse({});
   ASSERT_TRUE(P.ok()) << P.Error;
   EXPECT_TRUE(P.Options.Config.UseVmOpt);
-  EXPECT_EQ(P.Options.Config.Serve.ExecuteThreads, 1);
   EXPECT_EQ(P.Options.BenchRepeat, 1);
 
   EXPECT_FALSE(parse({"--no-vm-opt"}).Options.Config.UseVmOpt);
   EXPECT_FALSE(parse({"--no-vm-opt=1"}).ok()); // boolean, takes no value
-
-  P = parse({"serve", "--execute-threads", "4"});
-  ASSERT_TRUE(P.ok()) << P.Error;
-  EXPECT_EQ(P.Options.Config.Serve.ExecuteThreads, 4);
-  // 0 is a valid spelling here: hardware concurrency.
-  P = parse({"serve", "--execute-threads=0"});
-  ASSERT_TRUE(P.ok()) << P.Error;
-  EXPECT_EQ(P.Options.Config.Serve.ExecuteThreads, 0);
-  EXPECT_FALSE(parse({"serve", "--execute-threads", "-1"}).ok());
-  EXPECT_FALSE(parse({"serve", "--execute-threads", "many"}).ok());
-  EXPECT_FALSE(parse({"serve", "--execute-threads"}).ok());
-  // Serve-only: batch mode never answers execute requests.
-  P = parse({"--execute-threads", "4"});
-  ASSERT_FALSE(P.ok());
-  EXPECT_NE(P.Error.find("serve"), std::string::npos) << P.Error;
 
   P = parse({"bench", "--repeat", "5"});
   ASSERT_TRUE(P.ok()) << P.Error;

@@ -777,8 +777,19 @@ TEST(SocketService, ExecuteSizeBombsAnswerAsResultErrorsWithoutAllocating) {
             std::string::npos)
       << Wrap.find("error")->asString();
 
-  // The session survives both refusals and still executes normally.
+  // An unknown config key, here one asking for a thread per output row,
+  // refuses the frame before anything is allocated or spawned.
   C.sendLine("{\"v\":2,\"id\":3,\"execute\":{\"name\":\"art_add\","
+             "\"sizes\":{\"N\":1000000},"
+             "\"config\":{\"execute_threads\":2147483647}}}");
+  support::Json Threads = parsedEvent(C.readLine());
+  EXPECT_EQ(eventKind(Threads), "error");
+  ASSERT_NE(Threads.find("error"), nullptr);
+  EXPECT_EQ(Threads.find("error")->asString(),
+            "unknown config key \"execute_threads\"");
+
+  // The session survives every refusal and still executes normally.
+  C.sendLine("{\"v\":2,\"id\":4,\"execute\":{\"name\":\"art_add\","
              "\"sizes\":{\"N\":2},\"inputs\":{\"a\":[1,2],\"b\":[3,4]}}}");
   support::Json Ok = parsedEvent(C.readLine());
   EXPECT_EQ(eventKind(Ok), "result");

@@ -2,8 +2,8 @@
 //
 // Part of the STAGG reproduction of "Guided Tensor Lifting" (PLDI 2025).
 //
-// Per-pass unit tests for the VM optimizer (hoisting, dead-register
-// elimination, constant dedup, span fusion) on small and hand-edited
+// Per-pass unit tests for the VM optimizer (dead-register elimination,
+// constant dedup, span fusion) on small and hand-edited
 // streams, the registry-wide opt-vs-noopt bit-identity sweep (the
 // `--no-vm-opt` contract), the verifier-verdict sweep with the optimizer
 // on and off, and the vm::disassemble renderings `stagg disasm` prints.
@@ -168,99 +168,6 @@ TEST(VmOptimizerTest, ThreeOperandExpressionStaysScalar) {
 }
 
 //===----------------------------------------------------------------------===
-// Loop-invariant load hoisting.
-//===----------------------------------------------------------------------===
-
-TEST(VmOptimizerTest, InvariantLoadHoistsAboveTheReductionLoop) {
-  // The compiler already factors invariant subtrees out of reductions, so
-  // a naturally compiled stream has no hoistable load. Build one by hand:
-  // inject a scalar access into the dot-product loop (the shape lifted
-  // candidates or later rewrites can produce).
-  taco::Program P = parse("s = a(i) * b(i)");
-  vm::Code Code = vm::compileProgram(P);
-  ASSERT_TRUE(Code.ok());
-  vm::StmtCode &S = Code.mutableStatements()[0];
-
-  vm::AccessInfo Scalar;
-  Scalar.Name = "c"; // c() — no index slots, so loop-invariant
-  S.Accesses.push_back(Scalar);
-  const int32_t ScalarOrd = static_cast<int32_t>(S.Accesses.size()) - 1;
-  auto MulAcc = std::find_if(
-      S.Instrs.begin(), S.Instrs.end(),
-      [](const vm::Inst &I) { return I.K == vm::Op::MulAcc; });
-  ASSERT_NE(MulAcc, S.Instrs.end());
-  // r0 += a*b  becomes  rC = load c(); rP = b*rC; r0 += a*rP.
-  const int32_t RC = S.NumRegs++, RP = S.NumRegs++;
-  const int32_t B = MulAcc->B;
-  MulAcc->B = RP;
-  auto At = MulAcc - S.Instrs.begin();
-  S.Instrs.insert(S.Instrs.begin() + At,
-                  {{vm::Op::Load, RC, ScalarOrd, -1, -1},
-                   {vm::Op::Mul, RP, B, RC, -1}});
-
-  vm::OptimizeOptions HoistOnly;
-  HoistOnly.FuseSpans = false;
-  HoistOnly.EliminateDead = false;
-  HoistOnly.DedupConstants = false;
-  vm::Code Opt = vm::optimize(Code, HoistOnly);
-  ASSERT_TRUE(Opt.ok());
-
-  const vm::StmtCode &OS = Opt.statements()[0];
-  auto Pos = [&](auto Pred) {
-    return std::find_if(OS.Instrs.begin(), OS.Instrs.end(), Pred) -
-           OS.Instrs.begin();
-  };
-  auto LoadC = Pos([&](const vm::Inst &I) {
-    return I.K == vm::Op::Load && I.A == ScalarOrd;
-  });
-  auto LoadA = Pos([](const vm::Inst &I) {
-    return I.K == vm::Op::Load && I.A == 0;
-  });
-  auto Loop = Pos([](const vm::Inst &I) { return I.K == vm::Op::LoopBegin; });
-  ASSERT_LT(LoadC, static_cast<ptrdiff_t>(OS.Instrs.size()));
-  ASSERT_LT(Loop, static_cast<ptrdiff_t>(OS.Instrs.size()));
-  EXPECT_LT(LoadC, Loop); // the invariant load moved above the loop
-  EXPECT_GT(LoadA, Loop); // the varying loads stayed inside
-
-  std::map<std::string, taco::Tensor<double>> Ops;
-  Ops.emplace("a", filled({7}, 1));
-  Ops.emplace("b", filled({7}, 2));
-  Ops.emplace("c", taco::Tensor<double>::scalar(3.5));
-  vm::Interpreter<double> RawI(Code), OptI(Opt);
-  ASSERT_TRUE(RawI.bindMap(Ops, {})) << RawI.error();
-  ASSERT_TRUE(OptI.bindMap(Ops, {})) << OptI.error();
-  taco::EinsumResult<double> Want = RawI.evaluate(), Got = OptI.evaluate();
-  ASSERT_TRUE(Want.Ok);
-  ASSERT_TRUE(Got.Ok);
-  EXPECT_EQ(Want.Value.flat(), Got.Value.flat());
-}
-
-TEST(VmOptimizerTest, HoistKeepsNestedLoopBodiesIntact) {
-  // Regression test: hoisting over a loop whose children include a nested
-  // loop but nothing hoistable must put the (moved-from) children back —
-  // an early continue used to leave the inner loop as an empty shell,
-  // silently dropping the whole reduction body.
-  vm::Code Raw = vm::compileProgram(parse("s = m(i,j)"));
-  ASSERT_TRUE(Raw.ok());
-  vm::OptimizeOptions HoistOnly;
-  HoistOnly.FuseSpans = false;
-  HoistOnly.EliminateDead = false;
-  HoistOnly.DedupConstants = false;
-  vm::Code Opt = vm::optimize(Raw, HoistOnly);
-  ASSERT_TRUE(Opt.ok());
-
-  const vm::StmtCode &S = Opt.statements()[0];
-  EXPECT_EQ(countOp(S, vm::Op::Load), 1);
-  EXPECT_EQ(countOp(S, vm::Op::AccAdd), 1);
-  EXPECT_EQ(countOp(S, vm::Op::LoopBegin), 2);
-  EXPECT_EQ(S.Instrs.size(), Raw.statements()[0].Instrs.size());
-
-  std::map<std::string, taco::Tensor<double>> Ops;
-  Ops.emplace("m", filled({3, 4}, 6));
-  expectOptIdentical(parse("s = m(i,j)"), Ops, {});
-}
-
-//===----------------------------------------------------------------------===
 // Dead-register elimination on a hand-edited stream.
 //===----------------------------------------------------------------------===
 
@@ -269,16 +176,13 @@ TEST(VmOptimizerTest, DeadPureInstructionIsEliminated) {
   vm::Code Code = vm::compileProgram(P);
   ASSERT_TRUE(Code.ok());
 
-  // Append a pure instruction whose result nothing reads.
+  // Append a pure instruction whose result nothing reads. (It also keeps
+  // the statement from matching a MapSpan, so the scalar Load survives.)
   vm::StmtCode &S = Code.mutableStatements()[0];
   const int Dead = S.NumRegs++;
   S.Instrs.push_back({vm::Op::Add, Dead, S.Root, S.Root, -1});
 
-  vm::OptimizeOptions DceOnly;
-  DceOnly.HoistLoads = false;
-  DceOnly.FuseSpans = false;
-  DceOnly.DedupConstants = false;
-  vm::Code Opt = vm::optimize(Code, DceOnly);
+  vm::Code Opt = vm::optimize(Code);
   ASSERT_TRUE(Opt.ok());
   const vm::StmtCode &OS = Opt.statements()[0];
   EXPECT_EQ(countOp(OS, vm::Op::Add), 0);
@@ -459,39 +363,6 @@ TEST(VmOptimizerTest, VerifierVerdictsMatchWithAndWithoutOpt) {
   EXPECT_FALSE(Opt.Equivalent);
   EXPECT_EQ(Opt.TestsRun, Raw.TestsRun);
   EXPECT_EQ(Opt.Counterexample, Raw.Counterexample);
-}
-
-//===----------------------------------------------------------------------===
-// evaluateRows: tiled execution is cell-identical to a serial evaluate.
-//===----------------------------------------------------------------------===
-
-TEST(VmOptimizerTest, EvaluateRowsTilesAreBitIdenticalToSerial) {
-  taco::Program P = parse("a(i,j) = b(i,k) * c(k,j)");
-  vm::OptimizeOptions OO;
-  OO.FreezeConstants = true;
-  vm::Code Code = vm::optimize(vm::compileProgram(P), OO);
-  ASSERT_TRUE(Code.ok());
-
-  // Prime row count: tiles of unequal height, including a short last one.
-  const int64_t Rows = 7, Cols = 5;
-  std::map<std::string, taco::Tensor<double>> Ops;
-  Ops.emplace("b", filled({Rows, 4}, 1));
-  Ops.emplace("c", filled({4, Cols}, 2));
-
-  vm::Interpreter<double> Serial(Code);
-  ASSERT_TRUE(Serial.bindMap(Ops, {Rows, Cols})) << Serial.error();
-  taco::EinsumResult<double> Want = Serial.evaluate();
-  ASSERT_TRUE(Want.Ok);
-
-  for (int Tiles : {1, 2, 3, 7}) {
-    std::vector<double> Flat(static_cast<size_t>(Rows * Cols), -1.0);
-    for (int W = 0; W < Tiles; ++W) {
-      vm::Interpreter<double> Tile(Code);
-      ASSERT_TRUE(Tile.bindMap(Ops, {Rows, Cols})) << Tile.error();
-      Tile.evaluateRows(Flat, Rows * W / Tiles, Rows * (W + 1) / Tiles);
-    }
-    EXPECT_EQ(Flat, Want.Value.flat()) << Tiles << " tiles";
-  }
 }
 
 } // namespace
