@@ -6,7 +6,7 @@ would, and asserts the transport's contracts end to end:
 
   * N concurrent connections mixing protocol v1 lines, v2 batches (with
     progress events), v2 execute frames (lift + run on posted inputs),
-    legacy bare names, and malformed frames;
+    non-JSON lines (answered v1 bad_request), and malformed frames;
   * every networked result is bit-identical to the stdin v1 dialect on the
     deterministic fields (status/solved/expr/attempts/...; `cached` and
     wall-clock timings legitimately vary);
@@ -15,7 +15,11 @@ would, and asserts the transport's contracts end to end:
   * SIGTERM drains: in-flight batches complete, the socket closes, and the
     server exits 0;
   * a restart with the same --cache-file answers the previous workload
-    from warm cache (journal `loaded` count + cached:true responses).
+    from warm cache (journal `loaded` count + cached:true responses);
+  * hostile frames against a server under a 2 GiB address-space limit (a
+    4 MB registry name, an io_examples budget that cannot be allocated)
+    neither stall a bystander's stats round trip past 1 s nor kill the
+    server, which then executes a normal request.
 
 Usage: soak_serve.py --stagg build/stagg [--clients 6] [--workdir dir]
 
@@ -27,6 +31,7 @@ import argparse
 import json
 import os
 import re
+import resource
 import socket
 import signal
 import subprocess
@@ -40,6 +45,10 @@ NAMES = ["art_copy", "art_add", "art_dot", "art_scal_const", "art_transpose"]
 # Response fields that legitimately differ between runs (cache state and
 # wall-clock); everything else must match the stdin dialect bit for bit.
 VOLATILE = {"cached", "timings", "config"}
+
+# The hostile lane's address-space limit: room for a normal server, but an
+# allocation sized by a client budget fails instead of exhausting the host.
+HOSTILE_AS_BYTES = 2 << 30
 
 
 def fail(message):
@@ -88,14 +97,15 @@ class Client:
             pass
 
 
-def start_server(args, cache_path, log_path):
+def start_server(args, cache_path, log_path, preexec_fn=None):
     """Launches `stagg serve --listen 127.0.0.1:0` and learns the port."""
     cmd = [
         args.stagg, "serve", "--listen", "127.0.0.1:0",
         "--cache-file", cache_path, "--cache-stats", "-v",
     ]
     log = open(log_path, "ab")
-    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=log)
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=log,
+                            preexec_fn=preexec_fn)
     line = proc.stdout.readline().decode()
     match = re.search(r"listening on [^:]+:(\d+)", line)
     if not match:
@@ -131,7 +141,7 @@ def check_response(response, baseline, context):
 
 
 def client_workload(port, worker, baseline, errors):
-    """One soak client: v1 + legacy + malformed + execute + a v2 batch."""
+    """One soak client: v1 + non-JSON + malformed + execute + a v2 batch."""
     try:
         client = Client(port)
 
@@ -145,23 +155,21 @@ def client_workload(port, worker, baseline, errors):
                      % (worker, response["name"], name))
             check_response(response, baseline, "worker %d v1" % worker)
 
-        # Legacy bare name: the original text dialect over the socket.
+        # A line that is not JSON (a bare name included) is a v1
+        # bad_request, answered in its admission slot.
         client.send_line("art_copy")
-        line = client.read_line()
-        if not line.startswith("art_copy: OK"):
-            fail("worker %d: legacy dialect answered %r" % (worker, line))
+        client.send_line(json.dumps({"v": 1, "name": "art_copy"}))
+        response = json.loads(client.read_line())
+        if response.get("v") != 1 or response.get("status") != "bad_request":
+            fail("worker %d: non-JSON line answered %s" % (worker, response))
+        response = json.loads(client.read_line())
+        check_response(response, baseline, "worker %d after bad line" % worker)
 
         # A malformed v2 frame is an error event, not a disconnect.
         client.send_line('{"v": 2, "id": %d}' % worker)
         event = json.loads(client.read_line())
         if event.get("event") != "error":
             fail("worker %d: malformed frame answered %s" % (worker, event))
-
-        # Garbage that is not JSON falls into the legacy-name dialect.
-        client.send_line("no-such-kernel-%d" % worker)
-        line = client.read_line()
-        if "ERROR unknown benchmark" not in line:
-            fail("worker %d: garbage line answered %r" % (worker, line))
 
         # An execute frame on the same connection: the lift settles (from
         # cache, after the v1 round above), then the compiled program runs
@@ -233,6 +241,84 @@ def read_stats(port):
     if stats.get("event") != "stats":
         fail("stats frame answered %s" % stats)
     return stats
+
+
+def limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS,
+                       (HOSTILE_AS_BYTES, HOSTILE_AS_BYTES))
+
+
+def hostile_lane(args):
+    """Hostile frames must neither stall the loop nor kill the server."""
+    cache_path = os.path.join(args.workdir, "hostile-cache.jsonl")
+    if os.path.exists(cache_path):
+        os.remove(cache_path)
+    proc, port = start_server(args, cache_path,
+                              os.path.join(args.workdir, "server-3.log"),
+                              preexec_fn=limit_address_space)
+    try:
+        bystander = Client(port)
+        huge = Client(port)
+        budget = Client(port)
+        # A 4 MB registry name (the "did you mean" lookup runs on the loop
+        # thread) and an io_examples budget no 2 GiB process can allocate.
+        huge.send_line(json.dumps(
+            {"v": 2, "id": 1, "requests": [{"name": "y" * 4000000}]}))
+        budget.send_line(json.dumps(
+            {"v": 1, "name": "blas_axpy",
+             "config": {"io_examples": 100000000}}))
+
+        # Probe until the server has taken both hostile frames; every
+        # probe, including the last, must answer within a second.
+        probes, deadline = 0, time.time() + 30
+        while True:
+            start = time.time()
+            bystander.send_line('{"v": 2, "stats": true}')
+            stats = json.loads(bystander.read_line())
+            rtt = time.time() - start
+            probes += 1
+            if stats.get("event") != "stats":
+                fail("hostile lane: stats answered %s" % stats)
+            if rtt >= 1.0:
+                fail("hostile lane: bystander stats took %.2f s" % rtt)
+            if stats["server"]["frames_in"] - probes >= 2:
+                break
+            if time.time() > deadline:
+                fail("hostile lane: frames never arrived: %s"
+                     % stats["server"])
+            time.sleep(0.05)
+
+        event = json.loads(huge.read_line())
+        status = event.get("response", {}).get("status")
+        if event.get("event") != "response" or status != "unknown_benchmark":
+            fail("hostile lane: huge name answered %s" % status)
+        response = json.loads(budget.read_line())
+        if (response.get("status") != "ok" or response.get("solved")
+                or not response.get("fail_reason", "").startswith(
+                    "internal error")):
+            fail("hostile lane: io_examples bomb answered %s" % response)
+
+        # The same server still lifts and executes normally.
+        bystander.send_line(json.dumps(
+            {"v": 2, "id": 3, "execute": {
+                "name": "art_add", "sizes": {"N": 2},
+                "inputs": {"a": [1, 2], "b": [10, 20]}}}))
+        event = json.loads(bystander.read_line())
+        if event.get("status") != "ok" or event.get("data") != [11, 22]:
+            fail("hostile lane: execute after the bombs answered %s" % event)
+        for client in (bystander, huge, budget):
+            client.close()
+        proc.send_signal(signal.SIGTERM)
+        rc = proc.wait(timeout=60)
+        if rc != 0:
+            fail("hostile-lane server exited %d" % rc)
+        proc = None
+        print("soak_serve: hostile frames answered, bystander stayed under "
+              "1 s, server kept serving")
+    finally:
+        if proc is not None:
+            proc.kill()
+            proc.wait()
 
 
 def main():
@@ -360,6 +446,9 @@ def main():
         if proc is not None:
             proc.kill()
             proc.wait()
+
+    # Phase 6: hostile frames against an address-space-limited server.
+    hostile_lane(args)
 
     print("soak_serve: PASS")
 

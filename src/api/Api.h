@@ -43,8 +43,9 @@ namespace api {
 /// Per-request configuration overrides. Every field is optional; set fields
 /// replace the corresponding service-wide value for one request (patch
 /// precedence is total — a set field always wins), unset fields inherit.
-/// Serving-layer knobs (queue depth, cache shape, execute limits) are fixed
-/// per service and deliberately not patchable.
+/// Only knobs that can change an answer are patchable. Evaluation-engine
+/// and thread-count knobs, and the serving-layer knobs (queue depth, cache
+/// shape, execute limits), are fixed per service.
 struct ConfigPatch {
   std::optional<core::SearchKind> Kind;        ///< "search": "td" | "bu"
   std::optional<int> NumCandidates;            ///< "candidates"
@@ -58,9 +59,6 @@ struct ConfigPatch {
   std::optional<int64_t> VerifyMaxSize;        ///< "verify_max_size"
   std::optional<bool> FullGrammar;             ///< "full_grammar"
   std::optional<bool> EqualProbability;        ///< "equal_probability"
-  std::optional<bool> UseVm;                   ///< "use_vm"
-  std::optional<bool> UseVmOpt;                ///< "use_vm_opt"
-  std::optional<int> SearchThreads;            ///< "search_threads"
 
   bool empty() const;
 

@@ -33,7 +33,7 @@ bool ConfigPatch::empty() const {
   return !Kind && !NumCandidates && !NumIoExamples && !ExampleSeed &&
          !SkipVerification && !TimeoutSeconds && !MaxDepth &&
          !MaxExpansions && !MaxAttempts && !VerifyMaxSize && !FullGrammar &&
-         !EqualProbability && !UseVm && !UseVmOpt && !SearchThreads;
+         !EqualProbability;
 }
 
 core::StaggConfig ConfigPatch::apply(const core::StaggConfig &Base) const {
@@ -62,12 +62,6 @@ core::StaggConfig ConfigPatch::apply(const core::StaggConfig &Base) const {
     Out.Grammar.FullGrammar = *FullGrammar;
   if (EqualProbability)
     Out.Grammar.EqualProbability = *EqualProbability;
-  if (UseVm)
-    Out.UseVm = *UseVm;
-  if (UseVmOpt)
-    Out.UseVmOpt = *UseVmOpt;
-  if (SearchThreads)
-    Out.Search.Threads = *SearchThreads;
   return Out;
 }
 
@@ -143,13 +137,6 @@ std::string ConfigPatch::fromJson(const Json &Object, ConfigPatch &Out) {
       Error = expectBool(Value, "full_grammar", Out.FullGrammar);
     } else if (Key == "equal_probability") {
       Error = expectBool(Value, "equal_probability", Out.EqualProbability);
-    } else if (Key == "use_vm") {
-      Error = expectBool(Value, "use_vm", Out.UseVm);
-    } else if (Key == "use_vm_opt") {
-      Error = expectBool(Value, "use_vm_opt", Out.UseVmOpt);
-    } else if (Key == "search_threads") {
-      Error = expectPositiveInt(Value, "search_threads", Out.SearchThreads,
-                                std::numeric_limits<int>::max());
     } else {
       Error = "unknown config key \"" + Key + "\"";
     }
@@ -186,11 +173,5 @@ Json ConfigPatch::toJson() const {
     Out.set("full_grammar", Json::boolean(*FullGrammar));
   if (EqualProbability)
     Out.set("equal_probability", Json::boolean(*EqualProbability));
-  if (UseVm)
-    Out.set("use_vm", Json::boolean(*UseVm));
-  if (UseVmOpt)
-    Out.set("use_vm_opt", Json::boolean(*UseVmOpt));
-  if (SearchThreads)
-    Out.set("search_threads", Json::integer(*SearchThreads));
   return Out;
 }

@@ -214,13 +214,15 @@ Endpoint::compiledFor(const taco::Program &Concrete) {
     ++VmStats.Misses;
   }
   auto K = std::make_shared<CompiledKernel>();
-  K->Program = Concrete; // deep clone; both Codes point into *this* copy
+  K->Program = Concrete; // deep clone; the Code points into *this* copy
   K->Code = vm::compileProgram(K->Program);
-  // A concrete lifted program's constants are literals nothing rewrites, so
-  // the optimizer may merge equal-valued constant registers.
-  vm::OptimizeOptions OptOpts;
-  OptOpts.FreezeConstants = true;
-  K->Opt = vm::optimize(K->Code, OptOpts);
+  if (Base.UseVmOpt) {
+    // A concrete lifted program's constants are literals nothing rewrites,
+    // so the optimizer may merge equal-valued constant registers.
+    vm::OptimizeOptions OptOpts;
+    OptOpts.FreezeConstants = true;
+    K->Code = vm::optimize(K->Code, OptOpts);
+  }
   std::lock_guard<std::mutex> Lock(VmCacheMutex);
   if (VmCache.size() >= 256) {
     VmCache.clear(); // same wholesale policy as the ingest memo
@@ -338,11 +340,9 @@ ExecuteOutcome Endpoint::executeLifted(const LiftRequest &Request,
                 K->Code.error();
     return Out;
   }
-  core::StaggConfig Effective = Request.Patch.apply(Base);
-  const vm::Code &Code = Effective.UseVmOpt ? K->Opt : K->Code;
   std::vector<int64_t> OutShape = validate::resolveShape(*OutArg, Io.Sizes);
 
-  vm::Interpreter<double> Interp(Code);
+  vm::Interpreter<double> Interp(K->Code);
   if (!Interp.bindMap(Operands, OutShape)) {
     Out.Error = "failed to bind inputs: " + Interp.error();
     return Out;

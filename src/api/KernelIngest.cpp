@@ -225,6 +225,21 @@ std::string located(const std::string &Message, const cfront::SourceLoc &Loc) {
   return Pos.empty() ? Message : Message + " (" + Pos + ")";
 }
 
+/// Outcome of a translation attempt.
+struct TranslationResult {
+  /// The composed single-program form (sequential stores folded, guards
+  /// lowered to max/select).
+  std::optional<taco::Program> Program;
+
+  /// The ordered statement list the composition came from; executable as
+  /// one program by taco::evalEinsumSequence / the verifier.
+  std::vector<taco::Program> Statements;
+
+  std::string Error;
+
+  bool ok() const { return Program.has_value(); }
+};
+
 TranslationResult translateModel(const KernelModel &Model) {
   TranslationResult Result;
   const std::string &Out = Model.Summary.OutputParam;
@@ -454,17 +469,6 @@ TranslationResult translateModel(const KernelModel &Model) {
 }
 
 } // namespace
-
-TranslationResult api::referenceTranslation(const KernelModel &Model) {
-  return translateModel(Model);
-}
-
-TranslationResult
-api::referenceTranslation(const CFunction &Fn,
-                          const analysis::KernelSummary &Summary) {
-  (void)Summary;
-  return translateModel(analysis::buildKernelModel(Fn));
-}
 
 IngestResult api::ingestKernel(const std::string &CSource,
                                const std::string &Name,

@@ -95,31 +95,6 @@ IngestResult ingestKernel(const std::string &CSource,
                           const std::string &Name = "",
                           const std::string &OracleHint = "");
 
-/// Outcome of a translation attempt.
-struct TranslationResult {
-  /// The composed single-program form (sequential stores folded, guards
-  /// lowered to max/select).
-  std::optional<taco::Program> Program;
-
-  /// The ordered statement list the composition came from; executable as
-  /// one program by taco::evalEinsumSequence / the verifier.
-  std::vector<taco::Program> Statements;
-
-  std::string Error;
-
-  bool ok() const { return Program.has_value(); }
-};
-
-/// Model-based reference translation of \p Model's normalized stores into
-/// TACO index notation.
-TranslationResult referenceTranslation(const analysis::KernelModel &Model);
-
-/// Convenience overload: builds the model for \p Fn first. \p Summary is
-/// accepted for API compatibility with the old syntactic transliterator and
-/// is no longer consulted (the model carries its own summary).
-TranslationResult referenceTranslation(const cfront::CFunction &Fn,
-                                       const analysis::KernelSummary &Summary);
-
 } // namespace api
 } // namespace stagg
 

@@ -126,16 +126,7 @@ std::string parseExecuteObject(const support::Json &Root, LiftRequest &Req,
 
 ParsedRequest api::parseRequestLine(const std::string &Line) {
   ParsedRequest Parsed;
-  std::string Trimmed = trim(Line);
-
-  if (Trimmed.empty() || Trimmed[0] != '{') {
-    Parsed.Format = RequestFormat::LegacyName;
-    Parsed.Request.RegistryName = Trimmed;
-    return Parsed;
-  }
-
-  Parsed.Format = RequestFormat::JsonV1;
-  support::JsonParseResult Json = support::parseJson(Trimmed);
+  support::JsonParseResult Json = support::parseJson(trim(Line));
   if (!Json.ok()) {
     Parsed.Error = Json.Error.describe();
     return Parsed;
@@ -237,19 +228,13 @@ SocketFrame api::parseSocketFrame(const std::string &Line) {
   SocketFrame Frame;
   std::string Trimmed = trim(Line);
 
-  // Legacy names and v1 objects flow through the v1 parser; only a frame
-  // that *announces* v2 takes the batch path.
-  bool LooksJson = !Trimmed.empty() && Trimmed[0] == '{';
-  support::JsonParseResult Json;
-  if (LooksJson)
-    Json = support::parseJson(Trimmed);
-  bool IsV2 = false;
-  if (LooksJson && Json.ok() && Json.Value.isObject()) {
-    const support::Json *Version = Json.Value.find("v");
-    IsV2 = Version && Version->isInteger() &&
-           Version->asInteger() == ProtocolVersionV2;
-  }
-  if (!IsV2) {
+  // Everything but a frame that *announces* v2 flows through the v1
+  // parser, which answers non-objects and bad versions with bad_request.
+  support::JsonParseResult Json = support::parseJson(Trimmed);
+  const support::Json *Version =
+      Json.ok() && Json.Value.isObject() ? Json.Value.find("v") : nullptr;
+  if (!Version || !Version->isInteger() ||
+      Version->asInteger() != ProtocolVersionV2) {
     Frame.K = SocketFrame::Kind::V1;
     Frame.V1 = parseRequestLine(Trimmed);
     return Frame;
@@ -285,7 +270,6 @@ SocketFrame api::parseSocketFrame(const std::string &Line) {
         SawRequests = true;
         for (const support::Json &Item : Value.items()) {
           ParsedRequest Parsed;
-          Parsed.Format = RequestFormat::JsonV1;
           if (!Item.isObject())
             Parsed.Error = "a batch item must be a JSON object";
           else

@@ -39,9 +39,11 @@
 ///                    "message":"load of 'x[1 + l0_i]' ... is out of bounds",
 ///                    "line":3,"col":5}]}
 ///
-/// Auto-detection: an input line whose first non-blank byte is '{' is a v1
-/// request; anything else is the legacy bare-registry-name protocol, whose
-/// one-line text responses are unchanged for existing clients.
+/// Every request line is a JSON object. A line that is not (malformed JSON,
+/// a bare word, a missing or wrong "v") is answered with a bad_request
+/// response in its place in the stream:
+///
+///   {"v":1,"status":"bad_request","error":"..."}
 ///
 /// --- Protocol v2 (socket transport only) ---------------------------------
 ///
@@ -83,10 +85,9 @@
 /// Per-item parse errors become per-item "response" events carrying a v1
 /// bad_request object; only a structurally broken frame produces an
 /// "error" event. Response events of one frame arrive in request order;
-/// progress events arrive as phases happen. v1 frames (and legacy names)
-/// work over the socket unchanged, answered in admission order per
-/// connection. During a graceful drain every new frame is answered with a
-/// status "shutting_down" line.
+/// progress events arrive as phases happen. v1 lines work over the socket
+/// unchanged, answered in admission order per connection. During a graceful
+/// drain every new frame is answered with a status "shutting_down" line.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -105,15 +106,8 @@ namespace api {
 constexpr int ProtocolVersion = 1;
 constexpr int ProtocolVersionV2 = 2;
 
-/// Which encoding a request line used (responses mirror it).
-enum class RequestFormat {
-  LegacyName, ///< Bare benchmark name, text response.
-  JsonV1,     ///< Protocol v1 object, JSON response.
-};
-
 /// One parsed request line.
 struct ParsedRequest {
-  RequestFormat Format = RequestFormat::LegacyName;
   LiftRequest Request;
 
   /// Non-empty when the line violates the protocol (malformed JSON, wrong
@@ -123,8 +117,8 @@ struct ParsedRequest {
   bool ok() const { return Error.empty(); }
 };
 
-/// Detects the format of \p Line and parses it. Blank lines and `#`
-/// comments must be filtered by the caller.
+/// Parses \p Line as a v1 request object. Blank lines and `#` comments
+/// must be filtered by the caller.
 ParsedRequest parseRequestLine(const std::string &Line);
 
 /// Renders \p Response as one line of protocol v1 JSON (no newline).
@@ -138,8 +132,8 @@ std::string renderProtocolError(const std::string &Message);
 /// transport-level refusals like shutting_down.
 std::string renderStatusError(Status St, const std::string &Message);
 
-/// One socket frame, classified. v1 lines (JSON or legacy names) pass
-/// through as ParsedRequest; v2 frames carry a batch or a stats probe.
+/// One socket frame, classified. v1 lines pass through as ParsedRequest;
+/// v2 frames carry a batch or a stats probe.
 struct SocketFrame {
   enum class Kind {
     V1,      ///< A v1 request line (V1 field).

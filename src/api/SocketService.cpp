@@ -33,7 +33,6 @@ void SocketService::onFrame(serve::SocketClient &Client,
     }
     Item Meta;
     Meta.Slot = Slot;
-    Meta.Format = Frame.V1.Format;
     Meta.Name = Frame.V1.Request.RegistryName.empty()
                     ? Frame.V1.Request.Name
                     : Frame.V1.Request.RegistryName;
@@ -48,7 +47,6 @@ void SocketService::onFrame(serve::SocketClient &Client,
     Item Meta;
     Meta.Slot = S.NextSlotToAssign++;
     Meta.V2 = true;
-    Meta.Format = RequestFormat::JsonV1;
     Meta.IdJson = Frame.IdJson;
     Meta.Name = Frame.Exec.RegistryName.empty() ? Frame.Exec.Name
                                                 : Frame.Exec.RegistryName;
@@ -79,7 +77,6 @@ void SocketService::onFrame(serve::SocketClient &Client,
     Meta.BatchKey = BatchKey;
     Meta.V2 = true;
     Meta.Progress = Frame.Progress;
-    Meta.Format = RequestFormat::JsonV1;
     Meta.IdJson = Frame.IdJson;
     Meta.Name = Parsed.Request.RegistryName.empty()
                     ? Parsed.Request.Name
@@ -269,13 +266,7 @@ std::string SocketService::renderLine(const Item &Meta,
                                       const LiftResponse &Response) {
   if (Meta.V2)
     return renderResponseEvent(Meta.IdJson, Meta.Seq, Response);
-  if (Meta.Format == RequestFormat::JsonV1)
-    return renderResponse(Response);
-  // Legacy text rendering, byte-compatible with the stdin loop.
-  if (!Response.ok())
-    return Response.Name + ": ERROR unknown benchmark (try `stagg --list`)";
-  return core::describeResult(Response.Name, Response.Result) +
-         (Response.CacheHit ? " [cached]" : "");
+  return renderResponse(Response);
 }
 
 void SocketService::dispatchExecute(uint64_t ClientId, Item Meta,

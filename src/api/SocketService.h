@@ -75,7 +75,6 @@ private:
     uint64_t BatchKey = 0;  ///< 0 when not part of a batch.
     bool V2 = false;
     bool Progress = false;  ///< The batch asked for progress events.
-    RequestFormat Format = RequestFormat::LegacyName;
     std::string IdJson;     ///< The batch's id echo.
     std::string Name;       ///< Display name for progress events.
     LiftRequest Request;
@@ -126,9 +125,10 @@ private:
   /// flushed.
   void flush(uint64_t ClientId);
 
-  /// Renders one settled response in the item's dialect. Execute items
-  /// never pass through here — their evaluation runs on the execute worker
-  /// (dispatchExecute) so the loop thread only renders and flushes.
+  /// Renders one settled response: a v1 line, or a v2 response event for a
+  /// batch member. Execute items never pass through here — their
+  /// evaluation runs on the execute worker (dispatchExecute) so the loop
+  /// thread only renders and flushes.
   std::string renderLine(const Item &Meta, const LiftResponse &Response);
 
   /// Hands a settled execute item to the execute worker (loop thread).

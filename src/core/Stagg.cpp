@@ -185,12 +185,7 @@ LiftResult core::liftBenchmark(const bench::Benchmark &B,
 
 std::string core::describeResult(const bench::Benchmark &B,
                                  const LiftResult &R) {
-  return describeResult(B.Name, R);
-}
-
-std::string core::describeResult(const std::string &Name,
-                                 const LiftResult &R) {
-  std::string Line = Name + ": ";
+  std::string Line = B.Name + ": ";
   if (R.Solved) {
     Line += "OK  " + taco::printProgram(R.Concrete);
   } else {
@@ -207,8 +202,8 @@ std::string core::configFingerprint(const StaggConfig &Config) {
   // engine (UseVm, UseVmOpt), search parallelism (Search.Threads) and the
   // serving knobs in Config.Serve (queue depth, cache shape, transport
   // limits) are bit-identical by contract (VmOptimizerTest and
-  // ParallelSearchTest pin this across the registry), so requests that
-  // differ only in them share cache entries. Adding a result-affecting
+  // ParallelSearchTest pin this across the registry), so configurations
+  // that differ only in them share cache entries. Adding a result-affecting
   // knob without extending this list is a cache-correctness bug, which
   // ConfigPatch.FingerprintCoversResultAffectingKnobs guards against for
   // the knobs reachable from the wire protocol. The version prefix changes

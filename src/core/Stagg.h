@@ -165,10 +165,6 @@ LiftResult liftBenchmark(const bench::Benchmark &B,
 /// Renders a result row for logs: "name: OK concrete (1.2ms, 5 attempts)".
 std::string describeResult(const bench::Benchmark &B, const LiftResult &R);
 
-/// Same rendering from a bare name (serve clients hold responses, not
-/// registry records).
-std::string describeResult(const std::string &Name, const LiftResult &R);
-
 /// Serializes every result-affecting field of \p Config into a compact,
 /// stable token. Two configurations with equal fingerprints produce
 /// bit-identical lift results for the same query, so the serving layer keys

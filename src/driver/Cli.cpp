@@ -581,9 +581,9 @@ std::string driver::usage() {
      << "                               a registry name or an inline C\n"
      << "                               kernel plus per-request config\n"
      << "                               overrides (see README, \"Wire\n"
-     << "                               protocol v1\"), or a legacy bare\n"
-     << "                               benchmark name. Exit codes: 0 ok,\n"
-     << "                               2 unknown name, 3 bad JSON,\n"
+     << "                               protocol v1\"); any other line is\n"
+     << "                               a bad request. Exit codes: 0 ok,\n"
+     << "                               2 unknown name, 3 bad request,\n"
      << "                               4 kernel ingestion failure,\n"
      << "                               5 static checker refused a kernel\n"
      << "       stagg check [targets]   static safety & liftability lint:\n"

@@ -21,10 +21,9 @@ namespace {
 
 /// A request admitted to the endpoint — or a protocol error standing in
 /// for one — remembered until its reply is printed. Replies are printed in
-/// admission order, each in the format its request used.
+/// admission order.
 struct InFlight {
   api::PendingLift Pending;
-  api::RequestFormat Format = api::RequestFormat::LegacyName;
 
   /// Non-empty for lines that never became requests: the pre-rendered
   /// protocol-error response, printed in stream order like any reply.
@@ -78,25 +77,14 @@ private:
 };
 
 void printEntry(std::ostream &Out, InFlight &Entry, ExitTracker &Tracker) {
-  if (!Entry.ProtocolError.empty()) {
-    Out << Entry.ProtocolError << "\n" << std::flush;
-    return;
+  if (Entry.ProtocolError.empty()) {
+    api::LiftResponse Response = Entry.Pending.get();
+    Tracker.note(Response);
+    Out << api::renderResponse(Response);
+  } else {
+    Out << Entry.ProtocolError;
   }
-  api::LiftResponse Response = Entry.Pending.get();
-  Tracker.note(Response);
-  if (Entry.Format == api::RequestFormat::JsonV1) {
-    Out << api::renderResponse(Response) << "\n" << std::flush;
-    return;
-  }
-  // Legacy text rendering, byte-compatible with pre-protocol sessions.
-  if (!Response.ok()) {
-    Out << Response.Name << ": ERROR unknown benchmark (try `stagg --list`)\n"
-        << std::flush;
-    return;
-  }
-  Out << core::describeResult(Response.Name, Response.Result)
-      << (Response.CacheHit ? " [cached]" : "") << "\n"
-      << std::flush;
+  Out << "\n" << std::flush;
 }
 
 /// The `--listen` session: the same Endpoint behind the epoll transport
@@ -195,7 +183,7 @@ int driver::runServeLoop(const CliOptions &Options, std::istream &In,
     Err << "stagg serve: " << Lifter.threads() << " workers, queue depth "
         << Lifter.queueDepth() << ", cache "
         << Options.Config.Serve.CacheCapacity
-        << " entries, protocol v1 + legacy names\n";
+        << " entries, protocol v1\n";
 
   ExitTracker Tracker(Err);
   std::deque<InFlight> Window;
@@ -219,7 +207,6 @@ int driver::runServeLoop(const CliOptions &Options, std::istream &In,
       Tracker.noteProtocolError(Parsed.Error);
       Entry.ProtocolError = api::renderProtocolError(Parsed.Error);
     } else {
-      Entry.Format = Parsed.Format;
       Entry.Pending = Lifter.submit(Parsed.Request); // blocks on backpressure
     }
     Window.push_back(std::move(Entry));

@@ -7,14 +7,10 @@
 /// \file
 /// The `stagg serve` session: one persistent api::Endpoint answering a
 /// stream of newline-delimited lift requests (blank lines and `#` comments
-/// are skipped). Two request formats coexist per line, auto-detected:
-///
-///  * protocol v1 JSON objects (api/Protocol.h) — registry names *or*
-///    inline C kernels, with per-request config overrides; answered with
-///    one-line JSON responses;
-///
-///  * legacy bare benchmark names — answered with the original text lines
-///    (`name: OK expr ... [cached]`), unchanged for existing clients.
+/// are skipped). Every line is a protocol v1 JSON object (api/Protocol.h)
+/// naming a registry benchmark *or* carrying an inline C kernel, with
+/// per-request config overrides; each is answered with a one-line JSON
+/// response, and a line that is not a v1 object with a bad_request line.
 ///
 /// Results stream back one line per request in request order; repeated
 /// identical kernels never re-run the pipeline. Requests keep being read

@@ -4,11 +4,6 @@
 
 using namespace stagg;
 
-std::string llm::promptRole() {
-  return "You are a scientific assistant that knows a lot about "
-         "transpilation";
-}
-
 std::string llm::buildPrompt(const std::string &CSource, int NumCandidates) {
   std::string Prompt;
   Prompt += "You are a scientific assistant that knows a lot about "

@@ -19,9 +19,6 @@
 namespace stagg {
 namespace llm {
 
-/// The system role string of Prompt 1.
-std::string promptRole();
-
 /// Renders Prompt 1 for \p CSource, requesting \p NumCandidates expressions.
 std::string buildPrompt(const std::string &CSource, int NumCandidates = 10);
 

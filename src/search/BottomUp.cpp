@@ -191,12 +191,6 @@ private:
 
 } // namespace
 
-std::unique_ptr<CandidateStream>
-search::makeBottomUpStream(const grammar::TemplateGrammar &G,
-                           const SearchConfig &Config) {
-  return std::make_unique<BottomUpEnumerator>(G, Config);
-}
-
 SearchResult search::runBottomUp(const grammar::TemplateGrammar &G,
                                  const SearchConfig &Config,
                                  const TemplateProbeFactory &Factory) {

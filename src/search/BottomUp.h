@@ -21,12 +21,8 @@
 #include "grammar/Pcfg.h"
 #include "search/SearchTypes.h"
 
-#include <memory>
-
 namespace stagg {
 namespace search {
-
-class CandidateStream;
 
 /// Runs the bottom-up enumeration. \p Probe is invoked on each dequeued
 /// (tail-stripped) chain; returning true ends the search successfully. The
@@ -40,12 +36,6 @@ SearchResult runBottomUp(const grammar::TemplateGrammar &G,
 SearchResult runBottomUp(const grammar::TemplateGrammar &G,
                          const SearchConfig &Config,
                          const TemplateProbeFactory &Factory);
-
-/// The bare enumeration as a stream of complete candidates in serial probe
-/// order, for callers that drive the frontier themselves.
-std::unique_ptr<CandidateStream>
-makeBottomUpStream(const grammar::TemplateGrammar &G,
-                   const SearchConfig &Config);
 
 } // namespace search
 } // namespace stagg

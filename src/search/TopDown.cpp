@@ -164,12 +164,6 @@ private:
 
 } // namespace
 
-std::unique_ptr<CandidateStream>
-search::makeTopDownStream(const grammar::TemplateGrammar &G,
-                          const SearchConfig &Config) {
-  return std::make_unique<TopDownEnumerator>(G, Config);
-}
-
 SearchResult search::runTopDown(const grammar::TemplateGrammar &G,
                                 const SearchConfig &Config,
                                 const TemplateProbeFactory &Factory) {

@@ -19,12 +19,8 @@
 #include "grammar/Pcfg.h"
 #include "search/SearchTypes.h"
 
-#include <memory>
-
 namespace stagg {
 namespace search {
-
-class CandidateStream;
 
 /// Runs the top-down enumeration. \p Probe is invoked on every complete
 /// template; returning true ends the search successfully. The single probe
@@ -37,11 +33,6 @@ SearchResult runTopDown(const grammar::TemplateGrammar &G,
 SearchResult runTopDown(const grammar::TemplateGrammar &G,
                         const SearchConfig &Config,
                         const TemplateProbeFactory &Factory);
-
-/// The bare enumeration as a stream of complete candidates in serial probe
-/// order, for callers that drive the frontier themselves.
-std::unique_ptr<CandidateStream>
-makeTopDownStream(const grammar::TemplateGrammar &G, const SearchConfig &Config);
 
 } // namespace search
 } // namespace stagg

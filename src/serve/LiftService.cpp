@@ -6,6 +6,7 @@
 #include "search/WorkerPool.h"
 
 #include <algorithm>
+#include <exception>
 
 using namespace stagg;
 using namespace stagg::serve;
@@ -139,15 +140,26 @@ void LiftService::execute(LiftRequest &Request, llm::CandidateOracle &Oracle) {
 
   if (Request.Hooks.Progress)
     Request.Hooks.Progress("searching");
-  Response.Result = core::liftBenchmark(B, Oracle, Request.Config);
+  // A lift that throws (std::bad_alloc under a client-sized budget, say)
+  // answers its own request unsolved; it must not take the worker, and
+  // with it the whole process, down.
+  bool Threw = false;
+  try {
+    Response.Result = core::liftBenchmark(B, Oracle, Request.Config);
+  } catch (const std::exception &E) {
+    Response.Result = core::LiftResult();
+    Response.Result.FailReason = std::string("internal error: ") + E.what();
+    Threw = true;
+  }
   if (Request.Hooks.Progress)
     Request.Hooks.Progress("verified");
   // Deterministic failures (parse errors, exhausted search spaces, spent
   // expansion budgets) are cached too — re-lifting identical text can only
-  // reproduce them. Wall-clock timeouts are NOT: they depend on machine
-  // load, and caching one would pin a transient failure for the whole
-  // session.
-  if (Response.Result.Solved || Response.Result.FailReason != "timeout")
+  // reproduce them. Wall-clock timeouts and internal errors are NOT: they
+  // depend on machine load and memory, and caching one would pin a
+  // transient failure for the whole session.
+  if (!Threw &&
+      (Response.Result.Solved || Response.Result.FailReason != "timeout"))
     Cache.insert(Key, Response.Result);
   Request.Reply.set_value(std::move(Response));
   if (Request.Hooks.OnSettled)

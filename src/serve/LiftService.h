@@ -8,9 +8,9 @@
 /// The serving layer: a long-lived pool of lifting workers behind a bounded
 /// request queue, with a kernel-text result cache in front of the
 /// pipeline. One LiftService instance outlives any number of
-/// requests — `stagg serve` keeps one for a whole session, and the batch
-/// driver (driver/SuiteRunner) is a thin client that submits a suite and
-/// collects the futures. Both paths execute the same code.
+/// requests. Its one client is api::Endpoint, which `stagg serve` and the
+/// batch driver (driver/SuiteRunner) both drive, so both paths execute the
+/// same code.
 ///
 /// Determinism: every worker owns a private oracle constructed from the same
 /// factory and seed, and the pipeline derives everything else from the

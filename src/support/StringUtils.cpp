@@ -18,19 +18,6 @@ std::string stagg::trim(const std::string &Text) {
   return Text.substr(Begin, End - Begin);
 }
 
-std::vector<std::string> stagg::splitString(const std::string &Text,
-                                            char Separator) {
-  std::vector<std::string> Parts;
-  size_t Start = 0;
-  for (size_t I = 0; I <= Text.size(); ++I) {
-    if (I == Text.size() || Text[I] == Separator) {
-      Parts.push_back(Text.substr(Start, I - Start));
-      Start = I + 1;
-    }
-  }
-  return Parts;
-}
-
 std::string stagg::replaceAll(std::string Text, const std::string &From,
                               const std::string &To) {
   if (From.empty())
@@ -136,16 +123,26 @@ size_t stagg::editDistance(const std::string &A, const std::string &B) {
 
 std::string stagg::closestMatch(const std::string &Unknown,
                                 const std::vector<std::string> &Candidates) {
+  // Edit distance is never below the length difference, so a candidate
+  // whose length alone rules it out (it cannot beat the best so far, or
+  // cannot be accepted) is skipped without the O(|a|*|b|) table. Names
+  // arrive off the wire, and a megabyte-long one must not cost seconds.
+  const size_t Threshold = std::max<size_t>(2, Unknown.size() / 3);
   std::string Best;
   size_t BestDistance = std::string::npos;
   for (const std::string &Candidate : Candidates) {
+    size_t LengthGap = Unknown.size() > Candidate.size()
+                           ? Unknown.size() - Candidate.size()
+                           : Candidate.size() - Unknown.size();
+    if (LengthGap >= BestDistance || LengthGap > Threshold)
+      continue;
     size_t Distance = editDistance(Unknown, Candidate);
     if (Distance < BestDistance) {
       BestDistance = Distance;
       Best = Candidate;
     }
   }
-  if (BestDistance <= std::max<size_t>(2, Unknown.size() / 3))
+  if (BestDistance <= Threshold)
     return Best;
   return std::string();
 }

@@ -20,9 +20,6 @@ namespace stagg {
 /// Strips leading and trailing ASCII whitespace.
 std::string trim(const std::string &Text);
 
-/// Splits \p Text on \p Separator, keeping empty fields.
-std::vector<std::string> splitString(const std::string &Text, char Separator);
-
 /// Replaces every occurrence of \p From in \p Text with \p To.
 std::string replaceAll(std::string Text, const std::string &From,
                        const std::string &To);

@@ -443,7 +443,7 @@ TEST(ConfigPatch, FromJsonValidatesKeysAndTypes) {
   api::ConfigPatch Patch;
   JsonParseResult Object = parseJson(
       "{\"search\":\"bu\",\"candidates\":7,\"skip_verify\":true,"
-      "\"timeout_s\":2.5,\"example_seed\":99,\"search_threads\":4}");
+      "\"timeout_s\":2.5,\"example_seed\":99}");
   ASSERT_TRUE(Object.ok());
   EXPECT_EQ(api::ConfigPatch::fromJson(Object.Value, Patch), "");
   EXPECT_EQ(*Patch.Kind, core::SearchKind::BottomUp);
@@ -451,9 +451,6 @@ TEST(ConfigPatch, FromJsonValidatesKeysAndTypes) {
   EXPECT_TRUE(*Patch.SkipVerification);
   EXPECT_DOUBLE_EQ(*Patch.TimeoutSeconds, 2.5);
   EXPECT_EQ(*Patch.ExampleSeed, 99u);
-  EXPECT_EQ(*Patch.SearchThreads, 4);
-  core::StaggConfig Applied = Patch.apply(core::StaggConfig());
-  EXPECT_EQ(Applied.Search.Threads, 4);
 
   api::ConfigPatch Bad;
   EXPECT_NE(api::ConfigPatch::fromJson(parseJson("{\"candidats\":7}").Value,
@@ -465,25 +462,23 @@ TEST(ConfigPatch, FromJsonValidatesKeysAndTypes) {
   EXPECT_NE(
       api::ConfigPatch::fromJson(parseJson("{\"search\":\"dfs\"}").Value, Bad),
       "");
-  // search_threads must be a positive integer: 0 (auto) is CLI-only, so a
-  // remote client cannot scale a shared server by its core count.
-  EXPECT_NE(api::ConfigPatch::fromJson(
-                parseJson("{\"search_threads\":0}").Value, Bad),
-            "");
-  EXPECT_NE(api::ConfigPatch::fromJson(
-                parseJson("{\"search_threads\":-2}").Value, Bad),
-            "");
+  // Engine and thread-count knobs never change an answer, so the wire
+  // does not carry them: they are unknown keys like any misspelling.
+  for (const char *Key : {"use_vm", "use_vm_opt", "search_threads"})
+    EXPECT_EQ(api::ConfigPatch::fromJson(
+                  parseJson(std::string("{\"") + Key + "\":1}").Value, Bad),
+              std::string("unknown config key \"") + Key + "\"");
 }
 
 TEST(ConfigPatch, FingerprintCoversResultAffectingKnobs) {
   // Every result-affecting knob reachable from the wire must change the
   // cache fingerprint, or a patched request could be answered from a run
-  // under different settings. The engine and thread-count knobs must NOT:
-  // their answers are bit-identical, so they share cache entries.
+  // under different settings. The engine and thread-count knobs (CLI-only)
+  // must NOT: their answers are bit-identical, so they share cache entries.
   core::StaggConfig Base;
   std::string Baseline = core::configFingerprint(Base);
 
-  std::vector<api::ConfigPatch> Patches(15);
+  std::vector<api::ConfigPatch> Patches(12);
   Patches[0].Kind = core::SearchKind::BottomUp;
   Patches[1].NumCandidates = 11;
   Patches[2].NumIoExamples = 4;
@@ -496,33 +491,40 @@ TEST(ConfigPatch, FingerprintCoversResultAffectingKnobs) {
   Patches[9].VerifyMaxSize = 3;
   Patches[10].FullGrammar = true;
   Patches[11].EqualProbability = true;
-  Patches[12].UseVm = false;
-  Patches[13].SearchThreads = 4;
-  Patches[14].UseVmOpt = false;
-  const size_t FirstSpeedOnly = 12;
 
-  for (size_t I = 0; I < FirstSpeedOnly; ++I)
+  for (size_t I = 0; I < Patches.size(); ++I)
     EXPECT_NE(core::configFingerprint(Patches[I].apply(Base)), Baseline)
         << "patch #" << I << " is invisible to the cache key";
-  for (size_t I = FirstSpeedOnly; I < Patches.size(); ++I)
-    EXPECT_EQ(core::configFingerprint(Patches[I].apply(Base)), Baseline)
-        << "patch #" << I << " splits the cache without changing an answer";
+
+  std::vector<core::StaggConfig> SpeedOnly(3, Base);
+  SpeedOnly[0].UseVm = false;
+  SpeedOnly[1].Search.Threads = 4;
+  SpeedOnly[2].UseVmOpt = false;
+  for (size_t I = 0; I < SpeedOnly.size(); ++I)
+    EXPECT_EQ(core::configFingerprint(SpeedOnly[I]), Baseline)
+        << "speed-only knob #" << I
+        << " splits the cache without changing an answer";
 }
 
 //===----------------------------------------------------------------------===//
 // api::Protocol
 //===----------------------------------------------------------------------===//
 
-TEST(Protocol, AutoDetectsLegacyAndJson) {
-  api::ParsedRequest Legacy = api::parseRequestLine("  blas_axpy  ");
-  EXPECT_TRUE(Legacy.ok());
-  EXPECT_EQ(Legacy.Format, api::RequestFormat::LegacyName);
-  EXPECT_EQ(Legacy.Request.RegistryName, "blas_axpy");
+TEST(Protocol, NonJsonLineIsBadRequest) {
+  // A bare registry name is not a request: every line is a v1 object.
+  for (const char *Line : {"  blas_axpy  ", "blas_axpy", "", "# note"}) {
+    api::ParsedRequest Bare = api::parseRequestLine(Line);
+    EXPECT_FALSE(Bare.ok()) << Line;
+    EXPECT_TRUE(Bare.Request.RegistryName.empty()) << Line;
+    EXPECT_EQ(api::renderProtocolError(Bare.Error).find(
+                  "{\"v\":1,\"status\":\"bad_request\",\"error\":"),
+              0u)
+        << Line;
+  }
 
   api::ParsedRequest V1 = api::parseRequestLine(
       "{\"v\":1,\"name\":\"blas_axpy\",\"config\":{\"skip_verify\":true}}");
   ASSERT_TRUE(V1.ok()) << V1.Error;
-  EXPECT_EQ(V1.Format, api::RequestFormat::JsonV1);
   EXPECT_EQ(V1.Request.RegistryName, "blas_axpy");
   EXPECT_TRUE(*V1.Request.Patch.SkipVerification);
 
@@ -635,33 +637,6 @@ TEST(Endpoint, PerRequestOverridesChangeBehaviorAndNeverAliasInCache) {
 
   // But re-running the same override hits its own entry.
   EXPECT_TRUE(Endpoint.lift(Skipping).CacheHit);
-}
-
-TEST(Endpoint, SpeedOnlyOverridesHitTheDefaultCacheEntry) {
-  // Engine choice and thread counts change how fast a lift runs, never
-  // what it returns, so a request that differs only in them is answered
-  // from the entry the default configuration filled.
-  api::Endpoint Endpoint(miniService(1));
-
-  api::LiftRequest Plain;
-  Plain.RegistryName = "blas_axpy";
-  api::LiftResponse First = Endpoint.lift(Plain);
-  ASSERT_TRUE(First.ok()) << First.Error;
-  ASSERT_TRUE(First.Result.Solved);
-  EXPECT_FALSE(First.CacheHit);
-
-  std::vector<api::LiftRequest> Patched(3, Plain);
-  Patched[0].Patch.UseVm = false;
-  Patched[1].Patch.UseVmOpt = false;
-  Patched[2].Patch.SearchThreads = 4;
-  for (size_t I = 0; I < Patched.size(); ++I) {
-    api::LiftResponse Again = Endpoint.lift(Patched[I]);
-    ASSERT_TRUE(Again.ok()) << Again.Error;
-    EXPECT_TRUE(Again.CacheHit) << "patch #" << I;
-    EXPECT_EQ(taco::printProgram(Again.Result.Concrete),
-              taco::printProgram(First.Result.Concrete))
-        << "patch #" << I;
-  }
 }
 
 TEST(Endpoint, AdmissionErrorsResolveImmediately) {

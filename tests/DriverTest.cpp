@@ -3,12 +3,14 @@
 // Part of the STAGG reproduction of "Guided Tensor Lifting" (PLDI 2025).
 //
 // Covers the flag -> core::StaggConfig mapping, suite selection, error
-// diagnostics, the results-table renderers, and a miniature parallel run
-// checked for schedule independence (2 threads == 1 thread, bit for bit).
+// diagnostics, the results-table renderers, a miniature parallel run
+// checked for schedule independence (2 threads == 1 thread, bit for bit),
+// and the stdin serve session's answers to lines that are not requests.
 //
 //===----------------------------------------------------------------------===//
 
 #include "driver/Cli.h"
+#include "driver/ServeCommand.h"
 #include "driver/SuiteRunner.h"
 
 #include "taco/Printer.h"
@@ -424,6 +426,37 @@ TEST(DriverRunner, SummaryStatistics) {
   EXPECT_DOUBLE_EQ(Report.solvedPercent(), 50.0);
   EXPECT_DOUBLE_EQ(Report.avgSecondsSolved(), 1.5);  // (1 + 2) / 2
   EXPECT_DOUBLE_EQ(Report.avgAttemptsSolved(), 15.0); // (10 + 20) / 2
+}
+
+//===----------------------------------------------------------------------===//
+// The stdin serve session
+//===----------------------------------------------------------------------===//
+
+TEST(DriverServe, RemovedDialectAndKeysAnswerBadRequestThenServe) {
+  CliParse P = parse({"serve", "--threads", "1"});
+  ASSERT_TRUE(P.ok()) << P.Error;
+  std::istringstream In(
+      "art_copy\n"
+      "{\"v\":1,\"name\":\"art_copy\",\"config\":{\"use_vm\":false}}\n"
+      "{\"v\":1,\"name\":\"art_copy\",\"config\":{\"use_vm_opt\":false}}\n"
+      "{\"v\":1,\"name\":\"art_copy\",\"config\":{\"search_threads\":2}}\n"
+      "{\"v\":1,\"name\":\"art_copy\"}\n");
+  std::ostringstream Out, Err;
+  EXPECT_EQ(runServeLoop(P.Options, In, Out, Err), ServeExitBadRequest);
+
+  std::istringstream Lines(Out.str());
+  std::string Line;
+  std::vector<std::string> Got;
+  while (std::getline(Lines, Line))
+    Got.push_back(Line);
+  ASSERT_EQ(Got.size(), 5u) << Out.str();
+  EXPECT_EQ(Got[0].find("{\"v\":1,\"status\":\"bad_request\""), 0u) << Got[0];
+  const char *Keys[] = {"use_vm", "use_vm_opt", "search_threads"};
+  for (size_t I = 0; I < 3; ++I)
+    EXPECT_EQ(Got[I + 1], std::string("{\"v\":1,\"status\":\"bad_request\","
+                                      "\"error\":\"unknown config key \\\"") +
+                              Keys[I] + "\\\"\"}");
+  EXPECT_NE(Got[4].find("\"solved\":true"), std::string::npos) << Got[4];
 }
 
 } // namespace

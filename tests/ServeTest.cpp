@@ -530,6 +530,66 @@ TEST(LiftService, ConcurrentClientsScheduleIndependence) {
   EXPECT_GE(Stats.Hits, 24u);
 }
 
+/// Throws std::bad_alloc from propose() for one kernel — a stand-in for an
+/// allocation that fails mid-lift — and counts every call.
+class ThrowingOracle : public llm::CandidateOracle {
+public:
+  ThrowingOracle(uint64_t Seed, std::string Victim,
+                 std::shared_ptr<std::atomic<uint64_t>> Calls)
+      : Inner(Seed), Victim(std::move(Victim)), Calls(std::move(Calls)) {}
+
+  std::vector<std::string> propose(const llm::OracleTask &Task) override {
+    Calls->fetch_add(1);
+    if (Task.Query->Name == Victim)
+      throw std::bad_alloc();
+    return Inner.propose(Task);
+  }
+
+private:
+  llm::SimulatedLlm Inner;
+  std::string Victim;
+  std::shared_ptr<std::atomic<uint64_t>> Calls;
+};
+
+TEST(LiftService, ThrowingLiftIsAnsweredAndNeverCached) {
+  const bench::Benchmark *Victim = bench::findBenchmark("art_copy");
+  const bench::Benchmark *Next = bench::findBenchmark("art_add");
+  ASSERT_NE(Victim, nullptr);
+  ASSERT_NE(Next, nullptr);
+  auto Calls = std::make_shared<std::atomic<uint64_t>>(0);
+  LiftService Service(
+      miniService(1),
+      [Calls](uint64_t Seed) -> std::unique_ptr<llm::CandidateOracle> {
+        return std::make_unique<ThrowingOracle>(Seed, "art_copy", Calls);
+      });
+
+  // The throwing request is answered, unsolved, and still settles.
+  std::atomic<bool> Settled{false};
+  SubmitHooks Hooks;
+  Hooks.OnSettled = [&Settled] { Settled = true; };
+  std::future<LiftResponse> Reply;
+  ASSERT_TRUE(Service.trySubmit(*Victim, miniService(1).Config,
+                                std::move(Hooks), Reply));
+  LiftResponse Failed = Reply.get();
+  EXPECT_FALSE(Failed.Result.Solved);
+  EXPECT_FALSE(Failed.CacheHit);
+  EXPECT_EQ(Failed.Result.FailReason.find("internal error: "), 0u)
+      << Failed.Result.FailReason;
+
+  // The worker survives and lifts the next kernel normally. One worker
+  // runs requests in order, so the first one has settled by now.
+  LiftResponse Ok = Service.lift(*Next);
+  EXPECT_TRUE(Ok.Result.Solved) << Ok.Result.FailReason;
+  EXPECT_TRUE(Settled.load());
+
+  // The failure was not cached: resubmitting re-runs the pipeline.
+  uint64_t Before = Calls->load();
+  LiftResponse Again = Service.lift(*Victim);
+  EXPECT_FALSE(Again.CacheHit);
+  EXPECT_GT(Calls->load(), Before);
+  EXPECT_EQ(Service.cacheStats().Insertions, 1u);
+}
+
 TEST(LiftService, SubmitAfterShutdownFailsFast) {
   const bench::Benchmark &B = bench::allBenchmarks().front();
   LiftService Service(miniService(1));

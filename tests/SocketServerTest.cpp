@@ -557,7 +557,7 @@ std::string eventKind(const support::Json &Event) {
   return Kind && Kind->isString() ? Kind->asString() : "";
 }
 
-TEST(SocketService, V1AndLegacyOverTcpMatchTheStdinDialects) {
+TEST(SocketService, V1OverTcpMatchesTheStdinDialect) {
   StackFixture Stack;
   TestClient C(Stack.port());
   ASSERT_TRUE(C.connected());
@@ -568,12 +568,70 @@ TEST(SocketService, V1AndLegacyOverTcpMatchTheStdinDialects) {
   EXPECT_NE(V1.find("\"name\":\"art_copy\""), std::string::npos) << V1;
   EXPECT_NE(V1.find("\"solved\":true"), std::string::npos) << V1;
 
-  // Legacy bare names keep their text rendering over the wire, and the
-  // repeat is a cache hit.
+  // The repeat is a cache hit.
+  C.sendLine("{\"v\":1,\"name\":\"art_copy\"}");
+  std::string Again = C.readLine();
+  EXPECT_NE(Again.find("\"solved\":true"), std::string::npos) << Again;
+  EXPECT_NE(Again.find("\"cached\":true"), std::string::npos) << Again;
+}
+
+TEST(SocketService, RemovedDialectAndKeysAnswerBadRequestInOrder) {
+  StackFixture Stack;
+  TestClient C(Stack.port());
+  ASSERT_TRUE(C.connected());
+
+  // A bare name is not a request, and the engine and thread-count keys are
+  // not config keys. Each is answered with a v1 bad_request line in its
+  // admission slot, and the connection goes on serving.
   C.sendLine("art_copy");
-  std::string Legacy = C.readLine();
-  EXPECT_EQ(Legacy.find("art_copy: OK"), 0u) << Legacy;
-  EXPECT_NE(Legacy.find("[cached]"), std::string::npos) << Legacy;
+  for (const char *Key : {"use_vm", "use_vm_opt", "search_threads"})
+    C.sendLine(std::string("{\"v\":1,\"name\":\"art_copy\",\"config\":{\"") +
+               Key + "\":1}}");
+  C.sendLine("{\"v\":1,\"name\":\"art_copy\"}");
+
+  support::Json Bare = parsedEvent(C.readLine());
+  EXPECT_EQ(Bare.find("v")->asInteger(), 1);
+  EXPECT_EQ(Bare.find("status")->asString(), "bad_request");
+  for (const char *Key : {"use_vm", "use_vm_opt", "search_threads"}) {
+    support::Json Refused = parsedEvent(C.readLine());
+    EXPECT_EQ(Refused.find("status")->asString(), "bad_request");
+    EXPECT_EQ(Refused.find("error")->asString(),
+              std::string("unknown config key \"") + Key + "\"");
+  }
+  std::string Served = C.readLine();
+  EXPECT_NE(Served.find("\"solved\":true"), std::string::npos) << Served;
+}
+
+TEST(SocketService, HugeUnknownNameDoesNotStallOtherConnections) {
+  StackFixture Stack;
+  TestClient Bystander(Stack.port());
+  TestClient Hostile(Stack.port());
+  ASSERT_TRUE(Bystander.connected());
+  ASSERT_TRUE(Hostile.connected());
+
+  // A 1.5 MB registry name: the "did you mean" lookup runs on the loop
+  // thread, so its cost must not grow with the name. An unbounded lookup
+  // stalls the loop for seconds at this size, while the frame's linear
+  // parse and render stay far below the bound even under TSan.
+  const std::string Name(1500000, 'y');
+  Hostile.sendLine("{\"v\":2,\"id\":1,\"requests\":[{\"name\":\"" + Name +
+                   "\"}]}");
+  ASSERT_TRUE(eventually(
+      [&] { return Stack.Srv->Server.stats().FramesIn >= 1; }));
+
+  auto Start = std::chrono::steady_clock::now();
+  Bystander.sendLine("{\"v\":2,\"stats\":true}");
+  support::Json Stats = parsedEvent(Bystander.readLine());
+  double Seconds = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - Start)
+                       .count();
+  EXPECT_EQ(eventKind(Stats), "stats");
+  EXPECT_LT(Seconds, 1.0) << "the loop stalled behind the hostile frame";
+
+  support::Json Response = parsedEvent(Hostile.readLine());
+  EXPECT_EQ(eventKind(Response), "response");
+  EXPECT_EQ(Response.find("response")->find("status")->asString(),
+            "unknown_benchmark");
 }
 
 TEST(SocketService, PipelinedRequestsAnswerInOrder) {
