@@ -24,7 +24,7 @@
 #                    concurrency-*) over src/; exits nonzero on findings
 #                    (the CI job is non-blocking)
 #   --tidy-search    like --tidy but restricted to src/search — the
-#                    work-stealing frontier — with every finding promoted
+#                    parallel search frontier — with every finding promoted
 #                    to an error; the CI tidy-search job is BLOCKING, so
 #                    concurrency-* findings in the parallel search cannot
 #                    land

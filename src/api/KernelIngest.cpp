@@ -13,6 +13,7 @@
 #include "api/KernelIngest.h"
 
 #include "cfront/Parser.h"
+#include "core/Stagg.h"
 #include "support/Rng.h"
 #include "taco/Einsum.h"
 #include "taco/Parser.h"
@@ -568,18 +569,8 @@ IngestResult api::ingestKernel(const std::string &CSource,
   // are exactly what the harness will allocate, so they are authoritative
   // bounds. Warnings ride along on the result for the wire response.
   {
-    analysis::CheckOptions CheckOpts;
-    for (const bench::ArgSpec &Arg : B.Args) {
-      if (Arg.K != bench::ArgSpec::Kind::Array)
-        continue;
-      std::vector<analysis::Poly> Extents;
-      for (const std::string &Dim : Arg.Shape)
-        Extents.push_back(analysis::shapeExtentPoly(Dim));
-      CheckOpts.Shapes.emplace(Arg.Name, std::move(Extents));
-      if (Arg.IsOutput)
-        CheckOpts.OutputParams.insert(Arg.Name);
-    }
-    analysis::CheckReport Check = analysis::checkKernel(Model, CheckOpts);
+    analysis::CheckReport Check =
+        analysis::checkKernel(Model, core::checkOptionsFor(B));
     Result.Findings = Check.Findings;
     Result.BoundsProvenSafe = Check.BoundsProvenSafe;
     if (!Check.clean()) {

@@ -21,6 +21,21 @@
 using namespace stagg;
 using namespace stagg::core;
 
+analysis::CheckOptions core::checkOptionsFor(const bench::Benchmark &B) {
+  analysis::CheckOptions Opts;
+  for (const bench::ArgSpec &Arg : B.Args) {
+    if (Arg.K != bench::ArgSpec::Kind::Array)
+      continue;
+    std::vector<analysis::Poly> Extents;
+    for (const std::string &Dim : Arg.Shape)
+      Extents.push_back(analysis::shapeExtentPoly(Dim));
+    Opts.Shapes.emplace(Arg.Name, std::move(Extents));
+    if (Arg.IsOutput)
+      Opts.OutputParams.insert(Arg.Name);
+  }
+  return Opts;
+}
+
 LiftResult core::liftBenchmark(const bench::Benchmark &B,
                                llm::CandidateOracle &Oracle,
                                const StaggConfig &Config) {
@@ -42,18 +57,8 @@ LiftResult core::liftBenchmark(const bench::Benchmark &B,
   // per-access dynamic probes below.
   analysis::KernelModel Model = analysis::buildKernelModel(Fn);
   const analysis::KernelSummary &Summary = Model.Summary;
-  analysis::CheckOptions CheckOpts;
-  for (const bench::ArgSpec &Arg : B.Args) {
-    if (Arg.K != bench::ArgSpec::Kind::Array)
-      continue;
-    std::vector<analysis::Poly> Extents;
-    for (const std::string &Dim : Arg.Shape)
-      Extents.push_back(analysis::shapeExtentPoly(Dim));
-    CheckOpts.Shapes.emplace(Arg.Name, std::move(Extents));
-    if (Arg.IsOutput)
-      CheckOpts.OutputParams.insert(Arg.Name);
-  }
-  analysis::CheckReport Check = analysis::checkKernel(Model, CheckOpts);
+  analysis::CheckReport Check =
+      analysis::checkKernel(Model, checkOptionsFor(B));
   Result.CheckerSafe = Check.BoundsProvenSafe;
   Result.CheckerFindings = static_cast<int>(Check.Findings.size());
   Result.ParseSeconds = Clock.seconds();

@@ -21,6 +21,7 @@
 #ifndef STAGG_CORE_STAGG_H
 #define STAGG_CORE_STAGG_H
 
+#include "analysis/Checker.h"
 #include "benchsuite/Benchmark.h"
 #include "grammar/Pcfg.h"
 #include "llm/Oracle.h"
@@ -156,6 +157,11 @@ struct LiftResult {
   bool CheckerSafe = false;
   int CheckerFindings = 0;
 };
+
+/// The checker's view of \p B's declared signature: every array argument's
+/// shape as extent polynomials, and which arrays are outputs. These shapes
+/// are authoritative — they are exactly what the harness allocates.
+analysis::CheckOptions checkOptionsFor(const bench::Benchmark &B);
 
 /// Lifts \p B using \p Oracle under \p Config.
 LiftResult liftBenchmark(const bench::Benchmark &B,

@@ -8,6 +8,7 @@
 #include "api/KernelIngest.h"
 #include "cfront/Interp.h"
 #include "cfront/Parser.h"
+#include "core/Stagg.h"
 #include "driver/SuiteRunner.h"
 #include "grammar/DimensionList.h"
 #include "grammar/Pcfg.h"
@@ -217,17 +218,8 @@ std::vector<Micro> buildMicros(const MicroFixtures &F) {
     // ingestion gate and `stagg check` add on top of the model.
     auto Model = std::make_shared<analysis::KernelModel>(
         analysis::buildKernelModel(*Fn->Function));
-    auto Opts = std::make_shared<analysis::CheckOptions>();
-    for (const bench::ArgSpec &Arg : B->Args) {
-      if (Arg.K != bench::ArgSpec::Kind::Array)
-        continue;
-      std::vector<analysis::Poly> Extents;
-      for (const std::string &Dim : Arg.Shape)
-        Extents.push_back(analysis::shapeExtentPoly(Dim));
-      Opts->Shapes.emplace(Arg.Name, std::move(Extents));
-      if (Arg.IsOutput)
-        Opts->OutputParams.insert(Arg.Name);
-    }
+    auto Opts =
+        std::make_shared<analysis::CheckOptions>(core::checkOptionsFor(*B));
     Micros.push_back({"micro/checker", [Model, Opts] {
                         analysis::CheckReport R =
                             analysis::checkKernel(*Model, *Opts);
@@ -320,8 +312,7 @@ std::vector<Micro> buildMicros(const MicroFixtures &F) {
   // spawn — driven serially and at four workers. The perf gate
   // (scripts/bench_compare.py --min-speedup) holds search_topdown_par to a
   // 2x win over its _ser twin within the same report, so the pair is the
-  // scaling regression test. search_steal skews per-candidate work by a
-  // factor of four, forcing idle workers onto the steal path.
+  // scaling regression test.
   {
     auto T = std::make_shared<std::vector<grammar::Templatized>>();
     for (const char *S : {"r(i) = m(i,j) * v(j)", "r(i) = m(j,i) * v(j)",
@@ -343,7 +334,7 @@ std::vector<Micro> buildMicros(const MicroFixtures &F) {
     Ops->emplace("b", std::move(Bm));
     Ops->emplace("c", std::move(Cm));
 
-    auto RunSearch = [G, Code, Ops](int Threads, bool Skewed) {
+    auto RunSearch = [G, Code, Ops](int Threads) {
       search::SearchConfig Config;
       Config.MaxAttempts = 32;
       Config.Threads = Threads;
@@ -356,27 +347,18 @@ std::vector<Micro> buildMicros(const MicroFixtures &F) {
               std::abort();
             auto Out = std::make_shared<taco::Tensor<double>>(
                 std::vector<int64_t>{32, 32});
-            return search::TemplateProbe(
-                [Interp, Out, Skewed](const taco::Program &Cand) {
-                  int Reps = 1;
-                  if (Skewed)
-                    Reps += static_cast<int>(std::hash<std::string>()(
-                                taco::printProgram(Cand)) %
-                            4);
-                  for (int I = 0; I < Reps; ++I)
-                    Interp->evaluateInto(*Out);
-                  return false;
-                });
+            return search::TemplateProbe([Interp, Out](const taco::Program &) {
+              Interp->evaluateInto(*Out);
+              return false;
+            });
           }));
       if (R.Attempts != 32)
         std::abort();
     };
     Micros.push_back(
-        {"micro/search_topdown_ser", [RunSearch] { RunSearch(1, false); }});
+        {"micro/search_topdown_ser", [RunSearch] { RunSearch(1); }});
     Micros.push_back(
-        {"micro/search_topdown_par", [RunSearch] { RunSearch(4, false); }});
-    Micros.push_back(
-        {"micro/search_steal", [RunSearch] { RunSearch(4, true); }});
+        {"micro/search_topdown_par", [RunSearch] { RunSearch(4); }});
   }
 
   // Validator substitution enumeration (the §6 hot path).

@@ -6,6 +6,7 @@
 #include "analysis/KernelModel.h"
 #include "api/KernelIngest.h"
 #include "cfront/Parser.h"
+#include "core/Stagg.h"
 #include "support/Json.h"
 #include "support/StringUtils.h"
 
@@ -87,18 +88,8 @@ Row checkRegistryKernel(const bench::Benchmark &B) {
     return R;
   }
   analysis::KernelModel Model = analysis::buildKernelModel(*Parsed.Function);
-  analysis::CheckOptions Opts;
-  for (const bench::ArgSpec &Arg : B.Args) {
-    if (Arg.K != bench::ArgSpec::Kind::Array)
-      continue;
-    std::vector<analysis::Poly> Extents;
-    for (const std::string &Dim : Arg.Shape)
-      Extents.push_back(analysis::shapeExtentPoly(Dim));
-    Opts.Shapes.emplace(Arg.Name, std::move(Extents));
-    if (Arg.IsOutput)
-      Opts.OutputParams.insert(Arg.Name);
-  }
-  analysis::CheckReport Report = analysis::checkKernel(Model, Opts);
+  analysis::CheckReport Report =
+      analysis::checkKernel(Model, core::checkOptionsFor(B));
   R.BoundsProven = Report.BoundsProvenSafe;
   R.Findings = std::move(Report.Findings);
   return R;

@@ -4,21 +4,23 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Executor layout: worker 0 is the sequencer — it owns the CandidateStream,
-// replays the serial enumeration, and deals tickets round-robin into
-// per-worker deques (a bounded lookahead window past the oldest unresolved
-// ticket caps how far probing may overshoot the serial accept point). Every
-// worker, sequencer included, then probes: pop the front of your own deque
-// (oldest first, so the resolved prefix keeps advancing), steal from the
-// back of a victim's when yours is empty. A success at ticket T only becomes
-// the answer once tickets 0..T-1 have all resolved as failures — which is
-// precisely the candidate the serial loop would accept, with the serial
-// counters stamped on the ticket at enumeration time.
+// Executor layout: workers pull. A worker takes the next ticket straight
+// from the CandidateStream — one puller at a time, outside the bookkeeping
+// mutex, so enumeration overlaps the other workers' probes — probes it, and
+// resolves it under the mutex. Nobody pulls while a success is in hand or
+// while the lookahead window past the oldest unresolved ticket is full; the
+// window caps how far probing may overshoot the serial accept point. Tickets
+// leave the stream in serial order and every ticket below a success is
+// probed, so once the workers run out of work the lowest successful ticket
+// is precisely the candidate the serial loop would accept, with the serial
+// counters stamped on it at enumeration time.
 //
-// Wall-clock timeouts are inherently schedule-dependent; the frontier
-// handles them conservatively: once a solution has been found it is never
-// discarded (the bounded set of earlier tickets is drained to decide), but a
-// timeout with no solution in hand stops immediately, like the serial loop.
+// Wall-clock timeouts come from the stream's own per-pop check, as in the
+// serial loop. Probes already in flight when the stream times out still
+// finish and count: a found candidate is never thrown away.
+//
+// Any exception — from the probe factory, the stream or a probe — stops
+// every worker, and the first one is rethrown on the caller after the join.
 //
 //===----------------------------------------------------------------------===//
 
@@ -26,17 +28,13 @@
 
 #include "search/WorkerPool.h"
 
-#include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <limits>
 #include <mutex>
 #include <set>
 #include <utility>
-#include <vector>
 
 namespace stagg {
 namespace search {
@@ -47,27 +45,12 @@ namespace {
 
 constexpr uint64_t NoTicket = std::numeric_limits<uint64_t>::max();
 
-struct Task {
-  uint64_t Ticket = 0;
-  taco::Program Program;
-  int AttemptsAtYield = 0;
-  int64_t ExpansionsAtYield = 0;
-};
-
-/// Cache-line-separated per-worker deque. The owner pops the front; thieves
-/// take the back, so contention between an owner and its thieves only
-/// meets at a single-element queue.
-struct alignas(64) WorkerDeque {
-  std::mutex Mu;
-  std::deque<Task> Q;
-};
-
 class Frontier {
 public:
-  Frontier(CandidateStream &Stream, const SearchConfig &Config,
-           const TemplateProbeFactory &Factory, int Workers)
-      : Stream(Stream), Config(Config), Factory(Factory), Workers(Workers),
-        Window(Workers * 8 < 16 ? 16 : Workers * 8), Deques(Workers) {}
+  Frontier(CandidateStream &Stream, const TemplateProbeFactory &Factory,
+           int Workers)
+      : Stream(Stream), Factory(Factory), Workers(Workers),
+        Window(Workers * 8 < 16 ? 16 : Workers * 8) {}
 
   SearchResult run() {
     WorkerPool Pool;
@@ -77,227 +60,109 @@ public:
 
     SearchResult R;
     R.Seconds = Stream.seconds();
-    R.ProbesExecuted = Probes.load();
-    R.Steals = Steals.load();
-    if (Accepted) {
+    R.ProbesExecuted = Probes;
+    if (BestTicket != NoTicket) {
       R.Solved = true;
       R.SolvedTemplate = std::move(Best.Program);
       R.Attempts = Best.AttemptsAtYield;
       R.Expansions = Best.ExpansionsAtYield;
       R.WinnerWorker = BestWorker;
     } else {
-      R.FailReason = TerminalReason;
-      R.Attempts = TerminalAttempts;
-      R.Expansions = TerminalExpansions;
+      // Unsolved workers only stop once the stream has ended.
+      R.FailReason = Stream.failReason();
+      R.Attempts = Stream.attempts();
+      R.Expansions = Stream.expansions();
     }
     return R;
   }
 
 private:
   void workerBody(int W) {
-    TemplateProbe Probe = Factory(W);
-    for (;;) {
-      if (W == 0)
-        sequence();
-      Task T;
-      if (takeTask(W, T)) {
-        bool Probing;
-        {
-          std::lock_guard<std::mutex> Lock(Mu);
-          if (Stop)
-            break;
-          // Tickets above the best success can no longer win; resolve them
-          // without probing.
-          Probing = T.Ticket < BestTicket;
-          if (!Probing) {
-            resolveLocked(T.Ticket);
-            Cv.notify_all();
-          }
+    try {
+      TemplateProbe Probe = Factory(W);
+      Candidate C;
+      while (pull(C)) {
+        bool Ok = Probe(C.Program);
+        std::lock_guard<std::mutex> Lock(Mu);
+        ++Probes;
+        resolveLocked(C.Ticket);
+        if (Ok && C.Ticket < BestTicket) {
+          BestTicket = C.Ticket;
+          Best = std::move(C);
+          BestWorker = W;
         }
-        if (!Probing)
-          continue;
-        uint64_t Ticket = T.Ticket;
-        bool Ok;
-        try {
-          Ok = Probe(T.Program);
-        } catch (...) {
-          std::lock_guard<std::mutex> Lock(Mu);
-          if (!Error)
-            Error = std::current_exception();
-          Stop = true;
-          Cv.notify_all();
-          break;
-        }
-        Probes.fetch_add(1, std::memory_order_relaxed);
-        {
-          std::lock_guard<std::mutex> Lock(Mu);
-          if (Stop)
-            break;
-          if (Ok && Ticket < BestTicket) {
-            BestTicket = Ticket;
-            Best = std::move(T);
-            BestWorker = W;
-          }
-          resolveLocked(Ticket);
-          Cv.notify_all();
-        }
-        continue;
+        Cv.notify_all();
       }
-
-      std::unique_lock<std::mutex> Lock(Mu);
-      if (Stop || (Terminal && ResolvedPrefix >= Issued))
-        break;
-      if (Pending > 0)
-        continue; // a task landed between our scan and this lock
-      if (W == 0) {
-        // The sequencer may have window space again (a resolution freed
-        // it) or a pending timeout check; poll rather than park.
-        if (!Terminal && Issued - ResolvedPrefix < Window)
-          continue;
-        Cv.wait_for(Lock, std::chrono::milliseconds(10));
-      } else {
-        Cv.wait(Lock);
-      }
+    } catch (...) {
+      std::lock_guard<std::mutex> Lock(Mu);
+      if (!Error)
+        Error = std::current_exception();
+      Cv.notify_all();
     }
   }
 
-  /// Worker 0 only: checks the wall clock and refills the lookahead window
-  /// from the stream. The stream is single-owner, so no lock is held while
-  /// it runs; bookkeeping transitions happen under Mu.
-  void sequence() {
+  /// Waits for this worker's turn, then takes the next ticket from the
+  /// stream. False once the worker has nothing left to do.
+  bool pull(Candidate &C) {
     {
-      std::lock_guard<std::mutex> Lock(Mu);
-      if (Stop || Terminal)
-        return;
+      std::unique_lock<std::mutex> Lock(Mu);
+      Cv.wait(Lock, [this] {
+        return doneLocked() || (!Pulling && Issued - ResolvedPrefix < Window);
+      });
+      if (doneLocked())
+        return false;
+      Pulling = true;
     }
-    if (Stream.seconds() > Config.TimeoutSeconds) {
-      std::lock_guard<std::mutex> Lock(Mu);
-      if (!Terminal) {
-        Terminal = true;
-        TerminalReason = "timeout";
-        TerminalAttempts = Stream.attempts();
-        TerminalExpansions = Stream.expansions();
-        // No solution in hand: stop like the serial loop would. (With a
-        // solution in hand the frontier drains the earlier tickets
-        // instead — a found candidate is never thrown away.)
-        if (BestTicket == NoTicket)
-          Stop = true;
-        Cv.notify_all();
-      }
+    bool More = Stream.next(C);
+    std::lock_guard<std::mutex> Lock(Mu);
+    Pulling = false;
+    Terminal = !More;
+    if (More)
+      ++Issued;
+    Cv.notify_all();
+    // A success or an error may have landed while this worker pulled; the
+    // new ticket is then above any ticket that can still win.
+    return !doneLocked();
+  }
+
+  /// No more pulls: the stream ended, a worker failed, or a success is in
+  /// hand (every ticket that could beat it is already out). Caller holds Mu.
+  bool doneLocked() const {
+    return Terminal || Error || BestTicket != NoTicket;
+  }
+
+  /// Marks \p Ticket resolved and advances the resolved prefix, freeing
+  /// window space. Caller holds Mu.
+  void resolveLocked(uint64_t Ticket) {
+    if (Ticket != ResolvedPrefix) {
+      ResolvedAbove.insert(Ticket);
       return;
     }
-    for (;;) {
-      {
-        std::lock_guard<std::mutex> Lock(Mu);
-        if (Stop || Terminal || Issued - ResolvedPrefix >= Window)
-          return;
-      }
-      Candidate C;
-      if (!Stream.next(C)) {
-        std::lock_guard<std::mutex> Lock(Mu);
-        Terminal = true;
-        TerminalReason = Stream.failReason();
-        TerminalAttempts = Stream.attempts();
-        TerminalExpansions = Stream.expansions();
-        if (TerminalReason == "timeout" && BestTicket == NoTicket)
-          Stop = true;
-        Cv.notify_all();
-        return;
-      }
-      Task T;
-      T.Ticket = C.Ticket;
-      T.Program = std::move(C.Program);
-      T.AttemptsAtYield = C.AttemptsAtYield;
-      T.ExpansionsAtYield = C.ExpansionsAtYield;
-      size_t Dst = static_cast<size_t>(T.Ticket % Workers);
-      {
-        std::lock_guard<std::mutex> DequeLock(Deques[Dst].Mu);
-        Deques[Dst].Q.push_back(std::move(T));
-      }
-      {
-        std::lock_guard<std::mutex> Lock(Mu);
-        ++Issued;
-        ++Pending;
-        Cv.notify_all();
-      }
-    }
-  }
-
-  bool takeTask(int W, Task &Out) {
-    bool Taken = false;
-    {
-      std::lock_guard<std::mutex> Lock(Deques[W].Mu);
-      if (!Deques[W].Q.empty()) {
-        Out = std::move(Deques[W].Q.front());
-        Deques[W].Q.pop_front();
-        Taken = true;
-      }
-    }
-    for (int I = 1; !Taken && I < Workers; ++I) {
-      WorkerDeque &Victim = Deques[(W + I) % Workers];
-      std::lock_guard<std::mutex> Lock(Victim.Mu);
-      if (!Victim.Q.empty()) {
-        Out = std::move(Victim.Q.back());
-        Victim.Q.pop_back();
-        Steals.fetch_add(1, std::memory_order_relaxed);
-        Taken = true;
-      }
-    }
-    if (Taken) {
-      std::lock_guard<std::mutex> Lock(Mu);
-      --Pending;
-    }
-    return Taken;
-  }
-
-  /// Marks \p Ticket resolved and advances the resolved prefix. Accepts the
-  /// best success once every earlier ticket has resolved (necessarily as a
-  /// failure — a success below BestTicket would have replaced it first).
-  /// Caller holds Mu.
-  void resolveLocked(uint64_t Ticket) {
-    if (Ticket == ResolvedPrefix) {
+    ++ResolvedPrefix;
+    auto It = ResolvedAbove.begin();
+    while (It != ResolvedAbove.end() && *It == ResolvedPrefix) {
       ++ResolvedPrefix;
-      auto It = ResolvedAbove.begin();
-      while (It != ResolvedAbove.end() && *It == ResolvedPrefix) {
-        ++ResolvedPrefix;
-        It = ResolvedAbove.erase(It);
-      }
-    } else {
-      ResolvedAbove.insert(Ticket);
-    }
-    if (BestTicket != NoTicket && ResolvedPrefix > BestTicket) {
-      Accepted = true;
-      Stop = true;
+      It = ResolvedAbove.erase(It);
     }
   }
 
   CandidateStream &Stream;
-  const SearchConfig &Config;
   const TemplateProbeFactory &Factory;
   const int Workers;
   const uint64_t Window;
 
-  std::vector<WorkerDeque> Deques;
-
   std::mutex Mu;
   std::condition_variable Cv;
+  bool Pulling = false;
+  bool Terminal = false;
   uint64_t Issued = 0;
-  uint64_t Pending = 0; ///< Tasks pushed but not yet taken from a deque.
   uint64_t ResolvedPrefix = 0;
   std::set<uint64_t> ResolvedAbove;
-  bool Terminal = false;
-  std::string TerminalReason;
-  int TerminalAttempts = 0;
-  int64_t TerminalExpansions = 0;
   uint64_t BestTicket = NoTicket;
-  Task Best;
+  Candidate Best;
   int BestWorker = -1;
-  bool Accepted = false;
-  bool Stop = false;
+  int64_t Probes = 0;
   std::exception_ptr Error;
-
-  std::atomic<int64_t> Probes{0};
-  std::atomic<int64_t> Steals{0};
 };
 
 SearchResult driveSerial(CandidateStream &Stream,
@@ -332,7 +197,7 @@ SearchResult runFrontier(CandidateStream &Stream, const SearchConfig &Config,
   int Workers = resolveThreads(Config.Threads);
   if (Workers == 1)
     return driveSerial(Stream, Factory);
-  Frontier F(Stream, Config, Factory, Workers);
+  Frontier F(Stream, Factory, Workers);
   return F.run();
 }
 

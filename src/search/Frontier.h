@@ -17,10 +17,10 @@
 ///     probe index in the serial schedule) plus the serial Attempts /
 ///     Expansions counters at the moment of the yield; and
 ///
-///   * runFrontier: a work-stealing executor that probes tickets on N
-///     workers and accepts the lowest successful ticket only after every
-///     earlier ticket has resolved as a failure — i.e. exactly the
-///     candidate serial search would accept, with the serial counters.
+///   * runFrontier: N workers that each pull the next ticket from the
+///     stream and probe it, accepting the lowest successful ticket only
+///     after every earlier ticket has resolved as a failure — i.e. exactly
+///     the candidate serial search would accept, with the serial counters.
 ///
 /// With Threads == 1 the frontier degenerates to driving the stream on the
 /// calling thread, which is the serial loop verbatim.
@@ -56,8 +56,8 @@ struct Candidate {
 
 /// Resumable enumeration of complete candidates in serial probe order.
 /// next() returns false once the search is exhausted or a budget/timeout
-/// fires, after which the terminal accessors are valid. Streams are
-/// single-owner: only one thread (the frontier's sequencer) may touch one.
+/// fires, after which the terminal accessors are valid. Streams are not
+/// thread-safe: the frontier lets one worker at a time pull from one.
 class CandidateStream {
 public:
   virtual ~CandidateStream();
@@ -84,8 +84,9 @@ public:
 /// Each worker obtains its probe from \p Factory exactly once, on its own
 /// thread, before its first probe. Returns the result the serial search
 /// would return: the lowest-ticket successful candidate with serial
-/// Attempts/Expansions, or the stream's terminal fail reason. Exceptions
-/// thrown by probes propagate to the caller after all workers have joined.
+/// Attempts/Expansions, or the stream's terminal fail reason. An exception
+/// thrown by the factory, the stream or a probe stops every worker and
+/// propagates to the caller after all workers have joined.
 SearchResult runFrontier(CandidateStream &Stream, const SearchConfig &Config,
                          const TemplateProbeFactory &Factory);
 

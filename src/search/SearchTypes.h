@@ -94,11 +94,9 @@ struct SearchResult {
   /// Parallel-frontier diagnostics. Unlike the counters above these may
   /// vary run to run (they describe scheduling, not the result): probes
   /// actually executed (>= Attempts on parallel success, since in-flight
-  /// lookahead overshoots the winner), tasks taken from another worker's
-  /// deque, and the worker that produced the accepted candidate (0 for a
-  /// serial run, -1 when unsolved).
+  /// lookahead overshoots the winner) and the worker that produced the
+  /// accepted candidate (0 for a serial run, -1 when unsolved).
   int64_t ProbesExecuted = 0;
-  int64_t Steals = 0;
   int WinnerWorker = -1;
 };
 

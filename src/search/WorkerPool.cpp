@@ -43,8 +43,16 @@ void WorkerPool::run(int Participants,
 
   std::vector<std::thread> Threads;
   Threads.reserve(static_cast<size_t>(K) - 1);
-  for (int W = 1; W < K; ++W)
-    Threads.emplace_back(Guarded, W);
+  try {
+    for (int W = 1; W < K; ++W)
+      Threads.emplace_back(Guarded, W);
+  } catch (...) {
+    // A spawn failed. Destroying a joinable std::thread terminates the
+    // process, so join the participants that did start first.
+    for (std::thread &T : Threads)
+      T.join();
+    throw;
+  }
   Guarded(0);
   for (std::thread &T : Threads)
     T.join();

@@ -37,7 +37,10 @@ public:
   /// returning. Body(0) runs on the calling thread. If any participant
   /// throws, the remaining participants still run to completion (Body is
   /// responsible for observing its own cancellation signal) and the first
-  /// captured exception is rethrown here.
+  /// captured exception is rethrown here. If a thread cannot be spawned,
+  /// Body(0) never runs: the participants already started are joined and
+  /// the spawn error is rethrown — so no participant may wait for another
+  /// to start.
   void run(int Participants, const std::function<void(int Worker)> &Body);
 };
 

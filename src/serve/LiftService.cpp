@@ -70,11 +70,6 @@ std::future<LiftResponse> LiftService::submit(
   return Reply;
 }
 
-bool LiftService::trySubmit(const bench::Benchmark &B,
-                            std::future<LiftResponse> &Out) {
-  return trySubmit(B, Config.Config, SubmitHooks(), Out);
-}
-
 bool LiftService::trySubmit(bench::Benchmark B,
                             const core::StaggConfig &Override,
                             SubmitHooks Hooks,

@@ -81,9 +81,6 @@ public:
   std::future<LiftResponse> submit(bench::Benchmark B,
                                    const core::StaggConfig &Override);
 
-  /// Non-blocking variant: false (and no future) when the queue is full.
-  bool trySubmit(const bench::Benchmark &B, std::future<LiftResponse> &Out);
-
   /// Non-blocking variant with a per-request override and observation
   /// hooks — the socket transport's admission path, which must never block
   /// its event loop on queue backpressure. False (nothing moved, no

@@ -2,8 +2,9 @@
 //
 // The hard requirement of search/Frontier.h: for every thread count, the
 // accepted candidate, the counters, and the fail reason are bit-identical
-// to the serial search. Plus the shutdown guarantees — probe exceptions
-// propagate, and a returned search has no workers left running.
+// to the serial search. Plus the shutdown guarantees — an exception from a
+// probe, a probe factory, the stream or a thread spawn reaches the caller,
+// and a returned search has no workers left running.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,11 +21,19 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
 #include <functional>
+#include <mutex>
+#include <new>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -45,6 +54,19 @@ using namespace stagg::search;
 #define STAGG_TSAN 0
 #endif
 
+// AddressSanitizer's shadow memory does not fit under an address-space
+// limit, so the thread-spawn failure case skips there (and under TSan).
+#if defined(__SANITIZE_ADDRESS__)
+#define STAGG_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define STAGG_ASAN 1
+#endif
+#endif
+#ifndef STAGG_ASAN
+#define STAGG_ASAN 0
+#endif
+
 namespace {
 
 grammar::TemplateGrammar makeGrammar(
@@ -60,6 +82,66 @@ grammar::TemplateGrammar makeGrammar(
       T, grammar::predictDimensionList(T, LhsDim), LhsDim,
       grammar::GrammarOptions());
 }
+
+/// Ends the test binary if the scope it guards is still running after
+/// \p Limit, so a deadlocked frontier fails its case in seconds instead of
+/// hanging the suite until the ctest timeout.
+class Watchdog {
+public:
+  Watchdog(const char *What, std::chrono::seconds Limit)
+      : Thread([this, What, Limit] {
+          std::unique_lock<std::mutex> Lock(Mu);
+          if (!Cv.wait_for(Lock, Limit, [this] { return Done; })) {
+            std::fprintf(stderr, "watchdog: %s still running after %llds\n",
+                         What, static_cast<long long>(Limit.count()));
+            std::_Exit(124);
+          }
+        }) {}
+
+  ~Watchdog() {
+    {
+      std::lock_guard<std::mutex> Lock(Mu);
+      Done = true;
+    }
+    Cv.notify_all();
+    Thread.join();
+  }
+
+private:
+  std::mutex Mu;
+  std::condition_variable Cv;
+  bool Done = false;
+  std::thread Thread; // last: starts once the members it reads exist
+};
+
+/// Yields copies of one template and throws std::bad_alloc on pull number
+/// \p ThrowAt — an allocation failure in the middle of enumeration.
+class ThrowingStream : public CandidateStream {
+public:
+  explicit ThrowingStream(int ThrowAt)
+      : ThrowAt(ThrowAt),
+        Prog(*taco::parseTacoProgram("a(i) = b(i,j) * c(j)").Prog) {}
+
+  bool next(Candidate &Out) override {
+    if (++Pulls == ThrowAt)
+      throw std::bad_alloc();
+    Out.Ticket = static_cast<uint64_t>(Pulls - 1);
+    Out.Program = Prog;
+    Out.AttemptsAtYield = Pulls;
+    Out.ExpansionsAtYield = Pulls;
+    return true;
+  }
+  const std::string &failReason() const override { return Reason; }
+  int attempts() const override { return Pulls; }
+  int64_t expansions() const override { return Pulls; }
+  double seconds() const override { return 0; }
+
+private:
+  const int ThrowAt;
+  const taco::Program Prog;
+  int Pulls = 0;
+  std::string Reason;
+};
 
 /// A probe factory whose probes share one stateless callback.
 TemplateProbeFactory sharedProbe(std::function<bool(const taco::Program &)> F) {
@@ -161,10 +243,10 @@ TEST(ParallelSearch, EarlierTicketWinsDespiteSlowerProbe) {
   EXPECT_LT(Parallel.WinnerWorker, 4);
 }
 
-// Steal-under-contention stress: skewed probe durations leave some deques
-// long after others drain, so idle workers must steal — and the result must
-// still be the serial one.
-TEST(ParallelSearch, StealsUnderContentionKeepBitIdentity) {
+// Skewed probe durations: some workers sit in slow probes while the others
+// race ahead through the window — and the result must still be the serial
+// one.
+TEST(ParallelSearch, SkewedProbesKeepBitIdentity) {
   grammar::TemplateGrammar G =
       makeGrammar({"r(i) = m(i,j) * v(j)", "r(i) = m(j,i) * v(j)",
                    "r(i) = m(i,j) + v(i)", "r(i) = m(i,j) * v(i)"},
@@ -177,25 +259,16 @@ TEST(ParallelSearch, StealsUnderContentionKeepBitIdentity) {
   EXPECT_EQ(Serial.FailReason, "budget exhausted");
 
   Config.Threads = 4;
-  int64_t Steals = 0;
-  // The skew makes steals overwhelmingly likely, not certain; retry a
-  // couple of times before declaring the work-stealing path dead.
-  for (int Try = 0; Try < 3 && Steals == 0; ++Try) {
-    SearchResult Parallel =
-        runTopDown(G, Config, sharedProbe([](const taco::Program &P) {
-                     if (std::hash<std::string>()(taco::printProgram(P)) % 3 ==
-                         0)
-                       std::this_thread::sleep_for(
-                           std::chrono::milliseconds(2));
-                     return false;
-                   }));
-    EXPECT_EQ(Parallel.FailReason, Serial.FailReason);
-    EXPECT_EQ(Parallel.Attempts, Serial.Attempts);
-    EXPECT_EQ(Parallel.Expansions, Serial.Expansions);
-    EXPECT_EQ(Parallel.ProbesExecuted, Serial.Attempts);
-    Steals = Parallel.Steals;
-  }
-  EXPECT_GT(Steals, 0);
+  SearchResult Parallel =
+      runTopDown(G, Config, sharedProbe([](const taco::Program &P) {
+                   if (std::hash<std::string>()(taco::printProgram(P)) % 3 == 0)
+                     std::this_thread::sleep_for(std::chrono::milliseconds(2));
+                   return false;
+                 }));
+  EXPECT_EQ(Parallel.FailReason, Serial.FailReason);
+  EXPECT_EQ(Parallel.Attempts, Serial.Attempts);
+  EXPECT_EQ(Parallel.Expansions, Serial.Expansions);
+  EXPECT_EQ(Parallel.ProbesExecuted, Serial.Attempts);
 }
 
 // A probe exception anywhere in the fleet surfaces to the caller with its
@@ -222,6 +295,38 @@ TEST(ParallelSearch, ProbeExceptionPropagates) {
                    return false;
                  }));
   EXPECT_EQ(R.FailReason, "budget exhausted");
+}
+
+// A stream that throws mid-enumeration stops every worker — including the
+// ones parked waiting for a ticket — and the exception keeps its type.
+TEST(ParallelSearch, StreamExceptionStopsEveryWorker) {
+  Watchdog Guard("StreamExceptionStopsEveryWorker", std::chrono::seconds(10));
+  ThrowingStream Stream(51);
+  SearchConfig Config;
+  Config.Threads = 4;
+  EXPECT_THROW(runFrontier(Stream, Config,
+                           sharedProbe([](const taco::Program &) {
+                             return false;
+                           })),
+               std::bad_alloc);
+}
+
+// A probe factory that throws on worker 0 (the calling thread) stops the
+// workers already probing, and the exception keeps its type.
+TEST(ParallelSearch, FactoryExceptionStopsEveryWorker) {
+  Watchdog Guard("FactoryExceptionStopsEveryWorker", std::chrono::seconds(10));
+  grammar::TemplateGrammar G =
+      makeGrammar({"r(i) = m(i,j) * v(j)", "r(i) = m(j,i) * v(j)"}, 1);
+  SearchConfig Config;
+  Config.MaxAttempts = 100;
+  Config.Threads = 4;
+  EXPECT_THROW(runTopDown(G, Config,
+                          TemplateProbeFactory([](int W) -> TemplateProbe {
+                            if (W == 0)
+                              throw std::invalid_argument("no probe");
+                            return [](const taco::Program &) { return false; };
+                          })),
+               std::invalid_argument);
 }
 
 // Cancellation (here: a mid-search wall-clock timeout) must leave no
@@ -274,6 +379,30 @@ TEST(WorkerPool, RunsAllParticipantsAndRethrows) {
                             throw std::runtime_error("boom");
                         }),
                std::runtime_error);
+}
+
+// A thread that cannot be spawned reaches the caller as the spawn error,
+// after the threads that did start have been joined — never as
+// std::terminate. The child process runs under an address-space limit far
+// below 2000 thread stacks.
+TEST(WorkerPoolDeathTest, SpawnFailureIsRethrownAfterJoin) {
+  if (STAGG_ASAN || STAGG_TSAN)
+    GTEST_SKIP() << "sanitizers need more address space than the limit";
+  EXPECT_EXIT(
+      {
+        rlimit Limit;
+        Limit.rlim_cur = Limit.rlim_max = rlim_t(2'000'000) * 1024;
+        if (setrlimit(RLIMIT_AS, &Limit) != 0)
+          std::_Exit(2);
+        try {
+          WorkerPool().run(2000, [](int) {});
+        } catch (const std::system_error &E) {
+          std::fprintf(stderr, "spawn error: %s\n", E.what());
+          std::_Exit(0);
+        }
+        std::_Exit(1);
+      },
+      ::testing::ExitedWithCode(0), "spawn error");
 }
 
 TEST(WorkerPool, ResolveThreads) {
