@@ -58,7 +58,18 @@ def load(path):
     if CALIBRATION not in entries:
         sys.exit(f"bench_compare: {path} lacks the {CALIBRATION} "
                  "calibration benchmark")
-    return entries, doc.get("config_fingerprint", "")
+    return entries, doc.get("config_fingerprint", ""), host_line(doc)
+
+
+def host_line(doc):
+    """One line naming the machine and build a report was measured on."""
+    host = doc.get("host")
+    if not isinstance(host, dict):
+        return "not recorded"
+    return (f"{host.get('hardware_concurrency', '?')} hardware threads, "
+            f"{host.get('compiler_id', '?')} "
+            f"{host.get('compiler_version', '?')}, "
+            f"build type {host.get('build_type') or '?'}")
 
 
 def main():
@@ -87,8 +98,10 @@ def main():
                              "across divergent branches)")
     args = parser.parse_args()
 
-    base, base_fp = load(args.baseline)
-    cur, cur_fp = load(args.current)
+    base, base_fp, base_host = load(args.baseline)
+    cur, cur_fp, cur_host = load(args.current)
+    print(f"bench_compare: baseline host: {base_host}")
+    print(f"bench_compare: current host:  {cur_host}")
     if base_fp != cur_fp:
         # Different pipeline configs make the verifier/validator baselines
         # incomparable — loud warning rather than failure so one-off local

@@ -168,10 +168,13 @@ LiftResult core::liftBenchmark(const bench::Benchmark &B,
         });
   };
 
+  // Templates the validator would reject on rank alone are settled on the
+  // search state and never reach the probe; every counter is unchanged.
+  const uint64_t Ranks = validate::bindableRanks(B);
   search::SearchResult SR =
       Config.Kind == SearchKind::TopDown
-          ? search::runTopDown(Grammar, Config.Search, Factory)
-          : search::runBottomUp(Grammar, Config.Search, Factory);
+          ? search::runTopDown(Grammar, Config.Search, Factory, Ranks)
+          : search::runBottomUp(Grammar, Config.Search, Factory, Ranks);
 
   Result.Solved = SR.Solved;
   Result.Verified = SR.Solved && !Config.SkipVerification;

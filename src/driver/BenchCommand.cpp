@@ -635,6 +635,37 @@ void driver::printBenchTable(std::ostream &Os, const BenchReport &Report) {
   }
 }
 
+namespace {
+
+/// The machine and build a report was measured on: two reports from
+/// different hosts compare machine speed as much as code.
+support::Json hostJson() {
+  support::Json Host = support::Json::object();
+  Host.set("hardware_concurrency",
+           support::Json::integer(std::thread::hardware_concurrency()));
+#if defined(__clang__)
+  Host.set("compiler_id", support::Json::str("Clang"));
+  Host.set("compiler_version",
+           support::Json::str(std::to_string(__clang_major__) + "." +
+                              std::to_string(__clang_minor__) + "." +
+                              std::to_string(__clang_patchlevel__)));
+#elif defined(__GNUC__)
+  Host.set("compiler_id", support::Json::str("GNU"));
+  Host.set("compiler_version",
+           support::Json::str(std::to_string(__GNUC__) + "." +
+                              std::to_string(__GNUC_MINOR__) + "." +
+                              std::to_string(__GNUC_PATCHLEVEL__)));
+#else
+  Host.set("compiler_id", support::Json::str("unknown"));
+  Host.set("compiler_version", support::Json::str("unknown"));
+#endif
+  // Empty for a single-config build configured without a build type.
+  Host.set("build_type", support::Json::str(STAGG_BUILD_TYPE));
+  return Host;
+}
+
+} // namespace
+
 std::string driver::benchReportJson(const BenchReport &Report) {
   support::Json Root = support::Json::object();
   Root.set("schema", support::Json::str("stagg-bench"));
@@ -643,6 +674,7 @@ std::string driver::benchReportJson(const BenchReport &Report) {
            support::Json::str(Report.ConfigFingerprint));
   Root.set("suite", support::Json::str(Report.Suite));
   Root.set("threads", support::Json::integer(Report.Threads));
+  Root.set("host", hostJson());
   support::Json Benchmarks = support::Json::array();
   for (const BenchEntry &E : Report.Entries) {
     support::Json Entry = support::Json::object();

@@ -23,6 +23,8 @@
 ///
 ///   { "schema": "stagg-bench", "version": 1,
 ///     "config_fingerprint": "...", "suite": "real", "threads": N,
+///     "host": { "hardware_concurrency": 4, "compiler_id": "GNU",
+///               "compiler_version": "12.2.0", "build_type": "Release" },
 ///     "benchmarks": [ { "name": "micro/taco_parse",
 ///                       "wall_seconds": 0.1, "iterations": 123456,
 ///                       "per_iter_seconds": 8.1e-7 }, ... ] }

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <utility>
 
 using namespace stagg;
@@ -60,8 +61,8 @@ ExprPtr chainToExpr(const ChainState &S) {
 class BottomUpEnumerator : public CandidateStream {
 public:
   BottomUpEnumerator(const grammar::TemplateGrammar &G,
-                     const SearchConfig &Config)
-      : G(G), Config(Config), Costs(G), Rules(G),
+                     const SearchConfig &Config, uint64_t BindableRanks)
+      : G(G), Config(Config), BindableRanks(BindableRanks), Costs(G), Rules(G),
         RhsSlots(static_cast<int>(G.DimList.size()) - 1) {
     if (G.DimList.empty() || G.TensorRules.empty()) {
       Done = true;
@@ -103,11 +104,16 @@ public:
       // Algorithm 2, line 5: once the chain holds as many tensors as the
       // dimension list predicts, strip the tail nonterminal and yield for
       // probing. No expansion follows a complete chain, so resuming at the
-      // loop top is exactly the serial continue.
+      // loop top is exactly the serial continue. A chain the validator
+      // would reject on rank alone is counted and never built, as in the
+      // top-down search.
       if (static_cast<int>(Current.Leaves.size()) == RhsSlots) {
+        ++Attempts;
+        if (!Current.M.ranksBindable(BindableRanks))
+          continue;
         Out.Ticket = NextTicket++;
         Out.Program = taco::Program(G.Lhs, chainToExpr(Current));
-        Out.AttemptsAtYield = ++Attempts;
+        Out.AttemptsAtYield = Attempts;
         Out.ExpansionsAtYield = Expansions;
         return true;
       }
@@ -174,6 +180,7 @@ private:
 
   const grammar::TemplateGrammar &G;
   const SearchConfig &Config;
+  const uint64_t BindableRanks;
   Timer Clock;
   CostModel Costs;
   RuleTable Rules;
@@ -191,16 +198,27 @@ private:
 
 } // namespace
 
-SearchResult search::runBottomUp(const grammar::TemplateGrammar &G,
-                                 const SearchConfig &Config,
-                                 const TemplateProbeFactory &Factory) {
-  BottomUpEnumerator Stream(G, Config);
-  return runFrontier(Stream, Config, Factory);
+std::unique_ptr<CandidateStream>
+search::makeBottomUpStream(const grammar::TemplateGrammar &G,
+                           const SearchConfig &Config,
+                           uint64_t BindableRanks) {
+  return std::make_unique<BottomUpEnumerator>(G, Config, BindableRanks);
 }
 
 SearchResult search::runBottomUp(const grammar::TemplateGrammar &G,
                                  const SearchConfig &Config,
-                                 const TemplateProbe &Probe) {
+                                 const TemplateProbeFactory &Factory,
+                                 uint64_t BindableRanks) {
+  std::unique_ptr<CandidateStream> Stream =
+      makeBottomUpStream(G, Config, BindableRanks);
+  return runFrontier(*Stream, Config, Factory);
+}
+
+SearchResult search::runBottomUp(const grammar::TemplateGrammar &G,
+                                 const SearchConfig &Config,
+                                 const TemplateProbe &Probe,
+                                 uint64_t BindableRanks) {
   return runBottomUp(G, Config,
-                     TemplateProbeFactory([&Probe](int) { return Probe; }));
+                     TemplateProbeFactory([&Probe](int) { return Probe; }),
+                     BindableRanks);
 }

@@ -21,21 +21,36 @@
 #include "grammar/Pcfg.h"
 #include "search/SearchTypes.h"
 
+#include <cstdint>
+#include <memory>
+
 namespace stagg {
 namespace search {
 
+class CandidateStream;
+
 /// Runs the bottom-up enumeration. \p Probe is invoked on each dequeued
-/// (tail-stripped) chain; returning true ends the search successfully. The
+/// (tail-stripped) chain whose ranks are all in \p BindableRanks (see
+/// AllRanksBindable); returning true ends the search successfully. The
 /// single probe is shared across workers, so with Config.Threads != 1 it
 /// must be thread-safe; stateful probes should use the factory overload.
 SearchResult runBottomUp(const grammar::TemplateGrammar &G,
                          const SearchConfig &Config,
-                         const TemplateProbe &Probe);
+                         const TemplateProbe &Probe,
+                         uint64_t BindableRanks = AllRanksBindable);
 
 /// Same search with one probe per worker (see TemplateProbeFactory).
 SearchResult runBottomUp(const grammar::TemplateGrammar &G,
                          const SearchConfig &Config,
-                         const TemplateProbeFactory &Factory);
+                         const TemplateProbeFactory &Factory,
+                         uint64_t BindableRanks = AllRanksBindable);
+
+/// The candidate stream runBottomUp drives, for callers that pull candidates
+/// themselves. \p G and \p Config must outlive it.
+std::unique_ptr<CandidateStream>
+makeBottomUpStream(const grammar::TemplateGrammar &G,
+                   const SearchConfig &Config,
+                   uint64_t BindableRanks = AllRanksBindable);
 
 } // namespace search
 } // namespace stagg

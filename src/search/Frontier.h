@@ -13,9 +13,9 @@
 ///
 ///   * a CandidateStream: the search's own enumeration loop, refactored
 ///     into a resumable generator that replays the serial pop order exactly
-///     and stamps every complete candidate with a ticket (its 0-based
-///     probe index in the serial schedule) plus the serial Attempts /
-///     Expansions counters at the moment of the yield; and
+///     and stamps every complete candidate it yields with a ticket (its
+///     0-based probe index in the serial schedule) plus the serial
+///     Attempts / Expansions counters at the moment of the yield; and
 ///
 ///   * runFrontier: N workers that each pull the next ticket from the
 ///     stream and probe it, accepting the lowest successful ticket only
@@ -41,15 +41,19 @@ namespace search {
 
 /// One complete template as the serial schedule would probe it.
 struct Candidate {
-  /// 0-based position in the serial probe order.
+  /// 0-based position among the candidates the stream yields. A stream
+  /// skips the attempts its rank mask settles (search/SearchTypes.h,
+  /// AllRanksBindable), so tickets count yielded candidates, not attempts.
   uint64_t Ticket = 0;
 
   taco::Program Program;
 
   /// Serial counters immediately after this candidate was popped: Attempts
-  /// includes this candidate (== Ticket + 1), Expansions counts every queue
-  /// pop up to and including the pop that completed it. A run accepting
-  /// this candidate reports exactly these values.
+  /// includes this candidate and every skipped one before it
+  /// (AttemptsAtYield >= Ticket + 1, with equality under the all-ranks
+  /// mask), Expansions counts every queue pop up to and including the pop
+  /// that completed it. A run accepting this candidate reports exactly
+  /// these values.
   int AttemptsAtYield = 0;
   int64_t ExpansionsAtYield = 0;
 };

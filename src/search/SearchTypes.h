@@ -61,6 +61,13 @@ struct SearchConfig {
   void dropAllBottomUpPenalties() { PenaltyB1 = PenaltyB2 = false; }
 };
 
+/// Rank mask of the searches: bit R is set when the validator can bind a
+/// template symbol of rank R (some kernel argument has rank R). A complete
+/// template using an unbindable rank is counted as an attempt but never
+/// probed, since the validator rejects it on rank alone. The default probes
+/// every complete template.
+constexpr uint64_t AllRanksBindable = ~uint64_t(0);
+
 /// Callback deciding whether a complete template solves the query (the
 /// pipeline's validate-then-verify step). Returning true stops the search.
 using TemplateProbe = std::function<bool(const taco::Program &Template)>;

@@ -23,6 +23,8 @@ RuleTable::RuleTable(const grammar::TemplateGrammar &G) : G(G) {
       continue;
     E.HasI = std::find(R.Indices.begin(), R.Indices.end(), "i") !=
              R.Indices.end();
+    if (R.Symbol != G.Lhs.name() && R.Indices.size() < 16)
+      E.AccessRankBit = static_cast<uint16_t>(1u << R.Indices.size());
     size_t Id = static_cast<size_t>(
         std::find(Symbols.begin(), Symbols.end(), R.Symbol) - Symbols.begin());
     if (Id == Symbols.size())
@@ -76,6 +78,7 @@ void StateMetrics::addLeaf(const RuleTable &Rules, int Index) {
     ++ConstLeaves;
     return;
   }
+  RanksUsed |= E.AccessRankBit;
   if (E.HasI)
     ++TensorsWithI;
   if (SymbolsSeen & E.SymbolBit)
@@ -102,10 +105,14 @@ Step *Step::allocate(Step *Parent, const Production &Applied,
   return S;
 }
 
-StepRef Step::root() {
+StateMetrics Step::rootMetrics() {
   StateMetrics M;
   M.Holes = 1;
-  return StepRef(allocate(nullptr, Production(), M, 1));
+  return M;
+}
+
+StepRef Step::root() {
+  return StepRef(allocate(nullptr, Production(), rootMetrics(), 1));
 }
 
 StateMetrics Step::metricsAfter(const Production &P,
@@ -206,14 +213,18 @@ ExprPtr buildExpr(const std::vector<const Production *> &Derivation,
 
 } // namespace
 
-ExprPtr Step::toExpr(const grammar::TemplateGrammar &G) const {
-  assert(M.complete() && "toExpr on an incomplete template");
-  std::vector<const Production *> Derivation;
+ExprPtr Step::toExpr(const Production &Last,
+                     const grammar::TemplateGrammar &G,
+                     std::vector<const Production *> &Replay) const {
+  Replay.clear();
+  Replay.push_back(&Last);
   for (const Step *S = this; S->Parent; S = S->Parent)
-    Derivation.push_back(&S->Applied);
-  std::reverse(Derivation.begin(), Derivation.end());
+    Replay.push_back(&S->Applied);
+  std::reverse(Replay.begin(), Replay.end());
   size_t Next = 0;
-  return buildExpr(Derivation, Next, G);
+  ExprPtr E = buildExpr(Replay, Next, G);
+  assert(Next == Replay.size() && "toExpr on an incomplete template");
+  return E;
 }
 
 void StepRef::release(Step *S) {

@@ -13,8 +13,16 @@
 /// nonterminals are holes; a binary node whose OP nonterminal has not been
 /// expanded yet is an "op hole". A child shares its parent by reference,
 /// so one expansion costs O(1) integer work plus a copy of a stack whose
-/// height is bounded by the depth limit. The template itself is only built,
-/// by replaying the chain, once it is complete.
+/// height is bounded by the depth limit. The top-down queue holds a parent
+/// plus the production to apply, and builds the child Step only when that
+/// entry is popped and still has open nonterminals; a complete template is
+/// built, by replaying the parent's chain plus its last production, only
+/// when it is yielded.
+///
+/// The metrics also settle the validator's rank verdict: every access rule
+/// carries the bit of its rank, and a complete template whose ranks are not
+/// all bindable (some argument has that rank) is counted as an attempt and
+/// never built (search/SearchTypes.h, AllRanksBindable).
 ///
 /// The incremental metrics are exact because in a leftmost derivation every
 /// terminal precedes the leftmost nonterminal: a new leaf always appends to
@@ -54,6 +62,10 @@ public:
   struct Entry {
     bool IsConst = false;
     bool HasI = false;       ///< Indexed by the first canonical variable.
+    /// Bit of the access's rank (its number of indices) when the validator
+    /// must bind the symbol to an argument of that rank; 0 for the constant,
+    /// for the LHS symbol (bound to the output) and for ranks past the mask.
+    uint16_t AccessRankBit = 0;
     int Rank = -1;           ///< -1: not a canonical symbol, never in order.
     uint64_t SymbolBit = 0;  ///< 0 for the constant.
     uint64_t ClassMask = 0;  ///< Symbol bits of the rule's class.
@@ -94,10 +106,21 @@ struct StateMetrics {
   /// non-constant access on both sides (penalty a4).
   bool DegenerateOp = false;
 
+  /// RuleTable access-rank bits of every leaf placed so far.
+  uint16_t RanksUsed = 0;
+
   /// RuleTable symbol bits of the distinct non-constant symbols used.
   uint64_t SymbolsSeen = 0;
 
   bool complete() const { return Holes == 0 && OpHoles == 0; }
+
+  /// False when some leaf has a rank outside \p BindableRanks (bit R: some
+  /// argument has rank R): the validator rejects such a template on rank
+  /// alone, before looking at anything else.
+  bool ranksBindable(uint64_t BindableRanks) const {
+    return (RanksUsed & ~BindableRanks) == 0;
+  }
+
   int distinctOps() const { return __builtin_popcount(OpsUsed); }
 
   /// Accounts for one more leaf, appended to the leaf order, applying rule
@@ -106,6 +129,10 @@ struct StateMetrics {
 
   void addOp(taco::BinOpKind Op) { OpsUsed |= 1u << static_cast<int>(Op); }
 };
+
+// Every top-down Step and bottom-up chain carries one; the rank bits ride in
+// what was padding.
+static_assert(sizeof(StateMetrics) == 40, "StateMetrics grew");
 
 /// One production applied to the leftmost nonterminal.
 struct Production {
@@ -150,6 +177,7 @@ class Step {
 public:
   /// The initial state: a single EXPR hole at depth 1.
   static StepRef root();
+  static StateMetrics rootMetrics();
 
   /// The metrics after applying \p P to this state's leftmost nonterminal,
   /// in O(1). \p P must match the leftmost nonterminal's kind.
@@ -170,9 +198,12 @@ public:
   }
   size_t numPending() const { return NumPending; }
 
-  /// Replays the derivation into the template's RHS. Only valid when the
-  /// template is complete.
-  taco::ExprPtr toExpr(const grammar::TemplateGrammar &G) const;
+  /// Replays the derivation, with \p Last applied to this state, into the
+  /// template's RHS. Only valid when the result is complete. \p Replay is
+  /// scratch the caller reuses across calls.
+  taco::ExprPtr toExpr(const Production &Last,
+                       const grammar::TemplateGrammar &G,
+                       std::vector<const Production *> &Replay) const;
 
 private:
   friend class StepRef;
@@ -214,12 +245,18 @@ public:
       ++S->Refs;
   }
   StepRef(StepRef &&Other) noexcept : S(Other.S) { Other.S = nullptr; }
-  StepRef &operator=(StepRef Other) noexcept {
+  /// Heap sifts move entries many times per push and pop; a move is two
+  /// pointer writes and never touches a count.
+  StepRef &operator=(StepRef &&Other) noexcept {
     std::swap(S, Other.S);
     return *this;
   }
-  ~StepRef() { release(S); }
+  ~StepRef() {
+    if (S)
+      release(S);
+  }
 
+  explicit operator bool() const { return S != nullptr; }
   const Step &operator*() const { return *S; }
   const Step *operator->() const { return S; }
 

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -18,11 +19,16 @@ using namespace stagg::search;
 
 namespace {
 
+/// A queued child: the parent state plus the production to apply to it.
+/// The child Step is only built when the entry is popped, so the many
+/// entries that never leave the queue cost no node, and a popped complete
+/// template costs none either. An entry with a null Parent is the root.
 struct Item {
   double F = 0;
   double C = 0;
   uint64_t Seq = 0;
-  StepRef State;
+  StepRef Parent;
+  Production P;
 };
 
 /// Min-heap ordering on F with FIFO tie-breaking (std::*_heap builds a
@@ -42,17 +48,17 @@ struct ItemGreater {
 class TopDownEnumerator : public CandidateStream {
 public:
   TopDownEnumerator(const grammar::TemplateGrammar &G,
-                    const SearchConfig &Config)
-      : G(G), Config(Config), Costs(G), Rules(G) {
+                    const SearchConfig &Config, uint64_t BindableRanks)
+      : G(G), Config(Config), BindableRanks(BindableRanks), Costs(G),
+        Rules(G) {
     if (G.DimList.empty() || G.TensorRules.empty()) {
       Done = true;
       Reason = "empty grammar (no usable LLM candidates)";
       return;
     }
-    StepRef Root = Step::root();
-    double F = priority(0, Root->metrics());
+    double F = priority(0, Step::rootMetrics());
     if (!std::isinf(F))
-      push(F, 0, std::move(Root));
+      push(F, 0, StepRef(), Production());
   }
 
   bool next(Candidate &Out) override {
@@ -70,26 +76,37 @@ public:
       Heap.pop_back();
       ++Expansions;
 
-      const Step &State = *Current.State;
-      if (State.metrics().Depth > Config.MaxDepth)
+      StateMetrics M = Current.Parent
+                           ? Current.Parent->metricsAfter(Current.P, Rules)
+                           : Step::rootMetrics();
+      if (M.Depth > Config.MaxDepth)
         continue; // Algorithm 1, line 5.
 
-      const Pending *Leftmost = State.leftmost();
-      if (!Leftmost) {
-        // Complete template: yield it for validation + verification.
+      if (M.complete()) {
+        // Complete template: an attempt. One the validator would reject on
+        // rank alone is settled here; the rest are built and yielded for
+        // validation + verification.
+        ++Attempts;
+        if (!M.ranksBindable(BindableRanks))
+          continue;
         Out.Ticket = NextTicket++;
-        Out.Program = taco::Program(G.Lhs, State.toExpr(G));
-        Out.AttemptsAtYield = ++Attempts;
+        Out.Program = taco::Program(
+            G.Lhs, Current.Parent->toExpr(Current.P, G, Replay));
+        Out.AttemptsAtYield = Attempts;
         Out.ExpansionsAtYield = Expansions;
         return true;
       }
 
+      const StepRef State =
+          Current.Parent ? Step::extend(Current.Parent, Current.P, M, Rules)
+                         : Step::root();
+      const Pending *Leftmost = State->leftmost();
       if (Leftmost->K == Pending::Kind::Op) {
         static const taco::BinOpKind Ops[] = {
             taco::BinOpKind::Add, taco::BinOpKind::Sub, taco::BinOpKind::Mul,
             taco::BinOpKind::Div};
         for (taco::BinOpKind Op : Ops)
-          expand(Current, Production::op(Op), Costs.costOp(Op));
+          expand(State, Current.C, Production::op(Op), Costs.costOp(Op));
         continue;
       }
 
@@ -98,14 +115,15 @@ public:
         const grammar::TensorRule &Rule = G.TensorRules[I];
         double RuleCost = Rule.IsConst ? Costs.costExprConst()
                                        : Costs.costExprTensor() + Rule.Cost;
-        expand(Current, Production::leaf(static_cast<int>(I)), RuleCost);
+        expand(State, Current.C, Production::leaf(static_cast<int>(I)),
+               RuleCost);
       }
-      expand(Current, Production::bin(), Costs.costExprBin());
+      expand(State, Current.C, Production::bin(), Costs.costExprBin());
       // EXPR -> max(EXPR, EXPR), only when candidates supplied the
       // evidence — max-free grammars expand exactly the pre-max state space
       // in the same order.
       if (G.HasMaxRule)
-        expand(Current, Production::max(), Costs.costExprMax());
+        expand(State, Current.C, Production::max(), Costs.costExprMax());
     }
     return fail("search space exhausted");
   }
@@ -125,19 +143,20 @@ private:
     return C + G2 + Penalty;
   }
 
-  /// Pushes the child of \p Parent under \p P unless it is pruned. Its
-  /// metrics come first, so a pruned child is never built.
-  void expand(const Item &Parent, const Production &P, double StepCost) {
-    double C = Parent.C + StepCost;
-    StateMetrics M = Parent.State->metricsAfter(P, Rules);
-    double F = priority(C, M);
+  /// Queues the child of \p Parent (at cost \p ParentC) under \p P unless
+  /// it is pruned. Only its metrics are computed; the Step waits for the
+  /// pop.
+  void expand(const StepRef &Parent, double ParentC, const Production &P,
+              double StepCost) {
+    double C = ParentC + StepCost;
+    double F = priority(C, Parent->metricsAfter(P, Rules));
     if (std::isinf(F))
       return;
-    push(F, C, Step::extend(Parent.State, P, M, Rules));
+    push(F, C, Parent, P);
   }
 
-  void push(double F, double C, StepRef State) {
-    Heap.push_back(Item{F, C, NextSeq++, std::move(State)});
+  void push(double F, double C, StepRef Parent, const Production &P) {
+    Heap.push_back(Item{F, C, NextSeq++, std::move(Parent), P});
     std::push_heap(Heap.begin(), Heap.end(), Cmp);
   }
 
@@ -149,10 +168,12 @@ private:
 
   const grammar::TemplateGrammar &G;
   const SearchConfig &Config;
+  const uint64_t BindableRanks;
   Timer Clock;
   CostModel Costs;
   RuleTable Rules;
   std::vector<Item> Heap;
+  std::vector<const Production *> Replay;
   ItemGreater Cmp;
   uint64_t NextSeq = 0;
   uint64_t NextTicket = 0;
@@ -164,16 +185,26 @@ private:
 
 } // namespace
 
-SearchResult search::runTopDown(const grammar::TemplateGrammar &G,
-                                const SearchConfig &Config,
-                                const TemplateProbeFactory &Factory) {
-  TopDownEnumerator Stream(G, Config);
-  return runFrontier(Stream, Config, Factory);
+std::unique_ptr<CandidateStream>
+search::makeTopDownStream(const grammar::TemplateGrammar &G,
+                          const SearchConfig &Config, uint64_t BindableRanks) {
+  return std::make_unique<TopDownEnumerator>(G, Config, BindableRanks);
 }
 
 SearchResult search::runTopDown(const grammar::TemplateGrammar &G,
                                 const SearchConfig &Config,
-                                const TemplateProbe &Probe) {
+                                const TemplateProbeFactory &Factory,
+                                uint64_t BindableRanks) {
+  std::unique_ptr<CandidateStream> Stream =
+      makeTopDownStream(G, Config, BindableRanks);
+  return runFrontier(*Stream, Config, Factory);
+}
+
+SearchResult search::runTopDown(const grammar::TemplateGrammar &G,
+                                const SearchConfig &Config,
+                                const TemplateProbe &Probe,
+                                uint64_t BindableRanks) {
   return runTopDown(G, Config,
-                    TemplateProbeFactory([&Probe](int) { return Probe; }));
+                    TemplateProbeFactory([&Probe](int) { return Probe; }),
+                    BindableRanks);
 }

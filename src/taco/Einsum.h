@@ -27,7 +27,10 @@
 ///    variables become integer slots into a flat coordinate array, the
 ///    expression becomes a vector of nodes with child indices, and
 ///    reduction placement is computed. None of this depends on the operand
-///    tensors, so one compiled program serves every operand binding.
+///    tensors, so one compiled program serves every operand binding. One
+///    EinsumProgram can be re-targeted at program after program (the
+///    validator compiles every template into the same one), keeping its
+///    buffers.
 ///  * EinsumEvaluator — *operand binding*, once per operand set: extents
 ///    are checked and bound per slot, and every access is lowered to the
 ///    operand's flat storage plus pre-resolved per-position strides. The
@@ -96,24 +99,44 @@ inline bool advanceCounter(std::vector<int64_t> &Coord,
 } // namespace detail
 
 /// The operand-independent compilation of a program: slots, node tree, and
-/// reduction placement. Immutable after construction; any number of
-/// evaluators can share one instance.
+/// reduction placement. Between compile() calls it is immutable and any
+/// number of evaluators can share it; compile() re-targets it at another
+/// program, which invalidates every evaluator (and vm::Code) built on the
+/// previous target.
 class EinsumProgram {
 public:
-  explicit EinsumProgram(const Program &P) : P(P) {
-    if (!P.Rhs) {
+  /// An empty structure that is not ok() until compile() targets it.
+  EinsumProgram() = default;
+  explicit EinsumProgram(const Program &Target) { compile(Target); }
+
+  /// (Re)compiles the structure of \p Target, which must outlive the
+  /// structure's use. Reuses every buffer the previous targets grew, so
+  /// compiling a program no larger than an earlier one allocates nothing.
+  void compile(const Program &Target) {
+    P = &Target;
+    StructureError.clear();
+    Vars.clear();
+    ReduceOrder.clear();
+    TotalUses.clear();
+    Uses.clear();
+    NumNodes = 0;
+    AccessNodes.clear();
+    ConstNodes.clear();
+    OutSlots.clear();
+    Root = -1;
+    if (!Target.Rhs) {
       StructureError = "program has no RHS";
       return;
     }
 
     // Slot assignment: LHS variables first, then RHS variables in order of
     // first appearance. Slot ids double as variable ids below.
-    for (const std::string &Var : P.Lhs.indices())
+    for (const std::string &Var : Target.Lhs.indices())
       slotOf(Var);
     NumLhsSlots = static_cast<int>(Vars.size());
-    collectVars(*P.Rhs);
+    collectVars(*Target.Rhs);
 
-    for (const std::string &Var : P.Lhs.indices())
+    for (const std::string &Var : Target.Lhs.indices())
       OutSlots.push_back(slotOf(Var));
 
     // Reduction variables are the slots the LHS does not pin. Nodes list
@@ -125,16 +148,12 @@ public:
       return *Vars[static_cast<size_t>(A)] < *Vars[static_cast<size_t>(B)];
     });
 
-    Root = compile(*P.Rhs);
-
-    // The use-count table is only needed during compilation.
-    Uses.clear();
-    TotalUses.clear();
+    Root = compileExpr(*Target.Rhs);
   }
 
   bool ok() const { return StructureError.empty(); }
   const std::string &error() const { return StructureError; }
-  const Program &program() const { return P; }
+  const Program &program() const { return *P; }
   size_t numSlots() const { return Vars.size(); }
 
   /// One compiled expression node. Children are indices into Nodes, so the
@@ -158,7 +177,23 @@ public:
     std::vector<int> ReduceSlots;
   };
 
-  const std::vector<Node> &nodes() const { return Nodes; }
+  /// The live nodes, indexed by node id. Node storage outlives re-targeting
+  /// (so its vectors keep their capacity), hence a view rather than the
+  /// vector itself.
+  class NodeView {
+  public:
+    NodeView(const Node *Begin, size_t Size) : Begin(Begin), Size(Size) {}
+    size_t size() const { return Size; }
+    const Node &operator[](size_t Id) const { return Begin[Id]; }
+    const Node *begin() const { return Begin; }
+    const Node *end() const { return Begin + Size; }
+
+  private:
+    const Node *Begin;
+    size_t Size;
+  };
+
+  NodeView nodes() const { return NodeView(Nodes.data(), NumNodes); }
   const std::vector<int> &accessNodes() const { return AccessNodes; }
   const std::vector<int> &constNodes() const { return ConstNodes; }
   const std::vector<int> &outSlots() const { return OutSlots; }
@@ -232,39 +267,54 @@ private:
   /// table exist when the node's own row is summed from them. A variable is
   /// reduced at the *smallest* node containing all its uses: the node whose
   /// count reaches the total while no child's already does.
-  int compile(const Expr &E) {
-    Node N;
-    N.Kind = E.kind();
+  int compileExpr(const Expr &E) {
+    // Children first: ids are post-order.
+    BinOpKind Op = BinOpKind::Add;
+    int ChildA = -1, ChildB = -1;
     switch (E.kind()) {
-    case Expr::Kind::Access: {
-      const auto &A = exprCast<AccessExpr>(E);
-      N.Access = &A;
-      for (const std::string &Var : A.indices())
-        N.Slots.push_back(slotOf(Var));
-      break;
-    }
+    case Expr::Kind::Access:
     case Expr::Kind::Constant:
-      N.Constant = &exprCast<ConstantExpr>(E);
       break;
     case Expr::Kind::Binary: {
       const auto &B = exprCast<BinaryExpr>(E);
-      N.Op = B.op();
-      N.ChildA = compile(B.lhs());
-      N.ChildB = compile(B.rhs());
+      Op = B.op();
+      ChildA = compileExpr(B.lhs());
+      ChildB = compileExpr(B.rhs());
       break;
     }
     case Expr::Kind::Negate:
-      N.ChildA = compile(exprCast<NegateExpr>(E).operand());
+      ChildA = compileExpr(exprCast<NegateExpr>(E).operand());
       break;
     case Expr::Kind::Max: {
       const auto &M = exprCast<MaxExpr>(E);
-      N.ChildA = compile(M.lhs());
-      N.ChildB = compile(M.rhs());
+      ChildA = compileExpr(M.lhs());
+      ChildB = compileExpr(M.rhs());
       break;
     }
     }
 
-    int Id = static_cast<int>(Nodes.size());
+    int Id = static_cast<int>(NumNodes++);
+    if (Nodes.size() < NumNodes)
+      Nodes.emplace_back();
+    Node &N = Nodes[static_cast<size_t>(Id)];
+    N.Kind = E.kind();
+    N.Op = Op;
+    N.ChildA = ChildA;
+    N.ChildB = ChildB;
+    N.Access = nullptr;
+    N.Slots.clear();
+    N.AccessOrdinal = -1;
+    N.Constant = nullptr;
+    N.ConstOrdinal = -1;
+    N.ReduceSlots.clear();
+    if (E.kind() == Expr::Kind::Access) {
+      N.Access = &exprCast<AccessExpr>(E);
+      for (const std::string &Var : N.Access->indices())
+        N.Slots.push_back(slotOf(Var));
+    } else if (E.kind() == Expr::Kind::Constant) {
+      N.Constant = &exprCast<ConstantExpr>(E);
+    }
+
     size_t Row = Uses.size();
     Uses.resize(Row + Vars.size(), 0);
     if (N.Kind == Expr::Kind::Access) {
@@ -295,12 +345,11 @@ private:
       N.ConstOrdinal = static_cast<int>(ConstNodes.size());
       ConstNodes.push_back(Id);
     }
-    Nodes.push_back(std::move(N));
     return Id;
   }
 
-  const Program &P;
-  std::string StructureError;
+  const Program *P = nullptr;
+  std::string StructureError = "no program";
   /// Slot id -> variable name, pointing into P's index lists.
   std::vector<const std::string *> Vars;
   int NumLhsSlots = 0;
@@ -309,9 +358,12 @@ private:
   /// Accesses using each slot over the whole RHS (zero for LHS slots).
   std::vector<int> TotalUses;
   /// Row per node (post-order id), column per slot: accesses in the node's
-  /// subtree that use the slot's reduction variable.
+  /// subtree that use the slot's reduction variable. TotalUses and Uses are
+  /// only read while compiling.
   std::vector<int> Uses;
+  /// Nodes[0, NumNodes) are live; the rest keep their buffers for reuse.
   std::vector<Node> Nodes;
+  size_t NumNodes = 0;
   std::vector<int> AccessNodes;
   std::vector<int> ConstNodes;
   std::vector<int> OutSlots;
@@ -356,7 +408,7 @@ public:
 
     // Access nodes are listed in leaf (left-to-right) order, matching the
     // recursive binder's conflict-discovery order.
-    const std::vector<EinsumProgram::Node> &Nodes = S.nodes();
+    EinsumProgram::NodeView Nodes = S.nodes();
     AccessBinds.resize(S.accessNodes().size());
     for (int NodeId : S.accessNodes()) {
       const EinsumProgram::Node &N = Nodes[static_cast<size_t>(NodeId)];
@@ -409,7 +461,7 @@ public:
   /// odometer rewrites the same nodes in place; everything else about the
   /// binding is value-independent.
   void refreshConstants() {
-    const std::vector<EinsumProgram::Node> &Nodes = S.nodes();
+    EinsumProgram::NodeView Nodes = S.nodes();
     for (int NodeId : S.constNodes()) {
       const EinsumProgram::Node &N = Nodes[static_cast<size_t>(NodeId)];
       assert(!N.Constant->isSymbolic() &&

@@ -7,6 +7,8 @@
 #include "vm/Compiler.h"
 #include "vm/Interpreter.h"
 
+#include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <functional>
 
@@ -63,19 +65,24 @@ taco::Program validate::instantiateTemplate(
                  Template.Rhs ? Rewrite(*Template.Rhs) : nullptr);
 }
 
+uint64_t validate::bindableRanks(const bench::Benchmark &B) {
+  uint64_t Ranks = 0;
+  for (const bench::ArgSpec &Arg : B.Args)
+    if (Arg.rank() < 64)
+      Ranks |= uint64_t(1) << Arg.rank();
+  return Ranks;
+}
+
 Validator::Validator(const bench::Benchmark &B, std::vector<IoExample> Examples,
                      std::vector<int64_t> Constants, bool UseVm,
                      bool /*UseVmOpt*/)
     : B(B), Examples(std::move(Examples)), Constants(std::move(Constants)),
-      UseVm(UseVm) {
+      UseVm(UseVm), ArgRanks(bindableRanks(B)) {
   // An empty pool would make constant templates uninstantiable even though
   // the grammar can propose them; keep the degenerate default of the source
   // having no literals.
   if (this->Constants.empty())
     this->Constants.push_back(1);
-  for (const bench::ArgSpec &Arg : B.Args)
-    if (Arg.rank() < 64)
-      ArgRanks |= uint64_t(1) << Arg.rank();
 }
 
 namespace {
@@ -181,6 +188,9 @@ struct Validator::State {
     std::vector<int64_t> Dims;
     std::vector<int64_t> OutShape;
     const Tensor<double> *Out = nullptr;
+    /// Every output extent is positive; a binding on this example fails
+    /// otherwise, as Interpreter::bind does.
+    bool OutPositive = true;
   };
   std::vector<ExampleArgs> Table;
   /// Per argument: offset of its shape in ExampleArgs::Dims (rank-sized).
@@ -213,20 +223,38 @@ struct Validator::State {
   std::vector<std::pair<int, int64_t>> Cons;
   std::vector<size_t> ConsBegin;
   std::vector<int64_t> Local;
-  std::vector<int64_t> JointExtent;
-  std::vector<uint64_t> JointStamp;
+  /// Every variable's extent per example under the current binding:
+  /// [Example * NumVars + Var].
+  std::vector<int64_t> BindExtents;
   std::vector<size_t> Pick;
   std::vector<size_t> ConstPick;
   std::vector<int64_t> ConstValues;
   std::vector<uint64_t> BoundEpoch;
   std::vector<char> BindOk;
-  /// The template with its symbolic constants made mutable (when it has
-  /// any), its bytecode, and one interpreter per example re-pointed at each
-  /// new template's code.
-  Program Bound;
-  std::vector<ConstantExpr *> ConstNodes;
+
+  //===-- VM evaluation: per-template code and binding tables --------------===
+  /// The template's structure and bytecode, recompiled in place per
+  /// template, and one interpreter per example re-pointed at it.
+  taco::EinsumProgram Structure;
   vm::Code Code;
   std::vector<vm::Interpreter<double>> Interps;
+  /// One access binding per (leaf, option, example):
+  /// LeafBinds[(LeafOptBase[L] + Option) * NumExamples + E], Data null when
+  /// the operand cannot be bound there. The LHS symbol has one option.
+  std::vector<vm::AccessBinding<double>> LeafBinds;
+  std::vector<size_t> LeafOptBase;
+  std::vector<vm::SlotStride> Spans;
+  /// The current binding's row for one example, handed to bindPrepared.
+  std::vector<vm::AccessBinding<double>> BindRow;
+  /// Value per constant ordinal of the code; SymConstOrdinal[I] is the
+  /// ordinal of the I-th symbolic constant.
+  std::vector<double> ConstRegValues;
+  std::vector<size_t> SymConstOrdinal;
+
+  //===-- Tree-walk evaluation (--no-vm) -----------------------------------===
+  /// The template with its symbolic constants made mutable.
+  Program Bound;
+  std::vector<ConstantExpr *> ConstNodes;
 };
 
 Validator::~Validator() = default;
@@ -278,6 +306,8 @@ Validator::State &Validator::state() const {
     if (OutArg) {
       Row.OutShape = resolveShape(*OutArg, Ex.Sizes);
       Row.Out = Find(OutArg->Name);
+      for (int64_t Extent : Row.OutShape)
+        Row.OutPositive = Row.OutPositive && Extent > 0;
     }
   }
   return S;
@@ -363,6 +393,11 @@ ExprPtr withMutableConstants(const Expr &E,
 
 } // namespace
 
+bool Validator::rejectsOnRank(const Program &Template) const {
+  return Template.Rhs &&
+         !ranksAvailable(*Template.Rhs, Template.Lhs.name(), ArgRanks);
+}
+
 std::vector<Instantiation>
 Validator::validate(const Program &Template, size_t MaxResults) const {
   std::vector<Instantiation> Valid;
@@ -376,7 +411,7 @@ Validator::validate(const Program &Template, size_t MaxResults) const {
   // The LHS symbol is pinned to the output argument; ranks must agree.
   if (static_cast<int>(Template.Lhs.order()) != OutArg->rank())
     return Valid;
-  if (!ranksAvailable(*Template.Rhs, Template.Lhs.name(), ArgRanks))
+  if (rejectsOnRank(Template))
     return Valid;
 
   State &S = state();
@@ -542,52 +577,25 @@ Validator::validate(const Program &Template, size_t MaxResults) const {
   S.ChoiceBegin.push_back(S.ChoiceArg.size());
   S.ConsBegin.push_back(S.Cons.size());
 
-  // The template is compiled *once* and evaluated directly under each
-  // symbol binding: instantiation only renames tensors and fills constant
-  // values, neither of which changes the compiled structure, reduction
-  // placement, or evaluation order — so verdicts are bit-identical to
-  // evaluating the instantiated program. When the template has symbolic
-  // constants they become mutable literal nodes (in a one-time clone) the
-  // constant odometer rewrites in place; otherwise the template itself is
-  // compiled, clone-free.
-  S.ConstNodes.clear();
-  if (ConstLeaves > 0)
-    S.Bound = Program(AccessExpr(Template.Lhs.name(), Template.Lhs.indices()),
-                      withMutableConstants(*Template.Rhs, S.ConstNodes));
-  const Program &EvalProgram = ConstLeaves > 0 ? S.Bound : Template;
-
   S.Pick.assign(NumSymbols, 0);
   auto OptionOf = [&S](size_t SI) { return S.ChoiceBegin[SI] + S.Pick[SI]; };
-  // The operand of access ordinal \p Ord under the current binding.
-  auto OperandAt = [&](size_t E, size_t Ord) -> const Tensor<double> * {
-    int Sym = S.LeafSym[Ord];
-    if (Sym < 0)
-      return S.Table[E].Out;
-    size_t Arg = static_cast<size_t>(
-        S.ChoiceArg[OptionOf(static_cast<size_t>(Sym))]);
-    return S.Table[E].Ptr[Arg];
-  };
 
-  // Cross-symbol consistency scratch, generation-stamped so the joint check
-  // allocates nothing per binding.
-  S.JointExtent.assign(NumVars, -1);
-  S.JointStamp.assign(NumVars, 0);
-  uint64_t Generation = 0;
+  // Cross-symbol consistency of the current binding, which also settles
+  // every variable's extent per example: the output-pinned ones, plus the
+  // (var, extent) pairs each chosen option imposes.
+  S.BindExtents.resize(NumExamples * NumVars);
   auto BindingShapesConsistent = [&]() {
     for (size_t E = 0; E < NumExamples; ++E) {
-      ++Generation;
+      int64_t *Extent = S.BindExtents.data() + E * NumVars;
+      std::copy_n(S.BaseExtents.data() + E * NumVars, NumVars, Extent);
       for (size_t SI = 0; SI < NumSymbols; ++SI) {
         size_t At = OptionOf(SI) * NumExamples + E;
         for (size_t C = S.ConsBegin[At]; C < S.ConsBegin[At + 1]; ++C) {
-          const auto &[Var, Extent] = S.Cons[C];
-          size_t V = static_cast<size_t>(Var);
-          if (S.JointStamp[V] == Generation) {
-            if (S.JointExtent[V] != Extent)
-              return false;
-            continue;
-          }
-          S.JointStamp[V] = Generation;
-          S.JointExtent[V] = Extent;
+          const auto &[Var, Want] = S.Cons[C];
+          int64_t &Have = Extent[static_cast<size_t>(Var)];
+          if (Have >= 0 && Have != Want)
+            return false;
+          Have = Want;
         }
       }
     }
@@ -596,12 +604,13 @@ Validator::validate(const Program &Template, size_t MaxResults) const {
 
   // Odometer over symbol bindings x constant assignments, exactly the naive
   // enumeration order; shape-incompatible bindings are skipped wholesale
-  // (their entire constant block would have failed evaluation). The loop is
-  // generic over the evaluator vector so the VM and the tree-walk share one
-  // definition of the enumeration (and thus one enumeration order).
+  // (their entire constant block would have failed evaluation). The
+  // evaluators plug in three steps: publishing the constant values,
+  // binding an example, and comparing it against the expected output.
   S.ConstPick.assign(ConstLeaves, 0);
   S.ConstValues.assign(ConstLeaves, 0);
-  auto RunEnum = [&](auto &Evaluators, const auto &BindExample) {
+  auto RunEnum = [&](const auto &ApplyConstants, const auto &BindExample,
+                     const auto &Matches) {
     // Examples are (re)bound lazily per binding, preserving the fail-fast
     // behavior of the naive loop: a binding rejected on the first example
     // never pays for the others.
@@ -620,22 +629,14 @@ Validator::validate(const Program &Template, size_t MaxResults) const {
       if (BindingShapesConsistent()) {
         ++BindEpoch;
         for (bool More = true; More;) {
-          for (size_t I = 0; I < ConstLeaves; ++I) {
+          for (size_t I = 0; I < ConstLeaves; ++I)
             S.ConstValues[I] = Constants[S.ConstPick[I]];
-            S.ConstNodes[I]->setValue(S.ConstValues[I]);
-          }
+          ApplyConstants();
 
           ++Tried;
           bool Consistent = true;
           for (size_t E = 0; E < NumExamples; ++E) {
-            if (!EnsureBound(E)) {
-              Consistent = false;
-              break;
-            }
-            Evaluators[E].refreshConstants();
-            if (Evaluators[E].compare(Examples[E].Expected.flat(),
-                                      cellsMatch) !=
-                taco::EinsumCompare::Match) {
+            if (!EnsureBound(E) || !Matches(E)) {
               Consistent = false;
               break;
             }
@@ -686,44 +687,162 @@ Validator::validate(const Program &Template, size_t MaxResults) const {
         return;
     }
   };
+  auto Matches = [&](auto &Evaluator, size_t E) {
+    return Evaluator.compare(Examples[E].Expected.flat(), cellsMatch) ==
+           taco::EinsumCompare::Match;
+  };
 
-  if (UseVm) {
-    // Plain compiled bytecode: no vm::optimize, whose passes cost more
-    // than they save on a few small examples. The per-example interpreters
-    // keep their buffers across templates and bind operands by access
-    // ordinal straight from the argument table.
-    S.Code = vm::compileProgram(EvalProgram);
-    if (!S.Code.ok())
-      return Valid;
-    for (size_t E = 0; E < NumExamples; ++E) {
-      if (E < S.Interps.size())
-        S.Interps[E].reset(S.Code);
-      else
-        S.Interps.emplace_back(S.Code);
-    }
-    RunEnum(S.Interps, [&](size_t E) {
-      return S.Interps[E].bindByAccess(
-          [&](size_t Ord) { return OperandAt(E, Ord); }, S.Table[E].OutShape);
-    });
-  } else {
-    taco::EinsumProgram Compiled(EvalProgram);
+  if (!UseVm) {
+    // The tree-walk evaluates a clone of the template whose symbolic
+    // constants are mutable literal nodes, rewritten in place per
+    // assignment.
+    S.ConstNodes.clear();
+    S.Bound = Program(AccessExpr(Template.Lhs.name(), Template.Lhs.indices()),
+                      withMutableConstants(*Template.Rhs, S.ConstNodes));
+    taco::EinsumProgram Compiled(S.Bound);
     if (!Compiled.ok())
       return Valid;
     std::vector<taco::EinsumEvaluator<double>> Evaluators(
         NumExamples, taco::EinsumEvaluator<double>(Compiled));
-    RunEnum(Evaluators, [&](size_t E) {
-      return Evaluators[E].bind(
-          [&](const std::string &Name) -> const Tensor<double> * {
-            if (Name == LhsName)
-              return S.Table[E].Out;
-            for (size_t SI = 0; SI < NumSymbols; ++SI)
-              if (*S.SymNames[SI] == Name)
-                return S.Table[E].Ptr[static_cast<size_t>(
-                    S.ChoiceArg[OptionOf(SI)])];
-            return nullptr;
-          },
-          S.Table[E].OutShape);
-    });
+    RunEnum(
+        [&] {
+          for (size_t I = 0; I < ConstLeaves; ++I)
+            S.ConstNodes[I]->setValue(S.ConstValues[I]);
+        },
+        [&](size_t E) {
+          return Evaluators[E].bind(
+              [&](const std::string &Name) -> const Tensor<double> * {
+                if (Name == LhsName)
+                  return S.Table[E].Out;
+                for (size_t SI = 0; SI < NumSymbols; ++SI)
+                  if (*S.SymNames[SI] == Name)
+                    return S.Table[E].Ptr[static_cast<size_t>(
+                        S.ChoiceArg[OptionOf(SI)])];
+                return nullptr;
+              },
+              S.Table[E].OutShape);
+        },
+        [&](size_t E) {
+          Evaluators[E].refreshConstants();
+          return Matches(Evaluators[E], E);
+        });
+    return Valid;
   }
+
+  // The template is compiled *once*, straight from the caller's program,
+  // into the reused scratch, and evaluated directly under each symbol
+  // binding: instantiation only renames tensors and fills constant values,
+  // neither of which changes the compiled structure, reduction placement,
+  // or evaluation order — so verdicts are bit-identical to evaluating the
+  // instantiated program. Plain bytecode: no vm::optimize, whose passes
+  // cost more than they save on a few small examples.
+  if (!vm::compileInto(Template, S.Structure, S.Code))
+    return Valid;
+  const vm::StmtCode &SC = S.Code.statements()[0];
+  // Variable ids and code slots are both interned LHS first, then in RHS
+  // leaf order, so BindExtents rows are per-slot extent tables as they are.
+  assert(static_cast<size_t>(SC.NumSlots) == NumVars &&
+         SC.Accesses.size() == NumLeaves);
+#ifndef NDEBUG
+  for (size_t L = 0; L < NumLeaves; ++L)
+    for (size_t P = 0; P < LeafOrder(L); ++P)
+      assert(static_cast<size_t>(SC.Accesses[L].Slots[P]) == LeafVar(L, P));
+#endif
+  for (size_t E = 0; E < NumExamples; ++E) {
+    if (E < S.Interps.size())
+      S.Interps[E].reset(S.Code);
+    else
+      S.Interps.emplace_back(S.Code);
+  }
+
+  // Binding tables: one access binding per (leaf, option, example), with
+  // the operand checks bind() would repeat per binding run here once. A
+  // binding whose operand fails them cannot bind that example.
+  S.LeafOptBase.clear();
+  size_t NumEntries = 0, NumPairs = 0;
+  auto NumOptions = [&S](size_t L) -> size_t {
+    int Sym = S.LeafSym[L];
+    if (Sym < 0)
+      return 1;
+    return S.ChoiceBegin[static_cast<size_t>(Sym) + 1] -
+           S.ChoiceBegin[static_cast<size_t>(Sym)];
+  };
+  for (size_t L = 0; L < NumLeaves; ++L) {
+    S.LeafOptBase.push_back(NumEntries);
+    NumEntries += NumOptions(L);
+    NumPairs += NumOptions(L) * NumExamples * LeafOrder(L);
+  }
+  S.LeafBinds.assign(NumEntries * NumExamples, {});
+  S.Spans.resize(NumPairs);
+  vm::SlotStride *Pair = S.Spans.data();
+  for (size_t L = 0; L < NumLeaves; ++L) {
+    const vm::AccessInfo &Access = SC.Accesses[L];
+    const int Sym = S.LeafSym[L];
+    for (size_t Opt = 0; Opt < NumOptions(L); ++Opt) {
+      for (size_t E = 0; E < NumExamples; ++E) {
+        const Tensor<double> *Operand =
+            Sym < 0 ? S.Table[E].Out
+                    : S.Table[E].Ptr[static_cast<size_t>(
+                          S.ChoiceArg[S.ChoiceBegin[static_cast<size_t>(Sym)] +
+                                      Opt])];
+        if (!Operand || Operand->order() != Access.Slots.size())
+          continue;
+        const std::vector<int64_t> &Shape = Operand->shape();
+        if (std::any_of(Shape.begin(), Shape.end(),
+                        [](int64_t D) { return D <= 0; }))
+          continue;
+        vm::AccessBinding<double> &AB =
+            S.LeafBinds[(S.LeafOptBase[L] + Opt) * NumExamples + E];
+        AB.Data = Operand->flat().data();
+        AB.Begin = Pair;
+        size_t Stride = 1;
+        for (size_t P = Shape.size(); P > 0; --P) {
+          Pair[P - 1] = {Access.Slots[P - 1], Stride};
+          Stride *= static_cast<size_t>(Shape[P - 1]);
+        }
+        Pair += Shape.size();
+        AB.End = Pair;
+      }
+    }
+  }
+
+  // Constant registers: literals once, symbolic ones per assignment.
+  S.ConstRegValues.assign(SC.Consts.size(), 0);
+  S.SymConstOrdinal.clear();
+  for (size_t I = 0; I < SC.Consts.size(); ++I) {
+    if (SC.Consts[I]->isSymbolic())
+      S.SymConstOrdinal.push_back(I);
+    else
+      S.ConstRegValues[I] = static_cast<double>(SC.Consts[I]->value());
+  }
+
+  S.BindRow.resize(NumLeaves);
+  RunEnum(
+      [&] {
+        for (size_t I = 0; I < ConstLeaves; ++I)
+          S.ConstRegValues[S.SymConstOrdinal[I]] =
+              static_cast<double>(S.ConstValues[I]);
+      },
+      [&](size_t E) {
+        if (!S.Table[E].OutPositive)
+          return false;
+        for (size_t L = 0; L < NumLeaves; ++L) {
+          int Sym = S.LeafSym[L];
+          size_t Opt = Sym < 0 ? 0 : S.Pick[static_cast<size_t>(Sym)];
+          const vm::AccessBinding<double> &AB =
+              S.LeafBinds[(S.LeafOptBase[L] + Opt) * NumExamples + E];
+          if (!AB.Data)
+            return false;
+          S.BindRow[L] = AB;
+        }
+        S.Interps[E].bindPrepared(S.BindRow.data(),
+                                  S.BindExtents.data() + E * NumVars,
+                                  S.Table[E].OutShape);
+        return true;
+      },
+      [&](size_t E) {
+        S.Interps[E].setConstants(S.ConstRegValues.data());
+        return Matches(S.Interps[E], E);
+      });
   return Valid;
 }

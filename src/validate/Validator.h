@@ -16,6 +16,11 @@
 /// enumeration order, so the verifier can reject one and fall back to the
 /// next.
 ///
+/// A validator is per-lift scratch as much as a table: it owns the template
+/// structure, the bytecode and one interpreter per example, and compiles
+/// every template into them in place. Validating a template no larger than
+/// an earlier one allocates nothing beyond the instantiations it returns.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef STAGG_VALIDATE_VALIDATOR_H
@@ -47,13 +52,19 @@ struct Instantiation {
   std::vector<int64_t> ConstantValues;
 };
 
+/// Bit R is set when some argument of \p B has rank R: the ranks a template
+/// symbol can be bound at. The pipeline hands it to the search, which
+/// settles every template rejectsOnRank would reject without building it
+/// (search/SearchTypes.h, AllRanksBindable).
+uint64_t bindableRanks(const bench::Benchmark &B);
+
 /// Validator state shared across all templates of one query.
 ///
 /// The enumeration is heavily pruned relative to the naive cartesian
 /// product, without changing the returned instantiations or their order:
 ///
 ///  * a template naming a symbol whose rank no argument has is rejected by
-///    one walk of the RHS against a per-validator rank mask, before any
+///    one walk of the RHS against the bindableRanks mask, before any
 ///    per-template state is built;
 ///  * per-symbol options are filtered by rank *and* by shape compatibility
 ///    (an argument whose extents conflict with the output shape, or with
@@ -64,6 +75,11 @@ struct Instantiation {
 ///  * every argument's operand tensor and resolved shape are tabulated once
 ///    per validator (they depend only on the argument and the example, not
 ///    the candidate), so the per-template work is integer indexing;
+///  * each (leaf, option, example) access binding — storage plus (slot,
+///    stride) span, with the operand checks — is built once per template,
+///    and each binding hands the interpreter those rows plus the variable
+///    extents the consistency check settled (vm::Interpreter::
+///    bindPrepared), so a binding runs no per-access checks;
 ///  * instantiation evaluation short-circuits on the first failing output
 ///    cell of the first failing I/O example.
 ///
@@ -91,6 +107,10 @@ public:
   std::vector<Instantiation> validate(const taco::Program &Template,
                                       size_t MaxResults = 8) const;
 
+  /// True when validate() rejects \p Template on rank alone: some RHS
+  /// access other than the LHS symbol has a rank outside bindableRanks.
+  bool rejectsOnRank(const taco::Program &Template) const;
+
   /// Total instantiations evaluated so far (across calls); a cost metric.
   /// Shape-pruned bindings never reach evaluation and are not counted.
   int64_t instantiationsTried() const { return Tried; }
@@ -110,7 +130,7 @@ private:
   std::vector<IoExample> Examples;
   std::vector<int64_t> Constants;
   bool UseVm = true;
-  /// Bit R is set when some argument has rank R.
+  /// bindableRanks(B).
   uint64_t ArgRanks = 0;
   mutable int64_t Tried = 0;
   mutable std::unique_ptr<State> Cache;

@@ -7,7 +7,7 @@
 /// \file
 /// vm::Code is the compiled form of a lifted TACO program (or ordered
 /// statement list): a flat register-based instruction stream in the style of
-/// PyTorch JIT's interpreter, produced once by vm::Compiler and executed any
+/// PyTorch JIT's interpreter, produced once by vm/Compiler.h and executed any
 /// number of times by vm::Interpreter. The stream encodes exactly the
 /// evaluation the tree-walking EinsumEvaluator performs — same loop nesting,
 /// same accumulation order, same operator semantics — so outputs are
@@ -17,7 +17,7 @@
 ///
 /// Division of labor:
 ///
-///  * Compilation (vm::Compiler) happens once per program: reduction
+///  * Compilation (vm/Compiler.h) happens once per program: reduction
 ///    placement is borrowed from taco::EinsumProgram (guaranteeing identical
 ///    slot assignment and LCA reduction placement), then the node tree is
 ///    lowered to instructions. Loops appear in the stream as
@@ -26,14 +26,16 @@
 ///  * Binding (vm::Interpreter::bind) happens once per operand set: loop
 ///    ranges are resolved from the bound shapes into a per-slot extent
 ///    table, and every access is resolved to flat storage plus pre-computed
-///    (slot, stride) pairs.
+///    (slot, stride) pairs. A caller that has tabulated those already (the
+///    validator) hands them over with Interpreter::bindPrepared.
 ///  * Execution touches only flat arrays: registers, coordinates, extents.
 ///
 /// Lifetime: Code copies every name and slot it needs, but keeps pointers to
-/// the source program's ConstantExpr nodes so the validator's constant
-/// odometer (ConstantExpr::setValue + refreshConstants) works unchanged.
-/// The source statements' RHS trees must therefore outlive the Code; moving
-/// a taco::Program keeps the heap-allocated RHS stable, copying does not.
+/// the source program's ConstantExpr nodes, which refreshConstants re-reads
+/// (the tree-walk validator's constant odometer rewrites them in place; the
+/// VM validator writes constant registers with setConstants instead). The
+/// source statements' RHS trees must therefore outlive the Code; moving a
+/// taco::Program keeps the heap-allocated RHS stable, copying does not.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -133,8 +135,9 @@ struct StmtCode {
 };
 
 /// A compiled program: one StmtCode per statement of the source list (a
-/// single taco::Program compiles to one). Immutable after compilation; any
-/// number of Interpreters (including concurrently) can share one instance.
+/// single taco::Program compiles to one). Immutable between compilations
+/// (vm::compileInto recompiles one in place); any number of Interpreters
+/// (including concurrently) can share one instance.
 class Code {
 public:
   bool ok() const { return Error.empty() && !Stmts.empty(); }
@@ -147,6 +150,7 @@ public:
     Error = std::move(E);
     Stmts.clear();
   }
+  void clearError() { Error.clear(); }
   std::vector<StmtCode> &mutableStatements() { return Stmts; }
 
 private:

@@ -9,10 +9,10 @@ using namespace stagg::vm;
 
 namespace {
 
-/// Linearizes one EinsumProgram node tree into a StmtCode. The recursion
-/// mirrors EinsumEvaluator::evalNode/evalInner one-to-one so the instruction
-/// stream performs the identical sequence of loads, operations, and
-/// accumulations.
+/// Linearizes one EinsumProgram node tree into a StmtCode, overwriting it in
+/// place so its vectors keep their capacity. The recursion mirrors
+/// EinsumEvaluator::evalNode/evalInner one-to-one so the instruction stream
+/// performs the identical sequence of loads, operations, and accumulations.
 class Lowering {
 public:
   Lowering(const taco::EinsumProgram &S, StmtCode &Out) : S(S), Out(Out) {}
@@ -26,14 +26,17 @@ public:
 
     // Accesses and constants in ordinal (leaf) order — the binder walks
     // them in this order, matching the tree-walk's conflict discovery.
-    for (int NodeId : S.accessNodes()) {
-      const taco::EinsumProgram::Node &N = node(NodeId);
-      AccessInfo Info;
+    Out.Accesses.resize(S.accessNodes().size());
+    for (size_t Ord = 0; Ord < Out.Accesses.size(); ++Ord) {
+      const taco::EinsumProgram::Node &N = node(S.accessNodes()[Ord]);
+      AccessInfo &Info = Out.Accesses[Ord];
       Info.Name = N.Access->name();
       Info.Indices = N.Access->indices();
       Info.Slots = N.Slots;
-      Out.Accesses.push_back(std::move(Info));
     }
+    Out.Consts.clear();
+    Out.ConstRegs.clear();
+    Out.Instrs.clear();
     for (int NodeId : S.constNodes()) {
       Out.Consts.push_back(node(NodeId).Constant);
       Out.ConstRegs.push_back(newReg());
@@ -66,11 +69,11 @@ private:
     // the tree-walk's do-while.
     int Acc = newReg();
     emit(Op::ResetAcc, Acc);
-    std::vector<int32_t> BodyStarts;
-    for (int Slot : N.ReduceSlots) {
+    // The LoopBegins are consecutive: loop I's body starts right after
+    // the (I + 1)-th of them.
+    const int32_t FirstBegin = static_cast<int32_t>(Out.Instrs.size());
+    for (int Slot : N.ReduceSlots)
       emit(Op::LoopBegin, Slot);
-      BodyStarts.push_back(static_cast<int32_t>(Out.Instrs.size()));
-    }
 
     // The body is evalInner; `Sum += Lhs * Rhs` fuses into MulAcc (the
     // product is still rounded before the add, as in the tree-walk).
@@ -84,7 +87,8 @@ private:
     }
 
     for (size_t I = N.ReduceSlots.size(); I > 0; --I)
-      emit(Op::LoopEnd, N.ReduceSlots[I - 1], BodyStarts[I - 1]);
+      emit(Op::LoopEnd, N.ReduceSlots[I - 1],
+           FirstBegin + static_cast<int32_t>(I));
     return Acc;
   }
 
@@ -146,40 +150,52 @@ private:
 
 namespace {
 
-/// Compiles one statement into \p C; false (with C.Error set) on failure.
-/// The compiled StmtCode keeps ConstantExpr pointers into \p P's RHS tree,
-/// so \p P must be the caller's own program, never a temporary.
-bool compileInto(const taco::Program &P, Code &C, std::string &Error) {
-  taco::EinsumProgram S(P);
-  if (!S.ok()) {
-    Error = S.error();
+/// Lowers \p P into \p Out through \p Structure; false (with \p Error set)
+/// on failure. The compiled StmtCode keeps ConstantExpr pointers into \p P's
+/// RHS tree, so \p P must be the caller's own program, never a temporary.
+bool lowerStatement(const taco::Program &P, taco::EinsumProgram &Structure,
+                    StmtCode &Out, std::string &Error) {
+  Structure.compile(P);
+  if (!Structure.ok()) {
+    Error = Structure.error();
     return false;
   }
-  StmtCode Stmt;
-  Lowering(S, Stmt).run();
-  C.mutableStatements().push_back(std::move(Stmt));
+  Lowering(Structure, Out).run();
   return true;
 }
 
 } // namespace
 
-Code Compiler::compile(const taco::Program &P) const {
-  Code C;
+bool vm::compileInto(const taco::Program &P, taco::EinsumProgram &Structure,
+                     Code &Out) {
+  Out.clearError();
+  Out.mutableStatements().resize(1);
   std::string Error;
-  if (!compileInto(P, C, Error))
-    C.setError(std::move(Error));
+  if (lowerStatement(P, Structure, Out.mutableStatements()[0], Error))
+    return true;
+  Out.setError(std::move(Error));
+  return false;
+}
+
+Code vm::compileProgram(const taco::Program &P) {
+  Code C;
+  taco::EinsumProgram Structure;
+  compileInto(P, Structure, C);
   return C;
 }
 
-Code Compiler::compile(const std::vector<taco::Program> &Statements) const {
+Code vm::compileStatements(const std::vector<taco::Program> &Statements) {
   Code C;
   if (Statements.empty()) {
     C.setError("empty statement list");
     return C;
   }
+  taco::EinsumProgram Structure;
+  C.mutableStatements().resize(Statements.size());
   std::string Error;
-  for (const taco::Program &P : Statements)
-    if (!compileInto(P, C, Error)) {
+  for (size_t K = 0; K < Statements.size(); ++K)
+    if (!lowerStatement(Statements[K], Structure, C.mutableStatements()[K],
+                        Error)) {
       C.setError(std::move(Error));
       return C;
     }

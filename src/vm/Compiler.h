@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// vm::Compiler lowers a taco::Program (or an ordered statement list) to a
+/// The compiler lowers a taco::Program (or an ordered statement list) to a
 /// vm::Code instruction stream. Slot assignment and reduction placement are
 /// delegated to taco::EinsumProgram — the structure compiler both the
 /// tree-walking evaluator and the VM agree on — so the lowering is a pure
@@ -25,28 +25,28 @@
 #include <vector>
 
 namespace stagg {
+namespace taco {
+class EinsumProgram;
+} // namespace taco
+
 namespace vm {
 
-/// Compiles TACO programs to vm::Code. Stateless; the free functions below
-/// are the usual entry points.
-class Compiler {
-public:
-  /// Compiles a single statement. On structural failure (no RHS), the
-  /// returned Code is !ok() and carries the diagnostic.
-  Code compile(const taco::Program &P) const;
+/// Compiles \p P as the only statement of \p Out, re-targeting \p Structure
+/// at it (taco::EinsumProgram::compile). Both keep their buffers, so
+/// compiling program after program into the same pair — the validator's
+/// per-template path — allocates only when a program outgrows every earlier
+/// one. On structural failure (no RHS) returns false and \p Out is !ok()
+/// with the diagnostic. \p Out keeps pointers into \p P (see Code.h).
+bool compileInto(const taco::Program &P, taco::EinsumProgram &Structure,
+                 Code &Out);
 
-  /// Compiles an ordered statement list; statements execute in order with
-  /// each result bound under its LHS name (evalEinsumSequence semantics).
-  Code compile(const std::vector<taco::Program> &Statements) const;
-};
+/// Compiles a single statement into a fresh Code; compileInto with
+/// throwaway scratch.
+Code compileProgram(const taco::Program &P);
 
-/// Convenience wrappers around a stateless Compiler.
-inline Code compileProgram(const taco::Program &P) {
-  return Compiler().compile(P);
-}
-inline Code compileStatements(const std::vector<taco::Program> &Statements) {
-  return Compiler().compile(Statements);
-}
+/// Compiles an ordered statement list; statements execute in order with
+/// each result bound under its LHS name (evalEinsumSequence semantics).
+Code compileStatements(const std::vector<taco::Program> &Statements);
 
 } // namespace vm
 } // namespace stagg

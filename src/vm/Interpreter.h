@@ -19,6 +19,13 @@
 /// taco::evalEinsumSequence (shape inference, per-statement binding, store
 /// forwarding of earlier results) without re-compiling anything per call.
 ///
+/// Every binding has one representation, AccessBinding: the operand's
+/// storage plus a span of (slot, stride) pairs, which Load and the fused
+/// span loops read. bind() derives it from the operands with every check
+/// EinsumEvaluator runs; bindPrepared() takes it ready-made from a caller
+/// that has already run those checks once for many bindings (the
+/// validator's per-template tables) and checks nothing.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef STAGG_VM_INTERPRETER_H
@@ -29,6 +36,7 @@
 #include "taco/Einsum.h"
 #include "taco/Tensor.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <functional>
@@ -37,6 +45,22 @@
 
 namespace stagg {
 namespace vm {
+
+/// One index position of a bound access: the coordinate slot it reads and
+/// that position's row-major stride in the operand's storage.
+struct SlotStride {
+  int Slot = -1;
+  size_t Stride = 0;
+};
+
+/// A bound access: the operand's flat storage and one SlotStride per index
+/// position, in position order ([Begin, End) may point into any storage
+/// that outlives the binding).
+template <typename T> struct AccessBinding {
+  const T *Data = nullptr;
+  const SlotStride *Begin = nullptr;
+  const SlotStride *End = nullptr;
+};
 
 /// Executes one vm::Code. Template parameter T is the cell type (double for
 /// validation/execution, Rational for the bounded verifier).
@@ -77,19 +101,42 @@ public:
   bool bind(const ResolveFn &Resolve, const std::vector<int64_t> &OutputShape) {
     if (!C->ok())
       return false;
-    return bindByAccess(byName(0, Resolve), OutputShape);
+    Error.clear();
+    return bindStmt(0, Resolve, OutputShape);
   }
 
-  /// bind() with operands resolved by access ordinal (leaf order) instead
-  /// of by name: \p ResolveAt(size_t Ordinal) returns the operand or
-  /// nullptr. Same checks, order and diagnostics as bind().
-  template <typename ResolveAtFn>
-  bool bindByAccess(const ResolveAtFn &ResolveAt,
+  /// Binds the first statement from prepared tables, checking nothing:
+  /// \p Binds holds one binding per access ordinal and \p SlotExtents one
+  /// extent per coordinate slot. Load does not bounds-check, so the caller
+  /// guarantees exactly what a successful bind() would derive: each
+  /// operand present with the access's rank, each span its row-major
+  /// strides over the access's slots (StmtCode::Accesses), every extent
+  /// positive and equal to each operand dimension indexed by that slot, and
+  /// \p OutputShape the extents of the output slots. Constant registers are
+  /// not touched; set them with setConstants().
+  void bindPrepared(const AccessBinding<T> *Binds, const int64_t *SlotExtents,
                     const std::vector<int64_t> &OutputShape) {
-    if (!C->ok())
-      return false;
-    Error.clear();
-    return bindStmt(0, ResolveAt, OutputShape);
+    const StmtCode &SC = C->statements()[0];
+    StmtState &St = States[0];
+    grow(St.Binds, SC.Accesses.size());
+    std::copy_n(Binds, SC.Accesses.size(), St.Binds.begin());
+    const size_t NumSlots = static_cast<size_t>(SC.NumSlots);
+    grow(St.ExtentBySlot, NumSlots);
+    std::copy_n(SlotExtents, NumSlots, St.ExtentBySlot.begin());
+    assign(St.Coords, NumSlots, int64_t(0));
+    grow(St.Regs, static_cast<size_t>(SC.NumRegs));
+    setOutShape(St, OutputShape);
+    St.Bound = true;
+  }
+
+  /// Writes the constant registers of the first statement, one value per
+  /// constant ordinal (StmtCode::Consts order), instead of reading them
+  /// from the source program's ConstantExpr nodes. Requires a binding.
+  void setConstants(const T *Values) {
+    const StmtCode &SC = C->statements()[0];
+    T *Regs = States[0].Regs.data();
+    for (size_t I = 0; I < SC.ConstRegs.size(); ++I)
+      Regs[SC.ConstRegs[I]] = Values[I];
   }
 
   /// bind() against a plain name->tensor map.
@@ -194,7 +241,7 @@ public:
       StmtState &St = States[K];
       if (!inferShape(SC, St, Chain))
         return false;
-      if (!bindStmt(K, byName(K, Chain), St.InferredShape))
+      if (!bindStmt(K, Chain, St.InferredShape))
         return false;
       reshape(Scratch[K], St.OutShape);
       evalStmtInto(K, Scratch[K].flat());
@@ -211,17 +258,13 @@ public:
   }
 
 private:
-  struct AccessBind {
-    const std::vector<T> *Data = nullptr;
-    /// Pre-resolved (coordinate slot, row-major stride) per index position.
-    std::vector<std::pair<int, size_t>> SlotStride;
-  };
-
   /// Per-statement binding and execution state.
   struct StmtState {
     std::vector<int64_t> ExtentBySlot;
     std::vector<int64_t> Coords;
-    std::vector<AccessBind> Binds;
+    std::vector<AccessBinding<T>> Binds;
+    /// The spans bind() derives; bindPrepared() spans live with its caller.
+    std::vector<SlotStride> Spans;
     std::vector<T> Regs;
     std::vector<int64_t> OutShape;
     std::vector<int64_t> OutCoord;
@@ -276,20 +319,12 @@ private:
     return true;
   }
 
-  /// Adapts a by-name resolver to statement \p K's access ordinals.
-  template <typename ResolveFn>
-  auto byName(size_t K, const ResolveFn &Resolve) const {
-    const std::vector<AccessInfo> &Accesses = C->statements()[K].Accesses;
-    return [&Accesses, &Resolve](size_t Ord) -> const taco::Tensor<T> * {
-      return Resolve(Accesses[Ord].Name);
-    };
-  }
-
   /// EinsumEvaluator::bind for statement \p K: same check order, same
   /// diagnostics, strides row-major with the innermost dimension last.
-  /// \p ResolveAt maps an access ordinal to its operand.
-  template <typename ResolveAtFn>
-  bool bindStmt(size_t K, const ResolveAtFn &ResolveAt,
+  /// \p Resolve maps an access name to its operand. The spans land in
+  /// St.Spans in the layout bindPrepared() takes from its caller.
+  template <typename ResolveFn>
+  bool bindStmt(size_t K, const ResolveFn &Resolve,
                 const std::vector<int64_t> &OutputShape) {
     const StmtCode &SC = C->statements()[K];
     StmtState &St = States[K];
@@ -304,10 +339,16 @@ private:
       if (!bindExtent(St, SC.OutSlots[I], SC.LhsIndices[I], OutputShape[I]))
         return false;
 
+    // Every span is laid out before any binding points into the pool.
+    size_t NumPairs = 0;
+    for (const AccessInfo &A : SC.Accesses)
+      NumPairs += A.Slots.size();
+    grow(St.Spans, NumPairs);
     grow(St.Binds, SC.Accesses.size());
+    SlotStride *Pair = St.Spans.data();
     for (size_t Ord = 0; Ord < SC.Accesses.size(); ++Ord) {
       const AccessInfo &A = SC.Accesses[Ord];
-      const taco::Tensor<T> *Operand = ResolveAt(Ord);
+      const taco::Tensor<T> *Operand = Resolve(A.Name);
       if (!Operand) {
         Error = "unbound tensor '" + A.Name + "'";
         return false;
@@ -320,25 +361,30 @@ private:
       for (size_t I = 0; I < A.Indices.size(); ++I)
         if (!bindExtent(St, A.Slots[I], A.Indices[I], Shape[I]))
           return false;
-      AccessBind &AB = St.Binds[Ord];
-      AB.Data = &Operand->flat();
-      grow(AB.SlotStride, Shape.size());
+      AccessBinding<T> &AB = St.Binds[Ord];
+      AB.Data = Operand->flat().data();
+      AB.Begin = Pair;
       size_t Stride = 1;
       for (size_t I = Shape.size(); I > 0; --I) {
-        AB.SlotStride[I - 1] = {A.Slots[I - 1], Stride};
+        Pair[I - 1] = {A.Slots[I - 1], Stride};
         Stride *= static_cast<size_t>(Shape[I - 1]);
       }
+      Pair += Shape.size();
+      AB.End = Pair;
     }
 
     grow(St.Regs, static_cast<size_t>(SC.NumRegs));
     refreshStmtConstants(K);
+    setOutShape(St, OutputShape);
+    St.Bound = true;
+    return true;
+  }
 
+  void setOutShape(StmtState &St, const std::vector<int64_t> &OutputShape) {
     size_t Cap = St.OutShape.capacity();
     St.OutShape = OutputShape;
     if (St.OutShape.capacity() != Cap)
       ++AllocEvents;
-    St.Bound = true;
-    return true;
   }
 
   void refreshStmtConstants(size_t K) {
@@ -407,11 +453,11 @@ private:
     while (I != End) {
       switch (I->K) {
       case Op::Load: {
-        const AccessBind &AB = St.Binds[static_cast<size_t>(I->A)];
+        const AccessBinding<T> &AB = St.Binds[static_cast<size_t>(I->A)];
         size_t Offset = 0;
-        for (const std::pair<int, size_t> &P : AB.SlotStride)
-          Offset += static_cast<size_t>(Coords[P.first]) * P.second;
-        R[I->Dst] = (*AB.Data)[Offset];
+        for (const SlotStride *P = AB.Begin; P != AB.End; ++P)
+          Offset += static_cast<size_t>(Coords[P->Slot]) * P->Stride;
+        R[I->Dst] = AB.Data[Offset];
         break;
       }
       case Op::Add:
@@ -461,10 +507,8 @@ private:
                  StepA);
         spanBase(St.Binds[static_cast<size_t>(I->B)], Coords, I->C, BaseB,
                  StepB);
-        const T *Pa =
-            St.Binds[static_cast<size_t>(I->A)].Data->data() + BaseA;
-        const T *Pb =
-            St.Binds[static_cast<size_t>(I->B)].Data->data() + BaseB;
+        const T *Pa = St.Binds[static_cast<size_t>(I->A)].Data + BaseA;
+        const T *Pb = St.Binds[static_cast<size_t>(I->B)].Data + BaseB;
         const int64_t N = Ext[I->C];
         T Acc = R[I->Dst];
         for (int64_t K = 0; K < N; ++K) {
@@ -480,8 +524,7 @@ private:
         size_t BaseA, StepA;
         spanBase(St.Binds[static_cast<size_t>(I->A)], Coords, I->C, BaseA,
                  StepA);
-        const T *Pa =
-            St.Binds[static_cast<size_t>(I->A)].Data->data() + BaseA;
+        const T *Pa = St.Binds[static_cast<size_t>(I->A)].Data + BaseA;
         const int64_t N = Ext[I->C];
         T Acc = R[I->Dst];
         for (int64_t K = 0; K < N; ++K)
@@ -508,15 +551,15 @@ private:
   /// arithmetic behind the fused span loops. An access that does not index
   /// \p Span gets step 0 (its value is constant across the span); a
   /// diagonal access indexing it twice gets the summed stride.
-  static void spanBase(const AccessBind &AB, const int64_t *Coords, int Span,
-                       size_t &Base, size_t &Step) {
+  static void spanBase(const AccessBinding<T> &AB, const int64_t *Coords,
+                       int Span, size_t &Base, size_t &Step) {
     Base = 0;
     Step = 0;
-    for (const std::pair<int, size_t> &P : AB.SlotStride) {
-      if (P.first == Span)
-        Step += P.second;
+    for (const SlotStride *P = AB.Begin; P != AB.End; ++P) {
+      if (P->Slot == Span)
+        Step += P->Stride;
       else
-        Base += static_cast<size_t>(Coords[P.first]) * P.second;
+        Base += static_cast<size_t>(Coords[P->Slot]) * P->Stride;
     }
   }
 
@@ -539,8 +582,8 @@ private:
   bool forMapCells(const StmtCode &SC, StmtState &St, const CellFn &Cell) {
     const Inst &M = SC.Instrs[0];
     const size_t Rank = St.OutShape.size();
-    const AccessBind &BA = St.Binds[static_cast<size_t>(M.A)];
-    const AccessBind *BB =
+    const AccessBinding<T> &BA = St.Binds[static_cast<size_t>(M.A)];
+    const AccessBinding<T> *BB =
         M.B >= 0 ? &St.Binds[static_cast<size_t>(M.B)] : nullptr;
     const MapOp MO = static_cast<MapOp>(M.Dst);
     int64_t *Coords = St.Coords.data();
@@ -555,13 +598,13 @@ private:
 
       size_t BaseA, StepA;
       spanBase(BA, Coords, M.C, BaseA, StepA);
-      const T *Pa = BA.Data->data() + BaseA;
+      const T *Pa = BA.Data + BaseA;
       const T *Pb = nullptr;
       size_t StepB = 0;
       if (BB) {
         size_t BaseB;
         spanBase(*BB, Coords, M.C, BaseB, StepB);
-        Pb = BB->Data->data() + BaseB;
+        Pb = BB->Data + BaseB;
       }
       // One switch per row, then a tight loop per sub-operation; each
       // cell performs exactly the scalar stream's load(s) + op.

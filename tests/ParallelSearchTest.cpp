@@ -175,16 +175,21 @@ void expectIdentical(const bench::Benchmark &B, const core::LiftResult &Serial,
 } // namespace
 
 // The headline acceptance criterion: every registry kernel, solved or not,
-// produces the same lift at 1 and 4 search threads — expression, fail
-// reason, attempt and expansion counters.
+// produces the same lift at 1 and 4 search threads, top-down and
+// bottom-up — expression, fail reason, attempt and expansion counters.
 TEST(ParallelSearch, RegistryBitIdentitySweep) {
   const std::vector<bench::Benchmark> &All = bench::allBenchmarks();
   const size_t Stride = STAGG_TSAN ? 5 : 1;
-  for (size_t I = 0; I < All.size(); I += Stride) {
-    const bench::Benchmark &B = All[I];
-    core::LiftResult Serial = lift(B, 1);
-    core::LiftResult Parallel = lift(B, 4);
-    expectIdentical(B, Serial, Parallel, 4);
+  for (core::SearchKind Kind :
+       {core::SearchKind::TopDown, core::SearchKind::BottomUp}) {
+    core::StaggConfig Config;
+    Config.Kind = Kind;
+    for (size_t I = 0; I < All.size(); I += Stride) {
+      const bench::Benchmark &B = All[I];
+      core::LiftResult Serial = lift(B, 1, Config);
+      core::LiftResult Parallel = lift(B, 4, Config);
+      expectIdentical(B, Serial, Parallel, 4);
+    }
   }
 }
 

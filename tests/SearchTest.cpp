@@ -99,7 +99,8 @@ TEST(TemplateState, LeftmostExpansionOrder) {
   EXPECT_TRUE(Same->metrics().complete());
   EXPECT_TRUE(Same->metrics().DegenerateOp);
   EXPECT_FALSE(Other->metrics().DegenerateOp);
-  EXPECT_EQ(taco::printExpr(*Other->toExpr(G)),
+  std::vector<const Production *> Replay;
+  EXPECT_EQ(taco::printExpr(*Op->toExpr(Production::leaf(1), G, Replay)),
             G.TensorRules[0].spelling() + " - " +
                 G.TensorRules[1].spelling());
 }

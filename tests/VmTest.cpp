@@ -383,7 +383,8 @@ TEST(VmTest, RebindReuseAllocatesNothing) {
 
 TEST(VmTest, ResetRepointsAtNewCodeKeepingBuffers) {
   // The validator's pattern: one interpreter re-pointed at each template's
-  // code and bound by access ordinal (leaf order), not by name.
+  // code and bound from prepared tables — storage plus (slot, stride) span
+  // per access ordinal (leaf order) and one extent per slot — not by name.
   taco::Program First = parse("r(i) = m(i,j) * v(j)");
   taco::Program Second = parse("r(i) = v(j) * m(i,j)");
   vm::Code C1 = vm::compileProgram(First);
@@ -394,17 +395,24 @@ TEST(VmTest, ResetRepointsAtNewCodeKeepingBuffers) {
   Ops.emplace("v", filled({8}, 2));
   const taco::Tensor<double> *M = &Ops.at("m"), *V = &Ops.at("v");
 
+  // Both programs intern i as slot 0 and j as slot 1.
+  const vm::SlotStride MSpan[] = {{0, 8}, {1, 1}}, VSpan[] = {{1, 1}};
+  const vm::AccessBinding<double> MBind{M->flat().data(), MSpan, MSpan + 2};
+  const vm::AccessBinding<double> VBind{V->flat().data(), VSpan, VSpan + 1};
+  const vm::AccessBinding<double> FirstBinds[] = {MBind, VBind};
+  const vm::AccessBinding<double> SecondBinds[] = {VBind, MBind};
+  const int64_t Extents[] = {6, 8};
+  const std::vector<int64_t> OutShape = {6};
+
   vm::Interpreter<double> Interp(C1);
   taco::Tensor<double> Out({6});
   auto RunBoth = [&] {
     Interp.reset(C1);
-    ASSERT_TRUE(Interp.bindByAccess(
-        [&](size_t Ord) { return Ord == 0 ? M : V; }, {6}));
+    Interp.bindPrepared(FirstBinds, Extents, OutShape);
     Interp.evaluateInto(Out);
     EXPECT_EQ(Out.flat(), taco::evalEinsum<double>(First, Ops, {6}).Value.flat());
     Interp.reset(C2);
-    ASSERT_TRUE(Interp.bindByAccess(
-        [&](size_t Ord) { return Ord == 0 ? V : M; }, {6}));
+    Interp.bindPrepared(SecondBinds, Extents, OutShape);
     Interp.evaluateInto(Out);
     EXPECT_EQ(Out.flat(),
               taco::evalEinsum<double>(Second, Ops, {6}).Value.flat());
@@ -415,10 +423,16 @@ TEST(VmTest, ResetRepointsAtNewCodeKeepingBuffers) {
     RunBoth();
   EXPECT_EQ(Interp.allocEvents(), Settled);
 
-  // Diagnostics still name the access.
+  // The checked bind of the same code derives the same evaluation, and its
+  // diagnostics still name the access.
   Interp.reset(C1);
-  EXPECT_FALSE(Interp.bindByAccess(
-      [&](size_t Ord) { return Ord == 0 ? M : nullptr; }, {6}));
+  ASSERT_TRUE(Interp.bindMap(Ops, OutShape));
+  taco::Tensor<double> ByName({6});
+  Interp.evaluateInto(ByName);
+  EXPECT_EQ(ByName.flat(), Out.flat());
+  EXPECT_FALSE(Interp.bind(
+      [&](const std::string &Name) { return Name == "m" ? M : nullptr; },
+      OutShape));
   EXPECT_EQ(Interp.error(), "unbound tensor 'v'");
 }
 
