@@ -12,9 +12,18 @@ end to end over TCP:
     nothing re-lifts;
   * bad inputs (wrong array length) and unknown kernels come back as
     status "error" result events, not disconnects;
-  * SIGTERM still drains to exit 0.
+  * SIGTERM still drains to exit 0;
+  * a fixed set of raw frames (WIRE_FRAMES) is answered byte for byte as
+    recorded in tests/expected_execute_wire.jsonl: number rendering at its
+    edges, id echoes, whitespace and escapes, and the exact error text of
+    malformed frames.
 
 Usage: execute_smoke.py --stagg build/stagg [--workdir dir]
+       [--expected file] [--write-expected]
+
+--write-expected records the current server's answers to WIRE_FRAMES as the
+new expected file instead of comparing; do it only for an intended change
+of the wire bytes.
 """
 
 import argparse
@@ -25,6 +34,119 @@ import signal
 import socket
 import subprocess
 import sys
+
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+DEFAULT_EXPECTED = os.path.join(HERE, "..", "tests", "expected_execute_wire.jsonl")
+
+# Raw execute frames, sent verbatim one at a time on a fresh connection; each
+# is answered by exactly one line. The order matters: the first art_add
+# frame lifts (cached:false), later ones hit the result cache.
+WIRE_FRAMES = [
+    # Integral outputs.
+    '{"v":2,"id":1,"execute":{"name":"art_add","sizes":{"N":4},'
+    '"inputs":{"a":[1,2,3,4],"b":[10,20,30,40]}}}',
+    # Non-integral outputs.
+    '{"v":2,"id":2,"execute":{"name":"art_add","sizes":{"N":5},'
+    '"inputs":{"a":[0.1,1.5,-2.25,3.14159265358979,1e-3],'
+    '"b":[0.2,0,1e-3,2.718281828459045,-7.5E+2]}}}',
+    # -0 (the integer token -0 decodes to +0, -0.0 stays negative), 1e-07
+    # and a subnormal.
+    '{"v":2,"id":3,"execute":{"name":"art_add","sizes":{"N":5},'
+    '"inputs":{"a":[-0.0,1e-07,-0,0,4.9e-324],"b":[-0.0,0,-0.0,-1e-07,0]}}}',
+    # Values at and beyond 1e12, and integers past 2^53 and int64.
+    '{"v":2,"id":4,"execute":{"name":"art_add","sizes":{"N":10},'
+    '"inputs":{"a":[999999999999,1000000000000,999999999999.4,'
+    '999999999999.5,-999999999999,123456789012345,1e15,'
+    '9007199254740993,9223372036854775807,18446744073709551616],'
+    '"b":[0,0,0,0,0,0,0,0,0,0]}}}',
+    # Overflow to inf renders as null; 1e400 decodes to inf, 1e-400 to 0.
+    '{"v":2,"id":5,"execute":{"name":"art_add","sizes":{"N":4},'
+    '"inputs":{"a":[1e308,-1e308,1e400,1e-400],"b":[1e308,-1e308,1,1]}}}',
+    # A numeric scalar input, and a scalar output.
+    '{"v":2,"id":6,"execute":{"name":"blas_scal","sizes":{"N":3},'
+    '"inputs":{"alpha":2.5,"x":[1,2,-4]}}}',
+    '{"v":2,"id":7,"execute":{"name":"art_dot","sizes":{"N":3},'
+    '"inputs":{"a":[1,2,3],"b":[4,5,6]}}}',
+    # An empty array fails the length check.
+    '{"v":2,"id":8,"execute":{"name":"art_add","sizes":{"N":1},'
+    '"inputs":{"a":[],"b":[2]}}}',
+    # Key order, an absent size (N defaults to 1) and an absent array
+    # (zero-filled).
+    '{"execute":{"inputs":{"b":[1]},"name":"art_add"},"id":9,"v":2}',
+    # String, float, large, null, boolean and absent ids.
+    '{"v":2,"id":"req-\\u00e9\\"7\\"","execute":{"name":"art_add",'
+    '"sizes":{"N":1},"inputs":{"a":[1],"b":[2]}}}',
+    '{"v":2,"id":1.5,"execute":{"name":"art_add","sizes":{"N":1},'
+    '"inputs":{"a":[1],"b":[2]}}}',
+    '{"v":2,"id":1e2,"execute":{"name":"art_add","sizes":{"N":1},'
+    '"inputs":{"a":[1],"b":[2]}}}',
+    '{"v":2,"id":-0,"execute":{"name":"art_add","sizes":{"N":1},'
+    '"inputs":{"a":[1],"b":[2]}}}',
+    '{"v":2,"id":12345678901234567890,"execute":{"name":"art_add",'
+    '"sizes":{"N":1},"inputs":{"a":[1],"b":[2]}}}',
+    '{"v":2,"id":null,"execute":{"name":"art_add","sizes":{"N":1},'
+    '"inputs":{"a":[1],"b":[2]}}}',
+    '{"v":2,"id":true,"execute":{"name":"art_add","sizes":{"N":1},'
+    '"inputs":{"a":[1],"b":[2]}}}',
+    '{"v":2,"execute":{"name":"art_add","sizes":{"N":1},'
+    '"inputs":{"a":[1],"b":[2]}}}',
+    # Whitespace between every token and around the frame.
+    ' \t{ "v" : 2 ,\t"id" : 18 , "execute" : { "name" : "art_add" ,'
+    ' "sizes" : { "N" : 2 } , "inputs" : { "a" : [ 1 , 2 ] ,'
+    ' "b" : [ 3 , 4.5 ] } } } \t',
+    # A \u-escaped name.
+    '{"v":2,"id":19,"execute":{"name":"art\\u005fadd","sizes":{"N":1},'
+    '"inputs":{"a":[1],"b":[2]}}}',
+    # Duplicate keys at each level.
+    '{"v":2,"v":2,"id":20,"execute":{"name":"art_add"}}',
+    '{"v":2,"id":21,"id":21,"execute":{"name":"art_add"}}',
+    '{"v":2,"id":22,"execute":{"name":"art_add","name":"art_add"}}',
+    '{"v":2,"id":23,"execute":{"name":"art_add","sizes":{"N":1,"N":1}}}',
+    '{"v":2,"id":24,"execute":{"name":"art_add","inputs":{"a":[1],"a":2}}}',
+    # Leading zeros, in a size and in a cell.
+    '{"v":2,"id":25,"execute":{"name":"art_add","sizes":{"N":02}}}',
+    '{"v":2,"id":26,"execute":{"name":"art_add","sizes":{"N":1},'
+    '"inputs":{"a":[01],"b":[2]}}}',
+    # Truncated frames.
+    '{"v":2,"id":27,"execute":{"name":"art_add","sizes":{"N":2},'
+    '"inputs":{"a":[1,2',
+    '{"v":2,"id":28,"execute":{"name":"art_add","sizes":{"N":2},'
+    '"inputs":{"a":[1,2],"b":[3,4e',
+    # Unknown fields: "scalars" is not a key, numeric scalars go in inputs.
+    '{"v":2,"id":29,"execute":{"name":"blas_scal","sizes":{"N":1},'
+    '"inputs":{"x":[1]},"scalars":{"alpha":2}}}',
+    '{"v":2,"id":30,"execute":{"name":"art_add"},"progress":true}',
+    '{"v":2,"id":31,"execute":{"name":"art_add"},"extra":1}',
+    # Sizes that are not positive integers.
+    '{"v":2,"id":32,"execute":{"name":"art_add","sizes":{"N":0}}}',
+    '{"v":2,"id":33,"execute":{"name":"art_add","sizes":{"N":-3}}}',
+    '{"v":2,"id":34,"execute":{"name":"art_add","sizes":{"N":2.0}}}',
+    # Cells that are not numbers.
+    '{"v":2,"id":35,"execute":{"name":"art_add","sizes":{"N":2},'
+    '"inputs":{"a":[1,"2"],"b":[3,4]}}}',
+    '{"v":2,"id":36,"execute":{"name":"art_add","sizes":{"N":2},'
+    '"inputs":{"a":[1,null],"b":[3,4]}}}',
+    '{"v":2,"id":37,"execute":{"name":"art_add","sizes":{"N":1},'
+    '"inputs":{"a":[[1]],"b":[3]}}}',
+    '{"v":2,"id":38,"execute":{"name":"art_add","sizes":{"N":1},'
+    '"inputs":{"a":"1","b":[3]}}}',
+    # Wrong array length.
+    '{"v":2,"id":39,"execute":{"name":"art_add","sizes":{"N":4},'
+    '"inputs":{"a":[1,2],"b":[10,20,30,40]}}}',
+    # A config override takes its own cache entry.
+    '{"v":2,"id":47,"execute":{"name":"art_add","config":{"skip_verify":true},'
+    '"sizes":{"N":1},"inputs":{"a":[1],"b":[2]}}}',
+    # Version and shape errors.
+    '{"v":2.0,"id":40,"execute":{"name":"art_add"}}',
+    '{"v":2,"id":41,"execute":{"sizes":{"N":1}}}',
+    '{"v":2,"id":42,"execute":{"name":""}}',
+    '{"v":2,"id":43,"execute":[]}',
+    '{"v":2,"id":[44],"execute":{"name":"art_add"}}',
+    '{"v":2,"id":45,"execute":{"name":"definitely_not_a_benchmark"}}',
+    '{"v":2,"id":46,"execute":{"name":"art_add","sizes":{"N":1},'
+    '"inputs":{"a":[1],"b":[2]}}} trailing',
+]
 
 
 def fail(message):
@@ -81,16 +203,53 @@ def execute(client, frame_id, body):
     return event
 
 
+def check_wire(client, expected_path, write_expected):
+    """Sends WIRE_FRAMES and compares (or records) every answer line."""
+    got = []
+    for frame in WIRE_FRAMES:
+        client.send_line(frame)
+        line = client.read_line()
+        if line is None:
+            fail("server closed the connection after %r" % frame)
+        got.append(line)
+    if write_expected:
+        with open(expected_path, "w", encoding="utf-8") as out:
+            for line in got:
+                out.write(line + "\n")
+        print("execute_smoke: wrote %d wire lines to %s" % (len(got), expected_path))
+        return
+    with open(expected_path, encoding="utf-8") as f:
+        want = f.read().split("\n")
+    if want and want[-1] == "":
+        want.pop()
+    if len(want) != len(got):
+        fail("%s holds %d lines, the frame set has %d"
+             % (expected_path, len(want), len(got)))
+    for index, (frame, w, g) in enumerate(zip(WIRE_FRAMES, want, got)):
+        if w != g:
+            fail("wire frame %d answered differently\n  frame: %s\n"
+                 "  expected: %s\n  got:      %s" % (index, frame, w, g))
+    print("execute_smoke: %d wire lines byte-identical" % len(got))
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--stagg", required=True, help="path to the stagg binary")
     parser.add_argument("--workdir", default="execute-smoke")
+    parser.add_argument("--expected", default=DEFAULT_EXPECTED,
+                        help="the recorded answers to WIRE_FRAMES")
+    parser.add_argument("--write-expected", action="store_true",
+                        help="record the answers instead of comparing")
     args = parser.parse_args()
     os.makedirs(args.workdir, exist_ok=True)
 
     proc, port = start_server(args, os.path.join(args.workdir, "server.log"))
     print("execute_smoke: server up on port %d" % port)
     try:
+        wire = Client(port)
+        check_wire(wire, args.expected, args.write_expected)
+        wire.close()
+
         client = Client(port)
 
         # Elementwise add: lift + execute in one frame.

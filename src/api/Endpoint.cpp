@@ -202,8 +202,7 @@ LiftResponse Endpoint::lift(const LiftRequest &Request) {
 }
 
 std::shared_ptr<const Endpoint::CompiledKernel>
-Endpoint::compiledFor(const taco::Program &Concrete) {
-  std::string Key = taco::printProgram(Concrete);
+Endpoint::compiledFor(const taco::Program &Concrete, const std::string &Key) {
   {
     std::lock_guard<std::mutex> Lock(VmCacheMutex);
     auto It = VmCache.find(Key);
@@ -228,7 +227,7 @@ Endpoint::compiledFor(const taco::Program &Concrete) {
     VmCache.clear(); // same wholesale policy as the ingest memo
     ++VmStats.Evictions;
   }
-  return VmCache.emplace(std::move(Key), std::move(K)).first->second;
+  return VmCache.emplace(Key, std::move(K)).first->second;
 }
 
 Endpoint::VmCacheStats Endpoint::vmCacheStats() const {
@@ -258,23 +257,25 @@ ExecuteOutcome Endpoint::executeLifted(const LiftRequest &Request,
   Out.Expr = taco::printProgram(R.Concrete);
 
   // The argument specs that shape the posted inputs, resolved the same way
-  // admission resolved them (inline kernels hit the ingest memo).
-  bench::Benchmark Query;
+  // admission resolved them (inline kernels hit the ingest memo; registry
+  // kernels are read in place).
+  IngestResult Ingested;
+  const bench::Benchmark *Found = nullptr;
   if (Request.isInline()) {
-    IngestResult Ingested = ingestCached(Request);
+    Ingested = ingestCached(Request);
     if (!Ingested.ok()) {
       Out.Error = Ingested.Error;
       return Out;
     }
-    Query = std::move(Ingested.Kernel);
+    Found = &Ingested.Kernel;
   } else {
-    const bench::Benchmark *Found = bench::findBenchmark(Request.RegistryName);
+    Found = bench::findBenchmark(Request.RegistryName);
     if (!Found) {
       Out.Error = "unknown benchmark '" + Request.RegistryName + "'";
       return Out;
     }
-    Query = *Found;
   }
+  const bench::Benchmark &Query = *Found;
   const bench::ArgSpec *OutArg = Query.outputArg();
   if (!OutArg) {
     Out.Error = "kernel has no output argument";
@@ -334,7 +335,7 @@ ExecuteOutcome Endpoint::executeLifted(const LiftRequest &Request,
     }
   }
 
-  std::shared_ptr<const CompiledKernel> K = compiledFor(R.Concrete);
+  std::shared_ptr<const CompiledKernel> K = compiledFor(R.Concrete, Out.Expr);
   if (!K->Code.ok()) {
     Out.Error = "lifted program does not lower to VM code: " +
                 K->Code.error();

@@ -147,10 +147,11 @@ private:
     vm::Code Code;
   };
 
-  /// The bytecode cache lookup (keyed on the printed program text, the
-  /// same spelling the result cache stores). Compiles on miss.
+  /// The bytecode cache lookup, keyed on \p Key: the printed text of
+  /// \p Concrete, the same spelling the result cache stores. Compiles on
+  /// miss.
   std::shared_ptr<const CompiledKernel>
-  compiledFor(const taco::Program &Concrete);
+  compiledFor(const taco::Program &Concrete, const std::string &Key);
 
   core::StaggConfig Base;
   serve::LiftService Service;

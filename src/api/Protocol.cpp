@@ -5,6 +5,9 @@
 #include "support/StringUtils.h"
 #include "taco/Printer.h"
 
+#include <cctype>
+#include <string_view>
+
 using namespace stagg;
 using namespace stagg::api;
 using support::Json;
@@ -122,11 +125,9 @@ std::string parseExecuteObject(const support::Json &Root, LiftRequest &Req,
   return finishRequest(Req);
 }
 
-} // namespace
-
-ParsedRequest api::parseRequestLine(const std::string &Line) {
+/// The v1 checks on an already-parsed request line.
+ParsedRequest parseRequestJson(const support::JsonParseResult &Json) {
   ParsedRequest Parsed;
-  support::JsonParseResult Json = support::parseJson(trim(Line));
   if (!Json.ok()) {
     Parsed.Error = Json.Error.describe();
     return Parsed;
@@ -149,6 +150,12 @@ ParsedRequest api::parseRequestLine(const std::string &Line) {
 
   Parsed.Error = parseRequestObject(Root, Parsed.Request);
   return Parsed;
+}
+
+} // namespace
+
+ParsedRequest api::parseRequestLine(const std::string &Line) {
+  return parseRequestJson(support::parseJson(trim(Line)));
 }
 
 namespace {
@@ -224,19 +231,194 @@ std::string api::renderStatusError(Status St, const std::string &Message) {
   return Out.dump();
 }
 
-SocketFrame api::parseSocketFrame(const std::string &Line) {
+namespace {
+
+/// The typed execute decoder: a strict single-pass scanner for the one
+/// frame shape that carries bulk tensor data,
+///
+///   {"v":2[,"id":<integer>],"execute":{"name":"<unescaped>",
+///    "sizes":{"<name>":<positive integer>,...},
+///    "inputs":{"<name>":<number>|[<number>,...],...}}}
+///
+/// with keys in any order and JSON whitespace between tokens. Cells go
+/// straight from the text into ExecuteIo (numbers through
+/// support::scanJsonNumber, the DOM parser's own scanner). Anything else —
+/// another key, an escape, a duplicate key, a non-positive size, a nested
+/// array, a syntax error — makes it give up, and the caller re-parses the
+/// line on the DOM path, which owns every error text and position.
+class ExecuteFrameScanner {
+public:
+  ExecuteFrameScanner(const char *Begin, const char *End)
+      : At(Begin), End(End) {}
+
+  bool scan(SocketFrame &Frame) {
+    constexpr unsigned SawV = 1, SawId = 2, SawExecute = 4;
+    unsigned Seen = 0;
+    bool Ok = object([&](std::string_view Key) {
+      unsigned Bit = Key == "v"         ? SawV
+                     : Key == "id"      ? SawId
+                     : Key == "execute" ? SawExecute
+                                        : 0;
+      if (!Bit || (Seen & Bit))
+        return false;
+      Seen |= Bit;
+      support::JsonNumber N;
+      if (Bit == SawV)
+        return number(N) && N.IsInteger && N.Integer == ProtocolVersionV2;
+      if (Bit == SawId) {
+        if (!number(N) || !N.IsInteger)
+          return false;
+        Frame.IdJson = std::to_string(N.Integer);
+        return true;
+      }
+      return execute(Frame.Exec, Frame.Io);
+    });
+    skipWhitespace();
+    if (!Ok || At != End || !(Seen & SawV) || !(Seen & SawExecute))
+      return false;
+    Frame.K = SocketFrame::Kind::Execute;
+    return true;
+  }
+
+private:
+  void skipWhitespace() {
+    while (At < End &&
+           (*At == ' ' || *At == '\t' || *At == '\n' || *At == '\r'))
+      ++At;
+  }
+
+  bool consume(char C) {
+    skipWhitespace();
+    if (At < End && *At == C) {
+      ++At;
+      return true;
+    }
+    return false;
+  }
+
+  /// A string without escapes (the DOM parser's bytes verbatim).
+  bool string(std::string_view &Out) {
+    if (!consume('"'))
+      return false;
+    const char *Start = At;
+    while (At < End && *At != '"') {
+      if (*At == '\\' || static_cast<unsigned char>(*At) < 0x20)
+        return false;
+      ++At;
+    }
+    if (At == End)
+      return false;
+    Out = std::string_view(Start, static_cast<size_t>(At - Start));
+    ++At;
+    return true;
+  }
+
+  bool number(support::JsonNumber &Out) {
+    skipWhitespace();
+    const char *Next = nullptr;
+    if (support::scanJsonNumber(At, End, Next, Out))
+      return false;
+    At = Next;
+    return true;
+  }
+
+  /// `{` (key `:` member)* `}`, calling \p Member after each key's colon.
+  template <typename MemberFn> bool object(MemberFn Member) {
+    if (!consume('{'))
+      return false;
+    if (consume('}'))
+      return true;
+    do {
+      std::string_view Key;
+      if (!string(Key) || !consume(':') || !Member(Key))
+        return false;
+    } while (consume(','));
+    return consume('}');
+  }
+
+  bool execute(LiftRequest &Req, ExecuteIo &Io) {
+    constexpr unsigned SawName = 1, SawSizes = 2, SawInputs = 4;
+    unsigned Seen = 0;
+    bool Ok = object([&](std::string_view Key) {
+      unsigned Bit = Key == "name"     ? SawName
+                     : Key == "sizes"  ? SawSizes
+                     : Key == "inputs" ? SawInputs
+                                       : 0;
+      if (!Bit || (Seen & Bit))
+        return false;
+      Seen |= Bit;
+      if (Bit == SawName) {
+        std::string_view Name;
+        if (!string(Name) || Name.empty())
+          return false;
+        Req.RegistryName = std::string(Name);
+        return true;
+      }
+      if (Bit == SawSizes)
+        return object([&](std::string_view Name) {
+          support::JsonNumber N;
+          return number(N) && N.IsInteger && N.Integer > 0 &&
+                 Io.Sizes.emplace(std::string(Name), N.Integer).second;
+        });
+      return object([&](std::string_view Name) { return input(Name, Io); });
+    });
+    return Ok && (Seen & SawName);
+  }
+
+  /// One "inputs" member: a number or a flat array of numbers.
+  bool input(std::string_view Name, ExecuteIo &Io) {
+    std::string Key(Name);
+    if (Io.Scalars.count(Key) || Io.Arrays.count(Key))
+      return false; // a duplicate key
+    support::JsonNumber N;
+    if (!consume('[')) {
+      if (!number(N))
+        return false;
+      Io.Scalars.emplace(std::move(Key), N.Value);
+      return true;
+    }
+    std::vector<double> &Cells = Io.Arrays[std::move(Key)];
+    if (consume(']'))
+      return true;
+    do {
+      if (!number(N))
+        return false;
+      Cells.push_back(N.Value);
+    } while (consume(','));
+    return consume(']');
+  }
+
+  const char *At;
+  const char *End;
+};
+
+/// The typed path: the scanner over trim()'s bounds (without the copy).
+std::optional<SocketFrame> decodeExecuteFrame(const std::string &Line) {
+  const char *Begin = Line.data();
+  const char *End = Begin + Line.size();
+  while (Begin < End && std::isspace(static_cast<unsigned char>(*Begin)))
+    ++Begin;
+  while (End > Begin && std::isspace(static_cast<unsigned char>(End[-1])))
+    --End;
   SocketFrame Frame;
-  std::string Trimmed = trim(Line);
+  if (!ExecuteFrameScanner(Begin, End).scan(Frame))
+    return std::nullopt;
+  return Frame;
+}
+
+/// The DOM path: the line parsed into a support::Json first.
+SocketFrame decodeFrameDom(const std::string &Line) {
+  SocketFrame Frame;
 
   // Everything but a frame that *announces* v2 flows through the v1
-  // parser, which answers non-objects and bad versions with bad_request.
-  support::JsonParseResult Json = support::parseJson(Trimmed);
+  // checks, which answer non-objects and bad versions with bad_request.
+  support::JsonParseResult Json = support::parseJson(trim(Line));
   const support::Json *Version =
       Json.ok() && Json.Value.isObject() ? Json.Value.find("v") : nullptr;
   if (!Version || !Version->isInteger() ||
       Version->asInteger() != ProtocolVersionV2) {
     Frame.K = SocketFrame::Kind::V1;
-    Frame.V1 = parseRequestLine(Trimmed);
+    Frame.V1 = parseRequestJson(Json);
     return Frame;
   }
 
@@ -313,6 +495,23 @@ SocketFrame api::parseSocketFrame(const std::string &Line) {
   }
   Frame.K = SocketFrame::Kind::Batch;
   return Frame;
+}
+
+} // namespace
+
+SocketFrame api::parseSocketFrame(const std::string &Line) {
+  if (std::optional<SocketFrame> Frame = decodeExecuteFrame(Line))
+    return std::move(*Frame);
+  return decodeFrameDom(Line);
+}
+
+std::optional<SocketFrame>
+api::detail::parseExecuteFrameTyped(const std::string &Line) {
+  return decodeExecuteFrame(Line);
+}
+
+SocketFrame api::detail::parseSocketFrameDom(const std::string &Line) {
+  return decodeFrameDom(Line);
 }
 
 namespace {
@@ -392,16 +591,21 @@ std::string api::renderResultEvent(const std::string &IdJson,
   Out += Outcome.Cached ? "true" : "false";
   Out += ",\"expr\":";
   Out += Json::str(Outcome.Expr).dump();
-  Json Shape = Json::array();
-  for (int64_t D : Outcome.Shape)
-    Shape.push(Json::integer(D));
-  Json Data = Json::array();
-  for (double V : Outcome.Data)
-    Data.push(Json::number(V));
-  Out += ",\"shape\":";
-  Out += Shape.dump();
-  Out += ",\"data\":";
-  Out += Data.dump();
-  Out += '}';
+  // The tensor goes straight into the line, no Json array in between. The
+  // reservation covers short cells; longer spellings grow the line.
+  Out.reserve(Out.size() + 32 + 8 * Outcome.Data.size());
+  Out += ",\"shape\":[";
+  for (size_t I = 0; I < Outcome.Shape.size(); ++I) {
+    if (I)
+      Out += ',';
+    Out += std::to_string(Outcome.Shape[I]);
+  }
+  Out += "],\"data\":[";
+  for (size_t I = 0; I < Outcome.Data.size(); ++I) {
+    if (I)
+      Out += ',';
+    support::appendJsonNumber(Out, Outcome.Data[I]);
+  }
+  Out += "]}";
   return Out;
 }

@@ -96,6 +96,7 @@
 
 #include "api/Api.h"
 
+#include <optional>
 #include <string>
 
 namespace stagg {
@@ -168,7 +169,31 @@ struct SocketFrame {
 };
 
 /// Parses one newline-delimited socket frame (newline already stripped).
+///
+/// Two paths, chosen by the bytes alone. An execute frame of the common
+/// shape — an integer "v":2, an integer "id" or none, and an "execute"
+/// object with an unescaped "name", positive-integer "sizes" and "inputs"
+/// of numbers or flat number arrays, no duplicate and no other keys — is
+/// decoded by a strict typed scanner straight into Exec/Io, never building
+/// a support::Json node per cell. Every other line (v1 requests, batches,
+/// stats, "kernel"/"oracle_hint"/"config" execute frames, escapes, and
+/// every malformed frame) takes the DOM path: support::parseJson, then the
+/// field checks. The DOM path therefore owns every error text and
+/// line/column; on the frames both accept, both give an equal SocketFrame.
 SocketFrame parseSocketFrame(const std::string &Line);
+
+namespace detail {
+
+// Each path alone, for the differential tests that hold them equal.
+
+/// The typed execute decoder: the frame when \p Line has the shape above,
+/// nullopt otherwise.
+std::optional<SocketFrame> parseExecuteFrameTyped(const std::string &Line);
+
+/// parseSocketFrame without the typed decoder.
+SocketFrame parseSocketFrameDom(const std::string &Line);
+
+} // namespace detail
 
 /// v2 event lines (no trailing newline). The response event embeds the v1
 /// rendering of \p Response verbatim, so socket results are byte-identical
@@ -183,7 +208,9 @@ std::string renderErrorEvent(const std::string &IdJson,
                              const std::string &Message);
 
 /// The v2 "result" event answering an execute frame: the output tensor on
-/// success, a status "error" object otherwise.
+/// success, a status "error" object otherwise. "shape" and "data" are
+/// appended straight into the line (support::appendJsonNumber per cell);
+/// no support::Json array is built.
 std::string renderResultEvent(const std::string &IdJson,
                               const std::string &Name,
                               const ExecuteOutcome &Outcome);

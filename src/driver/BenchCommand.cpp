@@ -6,6 +6,7 @@
 #include "analysis/KernelAnalysis.h"
 #include "analysis/KernelModel.h"
 #include "api/KernelIngest.h"
+#include "api/Protocol.h"
 #include "cfront/Interp.h"
 #include "cfront/Parser.h"
 #include "core/Stagg.h"
@@ -562,6 +563,41 @@ std::vector<Micro> buildMicros(const MicroFixtures &F) {
                         if (!serve::liftResultFromJson(
                                 serve::liftResultToJson(*Result), Back) ||
                             !Back.Solved)
+                          std::abort();
+                      }});
+  }
+
+  // Execute-frame tensor I/O: decode an execute frame posting 2,048 cells
+  // (two 1,024-cell inputs) and render a 2,048-cell result event — the
+  // JSON half of every `execute` request, without the socket or the VM.
+  {
+    std::string A, B;
+    auto Outcome = std::make_shared<api::ExecuteOutcome>();
+    Outcome->Ok = true;
+    Outcome->Expr = "out(i) = a(i) + b(i)";
+    Outcome->Shape = {2048};
+    for (int I = 0; I < 1024; ++I) {
+      double X = static_cast<double>(I % 97) * 0.25 - 3;
+      double Y = static_cast<double>(I % 13) - 6;
+      A += I ? ',' : '[';
+      support::appendJsonNumber(A, X);
+      B += I ? ',' : '[';
+      support::appendJsonNumber(B, Y);
+      Outcome->Data.push_back(X + Y);
+      Outcome->Data.push_back(X * Y / 7);
+    }
+    auto Frame = std::make_shared<std::string>(
+        "{\"v\":2,\"id\":7,\"execute\":{\"name\":\"art_add\","
+        "\"sizes\":{\"N\":1024},\"inputs\":{\"a\":" +
+        A + "],\"b\":" + B + "]}}}");
+    Micros.push_back({"micro/execute_frame_2k", [Frame, Outcome] {
+                        api::SocketFrame F = api::parseSocketFrame(*Frame);
+                        if (F.K != api::SocketFrame::Kind::Execute ||
+                            F.Io.Arrays.size() != 2 ||
+                            api::renderResultEvent(F.IdJson,
+                                                   F.Exec.RegistryName,
+                                                   *Outcome)
+                                .empty())
                           std::abort();
                       }});
   }

@@ -2,7 +2,7 @@
 
 #include "support/Json.h"
 
-#include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -140,6 +140,25 @@ std::string support::escapeJsonString(const std::string &Text) {
   return Out;
 }
 
+void support::appendJsonNumber(std::string &Out, double Value) {
+  if (!std::isfinite(Value)) {
+    // JSON has no Inf/NaN; null is the least-wrong rendering.
+    Out += "null";
+    return;
+  }
+  char Buffer[32]; // "%.12g" needs at most 19 ("-1.23456789012e-308")
+  char *End;
+  if (Value != 0 && std::fabs(Value) < 1e12 && Value == std::trunc(Value))
+    End = std::to_chars(Buffer, Buffer + sizeof(Buffer),
+                        static_cast<int64_t>(Value))
+              .ptr;
+  else
+    End = std::to_chars(Buffer, Buffer + sizeof(Buffer), Value,
+                        std::chars_format::general, 12)
+              .ptr;
+  Out.append(Buffer, End);
+}
+
 namespace {
 
 void dumpTo(const Json &J, std::string &Out) {
@@ -150,22 +169,12 @@ void dumpTo(const Json &J, std::string &Out) {
   case Json::Kind::Bool:
     Out += J.asBool() ? "true" : "false";
     return;
-  case Json::Kind::Number: {
-    if (J.isInteger()) {
+  case Json::Kind::Number:
+    if (J.isInteger())
       Out += std::to_string(J.asInteger());
-      return;
-    }
-    double Value = J.asNumber();
-    if (!std::isfinite(Value)) {
-      // JSON has no Inf/NaN; null is the least-wrong rendering.
-      Out += "null";
-      return;
-    }
-    char Buffer[32];
-    std::snprintf(Buffer, sizeof(Buffer), "%.12g", Value);
-    Out += Buffer;
+    else
+      appendJsonNumber(Out, J.asNumber());
     return;
-  }
   case Json::Kind::String:
     Out += '"';
     Out += escapeJsonString(J.asString());
@@ -526,59 +535,18 @@ private:
   }
 
   bool parseNumber(Json &Out) {
-    size_t Start = At;
-    if (consume('-')) {
-    }
-    if (At >= Text.size() || Text[At] < '0' || Text[At] > '9') {
-      At = Start;
-      setError("invalid number");
+    const char *Begin = Text.data();
+    const char *Next = nullptr;
+    JsonNumber Number;
+    const char *Error =
+        scanJsonNumber(Begin + At, Begin + Text.size(), Next, Number);
+    At = static_cast<size_t>(Next - Begin);
+    if (Error) {
+      setError(Error);
       return false;
     }
-    if (Text[At] == '0') {
-      ++At; // strict JSON: no leading zeros
-      if (At < Text.size() && Text[At] >= '0' && Text[At] <= '9') {
-        setError("leading zeros are not allowed");
-        return false;
-      }
-    } else {
-      while (At < Text.size() && Text[At] >= '0' && Text[At] <= '9')
-        ++At;
-    }
-    bool Integral = true;
-    if (At < Text.size() && Text[At] == '.') {
-      Integral = false;
-      ++At;
-      if (At >= Text.size() || Text[At] < '0' || Text[At] > '9') {
-        setError("digits must follow the decimal point");
-        return false;
-      }
-      while (At < Text.size() && Text[At] >= '0' && Text[At] <= '9')
-        ++At;
-    }
-    if (At < Text.size() && (Text[At] == 'e' || Text[At] == 'E')) {
-      Integral = false;
-      ++At;
-      if (At < Text.size() && (Text[At] == '+' || Text[At] == '-'))
-        ++At;
-      if (At >= Text.size() || Text[At] < '0' || Text[At] > '9') {
-        setError("digits must follow the exponent");
-        return false;
-      }
-      while (At < Text.size() && Text[At] >= '0' && Text[At] <= '9')
-        ++At;
-    }
-    std::string Token = Text.substr(Start, At - Start);
-    if (Integral) {
-      // Integer tokens too wide for int64 degrade to double.
-      errno = 0;
-      char *End = nullptr;
-      long long Value = std::strtoll(Token.c_str(), &End, 10);
-      if (errno == 0 && End && *End == '\0') {
-        Out = Json::integer(Value);
-        return true;
-      }
-    }
-    Out = Json::number(std::strtod(Token.c_str(), nullptr));
+    Out = Number.IsInteger ? Json::integer(Number.Integer)
+                           : Json::number(Number.Value);
     return true;
   }
 
@@ -588,6 +556,65 @@ private:
 };
 
 } // namespace
+
+const char *support::scanJsonNumber(const char *At, const char *End,
+                                    const char *&Next, JsonNumber &Out) {
+  const char *Start = At;
+  auto IsDigit = [End](const char *P) {
+    return P < End && *P >= '0' && *P <= '9';
+  };
+  auto Fail = [&Next](const char *P, const char *Message) {
+    Next = P;
+    return Message;
+  };
+  if (At < End && *At == '-')
+    ++At;
+  if (!IsDigit(At))
+    return Fail(Start, "invalid number");
+  if (*At == '0') {
+    ++At; // strict JSON: no leading zeros
+    if (IsDigit(At))
+      return Fail(At, "leading zeros are not allowed");
+  } else {
+    while (IsDigit(At))
+      ++At;
+  }
+  bool Integral = true;
+  if (At < End && *At == '.') {
+    Integral = false;
+    ++At;
+    if (!IsDigit(At))
+      return Fail(At, "digits must follow the decimal point");
+    while (IsDigit(At))
+      ++At;
+  }
+  if (At < End && (*At == 'e' || *At == 'E')) {
+    Integral = false;
+    ++At;
+    if (At < End && (*At == '+' || *At == '-'))
+      ++At;
+    if (!IsDigit(At))
+      return Fail(At, "digits must follow the exponent");
+    while (IsDigit(At))
+      ++At;
+  }
+  Next = At;
+  Out = JsonNumber();
+  if (Integral) {
+    // Integer tokens too wide for int64 degrade to double.
+    auto [Ptr, Ec] = std::from_chars(Start, At, Out.Integer);
+    if (Ec == std::errc() && Ptr == At) {
+      Out.IsInteger = true;
+      Out.Value = static_cast<double>(Out.Integer);
+      return nullptr;
+    }
+  }
+  auto [Ptr, Ec] = std::from_chars(Start, At, Out.Value);
+  if (Ec != std::errc() || Ptr != At)
+    // Out of range: strtod's inf or (sub)zero is the decoded value.
+    Out.Value = std::strtod(std::string(Start, At).c_str(), nullptr);
+  return nullptr;
+}
 
 JsonParseResult support::parseJson(const std::string &Text) {
   return Parser(Text).run();

@@ -13,6 +13,11 @@
 ///    order, so logs diff cleanly) and reject duplicate keys on parse.
 ///  * Numbers remember whether they were written as integers, so counters
 ///    like "expansions" round-trip without a decimal point.
+///  * One number grammar and one conversion: scanJsonNumber is the strict
+///    scanner behind the parser, and the execute frame's typed decoder
+///    (api/Protocol.cpp) calls it too. One number formatter:
+///    appendJsonNumber renders every non-integer number the writer emits,
+///    and the execute result renders its cells with it directly.
 ///  * Parse failures carry the 1-based line/column of the offending byte —
 ///    surfaced verbatim to serve clients, who edit their request bodies by
 ///    hand more often than not.
@@ -149,6 +154,33 @@ JsonParseResult parseJson(const std::string &Text);
 
 /// Escapes \p Text as the *inside* of a JSON string literal (no quotes).
 std::string escapeJsonString(const std::string &Text);
+
+/// Appends the wire spelling of \p Value to \p Out: byte-identical to
+/// printf("%.12g"), with a non-finite value rendered as `null` (JSON has no
+/// Inf/NaN). Integral values with 0 < |v| < 1e12 take an integer fast path
+/// (every such value has at most 12 digits, so "%.12g" prints it exactly);
+/// everything else, -0.0 included, goes through
+/// std::to_chars(general, 12).
+void appendJsonNumber(std::string &Out, double Value);
+
+/// One scanned JSON number. Integral tokens (no fraction, no exponent) that
+/// fit int64 set IsInteger, with Value the nearest double to Integer ("-0"
+/// is the integer 0, so it decodes to +0.0); every other token is a double.
+struct JsonNumber {
+  double Value = 0;
+  int64_t Integer = 0;
+  bool IsInteger = false;
+};
+
+/// Scans one strict JSON number starting at \p At (no leading '+', no
+/// leading zeros, digits on both sides of '.' and after the exponent) and
+/// converts it in place with std::from_chars. A value from_chars reports
+/// out of range (1e400, 1e-400) falls back to strtod, so it decodes to the
+/// same inf or zero. On success returns nullptr and sets \p Next past the
+/// token; on failure returns the diagnostic and sets \p Next to the byte
+/// it points at (the parser's error column).
+const char *scanJsonNumber(const char *At, const char *End, const char *&Next,
+                           JsonNumber &Out);
 
 } // namespace support
 } // namespace stagg

@@ -23,6 +23,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
+#include <cfloat>
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <optional>
+#include <random>
+
 using namespace stagg;
 using support::Json;
 using support::JsonParseResult;
@@ -108,6 +118,98 @@ TEST(Json, ErrorPositionsPointAtTheProblem) {
   EXPECT_FALSE(parseJson("01").ok()); // "0" then trailing "1"
   std::string Deep(100, '[');
   EXPECT_FALSE(parseJson(Deep).ok()); // nesting cap, not a stack overflow
+}
+
+/// The reference rendering appendJsonNumber must reproduce byte for byte.
+std::string printfNumber(double V) {
+  if (!std::isfinite(V))
+    return "null";
+  char Buffer[64];
+  std::snprintf(Buffer, sizeof(Buffer), "%.12g", V);
+  return Buffer;
+}
+
+std::string formatted(double V) {
+  std::string Out;
+  support::appendJsonNumber(Out, V);
+  return Out;
+}
+
+/// Bitwise double equality (tells -0.0 from +0.0).
+bool sameBits(double A, double B) {
+  return std::memcmp(&A, &B, sizeof(double)) == 0;
+}
+
+TEST(Json, NumberFormatterMatchesPrintf) {
+  const double Inf = std::numeric_limits<double>::infinity();
+  for (double V :
+       {0.0, -0.0, 1e-07, -1e-07, 1e-05, 1e-04, 0.0001234, 0.1, 0.3, 2.5,
+        -2.5, 1.0 / 3, 123456.789, 999999999999.0, -999999999999.0,
+        999999999999.4, 999999999999.5, 1e12, -1e12, 1e12 + 1, 1e15,
+        9007199254740993.0, 9.2233720368547758e18, 1e21, 1e22, DBL_MAX,
+        -DBL_MAX, DBL_MIN, std::numeric_limits<double>::denorm_min(), Inf,
+        -Inf, std::nan("")}) {
+    EXPECT_EQ(formatted(V), printfNumber(V)) << std::hexfloat << V;
+    EXPECT_EQ(Json::number(V).dump(), printfNumber(V)) << std::hexfloat << V;
+  }
+
+  std::mt19937_64 Rng(0x5EEDF00Du);
+  for (int I = 0; I < 200000; ++I) {
+    uint64_t Bits = Rng();
+    double Random;
+    std::memcpy(&Random, &Bits, sizeof(double));
+    double Integer =
+        static_cast<double>(static_cast<int64_t>(Rng() % 2000000000003ull) -
+                            1000000000001);
+    double Scaled = static_cast<double>(static_cast<int64_t>(Rng() % 2000001) -
+                                        1000000) *
+                    std::pow(10.0, static_cast<int>(Rng() % 41) - 20);
+    for (double V : {Random, Integer, Scaled})
+      ASSERT_EQ(formatted(V), printfNumber(V)) << std::hexfloat << V;
+  }
+}
+
+TEST(Json, NumberDecodingMatchesStrtollAndStrtod) {
+  for (const char *Token :
+       {"0", "-0", "-0.0", "7", "-42", "0.1", "1E5", "1e+5", "-7.5E-2",
+        "-9223372036854775808", "9223372036854775807", "9223372036854775808",
+        "-9223372036854775809", "18446744073709551616",
+        "123456789012345678901234567890", "9007199254740993", "1e400",
+        "-1e400", "1e-400", "-1e-400", "4.9e-324", "2.4703282292062328e-324",
+        "2.2250738585072011e-308", "1.7976931348623157e308",
+        "1.7976931348623159e308"}) {
+    JsonParseResult Parsed = parseJson(Token);
+    ASSERT_TRUE(Parsed.ok()) << Token;
+    const Json &V = Parsed.Value;
+    errno = 0;
+    long long Integer = std::strtoll(Token, nullptr, 10);
+    if (!std::strpbrk(Token, ".eE") && errno == 0) {
+      EXPECT_TRUE(V.isInteger()) << Token;
+      EXPECT_EQ(V.asInteger(), Integer) << Token;
+      EXPECT_TRUE(sameBits(V.asNumber(), static_cast<double>(Integer)))
+          << Token;
+    } else {
+      EXPECT_FALSE(V.isInteger()) << Token;
+      EXPECT_TRUE(sameBits(V.asNumber(), std::strtod(Token, nullptr)))
+          << Token << " decoded as " << std::hexfloat << V.asNumber();
+    }
+  }
+
+  // Malformed numbers keep their diagnostics and columns.
+  for (auto [Text, Error] : std::vector<std::pair<const char *, const char *>>{
+           {"-x", "line 1 column 1: invalid number"},
+           {"[1,-]", "line 1 column 4: invalid number"},
+           {"012", "line 1 column 2: leading zeros are not allowed"},
+           {"1.", "line 1 column 3: digits must follow the decimal point"},
+           {"1.e5", "line 1 column 3: digits must follow the decimal point"},
+           {"2e+", "line 1 column 4: digits must follow the exponent"},
+           {"+1", "line 1 column 1: unexpected character '+'"}}) {
+    JsonParseResult Parsed = parseJson(Text);
+    ASSERT_FALSE(Parsed.ok()) << Text;
+    EXPECT_EQ(Parsed.Error.describe(),
+              std::string("malformed JSON at ") + Error)
+        << Text;
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -573,6 +675,208 @@ TEST(Protocol, ResponsesAreValidV1Json) {
   ASSERT_TRUE(Parsed.ok());
   EXPECT_EQ(Parsed.Value.find("status")->asString(), "unknown_benchmark");
   EXPECT_NE(Parsed.Value.find("error"), nullptr);
+}
+
+void expectSameRequest(const api::LiftRequest &A, const api::LiftRequest &B,
+                       const std::string &Line) {
+  EXPECT_EQ(A.RegistryName, B.RegistryName) << Line;
+  EXPECT_EQ(A.KernelSource, B.KernelSource) << Line;
+  EXPECT_EQ(A.Name, B.Name) << Line;
+  EXPECT_EQ(A.OracleHint, B.OracleHint) << Line;
+  EXPECT_EQ(A.Patch.toJson().dump(), B.Patch.toJson().dump()) << Line;
+}
+
+/// Field-by-field SocketFrame equality, every posted cell bit for bit.
+void expectSameFrame(const api::SocketFrame &A, const api::SocketFrame &B,
+                     const std::string &Line) {
+  EXPECT_EQ(A.K, B.K) << Line;
+  EXPECT_EQ(A.IdJson, B.IdJson) << Line;
+  EXPECT_EQ(A.Error, B.Error) << Line;
+  EXPECT_EQ(A.Progress, B.Progress) << Line;
+  EXPECT_EQ(A.V1.Error, B.V1.Error) << Line;
+  expectSameRequest(A.V1.Request, B.V1.Request, Line);
+  ASSERT_EQ(A.Items.size(), B.Items.size()) << Line;
+  for (size_t I = 0; I < A.Items.size(); ++I) {
+    EXPECT_EQ(A.Items[I].Error, B.Items[I].Error) << Line;
+    expectSameRequest(A.Items[I].Request, B.Items[I].Request, Line);
+  }
+  expectSameRequest(A.Exec, B.Exec, Line);
+  EXPECT_EQ(A.Io.Sizes, B.Io.Sizes) << Line;
+  ASSERT_EQ(A.Io.Scalars.size(), B.Io.Scalars.size()) << Line;
+  for (auto ItA = A.Io.Scalars.begin(), ItB = B.Io.Scalars.begin();
+       ItA != A.Io.Scalars.end(); ++ItA, ++ItB) {
+    EXPECT_EQ(ItA->first, ItB->first) << Line;
+    EXPECT_TRUE(sameBits(ItA->second, ItB->second)) << Line;
+  }
+  ASSERT_EQ(A.Io.Arrays.size(), B.Io.Arrays.size()) << Line;
+  for (auto ItA = A.Io.Arrays.begin(), ItB = B.Io.Arrays.begin();
+       ItA != A.Io.Arrays.end(); ++ItA, ++ItB) {
+    EXPECT_EQ(ItA->first, ItB->first) << Line;
+    ASSERT_EQ(ItA->second.size(), ItB->second.size()) << Line;
+    EXPECT_EQ(std::memcmp(ItA->second.data(), ItB->second.data(),
+                          ItA->second.size() * sizeof(double)),
+              0)
+        << Line;
+  }
+}
+
+/// Parses \p Line both ways, checks they agree, and reports whether the
+/// typed decoder took it.
+bool sameOnBothPaths(const std::string &Line) {
+  std::optional<api::SocketFrame> Typed =
+      api::detail::parseExecuteFrameTyped(Line);
+  api::SocketFrame Dom = api::detail::parseSocketFrameDom(Line);
+  expectSameFrame(api::parseSocketFrame(Line), Dom, Line);
+  if (Typed)
+    expectSameFrame(*Typed, Dom, Line);
+  return Typed.has_value();
+}
+
+TEST(Protocol, TypedExecuteDecoderMatchesTheDomPath) {
+  // Execute frames the way the benchmark client builds them (integer cells
+  // in [-4, 4] and small integer scalars), plus non-integral cells.
+  std::mt19937_64 Rng(77);
+  auto Cell = [&Rng](bool Integral) {
+    int64_t N = static_cast<int64_t>(Rng() % 9) - 4;
+    if (Integral)
+      return Json::integer(N);
+    return Json::number(static_cast<double>(N) / 3 +
+                        static_cast<double>(Rng() % 1000) * 1e-7);
+  };
+  for (const char *Name : {"blas_gemm", "dsp_matvec", "ll_matmul",
+                           "misc_hadamard", "dk_add_bias", "misc_matscale",
+                           "blas_ger", "relu_forward", "blas_axpy"}) {
+    for (bool Integral : {true, false}) {
+      Json Sizes = Json::object();
+      Sizes.set("N", Json::integer(static_cast<int64_t>(Rng() % 64) + 1));
+      Sizes.set("M", Json::integer(16));
+      Json Inputs = Json::object();
+      for (const char *Arg : {"A", "x", "b"}) {
+        Json Values = Json::array();
+        for (uint64_t I = 0, E = 1 + Rng() % 300; I < E; ++I)
+          Values.push(Cell(Integral));
+        Inputs.set(Arg, std::move(Values));
+      }
+      Inputs.set("alpha", Cell(Integral));
+      Json Body = Json::object();
+      Body.set("name", Json::str(Name));
+      Body.set("sizes", std::move(Sizes));
+      Body.set("inputs", std::move(Inputs));
+      std::string Line = "{\"v\":2,\"id\":" + std::to_string(Rng() % 9999) +
+                         ",\"execute\":" + Body.dump() + "}";
+      EXPECT_TRUE(sameOnBothPaths(Line)) << Line;
+    }
+  }
+
+  // The README example, line break included.
+  EXPECT_TRUE(sameOnBothPaths(
+      "{\"v\":2, \"id\":9, \"execute\":{\"name\":\"art_add\", "
+      "\"sizes\":{\"N\":4},\n \"inputs\":{\"a\":[1,2,3,4], "
+      "\"b\":[10,20,30,40]}}}"));
+
+  // One step outside the typed shape at a time: each of these is either
+  // taken by the typed decoder with the DOM path's result, or left to it.
+  for (const char *Line :
+       {"{\"v\":2.0,\"execute\":{\"name\":\"k\"}}",
+        "{\"v\":2e0,\"execute\":{\"name\":\"k\"}}",
+        "{\"v\":-2,\"execute\":{\"name\":\"k\"}}",
+        "{\"execute\":{\"name\":\"k\"}}", "{\"v\":2}",
+        "{\"v\":2,\"execute\":{}}",
+        "{\"v\":2,\"execute\":{\"name\":\"\"}}",
+        "{\"v\":2,\"execute\":{\"name\":\"k\"},\"stats\":false}",
+        "{\"v\":2,\"execute\":{\"name\":\"k\"},\"progress\":false}",
+        "{\"v\":2,\"id\":1.5,\"execute\":{\"name\":\"k\"}}",
+        "{\"v\":2,\"id\":\"x\",\"execute\":{\"name\":\"k\"}}",
+        "{\"v\":2,\"id\":null,\"execute\":{\"name\":\"k\"}}",
+        "{\"v\":2,\"id\":-0,\"execute\":{\"name\":\"k\"}}",
+        "{\"v\":2,\"id\":9223372036854775808,\"execute\":{\"name\":\"k\"}}",
+        "{\"v\":2,\"execute\":{\"name\":\"k\",\"config\":{}}}",
+        "{\"v\":2,\"execute\":{\"kernel\":\"void kernel() {}\"}}",
+        "{\"v\":2,\"execute\":{\"name\":\"k\",\"oracle_hint\":\"o = 1\"}}",
+        "{\"v\":2,\"execute\":{\"name\":\"k\\u0041\"}}",
+        "{\"v\":2,\"execute\":{\"name\":\"k\",\"sizes\":{\"N\":-0}}}",
+        "{\"v\":2,\"execute\":{\"name\":\"k\",\"sizes\":{\"N\":1e1}}}",
+        "{\"v\":2,\"execute\":{\"name\":\"k\",\"sizes\":{\"N\":1,\"N\":1}}}",
+        "{\"v\":2,\"execute\":{\"name\":\"k\",\"sizes\":{\"N\":"
+        "9223372036854775808}}}",
+        "{\"v\":2,\"execute\":{\"name\":\"k\",\"sizes\":[]}}",
+        "{\"v\":2,\"execute\":{\"name\":\"k\",\"inputs\":{\"a\":1,\"a\":[1]}}}",
+        "{\"v\":2,\"execute\":{\"name\":\"k\",\"inputs\":{\"a\":[1,]}}}",
+        "{\"v\":2,\"execute\":{\"name\":\"k\",\"inputs\":{\"a\":[[1]]}}}",
+        "{\"v\":2,\"execute\":{\"name\":\"k\",\"inputs\":{\"a\":[1e400,-0,"
+        "-0.0,4.9e-324]}}}",
+        "{\"v\":2,\"execute\":{\"name\":\"k\",\"inputs\":{\"\\u0061\":1}}}",
+        "\v{\"v\":2,\"execute\":{\"name\":\"k\"}}\f",
+        "{\"v\":2,\"execute\":{\"name\":\"k\"}\v}",
+        "{\"v\":2,\"execute\":{\"name\":\"k\"}}x"})
+    sameOnBothPaths(Line);
+
+  // Every truncation and every single-byte mutation of a small frame.
+  const std::string Small =
+      " {\"v\":2,\"id\":-0,\"execute\":{\"name\":\"art_add\","
+      "\"sizes\":{\"N\":2},\"inputs\":{\"a\":[1.5,-2e-1],\"b\":[30,4],"
+      "\"s\":0.25}}}\t";
+  ASSERT_TRUE(sameOnBothPaths(Small));
+  for (size_t Len = 0; Len < Small.size(); ++Len)
+    sameOnBothPaths(Small.substr(0, Len));
+  int Typed = 0, Total = 0;
+  for (size_t At = 0; At < Small.size(); ++At)
+    for (int Byte = 0; Byte < 256; ++Byte) {
+      if (static_cast<char>(Byte) == Small[At])
+        continue;
+      std::string Mutant = Small;
+      Mutant[At] = static_cast<char>(Byte);
+      Typed += sameOnBothPaths(Mutant);
+      ++Total;
+      if (HasFailure())
+        return; // one diverging mutant is enough to read
+    }
+  // Both paths saw a share of the mutants (digits and spaces keep many
+  // of them well-formed).
+  EXPECT_GT(Typed, 100);
+  EXPECT_LT(Typed, Total);
+}
+
+TEST(Protocol, SocketFrameParsesV1LinesLikeParseRequestLine) {
+  for (const char *Line :
+       {"{\"v\":1,\"name\":\"blas_axpy\"}", "  {\"v\":1,\"name\":\"x\"}  ",
+        "{\"v\":1,\"name\":\"a\",\"nme\":\"b\"}", "{\"v\":1", "[1]", "",
+        "blas_axpy", "{\"name\":\"art_copy\"}", "{\"v\":2.0,\"name\":\"a\"}",
+        "{\"v\":1,\"kernel\":\"void kernel(int N, float* x, float* out) "
+        "{}\",\"oracle_hint\":\"out(i) = x(i)\"}"}) {
+    api::SocketFrame Frame = api::parseSocketFrame(Line);
+    api::ParsedRequest Direct = api::parseRequestLine(Line);
+    EXPECT_EQ(Frame.K, api::SocketFrame::Kind::V1) << Line;
+    EXPECT_EQ(Frame.V1.Error, Direct.Error) << Line;
+    expectSameRequest(Frame.V1.Request, Direct.Request, Line);
+  }
+}
+
+TEST(Protocol, ResultEventRendersCellsLikeTheJsonWriter) {
+  api::ExecuteOutcome Outcome;
+  Outcome.Ok = true;
+  Outcome.Cached = true;
+  Outcome.Expr = "out(i,j) = A(i,j) * \"x\"";
+  Outcome.Shape = {3, 4};
+  Outcome.Data = {0.0, -0.0, 1e-07, 1e12, 999999999999.0, 1e300 * 1e300,
+                  -2.5, 1.0 / 3, 42, -7, 1e15, std::nan("")};
+  Json Shape = Json::array();
+  for (int64_t D : Outcome.Shape)
+    Shape.push(Json::integer(D));
+  Json Data = Json::array();
+  for (double V : Outcome.Data)
+    Data.push(Json::number(V));
+  EXPECT_EQ(api::renderResultEvent("\"r\"", "k", Outcome),
+            "{\"v\":2,\"event\":\"result\",\"id\":\"r\",\"name\":\"k\","
+            "\"status\":\"ok\",\"cached\":true,\"expr\":" +
+                Json::str(Outcome.Expr).dump() + ",\"shape\":" + Shape.dump() +
+                ",\"data\":" + Data.dump() + "}");
+
+  Outcome.Shape.clear();
+  Outcome.Data = {32};
+  EXPECT_NE(api::renderResultEvent("", "k", Outcome)
+                .find(",\"shape\":[],\"data\":[32]}"),
+            std::string::npos);
 }
 
 //===----------------------------------------------------------------------===//
