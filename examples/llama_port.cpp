@@ -3,10 +3,10 @@
 // The paper's second real-world source: the C++-based inference code of
 // Llama. This example lifts the six llama2.c forward-pass kernels of the
 // suite and additionally demonstrates *using* a lifted program: the verified
-// TACO expression for the weight matmul is executed through the einsum
-// reference evaluator and cross-checked against the original C kernel on a
-// fresh random model — what a user would do before swapping the kernel out
-// for a TACO-compiled one.
+// TACO expression for the weight matmul is executed on the bytecode VM and
+// cross-checked against the original C kernel on a fresh random model —
+// what a user would do before swapping the kernel out for a TACO-compiled
+// one.
 //
 // Build & run:  ./examples/llama_port
 //
@@ -18,9 +18,10 @@
 #include "cfront/Parser.h"
 #include "llm/SimulatedLlm.h"
 #include "support/Rng.h"
-#include "taco/Einsum.h"
 #include "taco/Printer.h"
 #include "validate/IoExamples.h"
+#include "vm/Compiler.h"
+#include "vm/Interpreter.h"
 
 #include <cstdio>
 #include <iostream>
@@ -73,18 +74,20 @@ int main() {
     return 1;
   }
 
-  // Lifted TACO program through the einsum evaluator.
+  // Lifted TACO program on the bytecode VM.
   std::map<std::string, taco::Tensor<double>> Ops;
   taco::Tensor<double> W({D, Nw}), X({Nw});
   W.flat() = Env.Arrays["w"];
   X.flat() = Env.Arrays["x"];
   Ops.emplace("w", std::move(W));
   Ops.emplace("x", std::move(X));
-  auto Taco = taco::evalEinsum<double>(Matmul.Concrete, Ops, {D});
-  if (!Taco.Ok) {
-    std::cout << "einsum evaluation failed: " << Taco.Error << "\n";
+  vm::Code Code = vm::compileProgram(Matmul.Concrete);
+  vm::Interpreter<double> Interp(Code);
+  if (!Interp.bindMap(Ops, {D})) {
+    std::cout << "VM evaluation failed: " << Interp.error() << "\n";
     return 1;
   }
+  taco::EinsumResult<double> Taco = Interp.evaluate();
 
   bool Agree = Taco.Value.flat() == COut.Arrays["xout"];
   std::cout << "lifted kernel " << (Agree ? "MATCHES" : "DIVERGES FROM")

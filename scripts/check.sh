@@ -14,7 +14,7 @@
 #   --sanitize=thread
 #                    instrument with TSan (-DSTAGG_SANITIZE=thread) instead;
 #                    the CI tsan job runs the concurrency-heavy suites this
-#                    way (CTEST_ARGS="-R 'Serve|Socket|Vm|Search|Parallel'")
+#                    way (CTEST_ARGS="-R 'Serve|Socket|Vm|Search|Api'")
 #   --bench          performance mode: build Release and run
 #                    `stagg bench --json` into $BUILD_DIR/bench.json — the
 #                    entry point both the CI perf job and local perf runs
@@ -24,10 +24,9 @@
 #                    concurrency-*) over src/; exits nonzero on findings
 #                    (the CI job is non-blocking)
 #   --tidy-search    like --tidy but restricted to src/search — the
-#                    parallel search frontier — with every finding promoted
-#                    to an error; the CI tidy-search job is BLOCKING, so
-#                    concurrency-* findings in the parallel search cannot
-#                    land
+#                    enumerators and the candidate loop — with every
+#                    finding promoted to an error; the CI tidy-search job is
+#                    BLOCKING, so findings in src/search cannot land
 #
 # Environment overrides:
 #   BUILD_DIR=dir    build tree (default: build-check; build-sanitize for
@@ -103,8 +102,8 @@ if [ "$TIDY" = ON ]; then
   TIDY_SCOPE=src
   TIDY_FLAGS=()
   if [ "$TIDY_SEARCH" = ON ]; then
-    # The frontier's concurrency is exactly what clang-tidy's
-    # concurrency-* checks exist for; findings there block the merge.
+    # The enumerators and the candidate loop run on every lift; findings
+    # there block the merge.
     TIDY_SCOPE=src/search
     TIDY_FLAGS+=(--warnings-as-errors='*')
   fi

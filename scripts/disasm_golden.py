@@ -7,7 +7,7 @@ Usage:
         [--expected-raw tests/expected_disasm_raw.txt] [--write-expected]
 
 `stagg disasm --suite all` prints the optimized VM stream of every registry
-ground truth, and `--no-vm-opt` the raw compiler output. Both depend on the
+ground truth, and `--raw` the raw compiler output. Both depend on the
 structure compiler (taco::EinsumProgram: slot ids, node order, reduction
 placement) and on the lowering, so any change there that is meant to keep
 the bytecode identical must leave both files byte-for-byte unchanged.
@@ -49,7 +49,7 @@ def main():
 
     failed = False
     for path, extra in ((args.expected, []),
-                        (args.expected_raw, ["--no-vm-opt"])):
+                        (args.expected_raw, ["--raw"])):
         got = disasm(args.stagg, extra)
         if args.write_expected:
             path.write_text(got)

@@ -1,24 +1,17 @@
 #!/usr/bin/env python3
-"""Run the full registry sweep at several --search-threads and diff results.
+"""Run the full registry sweep once and diff it against the committed CSV.
 
 Usage:
-    scripts/full_sweep.py --stagg build/stagg [--threads 1,4,8]
+    scripts/full_sweep.py --stagg build/stagg
         [--expected tests/expected_sweep.csv] [--out-dir sweep-out]
         [--search td|bu] [--drop-penalty SEL] [--write-expected]
 
-The determinism contract of the parallel frontier (search/Frontier.h) is
-that --search-threads N is bit-identical to --search-threads 1 for every
-registry benchmark: same solved set, same lifted expression, same attempt
-and expansion counters, same fail reason. This script proves it end to end
-through the CLI: it runs `stagg --suite all` once per thread count, projects
-each CSV down to its deterministic columns (dropping the wall-clock seconds
-column), and fails if any pair of runs — or any run versus the committed
-expectation file — differs.
-
-The expectation file (tests/expected_sweep.csv) pins the solved set across
-time, not just across thread counts: a grammar or search change that flips
-a benchmark shows up as a nightly diff even though all thread counts agree
-with each other. Refresh it deliberately with --write-expected.
+Runs `stagg --suite all --threads 1`, projects the CSV down to its
+deterministic columns (dropping the wall-clock seconds column) and fails if
+any benchmark differs from the expectation file: solved set, lifted
+expression, attempt and expansion counters, fail reason. A grammar or
+search change that flips a benchmark shows up here. Refresh the file
+deliberately with --write-expected.
 
 --search and --drop-penalty are passed through to stagg, so the other
 enumeration modes are pinned the same way: tests/expected_sweep_bu.csv is
@@ -34,22 +27,20 @@ import subprocess
 import sys
 from pathlib import Path
 
-# Everything in the CSV except wall-clock time is covered by the
-# determinism contract.
+# Everything in the CSV except wall-clock time is deterministic.
 DETERMINISTIC = ["benchmark", "category", "solved", "attempts",
                  "expansions", "detail"]
 
 
-def run_sweep(stagg, threads, out_dir, timeout, mode_args):
-    csv_path = out_dir / f"sweep_t{threads}.csv"
+def run_sweep(stagg, out_dir, timeout, mode_args):
+    csv_path = out_dir / "sweep.csv"
     cmd = [str(stagg), "--suite", "all", "--threads", "1",
-           "--search-threads", str(threads), "--timeout", str(timeout),
-           *mode_args, "--format", "csv", "--csv", str(csv_path)]
+           "--timeout", str(timeout), *mode_args, "--format", "csv",
+           "--csv", str(csv_path)]
     print(f"full_sweep: {' '.join(cmd)}")
     proc = subprocess.run(cmd, stdout=subprocess.DEVNULL)
     if proc.returncode != 0:
-        sys.exit(f"full_sweep: stagg exited {proc.returncode} at "
-                 f"--search-threads {threads}")
+        sys.exit(f"full_sweep: stagg exited {proc.returncode}")
     return csv_path
 
 
@@ -96,14 +87,11 @@ def main():
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--stagg", required=True,
                         help="path to the stagg binary")
-    parser.add_argument("--threads", default="1,4,8",
-                        help="comma-separated --search-threads values "
-                             "(default 1,4,8)")
     parser.add_argument("--expected", default="tests/expected_sweep.csv",
                         help="committed expectation file "
                              "(default tests/expected_sweep.csv)")
     parser.add_argument("--out-dir", default="sweep-out",
-                        help="directory for the per-thread-count CSVs")
+                        help="directory for the sweep CSV")
     parser.add_argument("--timeout", type=float, default=30.0,
                         help="per-benchmark search timeout seconds "
                              "(default 30)")
@@ -112,17 +100,9 @@ def main():
     parser.add_argument("--drop-penalty", metavar="SEL",
                         help="passed through to stagg (e.g. a, b, a3)")
     parser.add_argument("--write-expected", action="store_true",
-                        help="refresh the expectation file from the "
-                             "--search-threads 1 run instead of diffing "
-                             "against it")
+                        help="refresh the expectation file from the run "
+                             "instead of diffing against it")
     args = parser.parse_args()
-
-    try:
-        thread_counts = [int(t) for t in args.threads.split(",") if t]
-    except ValueError:
-        sys.exit(f"full_sweep: bad --threads '{args.threads}'")
-    if not thread_counts:
-        sys.exit("full_sweep: --threads selected nothing")
 
     mode_args = []
     if args.search:
@@ -132,51 +112,27 @@ def main():
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    runs = {}
-    for threads in thread_counts:
-        runs[threads] = project(
-            run_sweep(args.stagg, threads, out_dir, args.timeout, mode_args))
-
-    base_threads = thread_counts[0]
-    base = runs[base_threads]
-    solved = sum(1 for row in base.values() if row[2] == "1")
-    print(f"full_sweep: {len(base)} benchmarks, {solved} solved "
-          f"at --search-threads {base_threads}")
-
-    divergences = 0
-    for threads in thread_counts[1:]:
-        count = diff(f"t{base_threads}", base, f"t{threads}", runs[threads])
-        if count:
-            print(f"full_sweep: --search-threads {threads} DIVERGES from "
-                  f"{base_threads} in {count} benchmark(s)")
-        divergences += count
+    run = project(run_sweep(args.stagg, out_dir, args.timeout, mode_args))
+    solved = sum(1 for row in run.values() if row[2] == "1")
+    print(f"full_sweep: {len(run)} benchmarks, {solved} solved")
 
     expected_path = Path(args.expected)
     if args.write_expected:
         with open(expected_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(DETERMINISTIC)
-            for bench in sorted(base):
-                writer.writerow(base[bench])
-        print(f"full_sweep: wrote {expected_path} "
-              f"({len(base)} benchmarks)")
-    else:
-        count = diff("expected", project(expected_path),
-                     f"t{base_threads}", base)
-        if count:
-            print(f"full_sweep: run DIVERGES from {expected_path} in "
-                  f"{count} benchmark(s) — a grammar/search change moved "
-                  "the solved set; refresh with --write-expected if "
-                  "intentional")
-        divergences += count
+            for bench in sorted(run):
+                writer.writerow(run[bench])
+        print(f"full_sweep: wrote {expected_path} ({len(run)} benchmarks)")
+        return 0
 
+    divergences = diff("expected", project(expected_path), "run", run)
     if divergences:
-        print(f"full_sweep: FAILED — {divergences} divergence(s)")
+        print(f"full_sweep: FAILED — run diverges from {expected_path} in "
+              f"{divergences} benchmark(s); a grammar/search change moved "
+              "the solved set; refresh with --write-expected if intentional")
         return 1
-    print("full_sweep: OK — all thread counts bit-identical"
-          + ("" if args.write_expected else " and matching the committed "
-             "expectation"))
+    print("full_sweep: OK — matching the committed expectation")
     return 0
 
 

@@ -214,14 +214,7 @@ Endpoint::compiledFor(const taco::Program &Concrete, const std::string &Key) {
   }
   auto K = std::make_shared<CompiledKernel>();
   K->Program = Concrete; // deep clone; the Code points into *this* copy
-  K->Code = vm::compileProgram(K->Program);
-  if (Base.UseVmOpt) {
-    // A concrete lifted program's constants are literals nothing rewrites,
-    // so the optimizer may merge equal-valued constant registers.
-    vm::OptimizeOptions OptOpts;
-    OptOpts.FreezeConstants = true;
-    K->Code = vm::optimize(K->Code, OptOpts);
-  }
+  K->Code = vm::optimize(vm::compileProgram(K->Program));
   std::lock_guard<std::mutex> Lock(VmCacheMutex);
   if (VmCache.size() >= 256) {
     VmCache.clear(); // same wholesale policy as the ingest memo

@@ -137,11 +137,10 @@ private:
   /// long-tailed).
   IngestResult ingestCached(const LiftRequest &Request);
 
-  /// One lifted program compiled to VM bytecode: vm::optimize'd with
-  /// constants frozen, or the raw compiler output when the service runs
-  /// with UseVmOpt off (`--no-vm-opt`). The Program member owns the
-  /// expression trees the Code points into, so an entry is immutable and
-  /// safely shared by any number of concurrent executions.
+  /// One lifted program compiled to VM bytecode and vm::optimize'd. The
+  /// Program member owns the expression trees the Code points into, so an
+  /// entry is immutable and safely shared by any number of concurrent
+  /// executions.
   struct CompiledKernel {
     taco::Program Program;
     vm::Code Code;

@@ -15,13 +15,14 @@
 #include "cfront/Parser.h"
 #include "core/Stagg.h"
 #include "support/Rng.h"
-#include "taco/Einsum.h"
 #include "taco/Parser.h"
 #include "taco/Printer.h"
 #include "taco/Semantics.h"
 #include "validate/IoExamples.h"
 #include "validate/Validator.h"
 #include "verify/BoundedVerifier.h"
+#include "vm/Compiler.h"
+#include "vm/Interpreter.h"
 
 #include <algorithm>
 #include <cmath>
@@ -233,7 +234,7 @@ struct TranslationResult {
   std::optional<taco::Program> Program;
 
   /// The ordered statement list the composition came from; executable as
-  /// one program by taco::evalEinsumSequence / the verifier.
+  /// one program by vm::Interpreter::run / the verifier.
   std::vector<taco::Program> Statements;
 
   std::string Error;
@@ -694,12 +695,19 @@ IngestResult api::ingestKernel(const std::string &CSource,
                                        Ex.Inputs.NumScalars.at(Arg.Name)));
       }
     }
-    taco::EinsumResult<double> Seq = taco::evalEinsumSequence<double>(
-        Translation.Statements, std::move(Operands), Summary.OutputParam);
-    if (!Seq.Ok)
+    auto Resolve =
+        [&Operands](const std::string &Name) -> const taco::Tensor<double> * {
+      auto It = Operands.find(Name);
+      return It == Operands.end() ? nullptr : &It->second;
+    };
+    vm::Code Code = vm::compileStatements(Translation.Statements);
+    vm::Interpreter<double> Interp(Code);
+    taco::Tensor<double> Out;
+    if (!Interp.run(Resolve, Summary.OutputParam, Out))
       return fail(IngestStatus::AnalysisError,
-                  "the derived statement list does not execute: " + Seq.Error);
-    const std::vector<double> &Got = Seq.Value.flat();
+                  "the derived statement list does not execute: " +
+                      Interp.error());
+    const std::vector<double> &Got = Out.flat();
     const std::vector<double> &Want = Ex.Expected.flat();
     if (Got.size() != Want.size())
       return fail(IngestStatus::AnalysisError,

@@ -12,7 +12,6 @@
 #include "llm/ResponseParser.h"
 #include "search/BottomUp.h"
 #include "search/TopDown.h"
-#include "search/WorkerPool.h"
 #include "support/Timer.h"
 #include "taco/Printer.h"
 #include "taco/Semantics.h"
@@ -125,47 +124,25 @@ LiftResult core::liftBenchmark(const bench::Benchmark &B,
   // the configFingerprint note below.
   verify::VerifyOptions Verify = Config.Verify;
   Verify.TrustStaticBounds = Check.BoundsProvenSafe;
-  // The engine choice is a pipeline-level knob so the validator and the
-  // verifier always agree; Config.Verify.UseVm/UseVmOpt are overwritten
-  // here.
-  Verify.UseVm = Config.UseVm;
-  Verify.UseVmOpt = Config.UseVmOpt;
 
-  // The probe's working state — validator, reference cache, and the slot
-  // holding the instantiation that made it return true — is mutable, so
-  // each search worker (search/Frontier.h) builds its own from identical
-  // inputs. Probe verdicts are pure in the template; worker identity only
-  // decides who computes a result, never what it is. Per-worker successes
-  // strictly decrease in enumeration ticket (a worker only keeps probing
-  // below the best success so far), so when the frontier accepts, the
-  // winning worker's slot holds exactly the accepted instantiation.
-  struct ProbeState {
-    std::unique_ptr<validate::Validator> V;
-    verify::ReferenceCache VerifyCache;
-    taco::Program Concrete;
-  };
-  std::vector<ProbeState> States(
-      static_cast<size_t>(search::resolveThreads(Config.Search.Threads)));
-  search::TemplateProbeFactory Factory = [&](int Worker) {
-    ProbeState *State = &States[static_cast<size_t>(Worker)];
-    State->V = std::make_unique<validate::Validator>(
-        B, Examples, Summary.Constants, Config.UseVm, Config.UseVmOpt);
-    return search::TemplateProbe(
-        [State, &B, &Fn, &Verify, &Config](const taco::Program &Template) {
-          std::vector<validate::Instantiation> Valid =
-              State->V->validate(Template);
-          for (validate::Instantiation &Inst : Valid) {
-            if (!Config.SkipVerification) {
-              verify::VerifyResult VR = verify::verifyEquivalence(
-                  B, Fn, Inst.Concrete, Verify, &State->VerifyCache);
-              if (!VR.Equivalent)
-                continue;
-            }
-            State->Concrete = std::move(Inst.Concrete);
-            return true;
-          }
-          return false;
-        });
+  // The probe owns the validator, the reference cache, and the slot holding
+  // the instantiation that made it return true.
+  validate::Validator V(B, Examples, Summary.Constants);
+  verify::ReferenceCache VerifyCache;
+  taco::Program Concrete;
+  search::TemplateProbe Probe = [&](const taco::Program &Template) {
+    std::vector<validate::Instantiation> Valid = V.validate(Template);
+    for (validate::Instantiation &Inst : Valid) {
+      if (!Config.SkipVerification) {
+        verify::VerifyResult VR = verify::verifyEquivalence(
+            B, Fn, Inst.Concrete, Verify, &VerifyCache);
+        if (!VR.Equivalent)
+          continue;
+      }
+      Concrete = std::move(Inst.Concrete);
+      return true;
+    }
+    return false;
   };
 
   // Templates the validator would reject on rank alone are settled on the
@@ -173,15 +150,14 @@ LiftResult core::liftBenchmark(const bench::Benchmark &B,
   const uint64_t Ranks = validate::bindableRanks(B);
   search::SearchResult SR =
       Config.Kind == SearchKind::TopDown
-          ? search::runTopDown(Grammar, Config.Search, Factory, Ranks)
-          : search::runBottomUp(Grammar, Config.Search, Factory, Ranks);
+          ? search::runTopDown(Grammar, Config.Search, Probe, Ranks)
+          : search::runBottomUp(Grammar, Config.Search, Probe, Ranks);
 
   Result.Solved = SR.Solved;
   Result.Verified = SR.Solved && !Config.SkipVerification;
   Result.Template = std::move(SR.SolvedTemplate);
   if (SR.Solved)
-    Result.Concrete =
-        std::move(States[static_cast<size_t>(SR.WinnerWorker)].Concrete);
+    Result.Concrete = std::move(Concrete);
   Result.Attempts = SR.Attempts;
   Result.Expansions = SR.Expansions;
   Result.FailReason = SR.Solved ? "" : SR.FailReason;
@@ -206,11 +182,9 @@ std::string core::describeResult(const bench::Benchmark &B,
 
 std::string core::configFingerprint(const StaggConfig &Config) {
   // Every field that can change what liftBenchmark returns appears here.
-  // Knobs that only change how fast it gets there do not: the evaluation
-  // engine (UseVm, UseVmOpt), search parallelism (Search.Threads) and the
-  // serving knobs in Config.Serve (queue depth, cache shape, transport
-  // limits) are bit-identical by contract (VmOptimizerTest and
-  // ParallelSearchTest pin this across the registry), so configurations
+  // Knobs that only change how fast it gets there do not: the serving knobs
+  // in Config.Serve (queue depth, cache shape, transport limits), and the
+  // ignored fields UseVm, UseVmOpt and Search.Threads, so configurations
   // that differ only in them share cache entries. Adding a result-affecting
   // knob without extending this list is a cache-correctness bug, which
   // ConfigPatch.FingerprintCoversResultAffectingKnobs guards against for

@@ -94,19 +94,12 @@ struct StaggConfig {
   /// Skip bounded verification (I/O-only acceptance, like C2TACO).
   bool SkipVerification = false;
 
-  /// Evaluate candidates through the bytecode VM (src/vm) in the validator
-  /// and the bounded verifier. Results are bit-identical with the tree-walk
-  /// (`--no-vm` flips this off for A/B runs), so it is not part of the
-  /// config fingerprint.
+  /// Ignored: candidates are always evaluated through the bytecode VM
+  /// (src/vm), optimized wherever a concrete program runs. Kept only
+  /// because the repository benchmark still reads them
+  /// (perfbench/src/Reconstruct.cpp:117-118); the next benchmark change
+  /// deletes both.
   bool UseVm = true;
-
-  /// Run vm::optimize over every program the verifier and execute compile
-  /// (fused span superinstructions, constant dedup, dead-register
-  /// elimination) before execution; the validator never optimizes.
-  /// Results are bit-identical with the raw stream — the passes preserve
-  /// accumulation order exactly (`--no-vm-opt` flips this off for A/B
-  /// runs); left out of the fingerprint for the same reason as UseVm.
-  /// Ignored when UseVm is false.
   bool UseVmOpt = true;
 
   /// Serving-layer knobs (queue depth, result cache).

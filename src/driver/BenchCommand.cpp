@@ -151,25 +151,6 @@ std::vector<Micro> buildMicros(const MicroFixtures &F) {
                         std::abort();
                     }});
 
-  {
-    auto P = std::make_shared<taco::Program>(
-        *taco::parseTacoProgram("a(i,j) = b(i,k) * c(k,j)").Prog);
-    auto Ops =
-        std::make_shared<std::map<std::string, taco::Tensor<double>>>();
-    taco::Tensor<double> Bm({16, 16}), Cm({16, 16});
-    for (size_t I = 0; I < Bm.flat().size(); ++I) {
-      Bm.flat()[I] = static_cast<double>(I % 7);
-      Cm.flat()[I] = static_cast<double>(I % 5);
-    }
-    Ops->emplace("b", std::move(Bm));
-    Ops->emplace("c", std::move(Cm));
-    Micros.push_back({"micro/einsum_matmul16", [P, Ops] {
-                        auto R = taco::evalEinsum<double>(*P, *Ops, {16, 16});
-                        if (!R.Ok)
-                          std::abort();
-                      }});
-  }
-
   // Structure compilation alone (slots, nodes, reduction placement) for a
   // three-tensor chain with two reductions: the front half of every
   // vm::compileProgram call the validator makes.
@@ -308,60 +289,6 @@ std::vector<Micro> buildMicros(const MicroFixtures &F) {
                       }});
   }
 
-  // The parallel frontier (search/Frontier.h): identical probe workloads —
-  // one 32x32 VM matmul per candidate, heavy enough to amortize worker
-  // spawn — driven serially and at four workers. The perf gate
-  // (scripts/bench_compare.py --min-speedup) holds search_topdown_par to a
-  // 2x win over its _ser twin within the same report, so the pair is the
-  // scaling regression test.
-  {
-    auto T = std::make_shared<std::vector<grammar::Templatized>>();
-    for (const char *S : {"r(i) = m(i,j) * v(j)", "r(i) = m(j,i) * v(j)",
-                          "r(i) = m(i,j) + v(i)", "r(i) = m(i,j) * v(i)"})
-      T->push_back(grammar::templatize(*taco::parseTacoProgram(S).Prog));
-    *T = grammar::dedupTemplates(*T);
-    auto G = std::make_shared<grammar::TemplateGrammar>(
-        grammar::buildTemplateGrammar(*T, grammar::predictDimensionList(*T, 1),
-                                      1, grammar::GrammarOptions()));
-    auto P = std::make_shared<taco::Program>(
-        *taco::parseTacoProgram("a(i,j) = b(i,k) * c(k,j)").Prog);
-    auto Code = std::make_shared<vm::Code>(vm::compileProgram(*P));
-    auto Ops = std::make_shared<std::map<std::string, taco::Tensor<double>>>();
-    taco::Tensor<double> Bm({32, 32}), Cm({32, 32});
-    for (size_t I = 0; I < Bm.flat().size(); ++I) {
-      Bm.flat()[I] = static_cast<double>(I % 7);
-      Cm.flat()[I] = static_cast<double>(I % 5);
-    }
-    Ops->emplace("b", std::move(Bm));
-    Ops->emplace("c", std::move(Cm));
-
-    auto RunSearch = [G, Code, Ops](int Threads) {
-      search::SearchConfig Config;
-      Config.MaxAttempts = 32;
-      Config.Threads = Threads;
-      search::SearchResult R = search::runTopDown(
-          *G, Config, search::TemplateProbeFactory([&](int) {
-            // Per-worker interpreter and scratch output: one shared
-            // vm::Code, concurrent execution.
-            auto Interp = std::make_shared<vm::Interpreter<double>>(*Code);
-            if (!Interp->bindMap(*Ops, {32, 32}))
-              std::abort();
-            auto Out = std::make_shared<taco::Tensor<double>>(
-                std::vector<int64_t>{32, 32});
-            return search::TemplateProbe([Interp, Out](const taco::Program &) {
-              Interp->evaluateInto(*Out);
-              return false;
-            });
-          }));
-      if (R.Attempts != 32)
-        std::abort();
-    };
-    Micros.push_back(
-        {"micro/search_topdown_ser", [RunSearch] { RunSearch(1); }});
-    Micros.push_back(
-        {"micro/search_topdown_par", [RunSearch] { RunSearch(4); }});
-  }
-
   // Validator substitution enumeration (the §6 hot path).
   {
     auto V = std::make_shared<validate::Validator>(
@@ -428,9 +355,8 @@ std::vector<Micro> buildMicros(const MicroFixtures &F) {
   }
 
   // Bytecode VM: the compile cost a candidate pays once per validator /
-  // verifier entry, and the pure execute cost after binding — the same
-  // 16x16 matmul as micro/einsum_matmul16 for a direct tree-walk
-  // comparison.
+  // verifier entry, and the pure execute cost of a 16x16 matmul after
+  // binding.
   {
     auto P = std::make_shared<taco::Program>(F.GemvTruth);
     Micros.push_back({"micro/vm_compile", [P] {
@@ -466,9 +392,7 @@ std::vector<Micro> buildMicros(const MicroFixtures &F) {
     // The same matmul through vm::optimize: a DotSpan superinstruction
     // replaces the interpreted k-loop. CI holds this to a 1.5x win over
     // micro/vm_execute within the same run (bench_compare --min-speedup).
-    vm::OptimizeOptions OO;
-    OO.FreezeConstants = true;
-    auto Fused = std::make_shared<vm::Code>(vm::optimize(*Code, OO));
+    auto Fused = std::make_shared<vm::Code>(vm::optimize(*Code));
     auto FusedInterp = std::make_shared<vm::Interpreter<double>>(*Fused);
     if (!FusedInterp->bindMap(*Ops, {16, 16}))
       std::abort();

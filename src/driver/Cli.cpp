@@ -68,15 +68,14 @@ const std::vector<std::string> &knownFlags() {
       "--help",          "-h",
       "--list",          "--verbose",
       "-v",              "--no-verify",
-      "--no-vm",         "--no-vm-opt",
+      "--raw",
       "--full-grammar",  "--equal-probability",
       "--cache-stats",   "--suite",
       "--repeat",
       "--search",        "--drop-penalty",
       "--format",        "--csv",
       "--input",         "--limit",
-      "--threads",       "--search-threads",
-      "--candidates",
+      "--threads",       "--candidates",
       "--io-examples",   "--max-depth",
       "--max-size",      "--seed",
       "--example-seed",  "--queue-depth",
@@ -191,6 +190,7 @@ CliParse driver::parseArgs(const std::vector<std::string> &Args) {
   std::string FormatFlag;
   std::string CheckOnly;
   std::string ServeOnly;
+  std::string DisasmOnly;
   for (; I < Args.size(); ++I) {
     // Positional arguments are subcommands: `serve` or `bench`.
     if (!Args[I].empty() && Args[I][0] != '-') {
@@ -240,8 +240,7 @@ CliParse driver::parseArgs(const std::vector<std::string> &Args) {
     bool IsBoolean = F.Name == "--help" || F.Name == "-h" ||
                      F.Name == "--list" || F.Name == "--verbose" ||
                      F.Name == "-v" || F.Name == "--no-verify" ||
-                     F.Name == "--no-vm" || F.Name == "--no-vm-opt" ||
-                     F.Name == "--full-grammar" ||
+                     F.Name == "--raw" || F.Name == "--full-grammar" ||
                      F.Name == "--equal-probability" ||
                      F.Name == "--cache-stats" || F.Name == "--Werror";
     if (IsBoolean && F.HasInline) {
@@ -258,10 +257,9 @@ CliParse driver::parseArgs(const std::vector<std::string> &Args) {
       O.Verbose = true;
     } else if (F.Name == "--no-verify") {
       O.Config.SkipVerification = true;
-    } else if (F.Name == "--no-vm") {
-      O.Config.UseVm = false;
-    } else if (F.Name == "--no-vm-opt") {
-      O.Config.UseVmOpt = false;
+    } else if (F.Name == "--raw") {
+      O.DisasmRaw = true;
+      DisasmOnly = F.Name;
     } else if (F.Name == "--full-grammar") {
       O.Config.Grammar.FullGrammar = true;
     } else if (F.Name == "--equal-probability") {
@@ -330,7 +328,6 @@ CliParse driver::parseArgs(const std::vector<std::string> &Args) {
       if (!takeValue(F, O.CsvPath))
         break;
     } else if (F.Name == "--limit" || F.Name == "--threads" ||
-               F.Name == "--search-threads" ||
                F.Name == "--candidates" || F.Name == "--io-examples" ||
                F.Name == "--max-depth" || F.Name == "--max-size" ||
                F.Name == "--seed" || F.Name == "--example-seed") {
@@ -355,8 +352,6 @@ CliParse driver::parseArgs(const std::vector<std::string> &Args) {
       }
       else if (F.Name == "--threads")
         O.Threads = static_cast<int>(N);
-      else if (F.Name == "--search-threads")
-        O.Config.Search.Threads = static_cast<int>(N);
       else if (F.Name == "--candidates")
         O.Config.NumCandidates = static_cast<int>(N);
       else if (F.Name == "--io-examples")
@@ -535,6 +530,8 @@ CliParse driver::parseArgs(const std::vector<std::string> &Args) {
                     "arrive over the socket)";
     else if (O.Mode != DriverMode::Check && !CheckOnly.empty())
       Parse.Error = CheckOnly + " only applies to `stagg check`";
+    else if (O.Mode != DriverMode::Disasm && !DisasmOnly.empty())
+      Parse.Error = DisasmOnly + " only applies to `stagg disasm`";
     else if (O.Mode != DriverMode::Check && O.Format == OutputFormat::Json)
       Parse.Error = "--format json only applies to `stagg check`";
     else if (O.Mode == DriverMode::Check && !RunOnly.empty())
@@ -610,7 +607,7 @@ std::string driver::usage() {
      << "                      README's diagnostics catalog)\n"
      << "  stagg disasm        print the VM instruction stream of each\n"
      << "                      target's ground-truth lifted program —\n"
-     << "                      optimized by default, raw with --no-vm-opt\n"
+     << "                      optimized by default, raw with --raw\n"
      << "                      (targets: registry names, or the --suite\n"
      << "                      selection when none are given)\n"
      << "\n"
@@ -632,21 +629,9 @@ std::string driver::usage() {
      << "  --max-size N        bounded-verifier size bound (default 2)\n"
      << "  --seed N            simulated-LLM oracle seed\n"
      << "  --example-seed N    I/O example generator seed\n"
-     << "  --search-threads N  parallel candidate-probing workers per lift\n"
-     << "                      (default 1 = serial; results are bit-identical\n"
-     << "                      for every N, and the serving layer caps N so\n"
-     << "                      pool width x N never oversubscribes the host)\n"
      << "\n"
      << "Ablations (paper Tables 2/3):\n"
      << "  --no-verify         accept on I/O validation only (C2TACO-style)\n"
-     << "  --no-vm             evaluate candidates with the tree-walking\n"
-     << "                      evaluator instead of the bytecode VM (A/B;\n"
-     << "                      results are bit-identical, just slower)\n"
-     << "  --no-vm-opt         run the raw VM instruction stream in the\n"
-     << "                      verifier and execute, skipping vm::optimize\n"
-     << "                      (fused spans, constant dedup, dead-register\n"
-     << "                      elimination; A/B — results are bit-identical,\n"
-     << "                      just slower). The validator never optimizes.\n"
      << "  --full-grammar      FullGrammar: skip dimension refinement\n"
      << "  --equal-probability EqualProbability: uniform rule weights\n"
      << "  --drop-penalty P    disable penalty a1..a5|b1|b2, or a|b|all;\n"
@@ -716,7 +701,7 @@ std::string driver::usage() {
      << "  stagg check --suite all\n"
      << "  stagg check blas_gemv mykernel.c --Werror --format json\n"
      << "  stagg disasm blas_dot misc_sum2d\n"
-     << "  stagg disasm --suite blas --no-vm-opt\n";
+     << "  stagg disasm --suite blas --raw\n";
   return Os.str();
 }
 
@@ -749,11 +734,8 @@ int driver::runDisasmCommand(const CliOptions &Options) {
     }
   }
 
-  // --no-vm-opt prints the raw compiler output; the default prints the
-  // stream every consumer of a concrete program actually runs (optimized,
-  // constants frozen).
-  vm::OptimizeOptions OptOpts;
-  OptOpts.FreezeConstants = true;
+  // --raw prints the compiler output; the default prints the optimized
+  // stream the verifier and execute actually run.
   for (const bench::Benchmark *B : Targets) {
     taco::ParseStatementsResult GT = taco::parseTacoStatements(B->GroundTruth);
     std::cout << "== " << B->Name << ": " << B->GroundTruth << "\n";
@@ -766,8 +748,8 @@ int driver::runDisasmCommand(const CliOptions &Options) {
       std::cout << "  <does not lower to VM code: " << Code.error() << ">\n";
       continue;
     }
-    if (Options.Config.UseVmOpt)
-      Code = vm::optimize(Code, OptOpts);
+    if (!Options.DisasmRaw)
+      Code = vm::optimize(Code);
     std::cout << vm::disassemble(Code);
   }
   return 0;
@@ -797,8 +779,7 @@ int driver::runListCommand(const CliOptions &Options) {
       Label = analysis::kernelClassName(analysis::classifyKernel(Model));
     }
     // Does the ground-truth lifted program lower to vm::Code? "-" marks
-    // programs the VM cannot take (the pipeline falls back to the
-    // tree-walk for them, so this is informational, not an error).
+    // programs the VM cannot take.
     std::string Vm = "-";
     taco::ParseStatementsResult GT = taco::parseTacoStatements(B->GroundTruth);
     if (GT.ok() && !GT.Programs.empty() &&

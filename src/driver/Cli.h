@@ -100,6 +100,10 @@ struct CliOptions {
   /// `stagg check --Werror`: warnings also fail the lint (exit 1).
   bool CheckWerror = false;
 
+  /// `stagg disasm --raw`: print the compiler output instead of the
+  /// vm::optimize'd stream.
+  bool DisasmRaw = false;
+
   bool ShowHelp = false;
 };
 
@@ -131,7 +135,7 @@ selectSuite(const std::string &Suite, int Limit, std::string &Error);
 /// process exit code.
 int runListCommand(const CliOptions &Options);
 
-/// `stagg disasm`: prints the optimized (default) or raw (--no-vm-opt) VM
+/// `stagg disasm`: prints the optimized (default) or raw (--raw) VM
 /// instruction stream of each target's ground-truth lifted program, via
 /// vm::disassemble. Returns the process exit code (0 ok, 2 bad target).
 int runDisasmCommand(const CliOptions &Options);

@@ -61,8 +61,7 @@ struct TensorRule {
 /// The grammar of templates driving both searches.
 /// Thread-safety: a built grammar is immutable — every const method is a
 /// pure read over the stored rules, with no lazy caches or mutable
-/// members. The parallel frontier (search/Frontier.h) relies on this to
-/// share one TemplateGrammar across all search workers without locks;
+/// members, so any number of threads may read one grammar without locks;
 /// keep any future memoization out of the const API or give it its own
 /// synchronization.
 struct TemplateGrammar {

@@ -211,7 +211,7 @@ SearchResult search::runBottomUp(const grammar::TemplateGrammar &G,
                                  uint64_t BindableRanks) {
   std::unique_ptr<CandidateStream> Stream =
       makeBottomUpStream(G, Config, BindableRanks);
-  return runFrontier(*Stream, Config, Factory);
+  return driveSerial(*Stream, Factory);
 }
 
 SearchResult search::runBottomUp(const grammar::TemplateGrammar &G,

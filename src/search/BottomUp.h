@@ -31,15 +31,14 @@ class CandidateStream;
 
 /// Runs the bottom-up enumeration. \p Probe is invoked on each dequeued
 /// (tail-stripped) chain whose ranks are all in \p BindableRanks (see
-/// AllRanksBindable); returning true ends the search successfully. The
-/// single probe is shared across workers, so with Config.Threads != 1 it
-/// must be thread-safe; stateful probes should use the factory overload.
+/// AllRanksBindable); returning true ends the search successfully.
 SearchResult runBottomUp(const grammar::TemplateGrammar &G,
                          const SearchConfig &Config,
                          const TemplateProbe &Probe,
                          uint64_t BindableRanks = AllRanksBindable);
 
-/// Same search with one probe per worker (see TemplateProbeFactory).
+/// Same search with a probe the factory makes once (see
+/// TemplateProbeFactory).
 SearchResult runBottomUp(const grammar::TemplateGrammar &G,
                          const SearchConfig &Config,
                          const TemplateProbeFactory &Factory,

@@ -25,8 +25,7 @@ namespace search {
 ///
 /// Thread-safety: all state is computed in the constructor; the accessors
 /// (including minTensorCost, which scans the referenced grammar) are pure
-/// reads, so one CostModel may be shared across the parallel frontier's
-/// workers as long as the grammar it references outlives the search.
+/// reads, valid as long as the grammar it references outlives the search.
 class CostModel {
 public:
   explicit CostModel(const grammar::TemplateGrammar &G);

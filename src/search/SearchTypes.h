@@ -47,11 +47,10 @@ struct SearchConfig {
   int64_t MaxExpansions = 2'000'000;
   int MaxAttempts = 20'000;
 
-  /// Probe workers for the parallel frontier (search/Frontier.h). 1 keeps
-  /// the search serial; 0 resolves to one per hardware thread; N > 1 probes
-  /// up to N candidates concurrently. The accepted candidate, counters, and
-  /// fail reason are bit-identical for every value — parallelism only
-  /// changes wall-clock time.
+  /// Ignored: every search probes its candidates serially. Kept only
+  /// because the repository benchmark still sets it
+  /// (perfbench/src/Reconstruct.cpp:126); the next benchmark change deletes
+  /// it.
   int Threads = 1;
 
   /// Convenience: disables all penalties of one search (Drop(A)/Drop(B)).
@@ -72,13 +71,9 @@ constexpr uint64_t AllRanksBindable = ~uint64_t(0);
 /// pipeline's validate-then-verify step). Returning true stops the search.
 using TemplateProbe = std::function<bool(const taco::Program &Template)>;
 
-/// Probe maker for the parallel frontier: called once per worker (with the
-/// worker index) before that worker probes its first candidate, on the
-/// worker's own thread. Each returned probe is only ever invoked from its
-/// worker, so it may own mutable state (validator, reference cache, result
-/// slot) without synchronization. Probe outcomes must depend only on the
-/// template — never on call order or on which worker asks — or the
-/// determinism contract of SearchConfig::Threads breaks.
+/// Probe maker: the search calls it once, with worker index 0, before it
+/// probes its first candidate, so the probe may own mutable state
+/// (validator, reference cache, result slot).
 using TemplateProbeFactory = std::function<TemplateProbe(int Worker)>;
 
 /// Outcome of one search run.
@@ -86,24 +81,24 @@ struct SearchResult {
   bool Solved = false;
   taco::Program SolvedTemplate;
 
-  /// Number of complete templates submitted to validation ("attempts").
-  /// Reported as the serial search would count it regardless of Threads: on
-  /// success this is the accepted candidate's 1-based enumeration ticket.
+  /// Number of complete templates submitted to validation ("attempts"),
+  /// including the ones the rank mask settles without a probe.
   int Attempts = 0;
 
-  /// Number of queue pops (enumerated partial templates). Like Attempts,
-  /// bit-identical across thread counts.
+  /// Number of queue pops (enumerated partial templates).
   int64_t Expansions = 0;
 
   double Seconds = 0;
   std::string FailReason;
 
-  /// Parallel-frontier diagnostics. Unlike the counters above these may
-  /// vary run to run (they describe scheduling, not the result): probes
-  /// actually executed (>= Attempts on parallel success, since in-flight
-  /// lookahead overshoots the winner) and the worker that produced the
-  /// accepted candidate (0 for a serial run, -1 when unsolved).
+  /// Candidates handed to the probe (Attempts minus the templates the rank
+  /// mask settled).
   int64_t ProbesExecuted = 0;
+
+  /// Always 0 on success and -1 when unsolved. Kept only because the
+  /// repository benchmark indexes its per-worker state with it
+  /// (perfbench/src/Reconstruct.cpp:173); the next benchmark change deletes
+  /// it.
   int WinnerWorker = -1;
 };
 

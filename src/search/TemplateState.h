@@ -235,8 +235,7 @@ private:
 
 /// Owning reference to a Step. Counts are not atomic: a chain belongs to one
 /// enumerator, which one thread drives (search/Frontier.h), and the
-/// candidates it hands to other threads are built expressions that never
-/// point into it.
+/// candidates it yields are built expressions that never point into it.
 class StepRef {
 public:
   StepRef() = default;

@@ -197,7 +197,7 @@ SearchResult search::runTopDown(const grammar::TemplateGrammar &G,
                                 uint64_t BindableRanks) {
   std::unique_ptr<CandidateStream> Stream =
       makeTopDownStream(G, Config, BindableRanks);
-  return runFrontier(*Stream, Config, Factory);
+  return driveSerial(*Stream, Factory);
 }
 
 SearchResult search::runTopDown(const grammar::TemplateGrammar &G,

@@ -7,9 +7,8 @@
 /// \file
 /// Algorithm 1 of the paper: weighted A\* over the template grammar,
 /// expanding the leftmost nonterminal of partial templates, ordered by
-/// f(x) = c(x) + g(x) + X(x), with a depth limit of 6. Probing runs on the
-/// parallel frontier (search/Frontier.h) when Config.Threads != 1; results
-/// are bit-identical for every thread count.
+/// f(x) = c(x) + g(x) + X(x), with a depth limit of 6. Candidates are
+/// probed one at a time in enumeration order (search/Frontier.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,14 +28,13 @@ class CandidateStream;
 
 /// Runs the top-down enumeration. \p Probe is invoked on every complete
 /// template whose ranks are all in \p BindableRanks (see AllRanksBindable);
-/// returning true ends the search successfully. The single probe is shared
-/// across workers, so with Config.Threads != 1 it must be thread-safe;
-/// stateful probes should use the factory overload instead.
+/// returning true ends the search successfully.
 SearchResult runTopDown(const grammar::TemplateGrammar &G,
                         const SearchConfig &Config, const TemplateProbe &Probe,
                         uint64_t BindableRanks = AllRanksBindable);
 
-/// Same search with one probe per worker (see TemplateProbeFactory).
+/// Same search with a probe the factory makes once (see
+/// TemplateProbeFactory).
 SearchResult runTopDown(const grammar::TemplateGrammar &G,
                         const SearchConfig &Config,
                         const TemplateProbeFactory &Factory,

@@ -5,7 +5,6 @@
 #include "llm/SimulatedLlm.h"
 #include "search/WorkerPool.h"
 
-#include <algorithm>
 #include <exception>
 
 using namespace stagg;
@@ -104,16 +103,6 @@ void LiftService::execute(LiftRequest &Request, llm::CandidateOracle &Oracle) {
   Response.Benchmark = B.Name;
   Response.Category = B.Category;
   Response.Ticket = Request.Ticket;
-
-  // Cap search parallelism: W pool workers each running an S-thread
-  // frontier would put W*S threads on the host, so each request gets an
-  // equal share of the hardware (at least one). The clamp never changes a
-  // result — thread counts are bit-identical by contract, which is also why
-  // the cache key ignores them.
-  int ThreadBudget =
-      std::max(1, resolveThreads(0) / static_cast<int>(Pool.size()));
-  Request.Config.Search.Threads =
-      std::min(resolveThreads(Request.Config.Search.Threads), ThreadBudget);
 
   // The key is the normalized kernel text, salted with everything else the
   // result depends on beyond the source text: the benchmark name (the

@@ -2,7 +2,6 @@
 
 #include "validate/Validator.h"
 
-#include "taco/Einsum.h"
 #include "taco/Semantics.h"
 #include "vm/Compiler.h"
 #include "vm/Interpreter.h"
@@ -74,10 +73,9 @@ uint64_t validate::bindableRanks(const bench::Benchmark &B) {
 }
 
 Validator::Validator(const bench::Benchmark &B, std::vector<IoExample> Examples,
-                     std::vector<int64_t> Constants, bool UseVm,
-                     bool /*UseVmOpt*/)
+                     std::vector<int64_t> Constants)
     : B(B), Examples(std::move(Examples)), Constants(std::move(Constants)),
-      UseVm(UseVm), ArgRanks(bindableRanks(B)) {
+      ArgRanks(bindableRanks(B)) {
   // An empty pool would make constant templates uninstantiable even though
   // the grammar can propose them; keep the degenerate default of the source
   // having no literals.
@@ -138,6 +136,8 @@ bool validate::runsConsistently(const bench::Benchmark &B,
   };
   Collect(*Concrete.Rhs);
 
+  vm::Code Code = vm::compileProgram(Concrete);
+  vm::Interpreter<double> Interp(Code);
   for (const IoExample &Ex : Examples) {
     std::map<std::string, Tensor<double>> Operands;
     for (const std::string &Name : RhsNames) {
@@ -157,21 +157,12 @@ bool validate::runsConsistently(const bench::Benchmark &B,
       }
     }
 
-    std::vector<int64_t> OutShape = resolveShape(*OutArg, Ex.Sizes);
-    EinsumResult<double> R = evalEinsum<double>(Concrete, Operands, OutShape);
-    if (!R.Ok)
+    if (!Interp.bindMap(Operands, resolveShape(*OutArg, Ex.Sizes)) ||
+        Interp.compare(Ex.Expected.flat(), cellsMatch) != EinsumCompare::Match)
       return false;
-    const std::vector<double> &Got = R.Value.flat();
-    const std::vector<double> &Want = Ex.Expected.flat();
-    if (Got.size() != Want.size())
-      return false;
-    for (size_t I = 0; I < Got.size(); ++I)
-      if (!cellsMatch(Got[I], Want[I]))
-        return false;
   }
   return true;
 }
-
 
 /// Everything the validator keeps between calls. The argument table is
 /// built once per validator; the rest is per-template scratch whose buffers
@@ -250,11 +241,6 @@ struct Validator::State {
   /// ordinal of the I-th symbolic constant.
   std::vector<double> ConstRegValues;
   std::vector<size_t> SymConstOrdinal;
-
-  //===-- Tree-walk evaluation (--no-vm) -----------------------------------===
-  /// The template with its symbolic constants made mutable.
-  Program Bound;
-  std::vector<ConstantExpr *> ConstNodes;
 };
 
 Validator::~Validator() = default;
@@ -355,42 +341,6 @@ int intern(std::vector<const std::string *> &Names, const std::string &Name) {
   return static_cast<int>(Names.size() - 1);
 }
 
-/// Rewrites \p E with every symbolic constant replaced by a mutable literal
-/// node (appended to \p ConstNodes in leaf order), so the constant odometer
-/// can sweep assignments in place instead of re-cloning the template.
-ExprPtr withMutableConstants(const Expr &E,
-                             std::vector<ConstantExpr *> &ConstNodes) {
-  switch (E.kind()) {
-  case Expr::Kind::Access:
-    return E.clone();
-  case Expr::Kind::Constant: {
-    const auto &C = exprCast<ConstantExpr>(E);
-    if (!C.isSymbolic())
-      return C.clone();
-    auto Node = std::make_unique<ConstantExpr>(0);
-    ConstNodes.push_back(Node.get());
-    return Node;
-  }
-  case Expr::Kind::Binary: {
-    const auto &Bin = exprCast<BinaryExpr>(E);
-    ExprPtr Lhs = withMutableConstants(Bin.lhs(), ConstNodes);
-    ExprPtr Rhs = withMutableConstants(Bin.rhs(), ConstNodes);
-    return std::make_unique<BinaryExpr>(Bin.op(), std::move(Lhs),
-                                        std::move(Rhs));
-  }
-  case Expr::Kind::Negate:
-    return std::make_unique<NegateExpr>(
-        withMutableConstants(exprCast<NegateExpr>(E).operand(), ConstNodes));
-  case Expr::Kind::Max: {
-    const auto &M = exprCast<MaxExpr>(E);
-    ExprPtr Lhs = withMutableConstants(M.lhs(), ConstNodes);
-    ExprPtr Rhs = withMutableConstants(M.rhs(), ConstNodes);
-    return std::make_unique<MaxExpr>(std::move(Lhs), std::move(Rhs));
-  }
-  }
-  return nullptr;
-}
-
 } // namespace
 
 bool Validator::rejectsOnRank(const Program &Template) const {
@@ -485,7 +435,7 @@ Validator::validate(const Program &Template, size_t MaxResults) const {
   // Base extents per example: variables pinned by the output shape, both
   // through the LHS and through RHS occurrences of the LHS symbol (which
   // read the output argument). A conflict here dooms every binding — the
-  // einsum evaluator would reject each one on that example.
+  // interpreter's bind would reject each one on that example.
   S.BaseExtents.assign(NumExamples * NumVars, -1);
   for (size_t E = 0; E < NumExamples; ++E) {
     const std::vector<int64_t> &OutShape = S.Table[E].OutShape;
@@ -515,7 +465,7 @@ Validator::validate(const Program &Template, size_t MaxResults) const {
   // shape compatibility: an option whose extents conflict — internally,
   // across the symbol's repeated accesses, or against the output-pinned
   // variables — in any example can never produce a valid instantiation,
-  // because the einsum evaluator rejects exactly that conflict. Each kept
+  // because binding rejects exactly that conflict. Each kept
   // option records the unpinned (var, extent) pairs it imposes per example.
   S.ChoiceArg.clear();
   S.ChoiceBegin.clear();
@@ -601,133 +551,6 @@ Validator::validate(const Program &Template, size_t MaxResults) const {
     }
     return true;
   };
-
-  // Odometer over symbol bindings x constant assignments, exactly the naive
-  // enumeration order; shape-incompatible bindings are skipped wholesale
-  // (their entire constant block would have failed evaluation). The
-  // evaluators plug in three steps: publishing the constant values,
-  // binding an example, and comparing it against the expected output.
-  S.ConstPick.assign(ConstLeaves, 0);
-  S.ConstValues.assign(ConstLeaves, 0);
-  auto RunEnum = [&](const auto &ApplyConstants, const auto &BindExample,
-                     const auto &Matches) {
-    // Examples are (re)bound lazily per binding, preserving the fail-fast
-    // behavior of the naive loop: a binding rejected on the first example
-    // never pays for the others.
-    uint64_t BindEpoch = 0;
-    S.BoundEpoch.assign(NumExamples, 0);
-    S.BindOk.assign(NumExamples, 0);
-    auto EnsureBound = [&](size_t E) -> bool {
-      if (S.BoundEpoch[E] == BindEpoch)
-        return S.BindOk[E] != 0;
-      S.BoundEpoch[E] = BindEpoch;
-      S.BindOk[E] = BindExample(E);
-      return S.BindOk[E] != 0;
-    };
-
-    for (;;) {
-      if (BindingShapesConsistent()) {
-        ++BindEpoch;
-        for (bool More = true; More;) {
-          for (size_t I = 0; I < ConstLeaves; ++I)
-            S.ConstValues[I] = Constants[S.ConstPick[I]];
-          ApplyConstants();
-
-          ++Tried;
-          bool Consistent = true;
-          for (size_t E = 0; E < NumExamples; ++E) {
-            if (!EnsureBound(E) || !Matches(E)) {
-              Consistent = false;
-              break;
-            }
-          }
-
-          if (Consistent) {
-            Instantiation Inst;
-            Inst.SymbolBinding[LhsName] = OutArg->Name;
-            for (size_t SI = 0; SI < NumSymbols; ++SI)
-              Inst.SymbolBinding[*S.SymNames[SI]] =
-                  B.Args[static_cast<size_t>(S.ChoiceArg[OptionOf(SI)])].Name;
-            Inst.Concrete = instantiateTemplate(Template, Inst.SymbolBinding,
-                                                S.ConstValues);
-            Inst.ConstantValues = S.ConstValues;
-            Valid.push_back(std::move(Inst));
-            if (Valid.size() >= MaxResults)
-              return;
-          }
-
-          // Advance the constant odometer.
-          size_t Axis = S.ConstPick.size();
-          bool Wrapped = true;
-          while (Axis > 0) {
-            --Axis;
-            if (++S.ConstPick[Axis] < Constants.size()) {
-              Wrapped = false;
-              break;
-            }
-            S.ConstPick[Axis] = 0;
-          }
-          if (S.ConstPick.empty() || Wrapped)
-            More = false;
-        }
-      }
-
-      // Advance the symbol odometer.
-      size_t Axis = S.Pick.size();
-      bool Wrapped = true;
-      while (Axis > 0) {
-        --Axis;
-        if (++S.Pick[Axis] < S.ChoiceBegin[Axis + 1] - S.ChoiceBegin[Axis]) {
-          Wrapped = false;
-          break;
-        }
-        S.Pick[Axis] = 0;
-      }
-      if (S.Pick.empty() || Wrapped)
-        return;
-    }
-  };
-  auto Matches = [&](auto &Evaluator, size_t E) {
-    return Evaluator.compare(Examples[E].Expected.flat(), cellsMatch) ==
-           taco::EinsumCompare::Match;
-  };
-
-  if (!UseVm) {
-    // The tree-walk evaluates a clone of the template whose symbolic
-    // constants are mutable literal nodes, rewritten in place per
-    // assignment.
-    S.ConstNodes.clear();
-    S.Bound = Program(AccessExpr(Template.Lhs.name(), Template.Lhs.indices()),
-                      withMutableConstants(*Template.Rhs, S.ConstNodes));
-    taco::EinsumProgram Compiled(S.Bound);
-    if (!Compiled.ok())
-      return Valid;
-    std::vector<taco::EinsumEvaluator<double>> Evaluators(
-        NumExamples, taco::EinsumEvaluator<double>(Compiled));
-    RunEnum(
-        [&] {
-          for (size_t I = 0; I < ConstLeaves; ++I)
-            S.ConstNodes[I]->setValue(S.ConstValues[I]);
-        },
-        [&](size_t E) {
-          return Evaluators[E].bind(
-              [&](const std::string &Name) -> const Tensor<double> * {
-                if (Name == LhsName)
-                  return S.Table[E].Out;
-                for (size_t SI = 0; SI < NumSymbols; ++SI)
-                  if (*S.SymNames[SI] == Name)
-                    return S.Table[E].Ptr[static_cast<size_t>(
-                        S.ChoiceArg[OptionOf(SI)])];
-                return nullptr;
-              },
-              S.Table[E].OutShape);
-        },
-        [&](size_t E) {
-          Evaluators[E].refreshConstants();
-          return Matches(Evaluators[E], E);
-        });
-    return Valid;
-  }
 
   // The template is compiled *once*, straight from the caller's program,
   // into the reused scratch, and evaluated directly under each symbol
@@ -816,33 +639,110 @@ Validator::validate(const Program &Template, size_t MaxResults) const {
       S.ConstRegValues[I] = static_cast<double>(SC.Consts[I]->value());
   }
 
+  // Odometer over symbol bindings x constant assignments, exactly the naive
+  // enumeration order; shape-incompatible bindings are skipped wholesale
+  // (their entire constant block would have failed evaluation).
   S.BindRow.resize(NumLeaves);
-  RunEnum(
-      [&] {
-        for (size_t I = 0; I < ConstLeaves; ++I)
+  S.ConstPick.assign(ConstLeaves, 0);
+  S.ConstValues.assign(ConstLeaves, 0);
+  // Examples are (re)bound lazily per binding, preserving the fail-fast
+  // behavior of the naive loop: a binding rejected on the first example
+  // never pays for the others.
+  uint64_t BindEpoch = 0;
+  S.BoundEpoch.assign(NumExamples, 0);
+  S.BindOk.assign(NumExamples, 0);
+  auto BindExample = [&](size_t E) {
+    if (!S.Table[E].OutPositive)
+      return false;
+    for (size_t L = 0; L < NumLeaves; ++L) {
+      int Sym = S.LeafSym[L];
+      size_t Opt = Sym < 0 ? 0 : S.Pick[static_cast<size_t>(Sym)];
+      const vm::AccessBinding<double> &AB =
+          S.LeafBinds[(S.LeafOptBase[L] + Opt) * NumExamples + E];
+      if (!AB.Data)
+        return false;
+      S.BindRow[L] = AB;
+    }
+    S.Interps[E].bindPrepared(S.BindRow.data(),
+                              S.BindExtents.data() + E * NumVars,
+                              S.Table[E].OutShape);
+    return true;
+  };
+  auto EnsureBound = [&](size_t E) -> bool {
+    if (S.BoundEpoch[E] == BindEpoch)
+      return S.BindOk[E] != 0;
+    S.BoundEpoch[E] = BindEpoch;
+    S.BindOk[E] = BindExample(E);
+    return S.BindOk[E] != 0;
+  };
+
+  for (;;) {
+    if (BindingShapesConsistent()) {
+      ++BindEpoch;
+      for (bool More = true; More;) {
+        for (size_t I = 0; I < ConstLeaves; ++I) {
+          S.ConstValues[I] = Constants[S.ConstPick[I]];
           S.ConstRegValues[S.SymConstOrdinal[I]] =
               static_cast<double>(S.ConstValues[I]);
-      },
-      [&](size_t E) {
-        if (!S.Table[E].OutPositive)
-          return false;
-        for (size_t L = 0; L < NumLeaves; ++L) {
-          int Sym = S.LeafSym[L];
-          size_t Opt = Sym < 0 ? 0 : S.Pick[static_cast<size_t>(Sym)];
-          const vm::AccessBinding<double> &AB =
-              S.LeafBinds[(S.LeafOptBase[L] + Opt) * NumExamples + E];
-          if (!AB.Data)
-            return false;
-          S.BindRow[L] = AB;
         }
-        S.Interps[E].bindPrepared(S.BindRow.data(),
-                                  S.BindExtents.data() + E * NumVars,
-                                  S.Table[E].OutShape);
-        return true;
-      },
-      [&](size_t E) {
-        S.Interps[E].setConstants(S.ConstRegValues.data());
-        return Matches(S.Interps[E], E);
-      });
-  return Valid;
+
+        ++Tried;
+        bool Consistent = true;
+        for (size_t E = 0; E < NumExamples; ++E) {
+          if (!EnsureBound(E)) {
+            Consistent = false;
+            break;
+          }
+          S.Interps[E].setConstants(S.ConstRegValues.data());
+          if (S.Interps[E].compare(Examples[E].Expected.flat(), cellsMatch) !=
+              taco::EinsumCompare::Match) {
+            Consistent = false;
+            break;
+          }
+        }
+
+        if (Consistent) {
+          Instantiation Inst;
+          Inst.SymbolBinding[LhsName] = OutArg->Name;
+          for (size_t SI = 0; SI < NumSymbols; ++SI)
+            Inst.SymbolBinding[*S.SymNames[SI]] =
+                B.Args[static_cast<size_t>(S.ChoiceArg[OptionOf(SI)])].Name;
+          Inst.Concrete = instantiateTemplate(Template, Inst.SymbolBinding,
+                                              S.ConstValues);
+          Inst.ConstantValues = S.ConstValues;
+          Valid.push_back(std::move(Inst));
+          if (Valid.size() >= MaxResults)
+            return Valid;
+        }
+
+        // Advance the constant odometer.
+        size_t Axis = S.ConstPick.size();
+        bool Wrapped = true;
+        while (Axis > 0) {
+          --Axis;
+          if (++S.ConstPick[Axis] < Constants.size()) {
+            Wrapped = false;
+            break;
+          }
+          S.ConstPick[Axis] = 0;
+        }
+        if (S.ConstPick.empty() || Wrapped)
+          More = false;
+      }
+    }
+
+    // Advance the symbol odometer.
+    size_t Axis = S.Pick.size();
+    bool Wrapped = true;
+    while (Axis > 0) {
+      --Axis;
+      if (++S.Pick[Axis] < S.ChoiceBegin[Axis + 1] - S.ChoiceBegin[Axis]) {
+        Wrapped = false;
+        break;
+      }
+      S.Pick[Axis] = 0;
+    }
+    if (S.Pick.empty() || Wrapped)
+      return Valid;
+  }
 }

@@ -83,23 +83,24 @@ uint64_t bindableRanks(const bench::Benchmark &B);
 ///  * instantiation evaluation short-circuits on the first failing output
 ///    cell of the first failing I/O example.
 ///
-/// Every pruned candidate is one the einsum evaluator would have rejected,
-/// so the surviving set — and the enumeration order within it — is
-/// bit-identical to the naive enumerator's (tests/PerfEquivalenceTest.cpp).
+/// Every pruned candidate is one evaluation would have rejected, so the
+/// surviving set — and the enumeration order within it — is bit-identical
+/// to the naive enumerator's (tests/PerfEquivalenceTest.cpp).
 class Validator {
 public:
   /// \p Constants is the literal pool harvested from the source by the
-  /// static analysis. \p UseVm selects the bytecode VM for instantiation
-  /// evaluation (bit-identical verdicts and order; the tree-walk remains
-  /// available behind `--no-vm` for A/B comparison). \p UseVmOpt is
-  /// ignored: the validator never runs vm::optimize, because a template's
-  /// stream is evaluated on a few small examples and optimizing it cost
-  /// several times what it saved. The parameter stays because existing
-  /// callers (the repository benchmark among them) pass it; `--no-vm-opt`
-  /// still governs the verifier and execute.
+  /// static analysis. Instantiations are evaluated on the bytecode VM,
+  /// without vm::optimize: a template's stream runs on a few small
+  /// examples, and optimizing it cost several times what it saved.
   Validator(const bench::Benchmark &B, std::vector<IoExample> Examples,
-            std::vector<int64_t> Constants, bool UseVm = true,
-            bool UseVmOpt = true);
+            std::vector<int64_t> Constants);
+
+  /// Same validator; both flags are ignored. Kept only because the
+  /// repository benchmark calls it (perfbench/src/Reconstruct.cpp:132); the
+  /// next benchmark change deletes it.
+  Validator(const bench::Benchmark &B, std::vector<IoExample> Examples,
+            std::vector<int64_t> Constants, bool /*UseVm*/, bool /*UseVmOpt*/)
+      : Validator(B, std::move(Examples), std::move(Constants)) {}
   ~Validator();
 
   /// Enumerates substitutions for \p Template and returns every
@@ -129,7 +130,6 @@ private:
   const bench::Benchmark &B;
   std::vector<IoExample> Examples;
   std::vector<int64_t> Constants;
-  bool UseVm = true;
   /// bindableRanks(B).
   uint64_t ArgRanks = 0;
   mutable int64_t Tried = 0;
@@ -145,8 +145,9 @@ taco::Program instantiateTemplate(
     const std::vector<int64_t> &ConstantValues);
 
 /// Evaluates a fully concrete program (tensor names are argument names,
-/// constants are literals) on every example and compares against the
-/// expected outputs. Shared by the validator and the enumerative baselines.
+/// constants are literals) on the bytecode VM for every example and
+/// compares against the expected outputs, with the validator's per-cell
+/// tolerance. Used by kernel ingestion and the enumerative baselines.
 bool runsConsistently(const bench::Benchmark &B, const taco::Program &Concrete,
                       const std::vector<IoExample> &Examples);
 

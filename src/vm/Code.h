@@ -9,11 +9,11 @@
 /// statement list): a flat register-based instruction stream in the style of
 /// PyTorch JIT's interpreter, produced once by vm/Compiler.h and executed any
 /// number of times by vm::Interpreter. The stream encodes exactly the
-/// evaluation the tree-walking EinsumEvaluator performs — same loop nesting,
-/// same accumulation order, same operator semantics — so outputs are
-/// bit-identical, but the hot loop is a switch over a dense `Inst` array
-/// instead of a recursive walk that allocates a coordinate vector per
-/// reduction-node visit.
+/// evaluation of the reference tree-walk kept with the tests
+/// (tests/EinsumReference.h) — same loop nesting, same accumulation order,
+/// same operator semantics — so outputs are bit-identical, but the hot loop
+/// is a switch over a dense `Inst` array instead of a recursive walk that
+/// allocates a coordinate vector per reduction-node visit.
 ///
 /// Division of labor:
 ///
@@ -31,9 +31,8 @@
 ///  * Execution touches only flat arrays: registers, coordinates, extents.
 ///
 /// Lifetime: Code copies every name and slot it needs, but keeps pointers to
-/// the source program's ConstantExpr nodes, which refreshConstants re-reads
-/// (the tree-walk validator's constant odometer rewrites them in place; the
-/// VM validator writes constant registers with setConstants instead). The
+/// the source program's ConstantExpr nodes, which bind() reads (the
+/// validator writes constant registers with setConstants instead). The
 /// source statements' RHS trees must therefore outlive the Code; moving a
 /// taco::Program keeps the heap-allocated RHS stable, copying does not.
 ///
@@ -51,7 +50,7 @@
 namespace stagg {
 namespace vm {
 
-/// One VM opcode. Arithmetic follows EinsumEvaluator::evalInner exactly;
+/// One VM opcode. Arithmetic follows the reference evalInner exactly;
 /// Max is `a < b ? b : a`, reductions accumulate with `+=`.
 enum class Op : uint8_t {
   Load,      ///< R[Dst] = access A's storage at the current coordinates.
@@ -111,7 +110,7 @@ struct Inst {
 };
 
 /// One tensor access of a compiled statement, in leaf (left-to-right) order —
-/// the order the tree-walking binder discovers extent conflicts in.
+/// the order the reference binder discovers extent conflicts in.
 struct AccessInfo {
   std::string Name;
   std::vector<std::string> Indices; ///< Index variable names, for diagnostics.
@@ -125,8 +124,8 @@ struct StmtCode {
   int NumSlots = 0;
   std::vector<int> OutSlots; ///< One slot per LHS index position.
   std::vector<AccessInfo> Accesses;
-  /// Constant leaves in ordinal order. Live pointers into the source RHS
-  /// tree: refreshConstants re-reads them after the validator's setValue.
+  /// Constant leaves in ordinal order: live pointers into the source RHS
+  /// tree, read at bind time.
   std::vector<const taco::ConstantExpr *> Consts;
   std::vector<int> ConstRegs; ///< Constant ordinal -> pre-filled register.
   std::vector<Inst> Instrs;

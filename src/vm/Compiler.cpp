@@ -10,9 +10,10 @@ using namespace stagg::vm;
 namespace {
 
 /// Linearizes one EinsumProgram node tree into a StmtCode, overwriting it in
-/// place so its vectors keep their capacity. The recursion mirrors
-/// EinsumEvaluator::evalNode/evalInner one-to-one so the instruction stream
-/// performs the identical sequence of loads, operations, and accumulations.
+/// place so its vectors keep their capacity. The recursion mirrors the
+/// reference evaluator's evalNode/evalInner (tests/EinsumReference.h)
+/// one-to-one so the instruction stream performs the identical sequence of
+/// loads, operations, and accumulations.
 class Lowering {
 public:
   Lowering(const taco::EinsumProgram &S, StmtCode &Out) : S(S), Out(Out) {}

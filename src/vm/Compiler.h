@@ -7,11 +7,11 @@
 /// \file
 /// The compiler lowers a taco::Program (or an ordered statement list) to a
 /// vm::Code instruction stream. Slot assignment and reduction placement are
-/// delegated to taco::EinsumProgram — the structure compiler both the
-/// tree-walking evaluator and the VM agree on — so the lowering is a pure
-/// linearization: every expression node becomes a register, reduction nodes
-/// become ResetAcc + LoopBegin/LoopEnd nests, and `acc += a * b` bodies fuse
-/// into MulAcc.
+/// delegated to taco::EinsumProgram — the structure compiler the VM shares
+/// with the reference evaluator kept with the tests — so the lowering is a
+/// pure linearization: every expression node becomes a register, reduction
+/// nodes become ResetAcc + LoopBegin/LoopEnd nests, and `acc += a * b`
+/// bodies fuse into MulAcc.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,7 +45,7 @@ bool compileInto(const taco::Program &P, taco::EinsumProgram &Structure,
 Code compileProgram(const taco::Program &P);
 
 /// Compiles an ordered statement list; statements execute in order with
-/// each result bound under its LHS name (evalEinsumSequence semantics).
+/// each result bound under its LHS name for the statements after it.
 Code compileStatements(const std::vector<taco::Program> &Statements);
 
 } // namespace vm

@@ -12,18 +12,20 @@
 /// allocation once its buffers have grown to size (tracked by
 /// allocEvents(), which the rebind-reuse test pins).
 ///
-/// The public surface mirrors taco::EinsumEvaluator bit-for-bit — bind order,
-/// error strings, accumulation order, and comparison verdicts are identical —
-/// so the validator and verifier can switch between the two behind one seam
-/// (`--no-vm`). Statement lists run through run(), which replicates
-/// taco::evalEinsumSequence (shape inference, per-statement binding, store
-/// forwarding of earlier results) without re-compiling anything per call.
+/// It is the only evaluator of TACO programs in the pipeline: the validator,
+/// the verifier, kernel ingestion and the execute endpoint all run on it.
+/// Its results are pinned cell for cell against the reference evaluator
+/// kept with the tests (tests/EinsumReference.h), which spells out the
+/// einsum semantics as a direct tree walk: same bind order, error strings,
+/// accumulation order and comparison verdicts. Statement lists run through
+/// run() — shape inference, per-statement binding, store forwarding of
+/// earlier results — without re-compiling anything per call.
 ///
 /// Every binding has one representation, AccessBinding: the operand's
 /// storage plus a span of (slot, stride) pairs, which Load and the fused
 /// span loops read. bind() derives it from the operands with every check
-/// EinsumEvaluator runs; bindPrepared() takes it ready-made from a caller
-/// that has already run those checks once for many bindings (the
+/// the reference binder runs; bindPrepared() takes it ready-made from a
+/// caller that has already run those checks once for many bindings (the
 /// validator's per-template tables) and checks nothing.
 ///
 //===----------------------------------------------------------------------===//
@@ -89,14 +91,14 @@ public:
   int64_t allocEvents() const { return AllocEvents; }
 
   //===--------------------------------------------------------------------===
-  // Single-statement surface (EinsumEvaluator-compatible; requires
-  // C.single()).
+  // Single-statement surface (requires C.single()).
   //===--------------------------------------------------------------------===
 
   /// Binds (or rebinds) operands and output shape against the first
   /// statement. Check order, error strings, and stride layout are those of
-  /// EinsumEvaluator::bind. \p Resolve is any callable with the Resolver
-  /// signature (a plain lambda avoids the std::function indirection).
+  /// the reference evaluator's bind. \p Resolve is any callable with the
+  /// Resolver signature (a plain lambda avoids the std::function
+  /// indirection).
   template <typename ResolveFn>
   bool bind(const ResolveFn &Resolve, const std::vector<int64_t> &OutputShape) {
     if (!C->ok())
@@ -150,13 +152,6 @@ public:
         OutputShape);
   }
 
-  /// Re-reads every ConstantExpr the code references (the validator's
-  /// constant odometer rewrites them in place).
-  void refreshConstants() {
-    for (size_t K = 0; K < C->statements().size(); ++K)
-      refreshStmtConstants(K);
-  }
-
   /// Evaluates every output cell into a fresh tensor. Requires bind().
   taco::EinsumResult<T> evaluate() {
     StmtState &St = States[0];
@@ -176,8 +171,8 @@ public:
   }
 
   /// Evaluates cell by cell against \p Want, stopping at the first cell for
-  /// which \p CellOk(got, want) is false. Verdict-identical to
-  /// EinsumEvaluator::compare. Requires bind().
+  /// which \p CellOk(got, want) is false: the verdict of evaluate() followed
+  /// by a full comparison. Requires bind().
   template <typename CellOkFn>
   taco::EinsumCompare compare(const std::vector<T> &Want, CellOkFn &&CellOk) {
     StmtState &St = States[0];
@@ -209,14 +204,14 @@ public:
   }
 
   //===--------------------------------------------------------------------===
-  // Statement-list surface (evalEinsumSequence-compatible).
+  // Statement-list surface.
   //===--------------------------------------------------------------------===
 
   /// Runs every statement in order against \p Resolve, binding each result
   /// under its LHS name for later statements (store forwarding through
   /// per-statement scratch tensors, reused across calls), then copies the
-  /// final value of \p OutputName into \p Out. Error strings are those of
-  /// evalEinsumSequence. Returns false with error() set on failure.
+  /// final value of \p OutputName into \p Out. Returns false with error()
+  /// set on failure.
   template <typename ResolveFn>
   bool run(const ResolveFn &Resolve, const std::string &OutputName,
            taco::Tensor<T> &Out) {
@@ -227,7 +222,7 @@ public:
 
     // Name resolution chains through the scratch results of statements
     // executed so far this run (latest definition wins), then the caller's
-    // operands — exactly the evolving Operands map of evalEinsumSequence.
+    // operands: the evolving environment of the statement list.
     size_t Done = 0;
     auto Chain = [&](const std::string &Name) -> const taco::Tensor<T> * {
       for (size_t K = Done; K > 0; --K)
@@ -319,7 +314,7 @@ private:
     return true;
   }
 
-  /// EinsumEvaluator::bind for statement \p K: same check order, same
+  /// Binds statement \p K: the reference binder's check order and
   /// diagnostics, strides row-major with the innermost dimension last.
   /// \p Resolve maps an access name to its operand. The spans land in
   /// St.Spans in the layout bindPrepared() takes from its caller.
@@ -400,9 +395,10 @@ private:
     }
   }
 
-  /// taco::inferLhsShape for statement \p K: prefer an operand already bound
-  /// under the LHS name with matching order, else derive extents from the
-  /// RHS accesses in leaf order (first binding of a variable wins).
+  /// The reference inferLhsShape for statement \p K: prefer an operand
+  /// already bound under the LHS name with matching order, else derive
+  /// extents from the RHS accesses in leaf order (first binding of a
+  /// variable wins).
   template <typename ResolveFn>
   bool inferShape(const StmtCode &SC, StmtState &St,
                   const ResolveFn &Resolve) {
@@ -664,7 +660,7 @@ private:
     return true;
   }
 
-  /// The row-major output odometer of EinsumEvaluator::evaluate.
+  /// The row-major output odometer of the reference evaluate().
   void evalStmtInto(size_t K, std::vector<T> &Flat) {
     const StmtCode &SC = C->statements()[K];
     StmtState &St = States[K];

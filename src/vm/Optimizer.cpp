@@ -342,18 +342,13 @@ bool tryMapSpan(StmtCode &SC, std::vector<Node> &Items,
 // Pass 3: constant-register dedup
 //===----------------------------------------------------------------------===//
 
-void dedupConstants(StmtCode &SC, std::vector<Node> &Items,
-                    bool FreezeConstants) {
+void dedupConstants(StmtCode &SC, std::vector<Node> &Items) {
   if (SC.Consts.size() < 2)
     return;
   std::vector<std::pair<int, int>> Remap; // (from reg, to reg)
   for (size_t J = 1; J < SC.Consts.size(); ++J) {
     for (size_t I = 0; I < J; ++I) {
-      const taco::ConstantExpr *CI = SC.Consts[I], *CJ = SC.Consts[J];
-      bool Same = CI == CJ;
-      if (!Same && FreezeConstants && !CI->isSymbolic() && !CJ->isSymbolic())
-        Same = CI->value() == CJ->value();
-      if (Same) {
+      if (SC.Consts[I] == SC.Consts[J]) {
         Remap.emplace_back(SC.ConstRegs[J], SC.ConstRegs[I]);
         break;
       }
@@ -509,7 +504,7 @@ void eliminateDead(StmtCode &SC, std::vector<Node> &Items) {
   SC.NumRegs = Next;
 }
 
-void optimizeStmt(StmtCode &SC, const OptimizeOptions &Options) {
+void optimizeStmt(StmtCode &SC) {
   std::vector<Node> Items;
   size_t Pos = 0;
   if (!parseInto(SC.Instrs, Pos, -1, Items))
@@ -518,7 +513,7 @@ void optimizeStmt(StmtCode &SC, const OptimizeOptions &Options) {
   RegCounts Counts = countRegs(SC, Items);
   fuseSpans(SC, Items, Counts);
   tryMapSpan(SC, Items, Counts);
-  dedupConstants(SC, Items, Options.FreezeConstants);
+  dedupConstants(SC, Items);
   eliminateDead(SC, Items);
 
   SC.Instrs.clear();
@@ -527,12 +522,12 @@ void optimizeStmt(StmtCode &SC, const OptimizeOptions &Options) {
 
 } // namespace
 
-Code vm::optimize(const Code &C, const OptimizeOptions &Options) {
+Code vm::optimize(const Code &C, const OptimizeOptions & /*Options*/) {
   if (!C.ok())
     return C;
   Code Out = C;
   for (StmtCode &SC : Out.mutableStatements())
-    optimizeStmt(SC, Options);
+    optimizeStmt(SC);
   return Out;
 }
 

@@ -10,11 +10,10 @@
 /// bit-identity preserving by construction (no reassociation, no fast-math,
 /// no change to accumulation order):
 ///
-///  * Classic passes on the flat stream: constant-register dedup
-///    (pointer-identical constants always; equal values only when the caller
-///    promises the constants are frozen — a caller that rewrites
-///    ConstantExpr values in place between runs makes value-based merging
-///    unsound), and dead-register elimination with compact renumbering.
+///  * Classic passes on the flat stream: constant-register dedup (a
+///    ConstantExpr referenced twice gets one register; distinct leaves keep
+///    their own registers even when their values are equal), and
+///    dead-register elimination with compact renumbering.
 ///
 ///  * Fused span superinstructions: an innermost reduction loop whose body
 ///    is exactly {Load, Load, MulAcc} becomes one Op::DotSpan; {Load,
@@ -44,15 +43,12 @@
 namespace stagg {
 namespace vm {
 
-/// Optimizer knobs; the pass pipeline itself is fixed. (The validator, whose
-/// constant odometer retunes constants in place, does not optimize at all.)
+/// No knobs: the pass pipeline is fixed. (The validator does not optimize
+/// at all.)
 struct OptimizeOptions {
-  /// Promise that the ConstantExpr nodes the code references will not be
-  /// rewritten (ConstantExpr::setValue) for the lifetime of the optimized
-  /// Code. Enables value-based constant dedup. A caller that retunes
-  /// constant leaves between refreshConstants() calls must pass false, since
-  /// two constants that are equal now may diverge later. Pointer-identical
-  /// constants are always merged.
+  /// Ignored. Kept only because the repository benchmark still sets it
+  /// (perfbench/src/ServeWorkloads.cpp:538); the next benchmark change
+  /// deletes it.
   bool FreezeConstants = false;
 };
 

@@ -123,23 +123,6 @@ TEST(DriverCli, ExecutionAndOutputFlags) {
   EXPECT_TRUE(P.Options.Verbose);
 }
 
-TEST(DriverCli, SearchThreadsFlag) {
-  // Defaults to serial: parallel search is opt-in, bit-identical when on.
-  EXPECT_EQ(parse({}).Options.Config.Search.Threads, 1);
-
-  CliParse P = parse({"--search-threads", "8"});
-  ASSERT_TRUE(P.ok()) << P.Error;
-  EXPECT_EQ(P.Options.Config.Search.Threads, 8);
-  EXPECT_EQ(parse({"--search-threads=4"}).Options.Config.Search.Threads, 4);
-
-  // Worker count must be explicit and positive; 0 (auto-detect) is a
-  // config-file/API default, not a CLI spelling.
-  EXPECT_FALSE(parse({"--search-threads", "0"}).ok());
-  EXPECT_FALSE(parse({"--search-threads", "-1"}).ok());
-  EXPECT_FALSE(parse({"--search-threads", "many"}).ok());
-  EXPECT_FALSE(parse({"--search-threads"}).ok()); // missing value
-}
-
 TEST(DriverCli, ServeModeAndServingKnobs) {
   CliParse P = parse({"serve", "--queue-depth", "16", "--cache-capacity",
                       "32", "--cache-shards=2", "--cache-stats", "--input",
@@ -186,15 +169,11 @@ TEST(DriverCli, ServeModeAndServingKnobs) {
   EXPECT_TRUE(parse({"serve", "--help"}).ok());
 }
 
-TEST(DriverCli, VmOptimizerAndExecuteKnobs) {
-  // Defaults: optimizer on, single bench measurement.
+TEST(DriverCli, BenchRepeatKnob) {
+  // Default: a single bench measurement.
   CliParse P = parse({});
   ASSERT_TRUE(P.ok()) << P.Error;
-  EXPECT_TRUE(P.Options.Config.UseVmOpt);
   EXPECT_EQ(P.Options.BenchRepeat, 1);
-
-  EXPECT_FALSE(parse({"--no-vm-opt"}).Options.Config.UseVmOpt);
-  EXPECT_FALSE(parse({"--no-vm-opt=1"}).ok()); // boolean, takes no value
 
   P = parse({"bench", "--repeat", "5"});
   ASSERT_TRUE(P.ok()) << P.Error;
@@ -214,13 +193,20 @@ TEST(DriverCli, DisasmSubcommand) {
   EXPECT_EQ(P.Options.Targets[0], "blas_dot");
   EXPECT_EQ(P.Options.Targets[1], "misc_sum2d");
 
+  EXPECT_FALSE(P.Options.DisasmRaw);
+
   // Suite selection and the raw-stream toggle stay valid...
-  P = parse({"disasm", "--suite", "blas", "--no-vm-opt"});
+  P = parse({"disasm", "--suite", "blas", "--raw"});
   ASSERT_TRUE(P.ok()) << P.Error;
   EXPECT_EQ(P.Options.Suite, "blas");
-  EXPECT_FALSE(P.Options.Config.UseVmOpt);
-  // ...batch-table output flags do not.
+  EXPECT_TRUE(P.Options.DisasmRaw);
+  EXPECT_FALSE(parse({"disasm", "--raw=1"}).ok()); // boolean, no value
+  // ...batch-table output flags do not, and --raw is disasm-only.
   EXPECT_FALSE(parse({"disasm", "--csv", "/tmp/out.csv"}).ok());
+  P = parse({"--raw"});
+  ASSERT_FALSE(P.ok());
+  EXPECT_NE(P.Error.find("only applies to `stagg disasm`"), std::string::npos)
+      << P.Error;
 }
 
 TEST(DriverCli, UnknownFlagSuggestsNearestSpelling) {
@@ -248,10 +234,11 @@ TEST(DriverCli, UnknownFlagSuggestsNearestSpelling) {
   EXPECT_FALSE(parse({"frobnicate"}).ok());
 }
 
-TEST(DriverCli, OracleBatchingFlagsAreUnknown) {
-  // Every serve worker owns a private oracle and no batching knob exists,
-  // so these spellings must fail like any other unknown flag.
-  for (const char *Flag : {"--batch", "--batch-wait-us"}) {
+TEST(DriverCli, DeletedFlagsAreUnknown) {
+  // No oracle batching, no in-lift search threads and no second evaluator
+  // exist, so these spellings must fail like any other unknown flag.
+  for (const char *Flag : {"--batch", "--batch-wait-us", "--search-threads",
+                           "--no-vm", "--no-vm-opt"}) {
     CliParse P = parse({"serve", Flag, "2"});
     ASSERT_FALSE(P.ok()) << Flag;
     EXPECT_NE(P.Error.find(std::string("unknown flag '") + Flag + "'"),

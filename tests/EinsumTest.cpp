@@ -1,6 +1,6 @@
 //===- tests/EinsumTest.cpp - Reference einsum evaluator ------------------===//
 
-#include "taco/Einsum.h"
+#include "EinsumReference.h"
 
 #include "support/Rational.h"
 #include "taco/Parser.h"

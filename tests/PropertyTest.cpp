@@ -8,13 +8,14 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "EinsumReference.h"
+
 #include "analysis/Affine.h"
 #include "benchsuite/Benchmark.h"
 #include "cfront/Interp.h"
 #include "cfront/Parser.h"
 #include "support/Rational.h"
 #include "support/Rng.h"
-#include "taco/Einsum.h"
 #include "taco/Parser.h"
 #include "taco/Printer.h"
 

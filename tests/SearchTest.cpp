@@ -5,13 +5,19 @@
 
 #include "grammar/DimensionList.h"
 #include "search/CostModel.h"
+#include "search/Frontier.h"
 #include "search/TemplateState.h"
+#include "search/WorkerPool.h"
 #include "taco/Parser.h"
 #include "taco/Printer.h"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <new>
+#include <stdexcept>
+#include <thread>
 
 using namespace stagg;
 using namespace stagg::search;
@@ -39,6 +45,35 @@ TemplateProbe accepting(const std::string &Wanted) {
     return taco::printProgram(P) == Wanted;
   };
 }
+
+/// Yields copies of one template and throws std::bad_alloc on pull number
+/// \p ThrowAt — an allocation failure in the middle of enumeration.
+class ThrowingStream : public CandidateStream {
+public:
+  explicit ThrowingStream(int ThrowAt)
+      : ThrowAt(ThrowAt),
+        Prog(*taco::parseTacoProgram("a(i) = b(i,j) * c(j)").Prog) {}
+
+  bool next(Candidate &Out) override {
+    if (++Pulls == ThrowAt)
+      throw std::bad_alloc();
+    Out.Ticket = static_cast<uint64_t>(Pulls - 1);
+    Out.Program = Prog;
+    Out.AttemptsAtYield = Pulls;
+    Out.ExpansionsAtYield = Pulls;
+    return true;
+  }
+  const std::string &failReason() const override { return Reason; }
+  int attempts() const override { return Pulls; }
+  int64_t expansions() const override { return Pulls; }
+  double seconds() const override { return 0; }
+
+private:
+  const int ThrowAt;
+  const taco::Program Prog;
+  int Pulls = 0;
+  std::string Reason;
+};
 
 } // namespace
 
@@ -247,4 +282,85 @@ TEST(TopDown, SolvesWithFullGrammar) {
   SearchResult R = runTopDown(G, Config, accepting("a(i) = b(i,j) * c(j)"));
   EXPECT_TRUE(R.Solved) << R.FailReason;
   EXPECT_GT(R.Attempts, 0);
+}
+
+// A probe exception reaches the caller with its type intact, and the next
+// search runs normally.
+TEST(SearchLoop, ProbeExceptionPropagates) {
+  TemplateGrammar G =
+      makeGrammar({"r(i) = m(i,j) * v(j)", "r(i) = m(j,i) * v(j)"}, 1);
+  SearchConfig Config;
+  Config.MaxAttempts = 100;
+
+  int Probes = 0;
+  EXPECT_THROW(runTopDown(G, Config,
+                          [&Probes](const taco::Program &) -> bool {
+                            if (Probes++ == 4)
+                              throw std::runtime_error("validator blew up");
+                            return false;
+                          }),
+               std::runtime_error);
+  EXPECT_EQ(Probes, 5);
+
+  SearchResult R =
+      runTopDown(G, Config, [](const taco::Program &) { return false; });
+  EXPECT_EQ(R.FailReason, "budget exhausted");
+}
+
+// A stream that throws mid-enumeration stops the loop, and the exception
+// keeps its type.
+TEST(SearchLoop, StreamExceptionPropagates) {
+  ThrowingStream Stream(51);
+  int Probes = 0;
+  EXPECT_THROW(driveSerial(Stream, [&Probes](int) {
+                 return TemplateProbe([&Probes](const taco::Program &) {
+                   ++Probes;
+                   return false;
+                 });
+               }),
+               std::bad_alloc);
+  EXPECT_EQ(Probes, 50);
+}
+
+// A probe factory that throws stops the search before anything is probed,
+// and the exception keeps its type.
+TEST(SearchLoop, FactoryExceptionPropagates) {
+  TemplateGrammar G =
+      makeGrammar({"r(i) = m(i,j) * v(j)", "r(i) = m(j,i) * v(j)"}, 1);
+  SearchConfig Config;
+  Config.MaxAttempts = 100;
+  EXPECT_THROW(runTopDown(G, Config,
+                          TemplateProbeFactory([](int) -> TemplateProbe {
+                            throw std::invalid_argument("no probe");
+                          })),
+               std::invalid_argument);
+}
+
+// A mid-search wall-clock timeout ends the search with the "timeout"
+// reason, and every candidate it handed out was probed exactly once.
+TEST(SearchLoop, TimeoutStopsSearch) {
+  TemplateGrammar G =
+      makeGrammar({"r(i) = m(i,j) * v(j)", "r(i) = m(j,i) * v(j)",
+                   "r(i) = m(i,j) + v(i)"},
+                  1);
+  SearchConfig Config;
+  Config.MaxAttempts = 10'000;
+  Config.TimeoutSeconds = 0.05;
+
+  int64_t Probes = 0;
+  SearchResult R = runTopDown(G, Config, [&Probes](const taco::Program &) {
+    ++Probes;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    return false;
+  });
+  EXPECT_FALSE(R.Solved);
+  EXPECT_EQ(R.FailReason, "timeout");
+  EXPECT_EQ(R.ProbesExecuted, Probes);
+  EXPECT_GE(R.Seconds, Config.TimeoutSeconds);
+}
+
+TEST(SearchLoop, ResolveThreads) {
+  EXPECT_EQ(resolveThreads(3), 3);
+  EXPECT_GE(resolveThreads(0), 1);
+  EXPECT_GE(resolveThreads(-2), 1);
 }

@@ -1,22 +1,23 @@
 //===- tests/VmTest.cpp - Bytecode VM for lifted programs -----------------===//
 //
 // Instruction-level unit tests for vm::Compiler / vm::Interpreter, the
-// registry-wide bit-identity sweep against the tree-walking einsum
-// evaluator (the `--no-vm` contract), the zero-allocation rebind test, and
-// concurrent execution of one shared vm::Code (the TSan lane's target).
+// registry-wide bit-identity sweep against the reference einsum evaluator
+// (tests/EinsumReference.h) in double and Rational cells, the
+// zero-allocation rebind test, and concurrent execution of one shared
+// vm::Code (the TSan lane's target).
 //
 //===----------------------------------------------------------------------===//
 
 #include "vm/Compiler.h"
 #include "vm/Interpreter.h"
+#include "vm/Optimizer.h"
+
+#include "EinsumReference.h"
 
 #include "benchsuite/Benchmark.h"
-#include "cfront/Parser.h"
 #include "support/Rational.h"
-#include "taco/Einsum.h"
 #include "taco/Parser.h"
 #include "validate/IoExamples.h"
-#include "verify/BoundedVerifier.h"
 
 #include <gtest/gtest.h>
 
@@ -108,7 +109,7 @@ TEST(VmTest, ArithmeticMix) {
   expectIdentical(parse("out(i) = -a(i) + 3"), Ops, {4});
 }
 
-TEST(VmTest, BindErrorStringsMatchTreeWalk) {
+TEST(VmTest, BindErrorStringsMatchReference) {
   vm::Code Code = vm::compileProgram(parse("a(i) = b(i) * c(i)"));
   ASSERT_TRUE(Code.ok());
   vm::Interpreter<double> Interp(Code);
@@ -207,20 +208,26 @@ TEST(VmTest, StatementListErrors) {
 
   taco::EinsumResult<double> Tree =
       taco::evalEinsumSequence<double>(GT.Programs, Ops, "missing");
-  EXPECT_EQ(Interp.error(), Tree.Error); // verbatim the tree-walk string
+  EXPECT_EQ(Interp.error(), Tree.Error); // verbatim the reference string
 }
 
 //===----------------------------------------------------------------------===
-// Registry-wide bit-identity: every ground truth, VM vs tree-walk.
+// Registry-wide bit-identity: every ground truth, VM vs the reference.
 //===----------------------------------------------------------------------===
 
-TEST(VmTest, RegistrySweepBitIdentity) {
+/// Runs the ground truth of every registry kernel through the raw and the
+/// optimized VM stream and expects the reference statement-list evaluation
+/// cell for cell. \p Cell maps a 1-based fill value to a cell, so one sweep
+/// serves the validator's doubles and the verifier's rationals.
+template <typename T, typename CellFn> int sweepRegistry(CellFn Cell) {
   int Swept = 0;
   for (const bench::Benchmark &B : bench::allBenchmarks()) {
     taco::ParseStatementsResult GT = taco::parseTacoStatements(B.GroundTruth);
-    ASSERT_TRUE(GT.ok()) << B.Name << ": " << GT.Error;
-    vm::Code Code = vm::compileStatements(GT.Programs);
-    ASSERT_TRUE(Code.ok()) << B.Name << ": " << Code.error();
+    EXPECT_TRUE(GT.ok()) << B.Name << ": " << GT.Error;
+    vm::Code Raw = vm::compileStatements(GT.Programs);
+    EXPECT_TRUE(Raw.ok()) << B.Name << ": " << Raw.error();
+    if (!GT.ok() || !Raw.ok())
+      continue;
 
     // Operands shaped by the benchmark's own argument specs, deterministic
     // nonzero fill (divisions stay finite).
@@ -229,98 +236,56 @@ TEST(VmTest, RegistrySweepBitIdentity) {
     for (const bench::ArgSpec &Arg : B.Args)
       if (Arg.K == bench::ArgSpec::Kind::SizeScalar)
         SizeMap[Arg.Name] = Dim++ % 4 + 2;
-    std::map<std::string, taco::Tensor<double>> Ops;
+    std::map<std::string, taco::Tensor<T>> Ops;
     std::string OutName;
     int Salt = 1;
     for (const bench::ArgSpec &Arg : B.Args) {
       if (Arg.IsOutput)
         OutName = Arg.Name;
-      if (Arg.K == bench::ArgSpec::Kind::Array)
-        Ops.emplace(Arg.Name,
-                    filled(validate::resolveShape(Arg, SizeMap), Salt++));
-      else if (Arg.K == bench::ArgSpec::Kind::SizeScalar)
-        Ops.emplace(Arg.Name, taco::Tensor<double>::scalar(
-                                  static_cast<double>(SizeMap[Arg.Name])));
-      else
-        Ops.emplace(Arg.Name, taco::Tensor<double>::scalar(Salt++ % 5 + 1));
+      if (Arg.K == bench::ArgSpec::Kind::Array) {
+        taco::Tensor<T> Arr(validate::resolveShape(Arg, SizeMap));
+        for (size_t I = 0; I < Arr.flat().size(); ++I)
+          Arr.flat()[I] = Cell(static_cast<int64_t>((I * 7 + Salt) % 11) + 1);
+        ++Salt;
+        Ops.emplace(Arg.Name, std::move(Arr));
+      } else if (Arg.K == bench::ArgSpec::Kind::SizeScalar) {
+        Ops.emplace(Arg.Name, taco::Tensor<T>::scalar(Cell(SizeMap[Arg.Name])));
+      } else {
+        Ops.emplace(Arg.Name, taco::Tensor<T>::scalar(Cell(Salt++ % 5 + 1)));
+      }
     }
-    ASSERT_FALSE(OutName.empty()) << B.Name;
+    EXPECT_FALSE(OutName.empty()) << B.Name;
 
-    auto Resolve =
-        [&](const std::string &Name) -> const taco::Tensor<double> * {
+    taco::EinsumResult<T> Want =
+        taco::evalEinsumSequence<T>(GT.Programs, Ops, OutName);
+    EXPECT_TRUE(Want.Ok) << B.Name << ": " << Want.Error;
+    auto Resolve = [&](const std::string &Name) -> const taco::Tensor<T> * {
       auto It = Ops.find(Name);
       return It == Ops.end() ? nullptr : &It->second;
     };
-    vm::Interpreter<double> Interp(Code);
-    taco::Tensor<double> Out;
-    ASSERT_TRUE(Interp.run(Resolve, OutName, Out))
-        << B.Name << ": " << Interp.error();
-    taco::EinsumResult<double> Tree =
-        taco::evalEinsumSequence<double>(GT.Programs, Ops, OutName);
-    ASSERT_TRUE(Tree.Ok) << B.Name << ": " << Tree.Error;
-    EXPECT_EQ(Out.shape(), Tree.Value.shape()) << B.Name;
-    EXPECT_EQ(Out.flat(), Tree.Value.flat()) << B.Name;
-    ++Swept;
-  }
-  EXPECT_GE(Swept, 80); // the full registry, not a subset
-}
-
-// The verifier's contract behind --no-vm: verdict, TestsRun, and the
-// counterexample text are bit-identical whichever evaluator runs the
-// candidate side. Swept over the whole registry with each kernel's own
-// ground truth (the Equivalent verdict at full TestsRun).
-TEST(VmTest, VerifierVerdictsMatchTreeWalkOnRegistry) {
-  int Swept = 0;
-  for (const bench::Benchmark &B : bench::allBenchmarks()) {
-    taco::ParseStatementsResult GT = taco::parseTacoStatements(B.GroundTruth);
-    ASSERT_TRUE(GT.ok()) << B.Name << ": " << GT.Error;
-    cfront::CParseResult Fn = cfront::parseCFunction(B.CSource);
-    ASSERT_TRUE(Fn.ok()) << B.Name << ": " << Fn.Error;
-
-    verify::VerifyOptions WithVm, NoVm;
-    WithVm.UseVm = true;
-    NoVm.UseVm = false;
-    verify::VerifyResult Vm, Tree;
-    if (GT.Programs.size() == 1) {
-      Vm = verify::verifyEquivalence(B, *Fn.Function, GT.Programs[0], WithVm);
-      Tree = verify::verifyEquivalence(B, *Fn.Function, GT.Programs[0], NoVm);
-    } else {
-      Vm = verify::verifyEquivalence(B, *Fn.Function, GT.Programs, WithVm);
-      Tree = verify::verifyEquivalence(B, *Fn.Function, GT.Programs, NoVm);
+    for (const vm::Code &Code : {Raw, vm::optimize(Raw)}) {
+      vm::Interpreter<T> Interp(Code);
+      taco::Tensor<T> Out;
+      EXPECT_TRUE(Interp.run(Resolve, OutName, Out))
+          << B.Name << ": " << Interp.error();
+      EXPECT_EQ(Out.shape(), Want.Value.shape()) << B.Name;
+      EXPECT_TRUE(Out.flat() == Want.Value.flat()) << B.Name;
     }
-    EXPECT_TRUE(Vm.Equivalent) << B.Name << ": " << Vm.Counterexample;
-    EXPECT_EQ(Vm.Equivalent, Tree.Equivalent) << B.Name;
-    EXPECT_EQ(Vm.TestsRun, Tree.TestsRun) << B.Name;
-    EXPECT_EQ(Vm.Counterexample, Tree.Counterexample) << B.Name;
     ++Swept;
   }
-  EXPECT_GE(Swept, 80);
+  return Swept;
 }
 
-// An inequivalent candidate must fail at the same test with the same
-// witness either way — the VM may not run the sweep in a different order.
-TEST(VmTest, VerifierCounterexamplesMatchTreeWalk) {
-  const bench::Benchmark *B = bench::findBenchmark("blas_gemv_ptr");
-  ASSERT_NE(B, nullptr);
-  cfront::CParseResult Fn = cfront::parseCFunction(B->CSource);
-  ASSERT_TRUE(Fn.ok()) << Fn.Error;
-  taco::Program Wrong = parse("Result(i) = Mat1(j,i) * Mat2(j)"); // transposed
-
-  verify::VerifyOptions WithVm, NoVm;
-  WithVm.UseVm = true;
-  NoVm.UseVm = false;
-  verify::VerifyResult Vm =
-      verify::verifyEquivalence(*B, *Fn.Function, Wrong, WithVm);
-  verify::VerifyResult Tree =
-      verify::verifyEquivalence(*B, *Fn.Function, Wrong, NoVm);
-  EXPECT_FALSE(Vm.Equivalent);
-  EXPECT_FALSE(Tree.Equivalent);
-  EXPECT_EQ(Vm.TestsRun, Tree.TestsRun);
-  EXPECT_FALSE(Vm.Counterexample.empty());
-  EXPECT_EQ(Vm.Counterexample, Tree.Counterexample);
+TEST(VmTest, RegistrySweepBitIdentity) {
+  // The validator's cells, then the verifier's.
+  EXPECT_GE(sweepRegistry<double>(
+                [](int64_t V) { return static_cast<double>(V); }),
+            80); // the full registry, not a subset
+  EXPECT_GE(sweepRegistry<Rational>([](int64_t V) { return Rational(V, 3); }),
+            80);
 }
 
-TEST(VmTest, RationalCellsMatchTreeWalk) {
+TEST(VmTest, RationalCellsMatchReference) {
   // The verifier's cell type: exact arithmetic through the same bytecode.
   taco::Program P = parse("r(i) = m(i,j) * v(j) + 2");
   std::map<std::string, taco::Tensor<Rational>> Ops;
