@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace stagg {
@@ -79,19 +80,31 @@ public:
     return false;
   }
 
-  Poly operator+(const Poly &Other) const {
-    Poly R(*this);
+  Poly &operator+=(const Poly &Other) {
     for (const auto &[M, C] : Other.Terms)
-      R.addTerm(M, C);
-    return R;
+      addTerm(M, C);
+    return *this;
   }
 
-  Poly operator-(const Poly &Other) const {
-    Poly R(*this);
+  Poly &operator-=(const Poly &Other) {
     for (const auto &[M, C] : Other.Terms)
-      R.addTerm(M, -C);
+      addTerm(M, -C);
+    return *this;
+  }
+
+  /// A temporary left operand is reused instead of copied.
+  Poly operator+(const Poly &Other) const & {
+    Poly R(*this);
+    R += Other;
     return R;
   }
+  Poly operator+(const Poly &Other) && { return std::move(*this += Other); }
+  Poly operator-(const Poly &Other) const & {
+    Poly R(*this);
+    R -= Other;
+    return R;
+  }
+  Poly operator-(const Poly &Other) && { return std::move(*this -= Other); }
 
   Poly operator-() const { return Poly::constant(0) - *this; }
 

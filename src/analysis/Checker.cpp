@@ -77,32 +77,34 @@ std::optional<SymRange> rangeOfOffset(const Poly &Off, const KernelModel &M) {
   auto IsLoopSym = [&M](const std::string &S) { return M.loop(S) != nullptr; };
   auto SizeLike = [&IsLoopSym](const std::string &S) { return !IsLoopSym(S); };
 
-  SymRange R{Off, Off};
-  // The endpoints start out identical and only diverge at the first loop
-  // with a non-degenerate stride, so the linear split and the stride-sign
-  // proofs are shared until then.
-  bool Equal = true;
+  // The endpoints start out identical (Off itself) and only diverge at the
+  // first loop with a non-degenerate stride, so the linear split and the
+  // stride-sign proofs are shared until then; Cur is that common endpoint.
+  SymRange R;
+  const Poly *Cur = &Off;
   for (auto It = M.Loops.rbegin(); It != M.Loops.rend(); ++It) {
     const ModelLoop &L = *It;
-    if (Equal) {
-      if (!R.Min.mentions(L.Symbol))
+    if (Cur) {
+      if (!Cur->mentions(L.Symbol))
         continue;
       if (!L.ExtentKnown || !L.StartsAtZero || !L.HeaderOk)
         return std::nullopt;
       Poly Stride, Rest;
-      if (!splitLinear(R.Min, L.Symbol, Stride, Rest))
+      if (!splitLinear(*Cur, L.Symbol, Stride, Rest))
         return std::nullopt;
       bool NonNeg = provablyNonNegative(Stride, SizeLike);
-      bool NonPos = provablyNonNegative(-Stride, SizeLike);
+      bool NonPos = provablyNonNegative(Stride, SizeLike, -1);
       if (!NonNeg && !NonPos)
         return std::nullopt;
       // Sign-definite stride: the sought extreme is at `extent - 1` when
       // the stride sign matches the endpoint, at 0 otherwise (a zero
       // stride makes either choice exact).
       Poly Last = L.Extent - Poly::constant(1);
-      R.Max = Rest + Stride * (NonNeg ? Last : Poly());
-      R.Min = Rest + Stride * ((NonNeg && !NonPos) ? Poly() : Last);
-      Equal = R.Min == R.Max;
+      Poly Max = Rest + Stride * (NonNeg ? Last : Poly());
+      R.Min =
+          std::move(Rest) + Stride * ((NonNeg && !NonPos) ? Poly() : Last);
+      R.Max = std::move(Max);
+      Cur = R.Min == R.Max ? &R.Min : nullptr;
       continue;
     }
     for (Poly *P : {&R.Min, &R.Max}) {
@@ -114,15 +116,17 @@ std::optional<SymRange> rangeOfOffset(const Poly &Off, const KernelModel &M) {
       if (!splitLinear(*P, L.Symbol, Stride, Rest))
         return std::nullopt;
       bool NonNeg = provablyNonNegative(Stride, SizeLike);
-      bool NonPos = provablyNonNegative(-Stride, SizeLike);
+      bool NonPos = provablyNonNegative(Stride, SizeLike, -1);
       if (!NonNeg && !NonPos)
         return std::nullopt;
       bool WantHigh = (P == &R.Max);
       Poly Last = L.Extent - Poly::constant(1);
       Poly Chosen = (NonNeg == WantHigh || (NonNeg && NonPos)) ? Last : Poly();
-      *P = Rest + Stride * Chosen;
+      *P = std::move(Rest) + Stride * Chosen;
     }
   }
+  if (Cur == &Off)
+    R = SymRange{Off, Off};
   if (R.Min.mentionsIf(IsLoopSym) || R.Max.mentionsIf(IsLoopSym))
     return std::nullopt;
   return R;
@@ -153,13 +157,13 @@ bool iterationProvablyNonEmpty(const Poly &Off, const KernelModel &M) {
   return true;
 }
 
-/// Collects every Load of \p Param inside \p E.
+/// Collects the offset of every Load of \p Param inside \p E.
 void collectLoadsOf(const MExprPtr &E, const std::string &Param,
-                    std::vector<Poly> &Out) {
+                    std::vector<const Poly *> &Out) {
   if (!E)
     return;
   if (E->K == MExpr::Kind::Load && E->Name == Param)
-    Out.push_back(E->Offset);
+    Out.push_back(&E->Offset);
   collectLoadsOf(E->A, Param, Out);
   collectLoadsOf(E->B, Param, Out);
 }
@@ -191,9 +195,12 @@ CheckReport checkKernel(const KernelModel &M, const CheckOptions &Options) {
     Report.Findings.push_back(std::move(F));
   };
 
-  std::set<std::string> Outputs = Options.OutputParams;
-  if (Outputs.empty() && !M.Summary.OutputParam.empty())
-    Outputs.insert(M.Summary.OutputParam);
+  // The declared outputs, else the model's inferred one.
+  std::set<std::string> Inferred;
+  if (Options.OutputParams.empty() && !M.Summary.OutputParam.empty())
+    Inferred.insert(M.Summary.OutputParam);
+  const std::set<std::string> &Outputs =
+      Options.OutputParams.empty() ? Inferred : Options.OutputParams;
 
   // The declared (or model-inferred) shape of one pointer parameter. An
   // empty declared shape is a scalar: a one-element buffer. Declared shapes
@@ -206,7 +213,9 @@ CheckReport checkKernel(const KernelModel &M, const CheckOptions &Options) {
     /// model-inferred ones point at Owned.
     const std::vector<Poly> *Extents = nullptr;
     std::vector<Poly> Owned;
-    Poly Size; ///< Product of the extents — the flat buffer size.
+    Poly Product; ///< The extents' product, when there are several.
+    /// The flat buffer size: the one extent, or Product.
+    const Poly *Size = nullptr;
     bool Authoritative = false;
   };
   // Memoized per parameter: a kernel touches each buffer through many
@@ -245,11 +254,12 @@ CheckReport checkKernel(const KernelModel &M, const CheckOptions &Options) {
       if (!Slot->Extents)
         Slot->Extents = &Slot->Owned;
       if (Slot->Extents->size() == 1) {
-        Slot->Size = (*Slot->Extents)[0];
+        Slot->Size = &(*Slot->Extents)[0];
       } else {
-        Slot->Size = Poly::constant(1);
+        Slot->Product = Poly::constant(1);
         for (const Poly &E : *Slot->Extents)
-          Slot->Size = Slot->Size * E;
+          Slot->Product = Slot->Product * E;
+        Slot->Size = &Slot->Product;
       }
     }
     return Slot;
@@ -293,7 +303,7 @@ CheckReport checkKernel(const KernelModel &M, const CheckOptions &Options) {
            A.Loc, A.Param);
       continue;
     }
-    const Poly &Size = Shape->Size;
+    const Poly &Size = *Shape->Size;
     if (AlreadyProven(Size, *A.Offset))
       continue;
     std::optional<SymRange> Range = rangeOfOffset(*A.Offset, M);
@@ -333,13 +343,13 @@ CheckReport checkKernel(const KernelModel &M, const CheckOptions &Options) {
   // non-output parameter aliases an input the lift assumes immutable.
   for (const ModelStore &St : M.Stores) {
     if (St.Offset && St.Rhs) {
-      std::vector<Poly> Loads;
+      std::vector<const Poly *> Loads;
       collectLoadsOf(St.Rhs, St.Param, Loads);
-      for (const Poly &L : Loads)
-        if (!(L == *St.Offset))
+      for (const Poly *L : Loads)
+        if (!(*L == *St.Offset))
           Emit("SK003", CheckSeverity::Hard,
                "store to '" + St.Param + "[" + St.Offset->str() +
-                   "]' reads '" + St.Param + "[" + L.str() +
+                   "]' reads '" + St.Param + "[" + L->str() +
                    "]' from a different iteration (loop-carried dependence)",
                St.Loc, St.Param);
     }

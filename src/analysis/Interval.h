@@ -45,8 +45,9 @@
 namespace stagg {
 namespace analysis {
 
-/// Proves `P >= 0` for every assignment where symbols satisfying
-/// \p IsAtLeastOne are >= 1 and all remaining symbols are >= 0. Sound,
+/// Proves `Sign * P >= 0` (\p Sign is 1 or -1) for every assignment where
+/// symbols satisfying \p IsAtLeastOne are >= 1 and all remaining symbols
+/// are >= 0; Sign -1 proves `P <= 0` without building `-P`. Sound,
 /// incomplete (see file comment). The shift `s := 1 + t` is expanded
 /// directly into one coefficient map — each monomial with k shifted symbols
 /// contributes its coefficient to every subset of them — rather than via
@@ -54,7 +55,12 @@ namespace analysis {
 /// per symbol (this predicate runs several times per access on the serve
 /// admission path).
 template <typename Fn>
-bool provablyNonNegative(const Poly &P, Fn IsAtLeastOne) {
+bool provablyNonNegative(const Poly &P, Fn IsAtLeastOne, int64_t Sign = 1) {
+  // One term c*m shifts into one copy of c per subset of m's shifted
+  // symbols: non-negative exactly when Sign*c is (the common case of a
+  // constant or single-symbol stride, with no allocation).
+  if (P.terms().size() <= 1)
+    return P.terms().empty() || Sign * P.terms().begin()->second >= 0;
   // Offsets have a handful of monomials, so a flat vector with linear
   // lookup beats a tree map.
   std::vector<std::pair<Monomial, int64_t>> Shifted;
@@ -83,7 +89,7 @@ bool provablyNonNegative(const Poly &P, Fn IsAtLeastOne) {
   }
   for (const auto &[M, C] : Shifted) {
     (void)M;
-    if (C < 0)
+    if (Sign * C < 0)
       return false;
   }
   return true;
@@ -120,9 +126,9 @@ inline bool splitLinear(const Poly &P, const std::string &Sym, Poly &Stride,
       return false;
     Poly Term = Poly::term(std::move(Without), C);
     if (Count == 1)
-      Stride = Stride + Term;
+      Stride += Term;
     else
-      Rest = Rest + Term;
+      Rest += Term;
   }
   return true;
 }

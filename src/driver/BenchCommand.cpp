@@ -354,6 +354,21 @@ std::vector<Micro> buildMicros(const MicroFixtures &F) {
                       }});
   }
 
+  // The heaviest registry verify: blas_gemm's ground truth, 153 tests.
+  {
+    const bench::Benchmark *B = bench::findBenchmark("blas_gemm");
+    auto Fn = std::make_shared<cfront::CParseResult>(
+        cfront::parseCFunction(B->CSource));
+    auto P = std::make_shared<taco::Program>(
+        *taco::parseTacoProgram(B->GroundTruth).Prog);
+    Micros.push_back({"micro/verifier_gemm", [Fn, P, B] {
+                        verify::VerifyResult VR = verify::verifyEquivalence(
+                            *B, *Fn->Function, *P);
+                        if (!VR.Equivalent || VR.TestsRun != 153)
+                          std::abort();
+                      }});
+  }
+
   // Bytecode VM: the compile cost a candidate pays once per validator /
   // verifier entry, and the pure execute cost of a 16x16 matmul after
   // binding.

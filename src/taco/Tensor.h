@@ -42,6 +42,17 @@ public:
     return S;
   }
 
+  /// Re-dimensions to \p Shape with every cell T{}, reusing the storage.
+  void reshape(const std::vector<int64_t> &Shape) {
+    Dims = Shape;
+    int64_t Total = 1;
+    for (int64_t D : Dims) {
+      assert(D > 0 && "tensor dimensions must be positive");
+      Total *= D;
+    }
+    Data.assign(static_cast<size_t>(Total), T{});
+  }
+
   const std::vector<int64_t> &shape() const { return Dims; }
   size_t order() const { return Dims.size(); }
   size_t size() const { return Data.size(); }

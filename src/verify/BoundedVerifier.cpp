@@ -13,7 +13,9 @@
 #include "vm/Optimizer.h"
 #include "vm/Interpreter.h"
 
+#include <algorithm>
 #include <functional>
+#include <memory>
 #include <set>
 #include <utility>
 
@@ -119,119 +121,180 @@ struct CandidateSpec {
   const vm::Code *Vm = nullptr;
 };
 
-/// One bounded test harness for a fixed shape assignment.
-class ShapeChecker {
+/// Whether any of \p N cells overflowed (Rational::isPoisoned).
+bool anyPoisoned(const Rational *Cells, size_t N) {
+  for (size_t I = 0; I < N; ++I)
+    if (Cells[I].isPoisoned())
+      return true;
+  return false;
+}
+
+/// The bounded test harness of one verifyEquivalence call. Everything the
+/// tests share is allocated once and reshaped in place per shape
+/// assignment: one operand tensor per argument (the TACO side binds these,
+/// and each test overwrites the input cells in place), the C side's
+/// scratch buffers and argument spans, the cache key, and the candidate's
+/// output tensor.
+class TestHarness {
 public:
-  ShapeChecker(const bench::Benchmark &B, const cfront::CFunction &Fn,
-               const CandidateSpec &Spec,
-               const std::map<std::string, int64_t> &Sizes,
-               ReferenceCache *Cache, bool TrustBounds)
-      : B(B), Fn(Fn), Spec(Spec), VmEval(*Spec.Vm), Sizes(Sizes),
-        Cache(Cache), TrustBounds(TrustBounds) {}
+  TestHarness(const bench::Benchmark &B, const CandidateSpec &Spec,
+              vm::Interpreter<Rational> &VmEval,
+              cfront::Executor<Rational> &Exec, ReferenceCache *Cache,
+              bool TrustBounds)
+      : B(B), Spec(Spec), VmEval(VmEval), Exec(Exec), Cache(Cache),
+        TrustBounds(TrustBounds) {
+    const size_t NumArgs = B.Args.size();
+    Operands.resize(NumArgs);
+    Scratch.resize(NumArgs);
+    IntValues.assign(NumArgs, 0);
+    for (size_t I = 0; I < NumArgs; ++I)
+      if (B.Args[I].K == bench::ArgSpec::Kind::NumScalar)
+        Operands[I] = Tensor<Rational>::scalar(Rational(1));
+    OutArg = B.outputArg();
+    OutIndex = firstArg(OutArg->Name, bench::ArgSpec::Kind::Array);
 
-  /// Runs both programs on the numeric inputs currently in \p Env; returns
-  /// true on agreement, otherwise fills \p Witness.
-  bool runOnce(cfront::ExecEnv<Rational> Env, std::string &Witness,
-               int &TestsRun) {
+    // The kernel's parameters bind by name once; BufferArgs records which
+    // argument backs each pointer parameter, whose span setShape() fills.
+    BindStatus = cfront::bindArguments<Rational>(
+        Exec.function(),
+        [this](const std::string &Name) -> std::vector<Rational> * {
+          size_t I = firstArg(Name, bench::ArgSpec::Kind::Array);
+          if (I == this->B.Args.size())
+            return nullptr;
+          BufferArgs.push_back(I);
+          return &Scratch[I];
+        },
+        [this](const std::string &Name) -> const int64_t * {
+          size_t I = firstArg(Name, bench::ArgSpec::Kind::SizeScalar);
+          return I < this->B.Args.size() ? &IntValues[I] : nullptr;
+        },
+        [this](const std::string &Name) -> const Rational * {
+          size_t I = firstArg(Name, bench::ArgSpec::Kind::NumScalar);
+          return I < this->B.Args.size() ? &Operands[I].flat()[0] : nullptr;
+        },
+        Args);
+
+    // The candidate's operands, by name (the first argument of a name wins,
+    // as it did in a name-keyed map): every argument for a statement list,
+    // the names its RHS reads for a single program.
+    if (Spec.Sequence) {
+      for (size_t I = 0; I < NumArgs; ++I)
+        Table.emplace_back(&B.Args[I].Name, &Operands[I]);
+      return;
+    }
+    for (const std::string &Name : *Spec.RhsNames) {
+      const bench::ArgSpec *Arg = B.findArg(Name);
+      if (!Arg) {
+        UnknownName = &Name;
+        break;
+      }
+      Table.emplace_back(&Name,
+                         &Operands[static_cast<size_t>(Arg - B.Args.data())]);
+    }
+  }
+
+  /// Reshapes every buffer for the size assignment \p Sizes (values in
+  /// \p SizeValues, the cache key's prefix) and rebinds both sides. The
+  /// output's cells are zero, its pre-state in every test.
+  void setShape(const std::map<std::string, int64_t> &Sizes,
+                const std::vector<int64_t> &SizeValues) {
+    this->SizeValues = &SizeValues;
+    for (size_t I = 0; I < B.Args.size(); ++I) {
+      const bench::ArgSpec &Arg = B.Args[I];
+      if (Arg.K == bench::ArgSpec::Kind::Array) {
+        Operands[I].reshape(validate::resolveShape(Arg, Sizes));
+        Scratch[I].resize(Operands[I].size());
+      } else if (Arg.K == bench::ArgSpec::Kind::SizeScalar) {
+        IntValues[I] = Sizes.at(Arg.Name);
+        Operands[I].flat()[0] = Rational(IntValues[I]);
+      }
+    }
+    // A single program's binding depends on shapes only, so one per shape
+    // serves every test: the cells it points at are overwritten in place.
+    if (Spec.Single && !UnknownName)
+      Bound = VmEval.bind(
+          [this](const std::string &Name) { return operand(Name); },
+          validate::resolveShape(*OutArg, Sizes));
+    // Only the buffers' spans change with the shape.
+    const std::vector<cfront::CompiledFunction::Param> &Params =
+        Exec.function().Params;
+    for (size_t P = 0, K = 0; P < Params.size(); ++P)
+      if (Params[P].IsPointer && K < BufferArgs.size()) {
+        std::vector<Rational> &Cells = Scratch[BufferArgs[K++]];
+        Args[P].Data = Cells.data();
+        Args[P].Size = static_cast<int64_t>(Cells.size());
+      }
+  }
+
+  /// The cells of argument \p Arg: the test input, written in place.
+  std::vector<Rational> &cells(const bench::ArgSpec &Arg) {
+    return Operands[static_cast<size_t>(&Arg - B.Args.data())].flat();
+  }
+
+  /// Runs both programs on the inputs currently in the operand cells;
+  /// returns true on agreement, otherwise fills \p Witness.
+  bool runOnce(std::string &Witness, int &TestsRun) {
     ++TestsRun;
-    const bench::ArgSpec *OutArg = B.outputArg();
 
-    // TACO side first (it reads the pre-state).
-    EinsumResult<Rational> TacoOut;
+    // TACO side first.
+    if (UnknownName) {
+      Witness = "candidate reads unknown tensor '" + *UnknownName + "'";
+      return false;
+    }
+    bool TacoOk;
     if (Spec.Sequence) {
       // Statement lists execute over every argument (including the output
-      // buffer's pre-state, which the C side also sees).
-      std::map<std::string, Tensor<Rational>> Operands;
-      for (const bench::ArgSpec &Arg : B.Args) {
-        if (Arg.K == bench::ArgSpec::Kind::Array) {
-          Tensor<Rational> T(validate::resolveShape(Arg, Sizes));
-          T.flat() = Env.Arrays.at(Arg.Name);
-          Operands.emplace(Arg.Name, std::move(T));
-        } else if (Arg.K == bench::ArgSpec::Kind::SizeScalar) {
-          Operands.emplace(
-              Arg.Name, Tensor<Rational>::scalar(Rational(Sizes.at(Arg.Name))));
-        } else {
-          Operands.emplace(Arg.Name, Tensor<Rational>::scalar(
-                                         Env.NumScalars.at(Arg.Name)));
-        }
-      }
-      // Scratch results forward to later statements; nothing is
-      // recompiled per test.
-      Tensor<Rational> Out;
-      if (VmEval.run(
-              [&Operands](const std::string &Name) -> const Tensor<Rational> * {
-                auto It = Operands.find(Name);
-                return It == Operands.end() ? nullptr : &It->second;
-              },
-              OutArg->Name, Out))
-        TacoOut = EinsumResult<Rational>::success(std::move(Out));
-      else
-        TacoOut = EinsumResult<Rational>::failure(VmEval.error());
+      // buffer's pre-state, which the C side also sees). Scratch results
+      // forward to later statements; nothing is recompiled per test.
+      TacoOk = VmEval.run(
+          [this](const std::string &Name) { return operand(Name); },
+          OutArg->Name, TacoOut);
     } else {
-      std::map<std::string, Tensor<Rational>> Operands;
-      for (const std::string &Name : *Spec.RhsNames) {
-        const bench::ArgSpec *Arg = B.findArg(Name);
-        if (!Arg) {
-          Witness = "candidate reads unknown tensor '" + Name + "'";
-          return false;
-        }
-        if (Arg->K == bench::ArgSpec::Kind::Array) {
-          Tensor<Rational> T(validate::resolveShape(*Arg, Sizes));
-          T.flat() = Env.Arrays.at(Arg->Name);
-          Operands.emplace(Arg->Name, std::move(T));
-        } else if (Arg->K == bench::ArgSpec::Kind::SizeScalar) {
-          Operands.emplace(Arg->Name,
-                           Tensor<Rational>::scalar(Rational(Sizes.at(Name))));
-        } else {
-          Operands.emplace(Arg->Name,
-                           Tensor<Rational>::scalar(Env.NumScalars.at(Name)));
-        }
-      }
-      std::vector<int64_t> OutShape = validate::resolveShape(*OutArg, Sizes);
-      auto Lookup =
-          [&Operands](const std::string &Name) -> const Tensor<Rational> * {
-        auto It = Operands.find(Name);
-        return It == Operands.end() ? nullptr : &It->second;
-      };
-      if (VmEval.bind(Lookup, OutShape))
-        TacoOut = VmEval.evaluate();
-      else
-        TacoOut = EinsumResult<Rational>::failure(VmEval.error());
+      TacoOk = Bound;
+      if (Bound)
+        VmEval.evaluateInto(TacoOut);
     }
 
-    // C side, memoized on (sizes, pre-state): the reference interpretation
-    // is candidate-independent, so across the validator-fallback loop only
-    // the first candidate pays for it.
-    ReferenceCache::Entry Local;
-    const ReferenceCache::Entry *Ref = nullptr;
-    if (Cache) {
-      std::string Key = envKey(Env);
-      Ref = Cache->find(Key);
-      if (!Ref) {
-        Local = runReference(std::move(Env), *OutArg);
-        Ref = &Cache->insert(std::move(Key), std::move(Local));
-      }
+    // C side, memoized on the exact input words: the reference
+    // interpretation is candidate-independent, so across the
+    // validator-fallback loop only the first candidate pays for it.
+    ReferenceCache::Entry Ref;
+    if (!Cache) {
+      Ref = runReference();
     } else {
-      Local = runReference(std::move(Env), *OutArg);
-      Ref = &Local;
+      buildKey();
+      if (!Cache->find(Key, Ref)) {
+        ReferenceCache::Entry Run = runReference();
+        Ref = Cache->insert(Key, Run.Ok, *Run.Error, Run.Output, Run.Size);
+      }
     }
 
-    if (!Ref->Ok) {
-      Witness = "legacy kernel failed: " + Ref->Error;
+    if (!Ref.Ok) {
+      Witness = "legacy kernel failed: " + *Ref.Error;
       return false;
     }
-    if (!TacoOut.Ok) {
-      Witness = "candidate failed to evaluate: " + TacoOut.Error;
+    if (!TacoOk) {
+      Witness = "candidate failed to evaluate: " + VmEval.error();
       return false;
     }
 
-    const std::vector<Rational> &CSide = Ref->Output;
-    const std::vector<Rational> &TacoSide = TacoOut.Value.flat();
-    if (CSide.size() != TacoSide.size()) {
+    const Rational *CSide = Ref.Output;
+    const std::vector<Rational> &TacoSide = TacoOut.flat();
+    // An overflowed cell carries no value: neither agreement nor a
+    // readable mismatch can be claimed.
+    if (anyPoisoned(CSide, Ref.Size)) {
+      Witness = "rational overflow in C reference";
+      return false;
+    }
+    if (anyPoisoned(TacoSide.data(), TacoSide.size())) {
+      Witness = "rational overflow in candidate";
+      return false;
+    }
+    if (Ref.Size != TacoSide.size()) {
       Witness = "output size mismatch";
       return false;
     }
-    for (size_t I = 0; I < CSide.size(); ++I) {
+    for (size_t I = 0; I < Ref.Size; ++I) {
       if (CSide[I] == TacoSide[I])
         continue;
       Witness = "output[" + std::to_string(I) + "]: C=" + CSide[I].str() +
@@ -242,6 +305,7 @@ public:
     return true;
   }
 
+private:
   /// Renders the candidate for witnesses (statement lists join with "; ").
   std::string candidateText() const {
     if (Spec.Single)
@@ -255,83 +319,89 @@ public:
     return Out;
   }
 
-  /// Builds the base environment with all data zeroed.
-  cfront::ExecEnv<Rational> baseEnv() const {
-    cfront::ExecEnv<Rational> Env;
-    for (const bench::ArgSpec &Arg : B.Args) {
-      switch (Arg.K) {
-      case bench::ArgSpec::Kind::SizeScalar:
-        Env.IntScalars[Arg.Name] = Sizes.at(Arg.Name);
-        break;
-      case bench::ArgSpec::Kind::NumScalar:
-        Env.NumScalars[Arg.Name] = Rational(1);
-        break;
-      case bench::ArgSpec::Kind::Array: {
-        std::vector<int64_t> Shape = validate::resolveShape(Arg, Sizes);
-        int64_t Total = 1;
-        for (int64_t D : Shape)
-          Total *= D;
-        Env.Arrays[Arg.Name].assign(static_cast<size_t>(Total), Rational(0));
-        break;
-      }
-      }
-    }
-    return Env;
+  /// Index of the first argument named \p Name of kind \p K, or
+  /// B.Args.size().
+  size_t firstArg(const std::string &Name, bench::ArgSpec::Kind K) const {
+    for (size_t I = 0; I < B.Args.size(); ++I)
+      if (B.Args[I].K == K && B.Args[I].Name == Name)
+        return I;
+    return B.Args.size();
   }
 
-private:
-  /// Interprets the kernel on (a copy of) \p Env; the entry records the
-  /// status and the output argument's post-state.
-  ReferenceCache::Entry runReference(cfront::ExecEnv<Rational> Env,
-                                     const bench::ArgSpec &OutArg) const {
+  /// The candidate's operand named \p Name, or nullptr.
+  const Tensor<Rational> *operand(const std::string &Name) const {
+    for (const auto &[N, T] : Table)
+      if (*N == Name)
+        return T;
+    return nullptr;
+  }
+
+  /// Interprets the kernel on a scratch copy of the pre-state: the status
+  /// and the output argument's post-state, which stays in the scratch
+  /// buffer until the next run.
+  ReferenceCache::Entry runReference() {
     ReferenceCache::Entry E;
-    cfront::ExecStatus Status =
-        cfront::runCFunction(Fn, Env, 10'000'000, TrustBounds);
-    E.Ok = Status.Ok;
-    if (!Status.Ok) {
-      E.Error = Status.Error;
+    E.Error = &RunError;
+    if (!BindStatus.Ok) {
+      RunError = BindStatus.Error;
       return E;
     }
-    E.Output = std::move(Env.Arrays.at(OutArg.Name));
+    for (size_t I = 0; I < B.Args.size(); ++I)
+      if (B.Args[I].K == bench::ArgSpec::Kind::Array)
+        std::copy(Operands[I].flat().begin(), Operands[I].flat().end(),
+                  Scratch[I].begin());
+    cfront::ExecStatus Status = Exec.run(Args.data(), 10'000'000, TrustBounds);
+    E.Ok = Status.Ok;
+    RunError = std::move(Status.Error);
+    if (Status.Ok && OutIndex < Scratch.size()) {
+      E.Output = Scratch[OutIndex].data();
+      E.Size = Scratch[OutIndex].size();
+    }
     return E;
   }
 
-  /// Serializes the candidate-independent test input: sizes plus the full
-  /// numeric pre-state (std::map iteration gives a canonical field order).
-  std::string envKey(const cfront::ExecEnv<Rational> &Env) const {
-    std::string Key;
-    Key.reserve(128);
-    for (const auto &[Name, Value] : Sizes) {
-      Key += Name;
-      Key += '=';
-      Key += std::to_string(Value);
-      Key += ';';
-    }
-    for (const auto &[Name, Values] : Env.Arrays) {
-      Key += Name;
-      Key += ':';
-      for (const Rational &V : Values) {
-        Key += V.str();
-        Key += ',';
+  /// Fills Key with this test's input words (see ReferenceCache). The
+  /// output's pre-state is zero in every test, so it is left out.
+  void buildKey() {
+    Key.clear();
+    Key.insert(Key.end(), SizeValues->begin(), SizeValues->end());
+    for (size_t I = 0; I < B.Args.size(); ++I) {
+      const bench::ArgSpec &Arg = B.Args[I];
+      if (Arg.K == bench::ArgSpec::Kind::SizeScalar || Arg.IsOutput)
+        continue;
+      for (const Rational &V : Operands[I].flat()) {
+        Key.push_back(V.numerator());
+        Key.push_back(V.denominator());
       }
-      Key += ';';
     }
-    for (const auto &[Name, Value] : Env.NumScalars) {
-      Key += Name;
-      Key += '~';
-      Key += Value.str();
-      Key += ';';
-    }
-    return Key;
   }
 
   const bench::Benchmark &B;
-  const cfront::CFunction &Fn;
   const CandidateSpec &Spec;
-  vm::Interpreter<Rational> VmEval;
-  const std::map<std::string, int64_t> &Sizes;
+  vm::Interpreter<Rational> &VmEval;
+  cfront::Executor<Rational> &Exec;
   ReferenceCache *Cache;
   bool TrustBounds; ///< VerifyOptions::TrustStaticBounds for this sweep.
+  const std::vector<int64_t> *SizeValues = nullptr;
+
+  /// Per argument: operand tensor (array cells, or the scalar's value),
+  /// the C side's scratch copy (arrays), the integer value (sizes).
+  std::vector<Tensor<Rational>> Operands;
+  std::vector<std::vector<Rational>> Scratch;
+  std::vector<int64_t> IntValues;
+  const bench::ArgSpec *OutArg = nullptr;
+  size_t OutIndex = 0;
+
+  std::vector<std::pair<const std::string *, const Tensor<Rational> *>> Table;
+  const std::string *UnknownName = nullptr;
+  bool Bound = false;
+  Tensor<Rational> TacoOut;
+
+  cfront::ExecStatus BindStatus;
+  std::vector<cfront::ArgRef<Rational>> Args;
+  std::vector<size_t> BufferArgs;
+  std::string RunError;
+  std::vector<int64_t> Key;
 };
 
 /// The bounded sweep shared by the single-program and statement-list entry
@@ -345,81 +415,95 @@ VerifyResult runBoundedSweep(const bench::Benchmark &B,
   VerifyResult Result;
   Rng R(Options.Seed);
 
+  // The kernel's compiled form: the cache's (one per lift), else this
+  // call's own.
+  std::unique_ptr<cfront::CompiledFunction> Own;
+  if (!Cache)
+    Own = std::make_unique<cfront::CompiledFunction>(Fn);
+  cfront::Executor<Rational> Exec(Cache ? Cache->reference(Fn) : *Own);
+  vm::Interpreter<Rational> VmEval(*Spec.Vm);
+
   // Collect size parameters and the input arrays.
   std::vector<std::string> SizeParams;
   std::vector<const bench::ArgSpec *> InputArrays;
+  std::vector<const bench::ArgSpec *> NumScalars;
   for (const bench::ArgSpec &Arg : B.Args) {
     if (Arg.K == bench::ArgSpec::Kind::SizeScalar)
       SizeParams.push_back(Arg.Name);
     else if (Arg.K == bench::ArgSpec::Kind::Array && !Arg.IsOutput)
       InputArrays.push_back(&Arg);
+    else if (Arg.K == bench::ArgSpec::Kind::NumScalar)
+      NumScalars.push_back(&Arg);
   }
+
+  TestHarness Harness(B, Spec, VmEval, Exec, Cache, Options.TrustStaticBounds);
+
+  // Which input pairs get the joint (not just diagonal) one-hot sweep.
+  const size_t NumInputs = InputArrays.size();
+  std::vector<char> Multiplied(NumInputs * NumInputs, 1);
+  if (UseMulPairs)
+    for (size_t A = 0; A < NumInputs; ++A)
+      for (size_t C = A; C < NumInputs; ++C)
+        Multiplied[A * NumInputs + C] = MulPairs.count(normPair(
+            InputArrays[A]->Name, InputArrays[C]->Name)) > 0;
+
+  // Every test writes all of its inputs; the output's zero pre-state is
+  // never written.
+  auto SetOnes = [&]() {
+    for (const bench::ArgSpec *Arg : InputArrays) {
+      std::vector<Rational> &Cells = Harness.cells(*Arg);
+      std::fill(Cells.begin(), Cells.end(), Rational(1));
+    }
+    for (const bench::ArgSpec *Arg : NumScalars)
+      Harness.cells(*Arg)[0] = Rational(1);
+  };
+  auto FillRandom = [&]() {
+    for (const bench::ArgSpec *Arg : InputArrays)
+      for (Rational &V : Harness.cells(*Arg))
+        V = Rational(R.range(-3, 4), R.range(1, 2));
+    for (const bench::ArgSpec *Arg : NumScalars)
+      Harness.cells(*Arg)[0] = Rational(R.range(-2, 3), R.range(1, 2));
+  };
 
   // Enumerate all shape assignments up to the bound.
   std::vector<int64_t> SizePick(SizeParams.size(), 1);
+  std::map<std::string, int64_t> Sizes;
   for (;;) {
-    std::map<std::string, int64_t> Sizes;
     for (size_t I = 0; I < SizeParams.size(); ++I)
       Sizes[SizeParams[I]] = SizePick[I];
-
-    ShapeChecker Checker(B, Fn, Spec, Sizes, Cache,
-                         Options.TrustStaticBounds);
-
-    auto FillRandom = [&](cfront::ExecEnv<Rational> &Env) {
-      for (const bench::ArgSpec *Arg : InputArrays)
-        for (Rational &V : Env.Arrays[Arg->Name])
-          V = Rational(R.range(-3, 4), R.range(1, 2));
-      for (const bench::ArgSpec &Arg : B.Args)
-        if (Arg.K == bench::ArgSpec::Kind::NumScalar)
-          Env.NumScalars[Arg.Name] = Rational(R.range(-2, 3), R.range(1, 2));
-    };
+    Harness.setShape(Sizes, SizePick);
 
     // (1) All-ones.
-    {
-      cfront::ExecEnv<Rational> Env = Checker.baseEnv();
-      for (const bench::ArgSpec *Arg : InputArrays)
-        for (Rational &V : Env.Arrays[Arg->Name])
-          V = Rational(1);
-      if (!Checker.runOnce(std::move(Env), Result.Counterexample,
-                           Result.TestsRun))
-        return Result;
-    }
+    SetOnes();
+    if (!Harness.runOnce(Result.Counterexample, Result.TestsRun))
+      return Result;
 
     // (2) Joint one-hot sweep over pairs of input arrays (all other inputs
     // held at one). This exposes every bilinear coefficient. Pairs the
     // candidate never multiplies together carry no bilinear terms, so
     // their sweep shrinks to the diagonal (distinct pairs drop entirely —
     // each operand's linear probes live on its own (A, A) diagonal).
-    for (size_t A = 0; A < InputArrays.size(); ++A) {
-      for (size_t C = A; C < InputArrays.size(); ++C) {
-        bool Multiplied =
-            !UseMulPairs ||
-            MulPairs.count(
-                normPair(InputArrays[A]->Name, InputArrays[C]->Name)) > 0;
-        if (!Multiplied && A != C)
+    for (size_t A = 0; A < NumInputs; ++A) {
+      for (size_t C = A; C < NumInputs; ++C) {
+        const bool Joint = Multiplied[A * NumInputs + C];
+        if (!Joint && A != C)
           continue;
-        cfront::ExecEnv<Rational> Base = Checker.baseEnv();
-        for (const bench::ArgSpec *Arg : InputArrays)
-          for (Rational &V : Base.Arrays[Arg->Name])
-            V = Rational(1);
-        size_t LenA = Base.Arrays[InputArrays[A]->Name].size();
-        size_t LenC = Base.Arrays[InputArrays[C]->Name].size();
+        std::vector<Rational> &CellsA = Harness.cells(*InputArrays[A]);
+        std::vector<Rational> &CellsC = Harness.cells(*InputArrays[C]);
+        size_t LenA = CellsA.size();
+        size_t LenC = CellsC.size();
         int Budget = Options.MaxOneHot;
         for (size_t PA = 0; PA < LenA && Budget > 0; ++PA) {
           for (size_t PC = 0; PC < LenC && Budget > 0; ++PC) {
-            if (!Multiplied && PA != PC)
+            if (!Joint && PA != PC)
               continue; // diagonal-only: the linear one-hot probes
             --Budget;
-            cfront::ExecEnv<Rational> Env = Base;
-            for (Rational &V : Env.Arrays[InputArrays[A]->Name])
-              V = Rational(0);
-            for (Rational &V : Env.Arrays[InputArrays[C]->Name])
-              V = Rational(0);
-            Env.Arrays[InputArrays[A]->Name][PA] = Rational(2);
-            Env.Arrays[InputArrays[C]->Name][PC] =
-                A == C && PA == PC ? Rational(2) : Rational(3);
-            if (!Checker.runOnce(std::move(Env), Result.Counterexample,
-                                 Result.TestsRun))
+            SetOnes();
+            std::fill(CellsA.begin(), CellsA.end(), Rational(0));
+            std::fill(CellsC.begin(), CellsC.end(), Rational(0));
+            CellsA[PA] = Rational(2);
+            CellsC[PC] = A == C && PA == PC ? Rational(2) : Rational(3);
+            if (!Harness.runOnce(Result.Counterexample, Result.TestsRun))
               return Result;
           }
         }
@@ -428,12 +512,10 @@ VerifyResult runBoundedSweep(const bench::Benchmark &B,
 
     // (3) Pseudo-random rationals (negatives, halves).
     for (int T = 0; T < Options.RandomTrials; ++T) {
-      cfront::ExecEnv<Rational> Env = Checker.baseEnv();
-      FillRandom(Env);
+      FillRandom();
       // Division-bearing kernels may hit a zero denominator; both sides
       // propagate the undefined value, which compares equal.
-      if (!Checker.runOnce(std::move(Env), Result.Counterexample,
-                           Result.TestsRun))
+      if (!Harness.runOnce(Result.Counterexample, Result.TestsRun))
         return Result;
     }
 
@@ -457,6 +539,99 @@ VerifyResult runBoundedSweep(const bench::Benchmark &B,
 }
 
 } // namespace
+
+verify::ReferenceCache::ReferenceCache() = default;
+verify::ReferenceCache::~ReferenceCache() = default;
+
+namespace {
+
+uint64_t hashWords(const std::vector<int64_t> &Key) {
+  uint64_t H = 0xcbf29ce484222325ULL;
+  for (int64_t W : Key) {
+    H ^= static_cast<uint64_t>(W);
+    H *= 0x100000001b3ULL;
+    H ^= H >> 29;
+  }
+  return H;
+}
+
+} // namespace
+
+verify::ReferenceCache::Entry
+verify::ReferenceCache::entry(const Record &R) const {
+  Entry E;
+  E.Ok = R.ErrorAt == SIZE_MAX;
+  E.Error = E.Ok ? nullptr : &Errors[R.ErrorAt];
+  E.Output = Cells.data() + R.OutAt;
+  E.Size = R.OutLen;
+  return E;
+}
+
+bool verify::ReferenceCache::find(const std::vector<int64_t> &Key,
+                                  Entry &Out) const {
+  if (!Table.empty()) {
+    const uint64_t H = hashWords(Key);
+    const size_t Mask = Table.size() - 1;
+    for (size_t I = H & Mask; Table[I] != 0; I = (I + 1) & Mask) {
+      const Record &R = Records[Table[I] - 1];
+      if (R.Hash == H && R.KeyLen == Key.size() &&
+          std::equal(Key.begin(), Key.end(), Words.begin() + R.KeyAt)) {
+        ++Hits;
+        Out = entry(R);
+        return true;
+      }
+    }
+  }
+  ++Misses;
+  return false;
+}
+
+verify::ReferenceCache::Entry verify::ReferenceCache::insert(
+    const std::vector<int64_t> &Key, bool Ok, const std::string &Error,
+    const Rational *Output, size_t Size) {
+  Record R;
+  R.Hash = hashWords(Key);
+  R.KeyAt = Words.size();
+  R.KeyLen = Key.size();
+  Words.insert(Words.end(), Key.begin(), Key.end());
+  R.OutAt = Cells.size();
+  R.OutLen = Size;
+  Cells.insert(Cells.end(), Output, Output + Size);
+  R.ErrorAt = SIZE_MAX;
+  if (!Ok) {
+    R.ErrorAt = Errors.size();
+    Errors.push_back(Error);
+  }
+  Records.push_back(R);
+
+  // Keep the table at most half full; rehashing reuses the stored hashes.
+  if (Records.size() * 2 > Table.size()) {
+    Table.assign(std::max<size_t>(64, Table.size() * 2), 0);
+    const size_t Mask = Table.size() - 1;
+    for (size_t Id = 0; Id < Records.size(); ++Id) {
+      size_t I = Records[Id].Hash & Mask;
+      while (Table[I] != 0)
+        I = (I + 1) & Mask;
+      Table[I] = static_cast<uint32_t>(Id + 1);
+    }
+  } else {
+    const size_t Mask = Table.size() - 1;
+    size_t I = R.Hash & Mask;
+    while (Table[I] != 0)
+      I = (I + 1) & Mask;
+    Table[I] = static_cast<uint32_t>(Records.size());
+  }
+  return entry(Records.back());
+}
+
+const cfront::CompiledFunction &
+verify::ReferenceCache::reference(const cfront::CFunction &Fn) {
+  if (!Compiled || CompiledFrom != &Fn) {
+    Compiled = std::make_unique<cfront::CompiledFunction>(Fn);
+    CompiledFrom = &Fn;
+  }
+  return *Compiled;
+}
 
 VerifyResult verify::verifyEquivalence(const bench::Benchmark &B,
                                        const cfront::CFunction &Fn,

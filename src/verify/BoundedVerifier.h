@@ -18,9 +18,18 @@
 ///    non-integers).
 ///
 /// The candidate is compiled once per call to vm::Code, optimized, and run
-/// on a vm::Interpreter over rationals for every test. On disagreement a
-/// readable counterexample is produced and the pipeline returns to the
-/// validator for the next substitution, exactly as in Fig. 1.
+/// on a vm::Interpreter over rationals for every test. The C kernel is
+/// compiled once per lift to its slot-resolved form
+/// (cfront::CompiledFunction, owned by the ReferenceCache, or by the call
+/// when there is none) and run by one cfront::Executor. One set of flat
+/// argument buffers and operand tensors is allocated per call and reshaped
+/// per shape assignment; each test overwrites the input cells in place, the
+/// candidate reads them directly, and the kernel runs on a scratch copy.
+/// On disagreement a readable counterexample is produced and the pipeline
+/// returns to the validator for the next substitution, exactly as in
+/// Fig. 1. A test in which either side ends holding an overflowed
+/// (poisoned) rational fails with the witness "rational overflow in C
+/// reference" or "rational overflow in candidate"; it never passes.
 ///
 /// Two hot-path optimizations keep the Fig. 1 loop cheap without changing
 /// verdicts:
@@ -29,8 +38,8 @@
 ///    (shape, input) the reference interpretation always produces the same
 ///    result. A ReferenceCache passed across verifyEquivalence calls (the
 ///    validator-fallback loop re-verifies one candidate after another
-///    against the same kernel) memoizes them keyed on the serialized
-///    shape + input, so only the first candidate pays for interpretation.
+///    against the same kernel) memoizes them keyed on the exact input
+///    words, so only the first candidate pays for interpretation.
 ///  * The quadratic joint one-hot sweep over a pair of *distinct* operands
 ///    only distinguishes candidates with a multiplicative interaction
 ///    between those operands; for pairs the candidate never multiplies
@@ -50,11 +59,15 @@
 #include "taco/Ast.h"
 
 #include <cstdint>
+#include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace stagg {
+namespace cfront {
+struct CompiledFunction;
+} // namespace cfront
+
 namespace verify {
 
 /// Verifier configuration.
@@ -102,39 +115,67 @@ struct VerifyResult {
 
 /// Memoizes the C kernel's reference outputs across verifyEquivalence calls
 /// for the *same* kernel and options (Fig. 1's fallback loop re-verifies
-/// candidate after candidate). Keys are the serialized (sizes, input
-/// pre-state); entries record the interpreter outcome and the output
-/// array's post-state. Not thread-safe; use one per lift, like the
-/// validator.
+/// candidate after candidate), and owns the kernel's compiled form
+/// (cfront::CompiledFunction), built on the first call and reused by every
+/// later one. Not thread-safe; use one per lift, like the validator.
+///
+/// A key is one test's exact input words: the size assignment, then the
+/// numerator and denominator of every input cell (each non-output array
+/// and numeric scalar, in argument order). The sizes fix every array's
+/// length, so the layout is unambiguous for one kernel. Lookups hash the
+/// words and compare them exactly, so a hash collision can never return
+/// another input's entry.
+/// Keys, outputs and entries live in flat arrays that only grow: a miss
+/// allocates nothing once they have grown to the sweep's size.
 class ReferenceCache {
 public:
+  /// One memoized reference run. The pointers reach into the cache and
+  /// stay valid until the next insert().
   struct Entry {
     bool Ok = false;
-    std::string Error;               ///< Interpreter diagnostic when !Ok.
-    std::vector<Rational> Output;    ///< Post-state of the output argument.
+    const std::string *Error = nullptr; ///< Interpreter diagnostic when !Ok.
+    const Rational *Output = nullptr;   ///< Output argument's post-state.
+    size_t Size = 0;                    ///< ... and its cell count.
   };
 
-  /// nullptr when absent.
-  const Entry *find(const std::string &Key) const {
-    auto It = Map.find(Key);
-    if (It == Map.end()) {
-      ++Misses;
-      return nullptr;
-    }
-    ++Hits;
-    return &It->second;
-  }
+  ReferenceCache();
+  ~ReferenceCache();
 
-  const Entry &insert(std::string Key, Entry E) {
-    return Map.emplace(std::move(Key), std::move(E)).first->second;
-  }
+  /// Looks up the input words \p Key; counts a hit or a miss.
+  bool find(const std::vector<int64_t> &Key, Entry &Out) const;
+
+  /// Records the run for an absent \p Key and returns its entry.
+  Entry insert(const std::vector<int64_t> &Key, bool Ok,
+               const std::string &Error, const Rational *Output,
+               size_t Size);
+
+  /// The slot-resolved form of \p Fn, compiled on first use (and again only
+  /// if a different function is passed).
+  const cfront::CompiledFunction &reference(const cfront::CFunction &Fn);
 
   int64_t hits() const { return Hits; }
   int64_t misses() const { return Misses; }
-  size_t size() const { return Map.size(); }
+  size_t size() const { return Records.size(); }
 
 private:
-  std::unordered_map<std::string, Entry> Map;
+  struct Record {
+    uint64_t Hash;
+    size_t KeyAt, KeyLen;
+    size_t OutAt, OutLen;
+    size_t ErrorAt; ///< Index into Errors; SIZE_MAX when the run was Ok.
+  };
+
+  Entry entry(const Record &R) const;
+
+  std::vector<Record> Records;
+  std::vector<int64_t> Words;
+  std::vector<Rational> Cells;
+  std::vector<std::string> Errors;
+  /// Open addressing over Records: index + 1, 0 = empty; a power of two,
+  /// kept at most half full.
+  std::vector<uint32_t> Table;
+  std::unique_ptr<cfront::CompiledFunction> Compiled;
+  const cfront::CFunction *CompiledFrom = nullptr;
   mutable int64_t Hits = 0;
   mutable int64_t Misses = 0;
 };

@@ -392,6 +392,53 @@ TEST(PerfEquivalence, VerifierCachePreservesVerdictsAndWitnesses) {
   }
 }
 
+TEST(PerfEquivalence, ReferenceCacheHitsOnFallback) {
+  // The Fig. 1 fallback loop: after a first candidate filled the cache, a
+  // second candidate of the same kernel finds every reference it needs
+  // there (each of its tests is a hit, none a miss; an equivalent one hits
+  // once per test of the first) and gets the verdict a cache-less run
+  // gives.
+  struct Case {
+    const char *Name;
+    const char *First;
+    const char *Second;
+  };
+  for (const Case &C :
+       {Case{"art_add", "out(i) = a(i) + b(i)", "out(i) = b(i) + a(i)"},
+        Case{"blas_gemv_ptr", "Result(i) = Mat1(i,j) * Mat2(j)",
+             "Result(i) = Mat2(j) * Mat1(i,j)"},
+        Case{"dk_avg_pair", "out(i) = (a(i) + b(i)) / 2",
+             "out(i) = a(i) / 2 + b(i) / 2"},
+        Case{"art_matmul", "out(i,j) = A(i,k) * B(k,j)",
+             "out(i,j) = A(i,k) * B(j,k)"}}) {
+    Fixture F(C.Name);
+    ASSERT_TRUE(F.Ok) << C.Name;
+    verify::ReferenceCache Cache;
+    verify::VerifyResult First = verify::verifyEquivalence(
+        *F.B, *F.Fn, parse(C.First), verify::VerifyOptions(), &Cache);
+    EXPECT_TRUE(First.Equivalent) << C.Name << ": " << First.Counterexample;
+    // A sweep can repeat an input (a one-hot probe on a one-cell array is
+    // the all-ones pattern's neighbour), so the first call may hit too.
+    const int64_t FirstMisses = Cache.misses();
+    const int64_t FirstHits = Cache.hits();
+    EXPECT_EQ(FirstMisses + FirstHits, First.TestsRun) << C.Name;
+
+    taco::Program Second = parse(C.Second);
+    verify::VerifyResult Cached = verify::verifyEquivalence(
+        *F.B, *F.Fn, Second, verify::VerifyOptions(), &Cache);
+    verify::VerifyResult Cold =
+        verify::verifyEquivalence(*F.B, *F.Fn, Second);
+    EXPECT_EQ(Cache.misses(), FirstMisses) << C.Name;
+    EXPECT_EQ(Cache.hits() - FirstHits, Cached.TestsRun) << C.Name;
+    if (Cached.Equivalent) {
+      EXPECT_EQ(Cached.TestsRun, First.TestsRun) << C.Name;
+    }
+    EXPECT_EQ(Cold.Equivalent, Cached.Equivalent) << C.Name;
+    EXPECT_EQ(Cold.TestsRun, Cached.TestsRun) << C.Name;
+    EXPECT_EQ(Cold.Counterexample, Cached.Counterexample) << C.Name;
+  }
+}
+
 TEST(PerfEquivalence, OneHotPruningPreservesVerdicts) {
   for (const char *Name :
        {"art_add", "art_matmul", "blas_gemv_ptr", "dk_avg_pair", "blas_dot"}) {
