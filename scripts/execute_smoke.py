@@ -146,6 +146,61 @@ WIRE_FRAMES = [
     '{"v":2,"id":45,"execute":{"name":"definitely_not_a_benchmark"}}',
     '{"v":2,"id":46,"execute":{"name":"art_add","sizes":{"N":1},'
     '"inputs":{"a":[1],"b":[2]}}} trailing',
+    # Short integers at the edges of the exact integer path: zeros (-0 is
+    # the integer 0), one and two digits, every sum 0.
+    '{"v":2,"id":48,"execute":{"name":"art_add","sizes":{"N":9},'
+    '"inputs":{"a":[0,-0,1,-1,9,10,-10,99,100],'
+    '"b":[-0,0,-1,1,-9,-10,10,-99,-100]}}}',
+    # 15, 16 and 17 digits, 2^53 + 1 and +-2^63 (in and out of int64):
+    # the differences expose how each token was rounded.
+    '{"v":2,"id":49,"execute":{"name":"art_add","sizes":{"N":10},'
+    '"inputs":{"a":[123456789012345,1234567890123456,12345678901234567,'
+    '9007199254740993,-9223372036854775808,9223372036854775808,'
+    '-9223372036854775809,999999999999999,9999999999999999,'
+    '99999999999999999],'
+    '"b":[-123456789012340,-1234567890123450,-12345678901234560,'
+    '-9007199254740992,9223372036854775807,-9223372036854775807,'
+    '9223372036854775807,-999999999999990,-9999999999999990,'
+    '-99999999999999990]}}}',
+    # Integral values spelled with an exponent or a fraction, and
+    # whitespace around every comma.
+    '{"v":2,"id":50,"execute":{"name":"art_add","sizes":{"N":5},'
+    '"inputs":{"a":[1e5 ,1E5, 2.0 , 7 ,-0.0],"b":[ 3 , -1e5,-2.0,1E0 , 0 ]}}}',
+    # Malformed number tokens as the first, a middle and the last cell.
+    '{"v":2,"id":51,"execute":{"name":"art_add","sizes":{"N":2},'
+    '"inputs":{"a":[1.,2],"b":[3,4]}}}',
+    '{"v":2,"id":52,"execute":{"name":"art_add","sizes":{"N":3},'
+    '"inputs":{"a":[1,-,3],"b":[3,4,5]}}}',
+    '{"v":2,"id":53,"execute":{"name":"art_add","sizes":{"N":3},'
+    '"inputs":{"a":[1,2,-01],"b":[3,4,5]}}}',
+    '{"v":2,"id":54,"execute":{"name":"art_add","sizes":{"N":2},'
+    '"inputs":{"a":[00,1],"b":[3,4]}}}',
+    '{"v":2,"id":55,"execute":{"name":"art_add","sizes":{"N":2},'
+    '"inputs":{"a":[1,2],"b":[3,4-]}}}',
+    # -0 as a size and as a scalar input.
+    '{"v":2,"id":56,"execute":{"name":"art_add","sizes":{"N":-0}}}',
+    '{"v":2,"id":57,"execute":{"name":"blas_scal","sizes":{"N":3},'
+    '"inputs":{"alpha":-0,"x":[1,-2,0]}}}',
+    # Outputs full of zeros: a ReLU and a Hadamard product.
+    '{"v":2,"id":58,"execute":{"name":"relu_forward","sizes":{"N":8},'
+    '"inputs":{"x":[-3,-2,-1,0,1,2,3,-0]}}}',
+    '{"v":2,"id":59,"execute":{"name":"misc_hadamard","sizes":{"N":2,"M":3},'
+    '"inputs":{"A":[0,1,-2,3,0,-4],"B":[5,0,-1,0,7,2]}}}',
+    # An inline kernel takes the DOM path; its integer cells decode there.
+    '{"v":2,"id":60,"execute":{"kernel":"void k(int N, float* a, float* out)'
+    ' { for (int i = 0; i < N; i++) out[i] = a[i]; }","sizes":{"N":4},'
+    '"inputs":{"a":[0,-0,12345678901234567,-9223372036854775808]}}}',
+    # Long arrays, so the result renderer crosses its chunk boundaries:
+    # short integers, then the longest spellings "%.12g" produces.
+    '{"v":2,"id":61,"execute":{"name":"art_add","sizes":{"N":600},'
+    '"inputs":{"a":[%s],"b":[%s]}}}'
+    % (",".join(str(i - 300) for i in range(600)),
+       ",".join(str(i % 5 - 2) for i in range(600))),
+    '{"v":2,"id":62,"execute":{"name":"art_add","sizes":{"N":300},'
+    '"inputs":{"a":[%s],"b":[%s]}}}'
+    % (",".join("%d.23456789012345e-30%d" % (-1 if i % 2 else 1, i % 8)
+                for i in range(300)),
+       ",".join("0" if i % 3 else "1" for i in range(300))),
 ]
 
 

@@ -19,7 +19,8 @@ would, and asserts the transport's contracts end to end:
   * hostile frames against a server under a 2 GiB address-space limit (a
     4 MB registry name, an io_examples budget that cannot be allocated)
     neither stall a bystander's stats round trip past 1 s nor kill the
-    server, which then executes a normal request.
+    server; C literals out of the interpreters' exact range answer
+    c_parse_error; the server then executes a normal request.
 
 Usage: soak_serve.py --stagg build/stagg [--clients 6] [--workdir dir]
 
@@ -297,6 +298,17 @@ def hostile_lane(args):
                 or not response.get("fail_reason", "").startswith(
                     "internal error")):
             fail("hostile lane: io_examples bomb answered %s" % response)
+
+        # C literals no interpreter can hold exactly (beyond int64, or a
+        # float whose digits are) are refused as parse errors.
+        for literal in ("99999999999999999999", "1.99999999999999999999"):
+            bystander.send_line(json.dumps(
+                {"v": 1, "kernel": "void k(int N, float* out) { for (int i = "
+                 "0; i < N; i++) out[i] = %s; }" % literal}))
+            response = json.loads(bystander.read_line())
+            if response.get("status") != "c_parse_error":
+                fail("hostile lane: literal %s answered %s"
+                     % (literal, response))
 
         # The same server still lifts and executes normally.
         bystander.send_line(json.dumps(

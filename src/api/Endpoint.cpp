@@ -275,19 +275,26 @@ ExecuteOutcome Endpoint::executeLifted(const LiftRequest &Request,
     return Out;
   }
 
-  // Materialize every argument; arrays not posted stay zero (the output
-  // buffer's usual pre-state), absent size parameters default to 1. Every
-  // cell count is overflow-checked and budgeted *before* its buffer is
-  // allocated: sizes come off the wire, and the request must fail as a
-  // result error, never as a wrapped allocation or an OOM kill.
+  // Bind every argument where it lies: posted arrays and scalars in Io,
+  // size parameters (absent ones default to 1) in SizeCells. Arrays not
+  // posted read as zero (the output buffer's usual pre-state); their zero
+  // storage is allocated only if the program reads them. Every cell count
+  // is overflow-checked and budgeted *before* anything is allocated: sizes
+  // come off the wire, and the request must fail as a result error, never
+  // as a wrapped allocation or an OOM kill.
   const int64_t MaxCells = Base.Serve.MaxExecuteCells;
   int64_t TotalCells = 0;
-  std::map<std::string, taco::Tensor<double>> Operands;
-  for (const bench::ArgSpec &Arg : Query.Args) {
+  const size_t NumArgs = Query.Args.size();
+  std::vector<vm::OperandView<double>> Views(NumArgs);
+  std::vector<int64_t> ArrayCells(NumArgs, 0);
+  std::vector<double> SizeCells(NumArgs, 1.0);
+  for (size_t A = 0; A < NumArgs; ++A) {
+    const bench::ArgSpec &Arg = Query.Args[A];
+    vm::OperandView<double> &View = Views[A];
     if (Arg.K == bench::ArgSpec::Kind::Array) {
-      std::vector<int64_t> Shape = validate::resolveShape(Arg, Io.Sizes);
-      int64_t Cells = 0;
-      if (!checkedCellCount(Shape, Cells) ||
+      View.Shape = validate::resolveShape(Arg, Io.Sizes);
+      int64_t &Cells = ArrayCells[A];
+      if (!checkedCellCount(View.Shape, Cells) ||
           __builtin_add_overflow(TotalCells, Cells, &TotalCells)) {
         Out.Error = "argument '" + Arg.Name +
                     "' has an invalid or overflowing cell count for the "
@@ -302,31 +309,42 @@ ExecuteOutcome Endpoint::executeLifted(const LiftRequest &Request,
         return Out;
       }
       auto It = Io.Arrays.find(Arg.Name);
-      if (It != Io.Arrays.end() &&
-          It->second.size() != static_cast<size_t>(Cells)) {
-        Out.Error = "input '" + Arg.Name + "' carries " +
-                    std::to_string(It->second.size()) +
-                    " values, expected " + std::to_string(Cells);
-        return Out;
+      if (It != Io.Arrays.end()) {
+        if (It->second.size() != static_cast<size_t>(Cells)) {
+          Out.Error = "input '" + Arg.Name + "' carries " +
+                      std::to_string(It->second.size()) +
+                      " values, expected " + std::to_string(Cells);
+          return Out;
+        }
+        View.Cells = It->second.data();
       }
-      taco::Tensor<double> T(Shape);
-      if (It != Io.Arrays.end())
-        T.flat() = It->second;
-      Operands.emplace(Arg.Name, std::move(T));
     } else if (Arg.K == bench::ArgSpec::Kind::SizeScalar) {
       auto It = Io.Sizes.find(Arg.Name);
-      Operands.emplace(Arg.Name,
-                       taco::Tensor<double>::scalar(
-                           It != Io.Sizes.end()
-                               ? static_cast<double>(It->second)
-                               : 1.0));
+      if (It != Io.Sizes.end())
+        SizeCells[A] = static_cast<double>(It->second);
+      View.Cells = &SizeCells[A];
     } else {
       auto It = Io.Scalars.find(Arg.Name);
       if (It != Io.Scalars.end())
-        Operands.emplace(Arg.Name, taco::Tensor<double>::scalar(It->second));
+        View.Cells = &It->second;
       // Absent scalars the program reads fail bind() as "unbound tensor".
     }
   }
+  std::vector<std::vector<double>> ZeroCells;
+  auto Resolve = [&](const std::string &Name)
+      -> const vm::OperandView<double> * {
+    for (size_t A = 0; A < NumArgs; ++A) {
+      if (Query.Args[A].Name != Name)
+        continue;
+      vm::OperandView<double> &View = Views[A];
+      if (!View.Cells && Query.Args[A].K == bench::ArgSpec::Kind::Array) {
+        ZeroCells.emplace_back(static_cast<size_t>(ArrayCells[A]), 0.0);
+        View.Cells = ZeroCells.back().data();
+      }
+      return View.Cells ? &View : nullptr;
+    }
+    return nullptr;
+  };
 
   std::shared_ptr<const CompiledKernel> K = compiledFor(R.Concrete, Out.Expr);
   if (!K->Code.ok()) {
@@ -337,17 +355,15 @@ ExecuteOutcome Endpoint::executeLifted(const LiftRequest &Request,
   std::vector<int64_t> OutShape = validate::resolveShape(*OutArg, Io.Sizes);
 
   vm::Interpreter<double> Interp(K->Code);
-  if (!Interp.bindMap(Operands, OutShape)) {
+  if (!Interp.bind(Resolve, OutShape)) {
     Out.Error = "failed to bind inputs: " + Interp.error();
     return Out;
   }
-  taco::EinsumResult<double> Result = Interp.evaluate();
-  if (!Result.Ok) {
-    Out.Error = "execution failed: " + Result.Error;
-    return Out;
-  }
-  Out.Shape = Result.Value.shape();
-  Out.Data = Result.Value.flat();
+  // Straight into the outcome: a fresh buffer, never one of the posted
+  // arrays, so a program that reads its own output (a posted pre-state)
+  // reads the values the client sent.
+  Interp.evaluateInto(Out.Data);
+  Out.Shape = std::move(OutShape);
   Out.Ok = true;
   return Out;
 }

@@ -79,7 +79,12 @@ public:
   /// cheap) for the argument specs that shape the posted inputs. The
   /// program is compiled to VM bytecode once per distinct lifted
   /// expression and cached alongside the result cache, so repeated
-  /// executions only pay for binding and cell evaluation.
+  /// executions only pay for binding and cell evaluation. The posted
+  /// arrays are bound where they lie in \p Io (no copy into a tensor; a
+  /// posted output array is bound as the output's pre-state) and the
+  /// program evaluates straight into ExecuteOutcome::Data. Sizes, lengths
+  /// and the --max-execute-cells budget are all checked, overflow-safe,
+  /// before anything is allocated.
   ExecuteOutcome executeLifted(const LiftRequest &Request,
                                const ExecuteIo &Io,
                                const LiftResponse &Response);

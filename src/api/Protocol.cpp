@@ -5,7 +5,9 @@
 #include "support/StringUtils.h"
 #include "taco/Printer.h"
 
+#include <algorithm>
 #include <cctype>
+#include <cstring>
 #include <string_view>
 
 using namespace stagg;
@@ -241,8 +243,10 @@ namespace {
 ///    "inputs":{"<name>":<number>|[<number>,...],...}}}
 ///
 /// with keys in any order and JSON whitespace between tokens. Cells go
-/// straight from the text into ExecuteIo (numbers through
-/// support::scanJsonNumber, the DOM parser's own scanner). Anything else —
+/// straight from the text into ExecuteIo, into an array reserved up front:
+/// short integers through support::scanShortJsonInteger inline, every
+/// other number through support::scanJsonNumber (the DOM parser's own
+/// scanner, which tries the same short-integer path first). Anything else —
 /// another key, an escape, a duplicate key, a non-positive size, a nested
 /// array, a syntax error — makes it give up, and the caller re-parses the
 /// line on the DOM path, which owns every error text and position.
@@ -380,12 +384,31 @@ private:
     std::vector<double> &Cells = Io.Arrays[std::move(Key)];
     if (consume(']'))
       return true;
+    reserveCells(Cells);
     do {
-      if (!number(N))
+      skipWhitespace();
+      int64_t Integer = 0;
+      if (const char *Past = support::scanShortJsonInteger(At, End, Integer)) {
+        At = Past;
+        Cells.push_back(static_cast<double>(Integer));
+      } else if (number(N)) {
+        Cells.push_back(N.Value);
+      } else {
         return false;
-      Cells.push_back(N.Value);
+      }
     } while (consume(','));
     return consume(']');
+  }
+
+  /// Sizes \p Cells for the array whose first cell starts at At: one cell
+  /// per ',' before the next ']', plus one, capped at a cell per two bytes
+  /// so a run of bare commas cannot reserve more than its own length. The
+  /// count is only a hint; the cell loop still decides what the array is.
+  void reserveCells(std::vector<double> &Cells) {
+    const void *Close = std::memchr(At, ']', static_cast<size_t>(End - At));
+    const char *Stop = Close ? static_cast<const char *>(Close) : End;
+    const size_t Commas = static_cast<size_t>(std::count(At, Stop, ','));
+    Cells.reserve(std::min(Commas + 1, static_cast<size_t>(Stop - At) / 2 + 1));
   }
 
   const char *At;
@@ -601,11 +624,7 @@ std::string api::renderResultEvent(const std::string &IdJson,
     Out += std::to_string(Outcome.Shape[I]);
   }
   Out += "],\"data\":[";
-  for (size_t I = 0; I < Outcome.Data.size(); ++I) {
-    if (I)
-      Out += ',';
-    support::appendJsonNumber(Out, Outcome.Data[I]);
-  }
+  support::appendJsonNumbers(Out, Outcome.Data.data(), Outcome.Data.size());
   Out += "]}";
   return Out;
 }

@@ -240,6 +240,8 @@ public:
         Buffers(static_cast<size_t>(F.NumBuffers)) {
     FloatConsts.reserve(F.FloatLits.size());
     for (const auto &[Mantissa, Scale] : F.FloatLits) {
+      // Scale <= MaxFloatScale (the lexer refuses longer fractions), so
+      // 10^Scale fits int64.
       int64_t Denominator = 1;
       for (int I = 0; I < Scale; ++I)
         Denominator *= 10;
@@ -307,6 +309,13 @@ private:
     Failed = true;
   }
   bool failed() const { return Failed; }
+
+  /// Fails with "integer overflow": an int result beyond int64 is an
+  /// error, like a division by zero, never a wrapped value.
+  CValue overflow() {
+    fail("integer overflow");
+    return {};
+  }
 
   const ExprNode &expr(int32_t E) const {
     return F.Exprs[static_cast<size_t>(E)];
@@ -414,7 +423,10 @@ private:
       }
       Place P;
       P.Buf = Base.Buf;
-      P.Off = Base.Off + Index.I;
+      if (__builtin_add_overflow(Base.Off, Index.I, &P.Off)) {
+        overflow();
+        return {};
+      }
       return P;
     }
     default:
@@ -427,12 +439,19 @@ private:
                                          const CValue &R) {
     // Pointer arithmetic.
     if (L.isPtr() || R.isPtr()) {
+      int64_t Off = 0;
       if (Op == CBinOp::Add && L.isPtr() && R.isInt())
-        return CValue::fromPtr(L.Buf, L.Off + R.I);
+        return __builtin_add_overflow(L.Off, R.I, &Off)
+                   ? overflow()
+                   : CValue::fromPtr(L.Buf, Off);
       if (Op == CBinOp::Add && R.isPtr() && L.isInt())
-        return CValue::fromPtr(R.Buf, R.Off + L.I);
+        return __builtin_add_overflow(R.Off, L.I, &Off)
+                   ? overflow()
+                   : CValue::fromPtr(R.Buf, Off);
       if (Op == CBinOp::Sub && L.isPtr() && R.isInt())
-        return CValue::fromPtr(L.Buf, L.Off - R.I);
+        return __builtin_sub_overflow(L.Off, R.I, &Off)
+                   ? overflow()
+                   : CValue::fromPtr(L.Buf, Off);
       if (Op == CBinOp::Lt && L.isPtr() && R.isPtr())
         return CValue::fromInt(L.Off < R.Off);
       if (Op == CBinOp::Ne && L.isPtr() && R.isPtr())
@@ -442,24 +461,36 @@ private:
     }
     // Pure integer arithmetic stays exact (subscripts, bounds).
     if (L.isInt() && R.isInt()) {
+      int64_t Int = 0;
       switch (Op) {
+      // Checked: int64 overflow is a failure, never a wrapped value.
       case CBinOp::Add:
-        return CValue::fromInt(L.I + R.I);
+        if (__builtin_add_overflow(L.I, R.I, &Int))
+          return overflow();
+        return CValue::fromInt(Int);
       case CBinOp::Sub:
-        return CValue::fromInt(L.I - R.I);
+        if (__builtin_sub_overflow(L.I, R.I, &Int))
+          return overflow();
+        return CValue::fromInt(Int);
       case CBinOp::Mul:
-        return CValue::fromInt(L.I * R.I);
+        if (__builtin_mul_overflow(L.I, R.I, &Int))
+          return overflow();
+        return CValue::fromInt(Int);
       case CBinOp::Div:
         if (R.I == 0) {
           fail("integer division by zero");
           return {};
         }
+        if (R.I == -1 && L.I == INT64_MIN)
+          return overflow();
         return CValue::fromInt(L.I / R.I);
       case CBinOp::Mod:
         if (R.I == 0) {
           fail("integer modulo by zero");
           return {};
         }
+        if (R.I == -1 && L.I == INT64_MIN)
+          return overflow();
         return CValue::fromInt(L.I % R.I);
       case CBinOp::Lt:
         return CValue::fromInt(L.I < R.I);
@@ -527,7 +558,7 @@ private:
         if (failed())
           return {};
         if (V.isInt())
-          return CValue::fromInt(-V.I);
+          return V.I == INT64_MIN ? overflow() : CValue::fromInt(-V.I);
         if (V.isNum())
           return CValue::fromNum(-V.N);
         fail("negating a pointer");

@@ -3,6 +3,7 @@
 #include "cfront/Lexer.h"
 
 #include <cctype>
+#include <charconv>
 
 using namespace stagg;
 using namespace stagg::cfront;
@@ -15,6 +16,12 @@ static bool isKeyword(const std::string &Word) {
     if (Word == K)
       return true;
   return false;
+}
+
+/// The digits [Begin, End) as an int64; false when they do not fit.
+static bool parseDecimal(const char *Begin, const char *End, int64_t &Out) {
+  auto [Ptr, Ec] = std::from_chars(Begin, End, Out);
+  return Ec == std::errc() && Ptr == End;
 }
 
 std::vector<CToken> cfront::lexC(const std::string &Source) {
@@ -75,6 +82,10 @@ std::vector<CToken> cfront::lexC(const std::string &Source) {
     }
 
     if (std::isdigit(static_cast<unsigned char>(C))) {
+      // A literal whose value the interpreters cannot hold exactly becomes
+      // an Invalid token (the parser reports it with its position): an
+      // integer beyond int64, or a float whose digits overflow int64 or
+      // whose scale passes 10^18, the largest power of ten in int64.
       size_t Start = I;
       while (I < N && std::isdigit(static_cast<unsigned char>(Source[I])))
         ++I;
@@ -83,27 +94,31 @@ std::vector<CToken> cfront::lexC(const std::string &Source) {
         size_t FracStart = I;
         while (I < N && std::isdigit(static_cast<unsigned char>(Source[I])))
           ++I;
+        size_t FracEnd = I;
         // Optional float suffix.
         if (I < N && (Source[I] == 'f' || Source[I] == 'F'))
           ++I;
-        std::string IntPart = Source.substr(Start, FracStart - 1 - Start);
-        std::string FracPart =
-            Source.substr(FracStart, I - FracStart);
-        while (!FracPart.empty() &&
-               (FracPart.back() == 'f' || FracPart.back() == 'F'))
-          FracPart.pop_back();
+        std::string Digits = Source.substr(Start, FracStart - 1 - Start) +
+                             Source.substr(FracStart, FracEnd - FracStart);
+        if (FracEnd == FracStart)
+          Digits += '0'; // "2." == 20 / 10^1
         Tok.Kind = CTokKind::Float;
         Tok.Spelling = Source.substr(Start, I - Start);
-        Tok.FloatScale = static_cast<int>(FracPart.size());
-        Tok.FloatMantissa = std::stoll(IntPart + (FracPart.empty() ? "0" : FracPart));
-        if (FracPart.empty())
-          Tok.FloatScale = 1; // "2." == 20 / 10^1
+        Tok.FloatScale = FracEnd == FracStart
+                             ? 1
+                             : static_cast<int>(FracEnd - FracStart);
+        if (!parseDecimal(Digits.data(), Digits.data() + Digits.size(),
+                          Tok.FloatMantissa) ||
+            Tok.FloatScale > MaxFloatScale)
+          Tok.Kind = CTokKind::Invalid;
         Tokens.push_back(std::move(Tok));
         continue;
       }
       Tok.Kind = CTokKind::Integer;
       Tok.Spelling = Source.substr(Start, I - Start);
-      Tok.IntValue = std::stoll(Tok.Spelling);
+      if (!parseDecimal(Source.data() + Start, Source.data() + I,
+                        Tok.IntValue))
+        Tok.Kind = CTokKind::Invalid;
       Tokens.push_back(std::move(Tok));
       continue;
     }

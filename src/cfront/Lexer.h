@@ -29,7 +29,14 @@ enum class CTokKind {
   Invalid,
 };
 
+/// The largest FloatScale a Float token carries: 10^18 is the largest
+/// power of ten in int64, the denominator the interpreters divide by.
+constexpr int MaxFloatScale = 18;
+
 /// A token; Punct tokens carry their exact spelling (e.g. "+=", "++", "<=").
+/// A numeric literal out of the exact range (an integer beyond int64, a
+/// float whose digits overflow int64 or whose scale exceeds MaxFloatScale)
+/// is an Invalid token spelled as written.
 struct CToken {
   CTokKind Kind = CTokKind::Invalid;
   std::string Spelling;

@@ -4,6 +4,8 @@
 
 #include "cfront/Lexer.h"
 
+#include <cctype>
+
 using namespace stagg;
 using namespace stagg::cfront;
 
@@ -472,6 +474,16 @@ public:
   }
 
   std::unique_ptr<CFunction> parseFunction() {
+    // A numeric literal the lexer could not hold exactly is refused
+    // wherever it stands, with its own position.
+    for (const CToken &Tok : Tokens)
+      if (Tok.Kind == CTokKind::Invalid &&
+          std::isdigit(static_cast<unsigned char>(Tok.Spelling[0]))) {
+        ErrorMessage = "numeric literal '" + Tok.Spelling +
+                       "' is out of range (line " + std::to_string(Tok.Line) +
+                       ", column " + std::to_string(Tok.Col) + ")";
+        return nullptr;
+      }
     auto Function = std::make_unique<CFunction>();
     Function->ReturnType = parseType();
     if (hadError())

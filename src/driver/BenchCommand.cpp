@@ -541,6 +541,42 @@ std::vector<Micro> buildMicros(const MicroFixtures &F) {
                       }});
   }
 
+  // The same JSON half at the serve-execute workload's cell shape: a
+  // 16,384-cell frame of integers in [-4, 4] (two 8,192-cell inputs) and a
+  // 16,384-cell integral result, a ninth of it zeros — the short-integer
+  // paths of the decoder and the renderer.
+  {
+    std::string A, B;
+    auto Outcome = std::make_shared<api::ExecuteOutcome>();
+    Outcome->Ok = true;
+    Outcome->Expr = "out(i) = a(i) + b(i)";
+    Outcome->Shape = {16384};
+    for (int I = 0; I < 8192; ++I) {
+      double X = static_cast<double>(I * 7 % 9) - 4;
+      double Y = static_cast<double>(I * 5 % 9) - 4;
+      A += I ? ',' : '[';
+      support::appendJsonNumber(A, X);
+      B += I ? ',' : '[';
+      support::appendJsonNumber(B, Y);
+      Outcome->Data.push_back(X + Y);
+      Outcome->Data.push_back(X * Y);
+    }
+    auto Frame = std::make_shared<std::string>(
+        "{\"v\":2,\"id\":7,\"execute\":{\"name\":\"art_add\","
+        "\"sizes\":{\"N\":8192},\"inputs\":{\"a\":" +
+        A + "],\"b\":" + B + "]}}}");
+    Micros.push_back({"micro/execute_frame_int16k", [Frame, Outcome] {
+                        api::SocketFrame F = api::parseSocketFrame(*Frame);
+                        if (F.K != api::SocketFrame::Kind::Execute ||
+                            F.Io.Arrays.size() != 2 ||
+                            api::renderResultEvent(F.IdJson,
+                                                   F.Exec.RegistryName,
+                                                   *Outcome)
+                                .empty())
+                          std::abort();
+                      }});
+  }
+
   return Micros;
 }
 

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 using namespace stagg;
 using namespace stagg::support;
@@ -140,23 +141,55 @@ std::string support::escapeJsonString(const std::string &Text) {
   return Out;
 }
 
-void support::appendJsonNumber(std::string &Out, double Value) {
+namespace {
+
+/// The longest spelling formatJsonNumber writes: "%.12g" needs at most 19
+/// bytes ("-1.23456789012e-308").
+constexpr size_t MaxNumberChars = 24;
+
+/// The one number formatter behind appendJsonNumber(s): writes the spelling
+/// of \p Value at \p At and returns the byte past it.
+char *formatJsonNumber(char *At, double Value) {
+  // |v| < 1e12 also rejects NaN and the infinities. The cast is exact for
+  // every integral value in range, and -0.0 (which casts to 0) keeps its
+  // sign through to_chars below.
+  if (std::fabs(Value) < 1e12) {
+    const int64_t Integer = static_cast<int64_t>(Value);
+    if (static_cast<double>(Integer) == Value &&
+        (Integer != 0 || !std::signbit(Value)))
+      return std::to_chars(At, At + MaxNumberChars, Integer).ptr;
+  }
   if (!std::isfinite(Value)) {
     // JSON has no Inf/NaN; null is the least-wrong rendering.
-    Out += "null";
-    return;
+    std::memcpy(At, "null", 4);
+    return At + 4;
   }
-  char Buffer[32]; // "%.12g" needs at most 19 ("-1.23456789012e-308")
-  char *End;
-  if (Value != 0 && std::fabs(Value) < 1e12 && Value == std::trunc(Value))
-    End = std::to_chars(Buffer, Buffer + sizeof(Buffer),
-                        static_cast<int64_t>(Value))
-              .ptr;
-  else
-    End = std::to_chars(Buffer, Buffer + sizeof(Buffer), Value,
-                        std::chars_format::general, 12)
-              .ptr;
-  Out.append(Buffer, End);
+  return std::to_chars(At, At + MaxNumberChars, Value,
+                       std::chars_format::general, 12)
+      .ptr;
+}
+
+} // namespace
+
+void support::appendJsonNumber(std::string &Out, double Value) {
+  char Buffer[MaxNumberChars];
+  Out.append(Buffer, formatJsonNumber(Buffer, Value));
+}
+
+void support::appendJsonNumbers(std::string &Out, const double *Values,
+                                size_t Count) {
+  char Chunk[4096];
+  char *At = Chunk;
+  for (size_t I = 0; I < Count; ++I) {
+    if (At + MaxNumberChars + 1 > Chunk + sizeof(Chunk)) {
+      Out.append(Chunk, At);
+      At = Chunk;
+    }
+    if (I)
+      *At++ = ',';
+    At = formatJsonNumber(At, Values[I]);
+  }
+  Out.append(Chunk, At);
 }
 
 namespace {
@@ -559,6 +592,12 @@ private:
 
 const char *support::scanJsonNumber(const char *At, const char *End,
                                     const char *&Next, JsonNumber &Out) {
+  if (const char *Past = scanShortJsonInteger(At, End, Out.Integer)) {
+    Next = Past;
+    Out.Value = static_cast<double>(Out.Integer);
+    Out.IsInteger = true;
+    return nullptr;
+  }
   const char *Start = At;
   auto IsDigit = [End](const char *P) {
     return P < End && *P >= '0' && *P <= '9';

@@ -15,9 +15,12 @@
 ///    like "expansions" round-trip without a decimal point.
 ///  * One number grammar and one conversion: scanJsonNumber is the strict
 ///    scanner behind the parser, and the execute frame's typed decoder
-///    (api/Protocol.cpp) calls it too. One number formatter:
-///    appendJsonNumber renders every non-integer number the writer emits,
-///    and the execute result renders its cells with it directly.
+///    (api/Protocol.cpp) calls it too. Both try scanShortJsonInteger
+///    first, an exact few-nanosecond path for the short integers that fill
+///    most tensor payloads; the strict scanner owns every other token and
+///    every diagnostic. One number formatter: appendJsonNumber renders
+///    every non-integer number the writer emits, and its span form
+///    appendJsonNumbers renders the execute result's cells.
 ///  * Parse failures carry the 1-based line/column of the offending byte —
 ///    surfaced verbatim to serve clients, who edit their request bodies by
 ///    hand more often than not.
@@ -27,6 +30,7 @@
 #ifndef STAGG_SUPPORT_JSON_H
 #define STAGG_SUPPORT_JSON_H
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -157,11 +161,16 @@ std::string escapeJsonString(const std::string &Text);
 
 /// Appends the wire spelling of \p Value to \p Out: byte-identical to
 /// printf("%.12g"), with a non-finite value rendered as `null` (JSON has no
-/// Inf/NaN). Integral values with 0 < |v| < 1e12 take an integer fast path
-/// (every such value has at most 12 digits, so "%.12g" prints it exactly);
-/// everything else, -0.0 included, goes through
+/// Inf/NaN). Integral values with |v| < 1e12, +0.0 included, take an
+/// integer fast path (every such value has at most 12 digits, so "%.12g"
+/// prints it exactly); everything else, -0.0 included, goes through
 /// std::to_chars(general, 12).
 void appendJsonNumber(std::string &Out, double Value);
+
+/// Appends \p Count cells separated by ',' (no brackets), each spelled as
+/// appendJsonNumber spells it. Cells are formatted into a stack chunk that
+/// is appended once per chunk, not once per cell.
+void appendJsonNumbers(std::string &Out, const double *Values, size_t Count);
 
 /// One scanned JSON number. Integral tokens (no fraction, no exponent) that
 /// fit int64 set IsInteger, with Value the nearest double to Integer ("-0"
@@ -172,9 +181,47 @@ struct JsonNumber {
   bool IsInteger = false;
 };
 
+/// The exact short-integer path in front of scanJsonNumber. When [At, End)
+/// starts with a token matching -?(0|[1-9][0-9]{0,15}) followed by the end
+/// of input or a byte that cannot continue a number (anything but a digit,
+/// '.', 'e' or 'E'), stores its value in \p Out and returns the byte past
+/// the token; otherwise returns nullptr and the caller takes the strict
+/// scanner. Sixteen digits always fit int64, so the token's value is exact
+/// and double(Out) is the double scanJsonNumber decodes; "-0" gives 0.
+/// Inline because the execute frame's cell loop calls it once per cell.
+inline const char *scanShortJsonInteger(const char *At, const char *End,
+                                        int64_t &Out) {
+  const bool Negative = At < End && *At == '-';
+  const char *P = At + Negative;
+  if (P == End)
+    return nullptr;
+  unsigned Digit = static_cast<unsigned char>(*P) - unsigned('0');
+  if (Digit > 9)
+    return nullptr;
+  uint64_t Value = Digit;
+  ++P;
+  if (Digit != 0) {
+    const char *Last = End - P > 15 ? P + 15 : End;
+    while (P < Last &&
+           (Digit = static_cast<unsigned char>(*P) - unsigned('0')) <= 9) {
+      Value = Value * 10 + Digit;
+      ++P;
+    }
+  }
+  if (P < End) {
+    const char C = *P;
+    if (static_cast<unsigned>(C - '0') <= 9 || C == '.' || C == 'e' ||
+        C == 'E')
+      return nullptr;
+  }
+  Out = Negative ? -static_cast<int64_t>(Value) : static_cast<int64_t>(Value);
+  return P;
+}
+
 /// Scans one strict JSON number starting at \p At (no leading '+', no
 /// leading zeros, digits on both sides of '.' and after the exponent) and
-/// converts it in place with std::from_chars. A value from_chars reports
+/// converts it in place: short integers through scanShortJsonInteger,
+/// every other token through std::from_chars. A value from_chars reports
 /// out of range (1e400, 1e-400) falls back to strtod, so it decodes to the
 /// same inf or zero. On success returns nullptr and sets \p Next past the
 /// token; on failure returns the diagnostic and sets \p Next to the byte

@@ -3,6 +3,7 @@
 #include "taco/Lexer.h"
 
 #include <cctype>
+#include <charconv>
 
 using namespace stagg;
 using namespace stagg::taco;
@@ -44,9 +45,15 @@ std::vector<Token> taco::lexTaco(const std::string &Source) {
         Tokens.push_back(std::move(Tok));
         continue;
       }
-      Tok.Kind = TokKind::Integer;
+      // So is an integer beyond int64 (an oracle hint or a response is
+      // text from outside; it must not throw).
       Tok.Spelling = Source.substr(Start, I - Start);
-      Tok.IntValue = std::stoll(Tok.Spelling);
+      auto [Ptr, Ec] =
+          std::from_chars(Source.data() + Start, Source.data() + I,
+                          Tok.IntValue);
+      Tok.Kind = Ec == std::errc() && Ptr == Source.data() + I
+                     ? TokKind::Integer
+                     : TokKind::Invalid;
       Tokens.push_back(std::move(Tok));
       continue;
     }

@@ -60,6 +60,7 @@ public:
 
   std::vector<T> &flat() { return Data; }
   const std::vector<T> &flat() const { return Data; }
+  const T *data() const { return Data.data(); }
 
   /// Row-major linearization of \p Coords.
   size_t offsetOf(const std::vector<int64_t> &Coords) const {

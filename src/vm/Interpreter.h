@@ -64,6 +64,20 @@ template <typename T> struct AccessBinding {
   const SlotStride *End = nullptr;
 };
 
+/// An operand bound where it lies: \p Cells points at caller-owned
+/// row-major storage of shape \p Shape (empty for a scalar). bind() takes
+/// a resolver returning either this or a taco::Tensor; the execute
+/// endpoint binds posted input arrays this way instead of copying each
+/// one into a tensor.
+template <typename T> struct OperandView {
+  const T *Cells = nullptr;
+  std::vector<int64_t> Shape;
+
+  size_t order() const { return Shape.size(); }
+  const std::vector<int64_t> &shape() const { return Shape; }
+  const T *data() const { return Cells; }
+};
+
 /// Executes one vm::Code. Template parameter T is the cell type (double for
 /// validation/execution, Rational for the bounded verifier).
 template <typename T> class Interpreter {
@@ -98,7 +112,7 @@ public:
   /// statement. Check order, error strings, and stride layout are those of
   /// the reference evaluator's bind. \p Resolve is any callable with the
   /// Resolver signature (a plain lambda avoids the std::function
-  /// indirection).
+  /// indirection), or one that returns a `const OperandView<T> *`.
   template <typename ResolveFn>
   bool bind(const ResolveFn &Resolve, const std::vector<int64_t> &OutputShape) {
     if (!C->ok())
@@ -168,6 +182,19 @@ public:
     assert(St.Bound && "evaluateInto() requires a successful bind()");
     reshape(Out, St.OutShape);
     evalStmtInto(0, Out.flat());
+  }
+
+  /// Evaluates into \p Flat, resized to the output's cell count: the
+  /// execute endpoint's result buffer, filled with no tensor in between.
+  /// Requires bind().
+  void evaluateInto(std::vector<T> &Flat) {
+    StmtState &St = States[0];
+    assert(St.Bound && "evaluateInto() requires a successful bind()");
+    size_t Total = 1;
+    for (int64_t D : St.OutShape)
+      Total *= static_cast<size_t>(D);
+    Flat.resize(Total);
+    evalStmtInto(0, Flat);
   }
 
   /// Evaluates cell by cell against \p Want, stopping at the first cell for
@@ -343,7 +370,7 @@ private:
     SlotStride *Pair = St.Spans.data();
     for (size_t Ord = 0; Ord < SC.Accesses.size(); ++Ord) {
       const AccessInfo &A = SC.Accesses[Ord];
-      const taco::Tensor<T> *Operand = Resolve(A.Name);
+      const auto *Operand = Resolve(A.Name);
       if (!Operand) {
         Error = "unbound tensor '" + A.Name + "'";
         return false;
@@ -357,7 +384,7 @@ private:
         if (!bindExtent(St, A.Slots[I], A.Indices[I], Shape[I]))
           return false;
       AccessBinding<T> &AB = St.Binds[Ord];
-      AB.Data = Operand->flat().data();
+      AB.Data = Operand->data();
       AB.Begin = Pair;
       size_t Stride = 1;
       for (size_t I = Shape.size(); I > 0; --I) {

@@ -23,6 +23,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
 #include <cerrno>
 #include <cfloat>
 #include <cmath>
@@ -37,6 +39,7 @@ using namespace stagg;
 using support::Json;
 using support::JsonParseResult;
 using support::parseJson;
+using support::JsonNumber;
 
 namespace {
 
@@ -167,6 +170,35 @@ TEST(Json, NumberFormatterMatchesPrintf) {
     for (double V : {Random, Integer, Scaled})
       ASSERT_EQ(formatted(V), printfNumber(V)) << std::hexfloat << V;
   }
+
+  // Zero takes the integer path; negative zero keeps its sign.
+  EXPECT_EQ(formatted(0.0), "0");
+  EXPECT_EQ(formatted(-0.0), "-0");
+
+  // The span form spells every cell as appendJsonNumber does, at lengths
+  // around its chunk (4,096 bytes: about 2,000 one-digit cells, about 200
+  // of the longest spellings), appending after what Out already holds.
+  std::vector<double> Short, Long, Mixed;
+  for (int I = 0; I < 5000; ++I) {
+    Short.push_back(static_cast<double>(I % 9 - 4) * (I % 3 ? 1 : 0));
+    Long.push_back((I % 2 ? -1.23456789012345e-300 : 1.23456789012345e-300) *
+                   static_cast<double>(I % 7 + 1));
+    double Pick[] = {-0.0, 0.0, 7.0, -1e12, 0.1, std::nan(""), Inf,
+                     -999999999999.0, DBL_MIN};
+    Mixed.push_back(Pick[Rng() % 9]);
+  }
+  for (const std::vector<double> *Cells : {&Short, &Long, &Mixed})
+    for (size_t N : {0, 1, 2, 161, 162, 163, 170, 171, 199, 200, 201, 204,
+                     205, 2047, 2048, 2049, 4096, 5000}) {
+      std::string Want = "[", Got = "[";
+      for (size_t I = 0; I < N; ++I) {
+        if (I)
+          Want += ',';
+        support::appendJsonNumber(Want, (*Cells)[I]);
+      }
+      support::appendJsonNumbers(Got, Cells->data(), N);
+      ASSERT_EQ(Got, Want) << N;
+    }
 }
 
 TEST(Json, NumberDecodingMatchesStrtollAndStrtod) {
@@ -177,7 +209,13 @@ TEST(Json, NumberDecodingMatchesStrtollAndStrtod) {
         "123456789012345678901234567890", "9007199254740993", "1e400",
         "-1e400", "1e-400", "-1e-400", "4.9e-324", "2.4703282292062328e-324",
         "2.2250738585072011e-308", "1.7976931348623157e308",
-        "1.7976931348623159e308"}) {
+        "1.7976931348623159e308",
+        // The borders of the short-integer path: 15, 16 and 17 digits,
+        // and integral values spelled as floats.
+        "123456789012345", "-123456789012345", "1234567890123456",
+        "-1234567890123456", "9999999999999999", "-9999999999999999",
+        "12345678901234567", "-12345678901234567", "99999999999999999",
+        "1000000000000000", "10000000000000000", "1e5", "2.0", "-0e0"}) {
     JsonParseResult Parsed = parseJson(Token);
     ASSERT_TRUE(Parsed.ok()) << Token;
     const Json &V = Parsed.Value;
@@ -198,7 +236,14 @@ TEST(Json, NumberDecodingMatchesStrtollAndStrtod) {
   // Malformed numbers keep their diagnostics and columns.
   for (auto [Text, Error] : std::vector<std::pair<const char *, const char *>>{
            {"-x", "line 1 column 1: invalid number"},
+           {"-", "line 1 column 1: invalid number"},
            {"[1,-]", "line 1 column 4: invalid number"},
+           {"00", "line 1 column 2: leading zeros are not allowed"},
+           {"-01", "line 1 column 3: leading zeros are not allowed"},
+           {"[-00,1]", "line 1 column 4: leading zeros are not allowed"},
+           {"1234567890123456.", "line 1 column 18: digits must follow "
+                                 "the decimal point"},
+           {"[7-]", "line 1 column 3: expected ',' or ']'"},
            {"012", "line 1 column 2: leading zeros are not allowed"},
            {"1.", "line 1 column 3: digits must follow the decimal point"},
            {"1.e5", "line 1 column 3: digits must follow the decimal point"},
@@ -209,6 +254,64 @@ TEST(Json, NumberDecodingMatchesStrtollAndStrtod) {
     EXPECT_EQ(Parsed.Error.describe(),
               std::string("malformed JSON at ") + Error)
         << Text;
+  }
+}
+
+TEST(Json, ShortIntegerPathTakesExactlyItsTokens) {
+  // Every border token followed by every byte (and by the end of input):
+  // the short path takes the text exactly when it starts with a match of
+  // -?(0|[1-9][0-9]{0,15}) that the next byte cannot continue, stops right
+  // after the match, and yields strtoll's value.
+  auto MatchLength = [](const std::string &T) -> size_t {
+    const size_t Sign = !T.empty() && T[0] == '-';
+    size_t Digits = 0;
+    while (Sign + Digits < T.size() &&
+           std::isdigit(static_cast<unsigned char>(T[Sign + Digits])))
+      ++Digits;
+    if (Digits == 0)
+      return 0;
+    return Sign + (T[Sign] == '0' ? 1 : std::min<size_t>(Digits, 16));
+  };
+  for (std::string Token :
+       {"0", "-0", "00", "-", "-01", "7", "-42", "10", "123456789012345",
+        "1234567890123456", "-1234567890123456", "9999999999999999",
+        "12345678901234567", "9007199254740993", "9223372036854775808",
+        "-9223372036854775808", "1.", "2.0", "1e5", "1E5", "x", ""}) {
+    for (int Byte = -1; Byte < 256; ++Byte) {
+      std::string Text = Token;
+      if (Byte >= 0)
+        Text += static_cast<char>(Byte);
+      const char *Begin = Text.data();
+      int64_t Value = 12345;
+      const char *Past =
+          support::scanShortJsonInteger(Begin, Begin + Text.size(), Value);
+      const size_t Length = MatchLength(Text);
+      bool Taken = Length > 0;
+      if (Taken && Length < Text.size()) {
+        char C = Text[Length];
+        Taken = Taken && !std::isdigit(static_cast<unsigned char>(C)) &&
+                C != '.' && C != 'e' && C != 'E';
+      }
+      std::string Label = Token + " + byte " + std::to_string(Byte);
+      if (!Taken) {
+        EXPECT_EQ(Past, nullptr) << Label;
+        continue;
+      }
+      ASSERT_EQ(Past, Begin + Length) << Label;
+      EXPECT_EQ(Value, std::strtoll(Text.substr(0, Length).c_str(), nullptr,
+                                    10))
+          << Label;
+      // scanJsonNumber agrees, +0.0 for "-0" included.
+      const char *Next = nullptr;
+      JsonNumber N;
+      ASSERT_EQ(support::scanJsonNumber(Begin, Begin + Text.size(), Next, N),
+                nullptr)
+          << Label;
+      EXPECT_EQ(Next, Past) << Label;
+      EXPECT_TRUE(N.IsInteger) << Label;
+      EXPECT_EQ(N.Integer, Value) << Label;
+      EXPECT_TRUE(sameBits(N.Value, static_cast<double>(Value))) << Label;
+    }
   }
 }
 
@@ -774,6 +877,26 @@ TEST(Protocol, TypedExecuteDecoderMatchesTheDomPath) {
       "\"sizes\":{\"N\":4},\n \"inputs\":{\"a\":[1,2,3,4], "
       "\"b\":[10,20,30,40]}}}"));
 
+  // Number tokens at the borders of the short-integer path as the first, a
+  // middle and the last cell, with and without whitespace around commas:
+  // well-formed ones are typed, malformed ones are left to the DOM path.
+  for (const char *Token :
+       {"0", "-0", "00", "-", "-01", "123456789012345", "1234567890123456",
+        "12345678901234567", "9007199254740993", "9223372036854775808",
+        "-9223372036854775808", "1.", "1e5", "1E5", "2.0"}) {
+    const bool WellFormed = support::parseJson(Token).ok();
+    for (const char *Comma : {",", " , ", "\t,\n", ",  "})
+      for (int Position = 0; Position < 3; ++Position) {
+        std::string Cells[3] = {"1", "-2", "3"};
+        Cells[Position] = Token;
+        std::string Line = "{\"v\":2,\"execute\":{\"name\":\"k\","
+                           "\"inputs\":{\"a\":[" +
+                           Cells[0] + Comma + Cells[1] + Comma + Cells[2] +
+                           "],\"s\":" + Token + "}}}";
+        EXPECT_EQ(sameOnBothPaths(Line), WellFormed) << Line;
+      }
+  }
+
   // One step outside the typed shape at a time: each of these is either
   // taken by the typed decoder with the DOM path's result, or left to it.
   for (const char *Line :
@@ -1017,6 +1140,46 @@ TEST(Endpoint, VmCacheCountsCompilesAndHits) {
   EXPECT_EQ(Two.Misses, 1u); // same program: served from the cache
   EXPECT_EQ(Two.Hits, 1u);
   EXPECT_EQ(Two.Entries, 1u);
+}
+
+TEST(Endpoint, ExecuteReadsPostedArraysInPlace) {
+  api::Endpoint Endpoint(miniService(1));
+  api::LiftRequest Request;
+  Request.RegistryName = "art_add";
+  api::LiftResponse Lift = Endpoint.lift(Request);
+  ASSERT_TRUE(Lift.ok()) << Lift.Error;
+
+  // The posted arrays are read where they lie and left as posted; the
+  // result lands in a buffer of its own, whatever the output pre-state.
+  api::ExecuteIo Io;
+  Io.Sizes["N"] = 3;
+  Io.Arrays["a"] = {1, 2, 3};
+  Io.Arrays["b"] = {10, 20, 30};
+  Io.Arrays["out"] = {7, 7, 7};
+  const api::ExecuteIo Posted = Io;
+  api::ExecuteOutcome Outcome = Endpoint.executeLifted(Request, Io, Lift);
+  ASSERT_TRUE(Outcome.Ok) << Outcome.Error;
+  EXPECT_EQ(Outcome.Shape, std::vector<int64_t>{3});
+  EXPECT_EQ(Outcome.Data, (std::vector<double>{11, 22, 33}));
+  EXPECT_EQ(Io.Arrays, Posted.Arrays);
+
+  // An input that is not posted reads as zero.
+  Io.Arrays.erase("b");
+  Outcome = Endpoint.executeLifted(Request, Io, Lift);
+  ASSERT_TRUE(Outcome.Ok) << Outcome.Error;
+  EXPECT_EQ(Outcome.Data, (std::vector<double>{1, 2, 3}));
+
+  // A missing scalar the program reads is still unbound.
+  api::LiftRequest Scal;
+  Scal.RegistryName = "blas_scal";
+  api::LiftResponse ScalLift = Endpoint.lift(Scal);
+  ASSERT_TRUE(ScalLift.ok()) << ScalLift.Error;
+  api::ExecuteIo NoAlpha;
+  NoAlpha.Sizes["N"] = 2;
+  NoAlpha.Arrays["x"] = {1, 2};
+  api::ExecuteOutcome Unbound = Endpoint.executeLifted(Scal, NoAlpha, ScalLift);
+  EXPECT_FALSE(Unbound.Ok);
+  EXPECT_EQ(Unbound.Error, "failed to bind inputs: unbound tensor 'alpha'");
 }
 
 } // namespace

@@ -82,6 +82,13 @@ private:
   }
   bool failed() const { return !Err.empty(); }
 
+  /// Fails with "integer overflow": an int result beyond int64 is an
+  /// error, like a division by zero, never a wrapped value.
+  CValue<T> overflow() {
+    fail("integer overflow");
+    return {};
+  }
+
   std::vector<T> &buffer(int Buf) { return Env.Arrays[BufferNames[Buf]]; }
 
   //===------------------------------------------------------------------===//
@@ -181,7 +188,10 @@ private:
       }
       Place P;
       P.Buf = Base.Buf;
-      P.Off = Base.Off + Index.I;
+      if (__builtin_add_overflow(Base.Off, Index.I, &P.Off)) {
+        overflow();
+        return {};
+      }
       return P;
     }
     default:
@@ -193,12 +203,19 @@ private:
   CValue<T> applyBinary(CBinOp Op, const CValue<T> &L, const CValue<T> &R) {
     // Pointer arithmetic.
     if (L.isPtr() || R.isPtr()) {
+      int64_t Off = 0;
       if (Op == CBinOp::Add && L.isPtr() && R.isInt())
-        return CValue<T>::fromPtr(L.Buf, L.Off + R.I);
+        return __builtin_add_overflow(L.Off, R.I, &Off)
+                   ? overflow()
+                   : CValue<T>::fromPtr(L.Buf, Off);
       if (Op == CBinOp::Add && R.isPtr() && L.isInt())
-        return CValue<T>::fromPtr(R.Buf, R.Off + L.I);
+        return __builtin_add_overflow(R.Off, L.I, &Off)
+                   ? overflow()
+                   : CValue<T>::fromPtr(R.Buf, Off);
       if (Op == CBinOp::Sub && L.isPtr() && R.isInt())
-        return CValue<T>::fromPtr(L.Buf, L.Off - R.I);
+        return __builtin_sub_overflow(L.Off, R.I, &Off)
+                   ? overflow()
+                   : CValue<T>::fromPtr(L.Buf, Off);
       if (Op == CBinOp::Lt && L.isPtr() && R.isPtr())
         return CValue<T>::fromInt(L.Off < R.Off);
       if (Op == CBinOp::Ne && L.isPtr() && R.isPtr())
@@ -208,24 +225,36 @@ private:
     }
     // Pure integer arithmetic stays exact (subscripts, bounds).
     if (L.isInt() && R.isInt()) {
+      int64_t Int = 0;
       switch (Op) {
+      // Checked: int64 overflow is a failure, never a wrapped value.
       case CBinOp::Add:
-        return CValue<T>::fromInt(L.I + R.I);
+        if (__builtin_add_overflow(L.I, R.I, &Int))
+          return overflow();
+        return CValue<T>::fromInt(Int);
       case CBinOp::Sub:
-        return CValue<T>::fromInt(L.I - R.I);
+        if (__builtin_sub_overflow(L.I, R.I, &Int))
+          return overflow();
+        return CValue<T>::fromInt(Int);
       case CBinOp::Mul:
-        return CValue<T>::fromInt(L.I * R.I);
+        if (__builtin_mul_overflow(L.I, R.I, &Int))
+          return overflow();
+        return CValue<T>::fromInt(Int);
       case CBinOp::Div:
         if (R.I == 0) {
           fail("integer division by zero");
           return {};
         }
+        if (R.I == -1 && L.I == INT64_MIN)
+          return overflow();
         return CValue<T>::fromInt(L.I / R.I);
       case CBinOp::Mod:
         if (R.I == 0) {
           fail("integer modulo by zero");
           return {};
         }
+        if (R.I == -1 && L.I == INT64_MIN)
+          return overflow();
         return CValue<T>::fromInt(L.I % R.I);
       case CBinOp::Lt:
         return CValue<T>::fromInt(L.I < R.I);
@@ -304,7 +333,7 @@ private:
         if (failed())
           return {};
         if (V.isInt())
-          return CValue<T>::fromInt(-V.I);
+          return V.I == INT64_MIN ? overflow() : CValue<T>::fromInt(-V.I);
         if (V.isNum())
           return CValue<T>::fromNum(-V.N);
         fail("negating a pointer");

@@ -202,6 +202,63 @@ TEST(CfrontInterp, FloatLiteralsAreExactDecimals) {
   EXPECT_EQ(Env.Arrays["out"][1], 2.25);
 }
 
+namespace {
+
+/// Int-typed programs whose result leaves int64, with their arguments: each
+/// must fail with "integer overflow" instead of returning a wrapped value.
+struct OverflowCase {
+  const char *Source;
+  int64_t N;
+};
+
+const std::vector<OverflowCase> &overflowCases() {
+  static const std::vector<OverflowCase> Cases = {
+      {"void f(int N, float* out) { out[0] = N * N; }", int64_t(1) << 40},
+      {"void f(int N, float* out) { out[0] = 3037000500 * 3037000500; }", 1},
+      {"void f(int N, float* out) { out[0] = N + 1; }", INT64_MAX},
+      {"void f(int N, float* out) { out[0] = -N - 2; }", INT64_MAX},
+      {"void f(int N, float* out) { int m = -N - 1; out[0] = m / -1; }",
+       INT64_MAX},
+      {"void f(int N, float* out) { int m = -N - 1; out[0] = m % -1; }",
+       INT64_MAX},
+      {"void f(int N, float* out) { int m = -N - 1; out[0] = -m; }",
+       INT64_MAX},
+      {"void f(int N, float* out) { int i = N; i++; out[0] = i; }",
+       INT64_MAX},
+      {"void f(int N, float* out) { int i = N; i *= 2; out[0] = i; }",
+       INT64_MAX},
+      {"void f(int N, float* out) { float* p = out + N; p = p + 1; }",
+       INT64_MAX},
+      {"void f(int N, float* out) { float* p = out + 1; p[N] = 1; }",
+       INT64_MAX},
+  };
+  return Cases;
+}
+
+} // namespace
+
+TEST(CfrontInterp, IntegerOverflowFailsInsteadOfWrapping) {
+  for (const OverflowCase &C : overflowCases()) {
+    auto Fn = parse(C.Source);
+    ASSERT_TRUE(Fn) << C.Source;
+    ExecEnv<double> Env;
+    Env.IntScalars["N"] = C.N;
+    Env.Arrays["out"] = {0};
+    ExecStatus S = runCFunction(*Fn, Env);
+    EXPECT_FALSE(S.Ok) << C.Source;
+    EXPECT_EQ(S.Error, "integer overflow") << C.Source;
+    EXPECT_EQ(Env.Arrays["out"][0], 0) << C.Source;
+  }
+  // One step inside the range still computes exactly.
+  auto Fn = parse("void f(int N, float* out) {"
+                  "  out[0] = 3037000499 * 3037000499 - N; }");
+  ExecEnv<Rational> Env;
+  Env.IntScalars["N"] = 9223372030926249000;
+  Env.Arrays["out"] = {Rational(0)};
+  ASSERT_TRUE(runCFunction(*Fn, Env).Ok);
+  EXPECT_EQ(Env.Arrays["out"][0], Rational(1));
+}
+
 //===----------------------------------------------------------------------===//
 // Differential pin: the slot-resolved interpreter against the map-based
 // reference walk (tests/CInterpReference.h).
@@ -481,6 +538,15 @@ TEST(CfrontInterp, CompiledMatchesReferenceInterpreter) {
                   std::string("rational ") + P.Source, Failed);
   }
   EXPECT_GE(Parsed, 35);
+  for (const OverflowCase &C : overflowCases()) {
+    ProgramCase P{C.Source, {{"N", C.N}}, {{"out", {0}}}, {}};
+    auto Fn = parse(C.Source);
+    ASSERT_TRUE(Fn) << C.Source;
+    expectSameRun(*Fn, envOf<double>(P), P.Budget,
+                  std::string("double ") + C.Source, Failed);
+    expectSameRun(*Fn, envOf<Rational>(P), P.Budget,
+                  std::string("rational ") + C.Source, Failed);
+  }
 
   // (3) Single-byte mutations of registry sources that still parse: odd
   // programs reach paths no curated case thinks of.

@@ -446,4 +446,41 @@ TEST(DriverServe, RemovedDialectAndKeysAnswerBadRequestThenServe) {
   EXPECT_NE(Got[4].find("\"solved\":true"), std::string::npos) << Got[4];
 }
 
+TEST(DriverServe, OutOfRangeLiteralsAnswerParseErrorThenServe) {
+  CliParse P = parse({"serve", "--threads", "1"});
+  ASSERT_TRUE(P.ok()) << P.Error;
+  const char *Literals[] = {"99999999999999999999", "1.99999999999999999999",
+                            "0.0000000000000000001"};
+  std::string Input;
+  for (const char *Literal : Literals)
+    Input += std::string("{\"v\":1,\"kernel\":\"void k(int N, float* out) "
+                         "{ for (int i = 0; i < N; i++) out[i] = ") +
+             Literal + "; }\"}\n";
+  // A TACO oracle hint with such a literal is refused too.
+  Input += "{\"v\":1,\"kernel\":\"void k(int N, float* x, float* out) { for "
+           "(int i = 0; i < N; i++) out[i] = x[i]; }\",\"oracle_hint\":"
+           "\"out(i) = 99999999999999999999 * x(i)\"}\n";
+  Input += "{\"v\":1,\"name\":\"art_copy\"}\n";
+  std::istringstream In(Input);
+  std::ostringstream Out, Err;
+  runServeLoop(P.Options, In, Out, Err);
+
+  std::istringstream Lines(Out.str());
+  std::string Line;
+  std::vector<std::string> Got;
+  while (std::getline(Lines, Line))
+    Got.push_back(Line);
+  ASSERT_EQ(Got.size(), 5u) << Out.str();
+  for (size_t I = 0; I < 3; ++I)
+    EXPECT_EQ(Got[I], std::string("{\"v\":1,\"status\":\"c_parse_error\","
+                                  "\"name\":\"inline\",\"error\":\"C parse error: "
+                                  "numeric literal '") +
+                          Literals[I] +
+                          "' is out of range (line 1, column 66)\"}");
+  EXPECT_EQ(Got[3], "{\"v\":1,\"status\":\"ingest_error\",\"name\":\"inline\","
+                    "\"error\":\"oracle_hint is not a TACO program: expected "
+                    "identifier at offset 9\"}");
+  EXPECT_NE(Got[4].find("\"solved\":true"), std::string::npos) << Got[4];
+}
+
 } // namespace

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 using namespace stagg::taco;
 
 TEST(TacoLexer, BasicTokens) {
@@ -26,6 +28,18 @@ TEST(TacoLexer, BasicTokens) {
 TEST(TacoLexer, FractionalLiteralIsInvalid) {
   std::vector<Token> Tokens = lexTaco("0.5");
   EXPECT_EQ(Tokens.front().Kind, TokKind::Invalid);
+}
+
+TEST(TacoLexer, IntegerBeyondInt64IsInvalid) {
+  std::vector<Token> Max = lexTaco("9223372036854775807");
+  EXPECT_EQ(Max.front().Kind, TokKind::Integer);
+  EXPECT_EQ(Max.front().IntValue, INT64_MAX);
+  for (const char *Literal : {"9223372036854775808", "99999999999999999999"}) {
+    std::vector<Token> Tokens = lexTaco(Literal);
+    EXPECT_EQ(Tokens.front().Kind, TokKind::Invalid) << Literal;
+    EXPECT_EQ(Tokens.front().Spelling, Literal);
+  }
+  EXPECT_FALSE(parseTacoProgram("out(i) = 99999999999999999999 * x(i)").ok());
 }
 
 TEST(TacoParser, ParsesSimpleAssignment) {
