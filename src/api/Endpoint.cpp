@@ -10,40 +10,8 @@
 #include "vm/Optimizer.h"
 #include "vm/Interpreter.h"
 
-#include <chrono>
-
 using namespace stagg;
 using namespace stagg::api;
-
-bool PendingLift::ready() {
-  if (Immediate || !Raw.valid())
-    return true; // get() on an empty pending lift fails fast, not blocks
-  return Raw.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
-}
-
-LiftResponse PendingLift::get() {
-  if (Immediate)
-    return std::move(Resolved);
-  if (!Raw.valid()) {
-    // Default-constructed or already-consumed: answer deterministically
-    // instead of hitting std::future's undefined behavior.
-    LiftResponse Response;
-    Response.St = Status::BadRequest;
-    Response.Error = "empty pending lift (nothing was submitted, or the "
-                     "response was already taken)";
-    return Response;
-  }
-  serve::LiftResponse Raw = this->Raw.get();
-  LiftResponse Response;
-  Response.St = Status::Ok;
-  Response.Name = std::move(Raw.Benchmark);
-  Response.Category = std::move(Raw.Category);
-  Response.Result = std::move(Raw.Result);
-  Response.CacheHit = Raw.CacheHit;
-  Response.Applied = std::move(Resolved.Applied);
-  Response.Diagnostics = std::move(Resolved.Diagnostics);
-  return Response;
-}
 
 Endpoint::Endpoint(serve::ServiceConfig Config, serve::OracleFactory Factory)
     : Base(Config.Config), Service(std::move(Config), std::move(Factory)) {}
@@ -72,61 +40,46 @@ std::string nearestBenchmark(const std::string &Name) {
 
 } // namespace
 
-PendingLift Endpoint::immediateError(Status St, std::string Name,
-                                     std::string Error,
-                                     const ConfigPatch &Applied) {
-  PendingLift Pending;
-  Pending.Immediate = true;
-  Pending.Resolved.St = St;
-  Pending.Resolved.Name = std::move(Name);
-  Pending.Resolved.Error = std::move(Error);
-  Pending.Resolved.Applied = Applied;
-  return Pending;
-}
-
-Endpoint::Admission Endpoint::admit(const LiftRequest &Request) {
-  Admission Out;
-  auto Fail = [&](PendingLift Pending) {
-    Out.Immediate = true;
-    Out.Pending = std::move(Pending);
-    return std::move(Out);
+LiftResponse Endpoint::admit(const LiftRequest &Request,
+                            serve::LiftRequest &Out) {
+  LiftResponse Head;
+  Head.Applied = Request.Patch;
+  auto Fail = [&](Status St, std::string Name, std::string Error) {
+    Head.St = St;
+    Head.Name = std::move(Name);
+    Head.Error = std::move(Error);
+    return std::move(Head);
   };
 
   if (!Request.RegistryName.empty() && Request.isInline())
-    return Fail(immediateError(Status::BadRequest, Request.Name,
-                               "a request carries either a registry name "
-                               "or an inline kernel, not both",
-                               Request.Patch));
+    return Fail(Status::BadRequest, Request.Name,
+                "a request carries either a registry name or an inline "
+                "kernel, not both");
   if (Request.RegistryName.empty() && !Request.isInline())
-    return Fail(immediateError(Status::BadRequest, Request.Name,
-                               "a request needs a registry \"name\" or an "
-                               "inline \"kernel\"",
-                               Request.Patch));
+    return Fail(Status::BadRequest, Request.Name,
+                "a request needs a registry \"name\" or an inline "
+                "\"kernel\"");
   if (!Request.isInline() && !Request.OracleHint.empty())
-    return Fail(immediateError(Status::BadRequest, Request.RegistryName,
-                               "an oracle hint only applies to an inline "
-                               "kernel (registry benchmarks carry their own "
-                               "reference)",
-                               Request.Patch));
+    return Fail(Status::BadRequest, Request.RegistryName,
+                "an oracle hint only applies to an inline kernel (registry "
+                "benchmarks carry their own reference)");
 
-  Out.Effective = Request.Patch.apply(Base);
+  Out.Config = Request.Patch.apply(Base);
 
   if (Request.isInline()) {
     IngestResult Ingested = ingestCached(Request);
+    // Hard findings behind a refusal, or the warnings that survive clean().
+    Head.Diagnostics = std::move(Ingested.Findings);
     if (!Ingested.ok()) {
       Status St = Status::IngestError;
       if (Ingested.Status == IngestStatus::ParseError)
         St = Status::KernelParseError;
       else if (Ingested.Status == IngestStatus::UnsafeKernel)
         St = Status::UnsafeKernel;
-      PendingLift Pending = immediateError(
-          St, Request.Name.empty() ? "inline" : Request.Name, Ingested.Error,
-          Request.Patch);
-      Pending.Resolved.Diagnostics = std::move(Ingested.Findings);
-      return Fail(std::move(Pending));
+      return Fail(St, Request.Name.empty() ? "inline" : Request.Name,
+                  Ingested.Error);
     }
     Out.Query = std::move(Ingested.Kernel);
-    Out.Warnings = std::move(Ingested.Findings); // warnings survive clean()
   } else {
     const bench::Benchmark *Found = bench::findBenchmark(Request.RegistryName);
     if (!Found) {
@@ -135,46 +88,46 @@ Endpoint::Admission Endpoint::admit(const LiftRequest &Request) {
       std::string Hint = nearestBenchmark(Request.RegistryName);
       if (!Hint.empty())
         Error += " — did you mean '" + Hint + "'?";
-      return Fail(immediateError(Status::UnknownBenchmark,
-                                 Request.RegistryName, Error, Request.Patch));
+      return Fail(Status::UnknownBenchmark, Request.RegistryName, Error);
     }
     Out.Query = *Found;
   }
-  return Out;
+  return Head;
 }
 
-PendingLift Endpoint::submit(const LiftRequest &Request) {
-  Admission Admitted = admit(Request);
-  if (Admitted.Immediate)
-    return std::move(Admitted.Pending);
-
-  PendingLift Pending;
-  Pending.Resolved.Applied = Request.Patch;
-  Pending.Resolved.Diagnostics = std::move(Admitted.Warnings);
-  Pending.Raw =
-      Service.submit(std::move(Admitted.Query), Admitted.Effective);
-  return Pending;
-}
-
-bool Endpoint::trySubmit(const LiftRequest &Request,
-                         serve::SubmitHooks Hooks, PendingLift &Out) {
-  Admission Admitted = admit(Request);
-  if (Admitted.Immediate) {
-    Out = std::move(Admitted.Pending);
-    return true;
+Admission Endpoint::trySubmit(const LiftRequest &Request, ProgressFn Progress,
+                              DoneFn Done, bool Wait) {
+  serve::LiftRequest Lift;
+  LiftResponse Head = admit(Request, Lift);
+  if (!Head.ok()) {
+    Done(std::move(Head));
+    return Admission::Answered;
   }
+  Lift.Progress = std::move(Progress);
+  // The one serve -> api translation: the worker's result joins the
+  // admission's patch echo and warnings.
+  Lift.Done = [Head = std::move(Head), Done = std::move(Done)](
+                  serve::LiftResponse &&Raw) mutable {
+    Head.Name = std::move(Raw.Benchmark);
+    Head.Category = std::move(Raw.Category);
+    Head.Result = std::move(Raw.Result);
+    Head.CacheHit = Raw.CacheHit;
+    Done(std::move(Head));
+  };
+  return Service.submit(std::move(Lift), Wait) ? Admission::Queued
+                                               : Admission::QueueFull;
+}
 
-  std::future<serve::LiftResponse> Raw;
-  if (!Service.trySubmit(std::move(Admitted.Query), Admitted.Effective,
-                         std::move(Hooks), Raw))
-    return false; // queue full; the ingest memo keeps the retry cheap
-
-  PendingLift Pending;
-  Pending.Resolved.Applied = Request.Patch;
-  Pending.Resolved.Diagnostics = std::move(Admitted.Warnings);
-  Pending.Raw = std::move(Raw);
-  Out = std::move(Pending);
-  return true;
+std::future<LiftResponse> Endpoint::submit(const LiftRequest &Request) {
+  auto Reply = std::make_shared<std::promise<LiftResponse>>();
+  std::future<LiftResponse> Out = Reply->get_future();
+  trySubmit(
+      Request, {},
+      [Reply](LiftResponse &&Response) {
+        Reply->set_value(std::move(Response));
+      },
+      /*Wait=*/true);
+  return Out;
 }
 
 IngestResult Endpoint::ingestCached(const LiftRequest &Request) {
@@ -195,10 +148,6 @@ IngestResult Endpoint::ingestCached(const LiftRequest &Request) {
     IngestMemo.emplace(Key, Ingested);
   }
   return Ingested;
-}
-
-LiftResponse Endpoint::lift(const LiftRequest &Request) {
-  return submit(Request).get();
 }
 
 std::shared_ptr<const Endpoint::CompiledKernel>

@@ -10,7 +10,9 @@
 /// applies per-request configuration patches, and drives the persistent
 /// serving layer (serve::LiftService) underneath. Both `stagg serve` and
 /// the batch driver (driver::SuiteRunner) are thin clients of this class —
-/// there is exactly one code path from a request to a result.
+/// there is exactly one code path from a request to a result: trySubmit,
+/// whose Done callback settles every request (submit and lift wrap it in a
+/// future). The serve-to-api response translation happens there, once.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,6 +24,8 @@
 #include "serve/LiftService.h"
 #include "vm/Code.h"
 
+#include <functional>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -30,25 +34,18 @@
 namespace stagg {
 namespace api {
 
-/// A submitted request whose response may still be in flight. Requests that
-/// fail on admission (bad request, unknown name, ingestion failure) resolve
-/// immediately; everything else resolves when a service worker finishes.
-class PendingLift {
-public:
-  PendingLift() = default;
+/// Observes a queued lift's phases ("searching", "verified"), on the
+/// service worker running it.
+using ProgressFn = std::function<void(const char *Phase)>;
 
-  /// True when get() will not block.
-  bool ready();
+/// Settles one request; called exactly once.
+using DoneFn = std::function<void(LiftResponse &&)>;
 
-  /// Waits for and returns the response (call once).
-  LiftResponse get();
-
-private:
-  friend class Endpoint;
-
-  std::future<serve::LiftResponse> Raw;
-  LiftResponse Resolved; ///< Immediate responses; carries Applied for both.
-  bool Immediate = false;
+/// How Endpoint::trySubmit disposed of a request.
+enum class Admission {
+  Queued,    ///< Done runs later, on the service worker that settles it.
+  Answered,  ///< An admission error: Done already ran, on this thread.
+  QueueFull, ///< Nothing happened and Done will not run; retry later.
 };
 
 /// The public face of a running lift service.
@@ -57,21 +54,27 @@ public:
   explicit Endpoint(serve::ServiceConfig Config,
                     serve::OracleFactory Factory = {});
 
-  /// Admits \p Request (blocking on queue backpressure for well-formed
-  /// requests; admission errors resolve immediately).
-  PendingLift submit(const LiftRequest &Request);
+  /// The one admission primitive. Resolves \p Request (validation,
+  /// registry lookup or memoized inline ingestion, patch application).
+  /// An admission error (bad request, unknown name, refused ingestion)
+  /// calls \p Done synchronously. Otherwise the lift is queued and \p Done
+  /// runs once on the service worker that settles it, after \p Progress
+  /// (may be empty) has reported its phases there. When the service queue
+  /// is full, \p Wait blocks for room; without it the answer is QueueFull —
+  /// the socket loop's mode, which must never block and retries after a
+  /// completion frees a slot (the ingest memo keeps the retry cheap).
+  /// After shutdown, Done runs at once with a "service is shut down"
+  /// failure.
+  Admission trySubmit(const LiftRequest &Request, ProgressFn Progress,
+                      DoneFn Done, bool Wait = false);
 
-  /// Non-blocking admission for event-loop callers (the socket transport):
-  /// false when the service queue is full — nothing happened, retry after
-  /// a completion frees a slot. True means \p Out is live: either an
-  /// immediately-resolved admission error or an in-flight lift observing
-  /// \p Hooks. Ingestion of an inline kernel still runs synchronously
-  /// (memoized), but never blocks on backpressure.
-  bool trySubmit(const LiftRequest &Request, serve::SubmitHooks Hooks,
-                 PendingLift &Out);
+  /// trySubmit with Wait, as a future (blocks on queue backpressure).
+  std::future<LiftResponse> submit(const LiftRequest &Request);
 
   /// Blocking convenience: submit and wait.
-  LiftResponse lift(const LiftRequest &Request);
+  LiftResponse lift(const LiftRequest &Request) {
+    return submit(Request).get();
+  }
 
   /// Runs the lifted program of \p Response on the concrete inputs in
   /// \p Io (the v2 "execute" request). \p Request is the original lift
@@ -90,7 +93,7 @@ public:
                                const LiftResponse &Response);
 
   /// Stops admission, drains in-flight requests, joins the worker pool.
-  /// Callers whose completion hooks reference external state (the socket
+  /// Callers whose Done callbacks reference external state (the socket
   /// loop) call this before that state goes away.
   void shutdown() { Service.shutdown(); }
 
@@ -115,24 +118,11 @@ public:
   const core::StaggConfig &baseConfig() const { return Base; }
 
 private:
-  /// Builds an admission-failure response that resolves immediately.
-  static PendingLift immediateError(Status St, std::string Name,
-                                    std::string Error,
-                                    const ConfigPatch &Applied);
-
-  /// The shared front half of submit/trySubmit: validation, registry
-  /// lookup or (memoized) inline ingestion, and patch application. When
-  /// Immediate is true, Pending already carries the resolved admission
-  /// error; otherwise Query/Effective/Warnings describe the lift to
-  /// enqueue.
-  struct Admission {
-    bool Immediate = false;
-    PendingLift Pending;
-    bench::Benchmark Query;
-    core::StaggConfig Effective;
-    std::vector<analysis::CheckFinding> Warnings;
-  };
-  Admission admit(const LiftRequest &Request);
+  /// The front half of trySubmit. Returns the response head: on success
+  /// (Status::Ok) it carries the applied patch and the ingest warnings,
+  /// and \p Out holds the query and its effective configuration; otherwise
+  /// it is the admission error itself.
+  LiftResponse admit(const LiftRequest &Request, serve::LiftRequest &Out);
 
   /// ingestKernel with memoization: ingestion (parse, analysis, smoke
   /// execution) runs synchronously on the admission thread, so a client

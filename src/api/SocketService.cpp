@@ -6,6 +6,19 @@ using namespace stagg;
 using namespace stagg::api;
 using support::Json;
 
+namespace {
+
+/// Renders one settled lift: a v1 line, or a v2 response event for a batch
+/// member.
+std::string renderLine(bool V2, const std::string &IdJson, int Seq,
+                       const LiftResponse &Response) {
+  if (V2)
+    return renderResponseEvent(IdJson, Seq, Response);
+  return renderResponse(Response);
+}
+
+} // namespace
+
 void SocketService::onFrame(serve::SocketClient &Client,
                             const std::string &Line) {
   Session &S = Sessions[Client.id()];
@@ -25,18 +38,16 @@ void SocketService::onFrame(serve::SocketClient &Client,
     if (!Frame.V1.ok()) {
       // The stdin loop's discipline: the error joins the window as an
       // already-rendered line and prints in admission order.
-      Item Meta;
-      Meta.Slot = Slot;
-      markReady(S, Meta, renderProtocolError(Frame.V1.Error));
+      S.Ready.emplace(Slot, renderProtocolError(Frame.V1.Error));
       flush(Client.id());
       return;
     }
-    Item Meta;
-    Meta.Slot = Slot;
-    Meta.Name = Frame.V1.Request.RegistryName.empty()
-                    ? Frame.V1.Request.Name
-                    : Frame.V1.Request.RegistryName;
-    Meta.Request = std::move(Frame.V1.Request);
+    auto Meta = std::make_shared<Item>();
+    Meta->Slot = Slot;
+    Meta->Name = Frame.V1.Request.RegistryName.empty()
+                     ? Frame.V1.Request.Name
+                     : Frame.V1.Request.RegistryName;
+    Meta->Request = std::move(Frame.V1.Request);
     S.Waiting.push_back(std::move(Meta));
     Client.notePending(+1);
     pump(Client.id());
@@ -44,15 +55,15 @@ void SocketService::onFrame(serve::SocketClient &Client,
   }
 
   case SocketFrame::Kind::Execute: {
-    Item Meta;
-    Meta.Slot = S.NextSlotToAssign++;
-    Meta.V2 = true;
-    Meta.IdJson = Frame.IdJson;
-    Meta.Name = Frame.Exec.RegistryName.empty() ? Frame.Exec.Name
-                                                : Frame.Exec.RegistryName;
-    Meta.Request = std::move(Frame.Exec);
-    Meta.Execute = true;
-    Meta.Io = std::move(Frame.Io);
+    auto Meta = std::make_shared<Item>();
+    Meta->Slot = S.NextSlotToAssign++;
+    Meta->V2 = true;
+    Meta->IdJson = Frame.IdJson;
+    Meta->Name = Frame.Exec.RegistryName.empty() ? Frame.Exec.Name
+                                                 : Frame.Exec.RegistryName;
+    Meta->Request = std::move(Frame.Exec);
+    Meta->Execute = true;
+    Meta->Io = std::move(Frame.Io);
     S.Waiting.push_back(std::move(Meta));
     Client.notePending(+1);
     pump(Client.id());
@@ -63,46 +74,38 @@ void SocketService::onFrame(serve::SocketClient &Client,
     break;
   }
 
-  uint64_t BatchKey = NextBatchKey++;
   Batch B;
   B.IdJson = Frame.IdJson;
   B.Total = static_cast<int>(Frame.Items.size());
-  B.Remaining = B.Total;
-
   for (size_t I = 0; I < Frame.Items.size(); ++I) {
     ParsedRequest &Parsed = Frame.Items[I];
-    Item Meta;
-    Meta.Slot = S.NextSlotToAssign++;
-    Meta.Seq = static_cast<int>(I);
-    Meta.BatchKey = BatchKey;
-    Meta.V2 = true;
-    Meta.Progress = Frame.Progress;
-    Meta.IdJson = Frame.IdJson;
-    Meta.Name = Parsed.Request.RegistryName.empty()
-                    ? Parsed.Request.Name
-                    : Parsed.Request.RegistryName;
-
-    B.BeyondSlot = Meta.Slot + 1;
+    auto Meta = std::make_shared<Item>();
+    Meta->Slot = S.NextSlotToAssign++;
+    Meta->Seq = static_cast<int>(I);
+    Meta->V2 = true;
+    Meta->Progress = Frame.Progress;
+    Meta->IdJson = Frame.IdJson;
+    Meta->Name = Parsed.Request.RegistryName.empty()
+                     ? Parsed.Request.Name
+                     : Parsed.Request.RegistryName;
     if (!Parsed.ok()) {
       LiftResponse Bad;
       Bad.St = Status::BadRequest;
-      Bad.Name = Meta.Name;
+      Bad.Name = Meta->Name;
       Bad.Error = Parsed.Error;
-      markReady(S, Meta, renderLine(Meta, Bad));
-      // markReady found no batch entry yet; settle the count by hand.
-      --B.Remaining;
+      S.Ready.emplace(Meta->Slot,
+                      renderLine(true, Meta->IdJson, Meta->Seq, Bad));
       continue;
     }
     if (Frame.Progress)
       Client.send(
-          renderProgressEvent(Frame.IdJson, Meta.Seq, Meta.Name, "queued"));
-    Meta.Request = std::move(Parsed.Request);
+          renderProgressEvent(Frame.IdJson, Meta->Seq, Meta->Name, "queued"));
+    Meta->Request = std::move(Parsed.Request);
     S.Waiting.push_back(std::move(Meta));
     Client.notePending(+1);
   }
-  if (B.Total == 0)
-    B.BeyondSlot = S.NextSlotToAssign;
-  S.Batches.emplace(BatchKey, std::move(B));
+  B.BeyondSlot = S.NextSlotToAssign;
+  S.Batches.push_back(std::move(B));
 
   pump(Client.id());
   flush(Client.id());
@@ -118,120 +121,66 @@ void SocketService::pump(uint64_t ClientId) {
     return;
 
   while (!S.Waiting.empty()) {
-    Item &Front = S.Waiting.front();
-    uint64_t Slot = Front.Slot;
+    std::shared_ptr<const Item> Meta = S.Waiting.front();
 
-    serve::SubmitHooks Hooks;
-    serve::SocketServer *Srv = Server;
-    SocketService *Self = this;
-    Hooks.OnSettled = [Self, Srv, ClientId, Slot] {
-      Srv->post([Self, ClientId, Slot] { Self->onSettled(ClientId, Slot); });
-    };
-    if (Front.V2 && Front.Progress)
-      Hooks.Progress = [Self, Srv, ClientId, Slot](const char *Phase) {
-        std::string Copy(Phase);
-        Srv->post([Self, ClientId, Slot, Copy] {
-          Self->onProgress(ClientId, Slot, Copy);
+    ProgressFn Progress;
+    if (Meta->Progress)
+      Progress = [this, ClientId, Meta](const char *Phase) {
+        std::string Line =
+            renderProgressEvent(Meta->IdJson, Meta->Seq, Meta->Name, Phase);
+        Server->post([this, ClientId, Line = std::move(Line)]() mutable {
+          if (serve::SocketClient *C = Server->client(ClientId))
+            C->send(std::move(Line));
         });
       };
+    // The request's one completion path, on the worker that settled it:
+    // evaluation and rendering run here, and only the line travels back.
+    DoneFn Done = [this, ClientId, Meta](LiftResponse &&Response) {
+      std::string Line =
+          Meta->Execute
+              ? renderResultEvent(
+                    Meta->IdJson, Meta->Name,
+                    Lifter.executeLifted(Meta->Request, Meta->Io, Response))
+              : renderLine(Meta->V2, Meta->IdJson, Meta->Seq, Response);
+      Server->post([this, ClientId, Slot = Meta->Slot,
+                    Line = std::move(Line)]() mutable {
+        onSettled(ClientId, Slot, std::move(Line));
+      });
+    };
 
-    PendingLift Pending;
-    if (!Lifter.trySubmit(Front.Request, std::move(Hooks), Pending))
-      break; // queue full; a completion will pump again
+    Admission Admitted =
+        Lifter.trySubmit(Meta->Request, std::move(Progress), std::move(Done));
+    if (Admitted == Admission::QueueFull)
+      break; // a completion will pump again
 
-    Item Meta = std::move(Front);
     S.Waiting.pop_front();
     Client->notePending(-1);
-    if (!Meta.Execute)
-      Meta.Request = LiftRequest(); // the service owns its copy now
-
-    if (Pending.ready()) {
-      // Admission error (bad request, unknown name, ingest refusal):
-      // resolved without ever reaching the queue. Execute items still owe
-      // their evaluation — that runs on the execute worker, with the slot
-      // held in the client's in-flight window until the result flushes.
-      LiftResponse Response = Pending.get();
-      if (Meta.Execute) {
-        Client->beginRequest();
-        dispatchExecute(ClientId, std::move(Meta), std::move(Response));
-      } else {
-        markReady(S, Meta, renderLine(Meta, Response));
-      }
-      continue;
-    }
-
+    // Held until the line lands, so drain and idle eviction wait for it.
     Client->beginRequest();
-    if (Meta.V2 && Meta.Progress)
-      Client->send(renderProgressEvent(Meta.IdJson, Meta.Seq, Meta.Name,
+    if (Admitted == Admission::Queued && Meta->Progress)
+      Client->send(renderProgressEvent(Meta->IdJson, Meta->Seq, Meta->Name,
                                        "ingested"));
-    uint64_t MetaSlot = Meta.Slot;
-    S.InFlight.emplace(MetaSlot,
-                       InFlightItem{std::move(Pending), std::move(Meta)});
   }
-
-  // An admission can resolve instantly — immediate errors, and lifts whose
-  // worker finished before ready() was polled (sub-millisecond cache hits
-  // do). Their OnSettled post finds no InFlight entry, so this is the only
-  // flush they get.
-  flush(ClientId);
 }
 
-void SocketService::onSettled(uint64_t ClientId, uint64_t Slot) {
-  // The session may be gone (client disconnected mid-request) or the slot
-  // already resolved (sub-millisecond lifts flushed straight from pump).
-  // Either way the completion still freed a service-queue slot, so the
-  // stalled-backlog pump below must run — an orphaned completion is the
-  // only wakeup a queue-full backlog may ever get.
+void SocketService::onSettled(uint64_t ClientId, uint64_t Slot,
+                              std::string Line) {
+  // The session may be gone (the client disconnected mid-request); the line
+  // is dropped then. Either way the completion may have freed a
+  // service-queue slot, so the stalled-backlog pump below must run — an
+  // orphaned completion is the only wakeup a queue-full backlog may ever
+  // get.
   auto SessionIt = Sessions.find(ClientId);
   if (SessionIt != Sessions.end()) {
-    Session &S = SessionIt->second;
-    auto It = S.InFlight.find(Slot);
-    if (It != S.InFlight.end()) {
-      LiftResponse Response = It->second.Pending.get();
-      Item Meta = std::move(It->second.Meta);
-      S.InFlight.erase(It);
-
-      if (Meta.Execute) {
-        // Evaluation runs on the execute worker, not here on the loop
-        // thread; the beginRequest from pump stays held until the worker's
-        // result flushes (finishExecute), so drain waits for it.
-        dispatchExecute(ClientId, std::move(Meta), std::move(Response));
-      } else {
-        if (serve::SocketClient *Client = Server->client(ClientId))
-          Client->endRequest();
-        markReady(S, Meta, renderLine(Meta, Response));
-        flush(ClientId);
-      }
-    }
+    if (serve::SocketClient *Client = Server->client(ClientId))
+      Client->endRequest();
+    SessionIt->second.Ready.emplace(Slot, std::move(Line));
+    flush(ClientId);
   }
 
   for (auto &[Id, Other] : Sessions)
     if (!Other.Waiting.empty())
       pump(Id);
-}
-
-void SocketService::onProgress(uint64_t ClientId, uint64_t Slot,
-                               const std::string &Phase) {
-  auto SessionIt = Sessions.find(ClientId);
-  if (SessionIt == Sessions.end())
-    return;
-  auto It = SessionIt->second.InFlight.find(Slot);
-  if (It == SessionIt->second.InFlight.end())
-    return;
-  const Item &Meta = It->second.Meta;
-  if (serve::SocketClient *Client = Server->client(ClientId))
-    Client->send(renderProgressEvent(Meta.IdJson, Meta.Seq, Meta.Name,
-                                     Phase.c_str()));
-}
-
-void SocketService::markReady(Session &S, const Item &Meta,
-                              std::string Line) {
-  S.Ready.emplace(Meta.Slot, std::move(Line));
-  if (Meta.BatchKey != 0) {
-    auto It = S.Batches.find(Meta.BatchKey);
-    if (It != S.Batches.end())
-      --It->second.Remaining;
-  }
 }
 
 void SocketService::flush(uint64_t ClientId) {
@@ -251,90 +200,17 @@ void SocketService::flush(uint64_t ClientId) {
     It = S.Ready.find(S.NextSlotToEmit);
   }
 
-  for (auto BatchIt = S.Batches.begin(); BatchIt != S.Batches.end();) {
-    Batch &B = BatchIt->second;
-    if (B.Remaining == 0 && S.NextSlotToEmit >= B.BeyondSlot) {
-      Client->send(renderDoneEvent(B.IdJson, B.Total));
-      BatchIt = S.Batches.erase(BatchIt);
-    } else {
-      ++BatchIt;
-    }
+  while (!S.Batches.empty() &&
+         S.NextSlotToEmit >= S.Batches.front().BeyondSlot) {
+    Client->send(
+        renderDoneEvent(S.Batches.front().IdJson, S.Batches.front().Total));
+    S.Batches.pop_front();
   }
-}
-
-std::string SocketService::renderLine(const Item &Meta,
-                                      const LiftResponse &Response) {
-  if (Meta.V2)
-    return renderResponseEvent(Meta.IdJson, Meta.Seq, Response);
-  return renderResponse(Response);
-}
-
-void SocketService::dispatchExecute(uint64_t ClientId, Item Meta,
-                                    LiftResponse Response) {
-  std::lock_guard<std::mutex> Lock(ExecMutex);
-  if (!ExecWorker.joinable())
-    ExecWorker = std::thread([this] { executeLoop(); });
-  ExecQueue.push_back(
-      ExecJob{ClientId, std::move(Meta), std::move(Response)});
-  ExecWake.notify_one();
-}
-
-void SocketService::executeLoop() {
-  for (;;) {
-    ExecJob Job;
-    {
-      std::unique_lock<std::mutex> Lock(ExecMutex);
-      ExecWake.wait(Lock,
-                    [this] { return ExecStop || !ExecQueue.empty(); });
-      if (ExecStop)
-        return; // teardown: the loop is gone, nobody can read a result
-      Job = std::move(ExecQueue.front());
-      ExecQueue.pop_front();
-    }
-    // The expensive part — operand materialization, tensor evaluation, and
-    // JSON-rendering of every output cell — runs here, off the loop
-    // thread. Only the finished line travels back.
-    std::string Line = renderResultEvent(
-        Job.Meta.IdJson, Job.Meta.Name,
-        Lifter.executeLifted(Job.Meta.Request, Job.Meta.Io, Job.Response));
-    uint64_t ClientId = Job.ClientId;
-    uint64_t Slot = Job.Meta.Slot;
-    SocketService *Self = this;
-    Server->post([Self, ClientId, Slot, Line = std::move(Line)]() mutable {
-      Self->finishExecute(ClientId, Slot, std::move(Line));
-    });
-  }
-}
-
-void SocketService::finishExecute(uint64_t ClientId, uint64_t Slot,
-                                  std::string Line) {
-  auto SessionIt = Sessions.find(ClientId);
-  if (SessionIt == Sessions.end())
-    return; // the client disconnected while the worker was evaluating
-  if (serve::SocketClient *Client = Server->client(ClientId))
-    Client->endRequest();
-  Item Meta;
-  Meta.Slot = Slot; // execute frames are never batch members (BatchKey 0)
-  markReady(SessionIt->second, Meta, std::move(Line));
-  flush(ClientId);
-}
-
-void SocketService::shutdown() {
-  std::thread Worker;
-  {
-    std::lock_guard<std::mutex> Lock(ExecMutex);
-    ExecStop = true;
-    Worker = std::move(ExecWorker);
-  }
-  ExecWake.notify_one();
-  if (Worker.joinable())
-    Worker.join();
 }
 
 void SocketService::onDisconnect(serve::SocketClient &Client) {
-  // In-flight futures die with the session; their completions will find no
-  // session and drop the result on the floor (the worker-side cache still
-  // keeps what it computed).
+  // Admitted lifts keep running; their completions find no session and drop
+  // the line (the service's result cache still keeps what they computed).
   Sessions.erase(Client.id());
 }
 

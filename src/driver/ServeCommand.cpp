@@ -1,4 +1,10 @@
 //===- driver/ServeCommand.cpp - stagg serve loop -------------------------===//
+//
+// Both sessions drive one api::Endpoint: stdin through its futures, in
+// admission order; --listen through api::SocketService, whose requests
+// settle (execute frames included) on the lift worker pool.
+//
+//===----------------------------------------------------------------------===//
 
 #include "driver/ServeCommand.h"
 
@@ -8,10 +14,12 @@
 #include "serve/SocketServer.h"
 #include "support/StringUtils.h"
 
+#include <chrono>
 #include <csignal>
 #include <cstdlib>
 #include <deque>
 #include <fstream>
+#include <future>
 #include <iostream>
 
 using namespace stagg;
@@ -23,7 +31,7 @@ namespace {
 /// for one — remembered until its reply is printed. Replies are printed in
 /// admission order.
 struct InFlight {
-  api::PendingLift Pending;
+  std::future<api::LiftResponse> Pending;
 
   /// Non-empty for lines that never became requests: the pre-rendered
   /// protocol-error response, printed in stream order like any reply.
@@ -130,10 +138,9 @@ int runServeListen(const CliOptions &Options) {
 
   int Rc = Server.run();
 
-  // Join the workers while the transport and protocol still exist: a
-  // completion hook fired after ~SocketServer would post into a dead loop.
-  // Same for the protocol's execute worker, which posts result lines.
-  Proto.shutdown();
+  // A client that disconnected mid-request leaves lifts running after the
+  // drain; join them while the protocol and transport their Done callbacks
+  // post into still exist.
   Lifter.shutdown();
 
   if (Options.Verbose) {
@@ -152,8 +159,10 @@ int runServeListen(const CliOptions &Options) {
 /// Prints every leading in-flight entry whose reply is already available.
 void flushReady(std::deque<InFlight> &Window, std::ostream &Out,
                 ExitTracker &Tracker) {
-  while (!Window.empty() && (!Window.front().ProtocolError.empty() ||
-                             Window.front().Pending.ready())) {
+  while (!Window.empty() &&
+         (!Window.front().ProtocolError.empty() ||
+          Window.front().Pending.wait_for(std::chrono::seconds(0)) ==
+              std::future_status::ready)) {
     printEntry(Out, Window.front(), Tracker);
     Window.pop_front();
   }

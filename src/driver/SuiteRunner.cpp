@@ -2,6 +2,7 @@
 
 #include "driver/SuiteRunner.h"
 
+#include "search/WorkerPool.h"
 #include "support/Timer.h"
 #include "taco/Printer.h"
 
@@ -11,7 +12,6 @@
 #include <iomanip>
 #include <ostream>
 #include <sstream>
-#include <thread>
 
 using namespace stagg;
 using namespace stagg::driver;
@@ -57,12 +57,8 @@ SuiteReport driver::runSuite(const std::vector<const bench::Benchmark *> &Suite,
   SuiteReport Report;
   Report.Rows.resize(Suite.size());
 
-  int Threads = Options.Threads;
-  if (Threads <= 0)
-    Threads = static_cast<int>(std::thread::hardware_concurrency());
-  if (Threads <= 0)
-    Threads = 1;
-  Threads = std::min<int>(Threads, std::max<size_t>(Suite.size(), 1));
+  int Threads = std::min<int>(search::resolveThreads(Options.Threads),
+                              std::max<size_t>(Suite.size(), 1));
   Report.Threads = Threads;
 
   serve::ServiceConfig Service;
@@ -77,7 +73,7 @@ SuiteReport driver::runSuite(const std::vector<const bench::Benchmark *> &Suite,
   // blocks until a worker drains a slot. Collection happens in suite order,
   // which is also where verbose progress is emitted — response order is a
   // scheduling artifact, row order never is.
-  std::vector<api::PendingLift> Replies;
+  std::vector<std::future<api::LiftResponse>> Replies;
   Replies.reserve(Suite.size());
   for (const bench::Benchmark *B : Suite) {
     api::LiftRequest Request;

@@ -45,56 +45,30 @@ void LiftService::shutdown() {
       T.join();
 }
 
-std::future<LiftResponse> LiftService::submit(const bench::Benchmark &B) {
-  return submit(B, Config.Config);
-}
-
-std::future<LiftResponse> LiftService::submit(
-    bench::Benchmark B, const core::StaggConfig &Override) {
-  LiftRequest Request;
-  Request.Query = std::move(B);
-  Request.Config = Override;
-  Request.Ticket = NextTicket.fetch_add(1);
-  std::future<LiftResponse> Reply = Request.Reply.get_future();
-  if (!Queue.push(std::move(Request))) {
-    // Closed: the request was not moved from, so answer its own promise
-    // immediately rather than leaving a dangling future.
-    LiftResponse Response;
-    Response.Benchmark = Request.Query.Name;
-    Response.Category = Request.Query.Category;
-    Response.Ticket = Request.Ticket;
-    Response.Result.FailReason = "service is shut down";
-    Request.Reply.set_value(std::move(Response));
-  }
-  return Reply;
-}
-
-bool LiftService::trySubmit(bench::Benchmark B,
-                            const core::StaggConfig &Override,
-                            SubmitHooks Hooks,
-                            std::future<LiftResponse> &Out) {
-  LiftRequest Request;
-  Request.Query = std::move(B);
-  Request.Config = Override;
-  Request.Ticket = NextTicket.fetch_add(1);
-  Request.Hooks = std::move(Hooks);
-  std::future<LiftResponse> Reply = Request.Reply.get_future();
-  if (!Queue.tryPush(std::move(Request)))
-    return false;
-  Out = std::move(Reply);
+bool LiftService::submit(LiftRequest &&Request, bool Wait) {
+  if (Queue.push(std::move(Request), Wait))
+    return true;
+  if (!Queue.closed())
+    return false; // full; the caller still holds the request
+  LiftResponse Response;
+  Response.Benchmark = Request.Query.Name;
+  Response.Category = Request.Query.Category;
+  Response.Result.FailReason = "service is shut down";
+  Request.Done(std::move(Response));
   return true;
-}
-
-LiftResponse LiftService::lift(const bench::Benchmark &B) {
-  return submit(B).get();
 }
 
 void LiftService::workerLoop() {
   // The worker's private oracle persists across every request it serves.
   std::unique_ptr<llm::CandidateOracle> Oracle = Factory(Config.OracleSeed);
-  LiftRequest Request;
-  while (Queue.pop(Request))
+  for (;;) {
+    // One request per iteration, so its callbacks' captures (posted execute
+    // inputs, say) are released as soon as it settles.
+    LiftRequest Request;
+    if (!Queue.pop(Request))
+      return;
     execute(Request, *Oracle);
+  }
 }
 
 void LiftService::execute(LiftRequest &Request, llm::CandidateOracle &Oracle) {
@@ -102,7 +76,6 @@ void LiftService::execute(LiftRequest &Request, llm::CandidateOracle &Oracle) {
   LiftResponse Response;
   Response.Benchmark = B.Name;
   Response.Category = B.Category;
-  Response.Ticket = Request.Ticket;
 
   // The key is the normalized kernel text, salted with everything else the
   // result depends on beyond the source text: the benchmark name (the
@@ -116,14 +89,12 @@ void LiftService::execute(LiftRequest &Request, llm::CandidateOracle &Oracle) {
                     core::configFingerprint(Request.Config);
   if (Cache.lookup(Key, Response.Result)) {
     Response.CacheHit = true;
-    Request.Reply.set_value(std::move(Response));
-    if (Request.Hooks.OnSettled)
-      Request.Hooks.OnSettled();
+    Request.Done(std::move(Response));
     return;
   }
 
-  if (Request.Hooks.Progress)
-    Request.Hooks.Progress("searching");
+  if (Request.Progress)
+    Request.Progress("searching");
   // A lift that throws (std::bad_alloc under a client-sized budget, say)
   // answers its own request unsolved; it must not take the worker, and
   // with it the whole process, down.
@@ -135,8 +106,8 @@ void LiftService::execute(LiftRequest &Request, llm::CandidateOracle &Oracle) {
     Response.Result.FailReason = std::string("internal error: ") + E.what();
     Threw = true;
   }
-  if (Request.Hooks.Progress)
-    Request.Hooks.Progress("verified");
+  if (Request.Progress)
+    Request.Progress("verified");
   // Deterministic failures (parse errors, exhausted search spaces, spent
   // expansion budgets) are cached too — re-lifting identical text can only
   // reproduce them. Wall-clock timeouts and internal errors are NOT: they
@@ -145,7 +116,5 @@ void LiftService::execute(LiftRequest &Request, llm::CandidateOracle &Oracle) {
   if (!Threw &&
       (Response.Result.Solved || Response.Result.FailReason != "timeout"))
     Cache.insert(Key, Response.Result);
-  Request.Reply.set_value(std::move(Response));
-  if (Request.Hooks.OnSettled)
-    Request.Hooks.OnSettled();
+  Request.Done(std::move(Response));
 }

@@ -7,10 +7,12 @@
 /// \file
 /// The serving layer: a long-lived pool of lifting workers behind a bounded
 /// request queue, with a kernel-text result cache in front of the
-/// pipeline. One LiftService instance outlives any number of
-/// requests. Its one client is api::Endpoint, which `stagg serve` and the
-/// batch driver (driver/SuiteRunner) both drive, so both paths execute the
-/// same code.
+/// pipeline. One LiftService instance outlives any number of requests.
+/// Requests enter through one admission function (submit) and settle
+/// through one callback, LiftRequest::Done, which runs on the worker that
+/// finished the request. Its one client is api::Endpoint, which `stagg
+/// serve` and the batch driver (driver/SuiteRunner) both drive, so both
+/// paths execute the same code.
 ///
 /// Determinism: every worker owns a private oracle constructed from the same
 /// factory and seed, and the pipeline derives everything else from the
@@ -66,30 +68,19 @@ public:
   LiftService(const LiftService &) = delete;
   LiftService &operator=(const LiftService &) = delete;
 
-  /// Enqueues a copy of \p B under the service-wide configuration, blocking
-  /// while the queue is full (backpressure). The future resolves when a
-  /// worker finishes the lift or serves it from the cache. After shutdown
-  /// the future resolves immediately with a failure.
-  std::future<LiftResponse> submit(const bench::Benchmark &B);
-
-  /// Enqueues \p B (ownership transfers to the request) under \p Override
-  /// instead of the service-wide configuration. The serving knobs inside
-  /// \p Override (queue depth, cache shape) are fixed at service
+  /// The one admission function. Queues \p Request, whose Done then runs
+  /// exactly once, on the worker that lifts or cache-serves it. When the
+  /// queue is full, \p Wait blocks for room; without it submit returns
+  /// false and leaves \p Request untouched, so the caller can retry after a
+  /// completion frees a slot. After shutdown, Done runs at once, on this
+  /// thread, with a "service is shut down" failure.
+  ///
+  /// Request.Config is the configuration this request runs under. Its
+  /// serving knobs (queue depth, cache shape) are fixed at service
   /// construction and ignored here; everything else — search kind,
   /// candidate counts, verification, timeouts — takes effect for this
   /// request alone, and the result cache keys on it.
-  std::future<LiftResponse> submit(bench::Benchmark B,
-                                   const core::StaggConfig &Override);
-
-  /// Non-blocking variant with a per-request override and observation
-  /// hooks — the socket transport's admission path, which must never block
-  /// its event loop on queue backpressure. False (nothing moved, no
-  /// future) when the queue is full or closed.
-  bool trySubmit(bench::Benchmark B, const core::StaggConfig &Override,
-                 SubmitHooks Hooks, std::future<LiftResponse> &Out);
-
-  /// Blocking convenience: submit and wait.
-  LiftResponse lift(const bench::Benchmark &B);
+  bool submit(LiftRequest &&Request, bool Wait);
 
   /// Stops admission, drains in-flight requests, joins the pool.
   /// Idempotent; the destructor calls it.
@@ -108,7 +99,7 @@ private:
   void workerLoop();
 
   /// Runs one request to completion (cache probe, lift, cache fill) using
-  /// \p Oracle, and fulfills the reply promise.
+  /// \p Oracle, and hands the response to its Done.
   void execute(LiftRequest &Request, llm::CandidateOracle &Oracle);
 
   ServiceConfig Config;
@@ -118,7 +109,6 @@ private:
   ResultCache Cache;
 
   std::vector<std::thread> Pool;
-  std::atomic<uint64_t> NextTicket{0};
   std::atomic<bool> Stopped{false};
 };
 

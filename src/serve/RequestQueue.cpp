@@ -9,26 +9,15 @@ using namespace stagg::serve;
 
 RequestQueue::RequestQueue(int Depth) : Depth(std::max(Depth, 1)) {}
 
-bool RequestQueue::push(LiftRequest &&Request) {
+bool RequestQueue::push(LiftRequest &&Request, bool Wait) {
   std::unique_lock<std::mutex> Lock(Mutex);
-  NotFull.wait(Lock, [&] {
-    return Closed || static_cast<int>(Items.size()) < Depth;
-  });
-  if (Closed)
+  auto HasRoom = [&] { return static_cast<int>(Items.size()) < Depth; };
+  if (Wait)
+    NotFull.wait(Lock, [&] { return Closed || HasRoom(); });
+  if (Closed || !HasRoom())
     return false;
   Items.push_back(std::move(Request));
   Lock.unlock();
-  NotEmpty.notify_one();
-  return true;
-}
-
-bool RequestQueue::tryPush(LiftRequest &&Request) {
-  {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    if (Closed || static_cast<int>(Items.size()) >= Depth)
-      return false;
-    Items.push_back(std::move(Request));
-  }
   NotEmpty.notify_one();
   return true;
 }

@@ -6,11 +6,16 @@
 ///
 /// \file
 /// The admission queue of the serving layer: a bounded multi-producer
-/// multi-consumer queue of lift requests. Producers block when the queue is
-/// full (backpressure toward clients), consumers block when it is empty, and
-/// close() wakes everyone so the worker pool can drain and exit. The bound
-/// is what keeps a flood of requests from ballooning memory: at most
-/// QueueDepth requests wait beyond the ones workers already hold.
+/// multi-consumer queue of lift requests. A producer that finds the queue
+/// full either waits for room (backpressure toward blocking clients) or is
+/// refused at once (the socket loop, which must never block); consumers
+/// block when it is empty, and close() wakes everyone so the worker pool
+/// can drain and exit. The bound is what keeps a flood of requests from
+/// ballooning memory: at most QueueDepth requests wait beyond the ones
+/// workers already hold.
+///
+/// Each request carries its own completion callback, LiftRequest::Done,
+/// the one way it settles.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,10 +25,8 @@
 #include "core/Stagg.h"
 
 #include <condition_variable>
-#include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <mutex>
 
 namespace stagg {
@@ -38,24 +41,6 @@ struct LiftResponse {
   /// True when the result came out of the kernel-text cache and no pipeline
   /// work ran for this request.
   bool CacheHit = false;
-
-  /// Admission ticket of the originating request.
-  uint64_t Ticket = 0;
-};
-
-/// Optional per-request observation hooks, for callers that stream
-/// progress (the socket transport's protocol v2). Both run on the worker
-/// thread that executes the request — implementations must marshal to
-/// their own thread (SocketServer::post) and never touch the request.
-struct SubmitHooks {
-  /// Called as the request changes phase ("searching" when a worker picks
-  /// it up, "verified" when the pipeline finished). Cache hits skip
-  /// straight to the result and fire neither.
-  std::function<void(const char *Phase)> Progress;
-
-  /// Called after the reply promise is fulfilled — the future is ready by
-  /// the time this runs.
-  std::function<void()> OnSettled;
 };
 
 /// One lift request as it travels through the service.
@@ -73,14 +58,16 @@ struct LiftRequest {
   /// with any per-request overrides (api::ConfigPatch) already applied.
   core::StaggConfig Config;
 
-  /// Monotone admission ticket, assigned by LiftService::submit.
-  uint64_t Ticket = 0;
+  /// Optional phase observer, called on the worker: "searching" when it
+  /// picks the request up, "verified" when the pipeline finished. Cache
+  /// hits skip straight to Done and fire neither.
+  std::function<void(const char *Phase)> Progress;
 
-  /// Fulfilled by the worker that executes (or cache-serves) the request.
-  std::promise<LiftResponse> Reply;
-
-  /// Progress/settlement observation (may be empty).
-  SubmitHooks Hooks;
+  /// Settles the request: called exactly once, on the worker that lifts or
+  /// cache-serves it (or by LiftService::submit after shutdown). Callers
+  /// that own thread-confined state marshal from here to their own thread
+  /// (SocketServer::post).
+  std::function<void(LiftResponse &&)> Done;
 };
 
 /// Bounded blocking MPMC queue. All methods are thread-safe.
@@ -89,13 +76,11 @@ public:
   /// \p Depth < 1 is clamped to 1.
   explicit RequestQueue(int Depth);
 
-  /// Blocks until there is room, then enqueues. Returns false when the
-  /// queue was closed before room appeared; \p Request is only moved from
-  /// on success, so the caller keeps its promise on failure.
-  bool push(LiftRequest &&Request);
-
-  /// Non-blocking enqueue; false (without moving) when full or closed.
-  bool tryPush(LiftRequest &&Request);
+  /// Enqueues \p Request. When the queue is full, \p Wait blocks until
+  /// there is room; without it push returns false at once. Also false when
+  /// the queue is (or becomes) closed. \p Request is only moved from on
+  /// success, so the caller keeps its Done on failure.
+  bool push(LiftRequest &&Request, bool Wait);
 
   /// Blocks until a request arrives, then dequeues into \p Out. Returns
   /// false when the queue is closed *and* drained — the consumer's signal

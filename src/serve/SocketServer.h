@@ -17,11 +17,15 @@
 /// stream into newline-delimited frames and hands each to a SocketProtocol
 /// (api::SocketService implements the real one over api::Endpoint) — the
 /// layering mirrors the rest of the system: serve owns scheduling and
-/// backpressure, api owns the protocol. Lift work executes on the
-/// serve::LiftService worker pool; workers hand completions back to the
+/// backpressure, api owns the protocol. Lift work, and the evaluation of
+/// execute frames, runs on the serve::LiftService worker pool; the worker
+/// that settles a request renders its line and hands only that back to the
 /// loop through post(), which queues a closure and wakes the loop via an
 /// eventfd. Everything else runs on the loop thread — per-connection state
-/// needs no locks.
+/// needs no locks. post() may still be called after run() returned (a
+/// lift orphaned by a disconnect can settle after the drain); the closure
+/// is then dropped with the server, so the pool must be joined before the
+/// server is destroyed.
 ///
 /// Graceful shutdown (SIGTERM via signalShutdown(), or requestShutdown()):
 /// the listener closes, frames received after the drain began are rejected

@@ -31,6 +31,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <future>
 #include <limits>
 #include <optional>
 #include <random>
@@ -1093,7 +1094,7 @@ TEST(Endpoint, SubmittedKernelOutlivesItsSourceBuffer) {
   // Regression test for the raw-pointer lifetime hazard: requests own their
   // benchmark, so the caller's buffers can die before the lift even starts.
   api::Endpoint Endpoint(miniService(1));
-  api::PendingLift Pending;
+  std::future<api::LiftResponse> Pending;
   {
     std::string Ephemeral(InlineKernel);
     api::LiftRequest Request;

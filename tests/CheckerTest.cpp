@@ -12,6 +12,7 @@
 
 #include "benchsuite/Benchmark.h"
 #include "cfront/Parser.h"
+#include "core/Stagg.h"
 
 #include <gtest/gtest.h>
 
@@ -265,18 +266,7 @@ TEST(Checker, EveryRegistryKernelChecksClean) {
     cfront::CParseResult Parsed = cfront::parseCFunction(B.CSource);
     ASSERT_TRUE(Parsed.ok()) << B.Name << ": " << Parsed.Error;
     KernelModel Model = buildKernelModel(*Parsed.Function);
-    CheckOptions Opts;
-    for (const bench::ArgSpec &Arg : B.Args) {
-      if (Arg.K != bench::ArgSpec::Kind::Array)
-        continue;
-      std::vector<Poly> Extents;
-      for (const std::string &Dim : Arg.Shape)
-        Extents.push_back(shapeExtentPoly(Dim));
-      Opts.Shapes.emplace(Arg.Name, std::move(Extents));
-      if (Arg.IsOutput)
-        Opts.OutputParams.insert(Arg.Name);
-    }
-    CheckReport Report = checkKernel(Model, Opts);
+    CheckReport Report = checkKernel(Model, core::checkOptionsFor(B));
     EXPECT_EQ(Report.hardCount(), 0)
         << B.Name << ": " << Report.Findings.front().str();
     EXPECT_EQ(Report.warningCount(), 0)

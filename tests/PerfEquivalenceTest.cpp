@@ -23,6 +23,7 @@
 #include "api/KernelIngest.h"
 #include "benchsuite/Benchmark.h"
 #include "cfront/Parser.h"
+#include "core/Stagg.h"
 #include "grammar/Template.h"
 #include "taco/Parser.h"
 #include "taco/Printer.h"
@@ -495,18 +496,10 @@ TEST(PerfEquivalence, TrustStaticBoundsPreservesVerdicts) {
 
     // Establish the license first: trust without a proof would be unsound.
     analysis::KernelModel Model = analysis::buildKernelModel(*F.Fn);
-    analysis::CheckOptions Opts;
-    for (const bench::ArgSpec &Arg : F.B->Args) {
-      if (Arg.K != bench::ArgSpec::Kind::Array)
-        continue;
-      std::vector<analysis::Poly> Extents;
-      for (const std::string &Dim : Arg.Shape)
-        Extents.push_back(analysis::shapeExtentPoly(Dim));
-      Opts.Shapes.emplace(Arg.Name, std::move(Extents));
-      if (Arg.IsOutput)
-        Opts.OutputParams.insert(Arg.Name);
-    }
-    ASSERT_TRUE(analysis::checkKernel(Model, Opts).BoundsProvenSafe) << Name;
+    ASSERT_TRUE(
+        analysis::checkKernel(Model, core::checkOptionsFor(*F.B))
+            .BoundsProvenSafe)
+        << Name;
 
     for (const std::string &Source : verifierCandidates(Name)) {
       taco::Program Candidate = parse(Source);
@@ -540,17 +533,7 @@ TEST(PerfEquivalence, CheckerKeepsIngestOverheadWithinBudget) {
     auto Fn = cfront::parseCFunction(B->CSource);
     ASSERT_TRUE(Fn.ok()) << Name;
     analysis::KernelModel Model = analysis::buildKernelModel(*Fn.Function);
-    analysis::CheckOptions Opts;
-    for (const bench::ArgSpec &Arg : B->Args) {
-      if (Arg.K != bench::ArgSpec::Kind::Array)
-        continue;
-      std::vector<analysis::Poly> Extents;
-      for (const std::string &Dim : Arg.Shape)
-        Extents.push_back(analysis::shapeExtentPoly(Dim));
-      Opts.Shapes.emplace(Arg.Name, std::move(Extents));
-      if (Arg.IsOutput)
-        Opts.OutputParams.insert(Arg.Name);
-    }
+    analysis::CheckOptions Opts = core::checkOptionsFor(*B);
 
     constexpr int Reps = 25;
     std::vector<double> IngestNs, CheckNs;

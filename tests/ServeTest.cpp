@@ -23,6 +23,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <thread>
 
 using namespace stagg;
@@ -47,7 +48,7 @@ TEST(RequestQueue, FifoAndSize) {
   EXPECT_EQ(Q.size(), 0u);
 
   for (int I = 0; I < 3; ++I)
-    ASSERT_TRUE(Q.push(requestFor(&All[static_cast<size_t>(I)])));
+    ASSERT_TRUE(Q.push(requestFor(&All[static_cast<size_t>(I)]), true));
   EXPECT_EQ(Q.size(), 3u);
 
   LiftRequest Out;
@@ -58,32 +59,33 @@ TEST(RequestQueue, FifoAndSize) {
   EXPECT_EQ(Q.size(), 0u);
 }
 
-TEST(RequestQueue, BackpressureTryPushFailsWhenFull) {
+TEST(RequestQueue, BackpressureNonWaitingPushFailsWhenFull) {
   const bench::Benchmark &B = bench::allBenchmarks().front();
   RequestQueue Q(2);
   LiftRequest A = requestFor(&B);
   LiftRequest C = requestFor(&B);
   LiftRequest D = requestFor(&B);
-  EXPECT_TRUE(Q.tryPush(std::move(A)));
-  EXPECT_TRUE(Q.tryPush(std::move(C)));
+  EXPECT_TRUE(Q.push(std::move(A), false));
+  EXPECT_TRUE(Q.push(std::move(C), false));
   // Full: the client feels backpressure, and D is not moved from.
-  EXPECT_FALSE(Q.tryPush(std::move(D)));
+  EXPECT_FALSE(Q.push(std::move(D), false));
   EXPECT_EQ(Q.size(), 2u);
 
   LiftRequest Out;
   ASSERT_TRUE(Q.pop(Out));
-  EXPECT_TRUE(Q.tryPush(std::move(D))); // one slot drained, admission resumes
+  // One slot drained, admission resumes.
+  EXPECT_TRUE(Q.push(std::move(D), false));
 }
 
 TEST(RequestQueue, PushBlocksUntilDrained) {
   const bench::Benchmark &B = bench::allBenchmarks().front();
   RequestQueue Q(1);
   LiftRequest First = requestFor(&B);
-  ASSERT_TRUE(Q.push(std::move(First)));
+  ASSERT_TRUE(Q.push(std::move(First), true));
 
   std::atomic<bool> Admitted{false};
   std::thread Producer([&] {
-    Q.push(requestFor(&B)); // must block: depth 1, queue full
+    Q.push(requestFor(&B), true); // must block: depth 1, queue full
     Admitted = true;
   });
 
@@ -101,12 +103,12 @@ TEST(RequestQueue, PushBlocksUntilDrained) {
 TEST(RequestQueue, CloseDrainsThenStops) {
   const bench::Benchmark &B = bench::allBenchmarks().front();
   RequestQueue Q(4);
-  ASSERT_TRUE(Q.push(requestFor(&B)));
+  ASSERT_TRUE(Q.push(requestFor(&B), true));
   Q.close();
   EXPECT_TRUE(Q.closed());
 
   LiftRequest Rejected = requestFor(&B);
-  EXPECT_FALSE(Q.push(std::move(Rejected)));
+  EXPECT_FALSE(Q.push(std::move(Rejected), true));
 
   LiftRequest Out;
   EXPECT_TRUE(Q.pop(Out)); // pending work survives close
@@ -426,12 +428,25 @@ OracleFactory countingFactory(std::shared_ptr<std::atomic<uint64_t>> Calls) {
   };
 }
 
+/// Submits a copy of \p B through the service's one admission function,
+/// waiting for queue room, then waits for its Done.
+LiftResponse liftAndWait(LiftService &Service, const bench::Benchmark &B) {
+  auto Reply = std::make_shared<std::promise<LiftResponse>>();
+  std::future<LiftResponse> Settled = Reply->get_future();
+  LiftRequest Request;
+  Request.Query = B;
+  Request.Config = miniService(1).Config;
+  Request.Done = [Reply](LiftResponse &&R) { Reply->set_value(std::move(R)); };
+  EXPECT_TRUE(Service.submit(std::move(Request), /*Wait=*/true));
+  return Settled.get();
+}
+
 TEST(LiftService, CacheHitSkipsTheOracle) {
   const bench::Benchmark &B = bench::allBenchmarks().front();
   auto Calls = std::make_shared<std::atomic<uint64_t>>(0);
   LiftService Service(miniService(2), countingFactory(Calls));
 
-  LiftResponse First = Service.lift(B);
+  LiftResponse First = liftAndWait(Service, B);
   EXPECT_FALSE(First.CacheHit);
   // Precondition for everything below: a timed-out result would not have
   // been cached.
@@ -440,7 +455,7 @@ TEST(LiftService, CacheHitSkipsTheOracle) {
   EXPECT_GE(AfterFirst, 1u);
 
   // Identical kernel text: answered from the cache, no oracle traffic.
-  LiftResponse Second = Service.lift(B);
+  LiftResponse Second = liftAndWait(Service, B);
   EXPECT_TRUE(Second.CacheHit);
   EXPECT_EQ(Calls->load(), AfterFirst);
 
@@ -461,9 +476,9 @@ TEST(LiftService, DisabledCacheAlwaysRunsThePipeline) {
   Config.Config.Serve.CacheCapacity = 0;
   LiftService Service(Config, countingFactory(Calls));
 
-  Service.lift(B);
+  liftAndWait(Service, B);
   uint64_t AfterFirst = Calls->load();
-  LiftResponse Second = Service.lift(B);
+  LiftResponse Second = liftAndWait(Service, B);
   EXPECT_FALSE(Second.CacheHit);
   EXPECT_GT(Calls->load(), AfterFirst);
 }
@@ -484,7 +499,7 @@ TEST(LiftService, ConcurrentClientsScheduleIndependence) {
   {
     LiftService Sequential(miniService(1));
     for (const bench::Benchmark *B : Suite)
-      Reference.push_back(Sequential.lift(*B));
+      Reference.push_back(liftAndWait(Sequential, *B));
   }
 
   ServiceConfig Config = miniService(3);
@@ -502,7 +517,7 @@ TEST(LiftService, ConcurrentClientsScheduleIndependence) {
           // Stagger the order per client so schedules genuinely differ.
           size_t Pick = (I + static_cast<size_t>(C + R)) % Suite.size();
           PerClient[static_cast<size_t>(C)].push_back(
-              Service.lift(*Suite[Pick]));
+              liftAndWait(Service, *Suite[Pick]));
         }
     });
   for (std::thread &T : Pool)
@@ -565,12 +580,17 @@ TEST(LiftService, ThrowingLiftIsAnsweredAndNeverCached) {
 
   // The throwing request is answered, unsolved, and still settles.
   std::atomic<bool> Settled{false};
-  SubmitHooks Hooks;
-  Hooks.OnSettled = [&Settled] { Settled = true; };
-  std::future<LiftResponse> Reply;
-  ASSERT_TRUE(Service.trySubmit(*Victim, miniService(1).Config,
-                                std::move(Hooks), Reply));
-  LiftResponse Failed = Reply.get();
+  std::promise<LiftResponse> Reply;
+  std::future<LiftResponse> Answer = Reply.get_future();
+  LiftRequest Request;
+  Request.Query = *Victim;
+  Request.Config = miniService(1).Config;
+  Request.Done = [&](LiftResponse &&R) {
+    Reply.set_value(std::move(R));
+    Settled = true;
+  };
+  ASSERT_TRUE(Service.submit(std::move(Request), /*Wait=*/false));
+  LiftResponse Failed = Answer.get();
   EXPECT_FALSE(Failed.Result.Solved);
   EXPECT_FALSE(Failed.CacheHit);
   EXPECT_EQ(Failed.Result.FailReason.find("internal error: "), 0u)
@@ -578,13 +598,13 @@ TEST(LiftService, ThrowingLiftIsAnsweredAndNeverCached) {
 
   // The worker survives and lifts the next kernel normally. One worker
   // runs requests in order, so the first one has settled by now.
-  LiftResponse Ok = Service.lift(*Next);
+  LiftResponse Ok = liftAndWait(Service, *Next);
   EXPECT_TRUE(Ok.Result.Solved) << Ok.Result.FailReason;
   EXPECT_TRUE(Settled.load());
 
   // The failure was not cached: resubmitting re-runs the pipeline.
   uint64_t Before = Calls->load();
-  LiftResponse Again = Service.lift(*Victim);
+  LiftResponse Again = liftAndWait(Service, *Victim);
   EXPECT_FALSE(Again.CacheHit);
   EXPECT_GT(Calls->load(), Before);
   EXPECT_EQ(Service.cacheStats().Insertions, 1u);
@@ -594,7 +614,7 @@ TEST(LiftService, SubmitAfterShutdownFailsFast) {
   const bench::Benchmark &B = bench::allBenchmarks().front();
   LiftService Service(miniService(1));
   Service.shutdown();
-  LiftResponse Response = Service.lift(B);
+  LiftResponse Response = liftAndWait(Service, B);
   EXPECT_FALSE(Response.Result.Solved);
   EXPECT_NE(Response.Result.FailReason.find("shut down"), std::string::npos);
 }

@@ -509,7 +509,7 @@ TEST(SocketServer, DrainClosesAlreadySettledClients) {
 
 /// The full serving stack on a kernel-picked port. Join order matters:
 /// workers are joined (shutdown) before the transport or protocol go away,
-/// since completion hooks post into both.
+/// since their Done callbacks post into both.
 class StackFixture {
 public:
   StackFixture() : StackFixture(config(), {}) {}
@@ -523,9 +523,6 @@ public:
 
   ~StackFixture() {
     Srv->stop();
-    // Join the execute worker while the transport still exists — it posts
-    // result lines into Srv's loop.
-    Proto.shutdown();
     Lifter.shutdown();
   }
 
@@ -947,19 +944,32 @@ struct OracleGate {
   }
 };
 
+/// Holds propose() at the gate for the kernel named Only, or for every
+/// kernel when Only is empty.
 class GatedOracle : public llm::CandidateOracle {
 public:
-  GatedOracle(uint64_t Seed, std::shared_ptr<OracleGate> Gate)
-      : Inner(Seed), Gate(std::move(Gate)) {}
+  GatedOracle(uint64_t Seed, std::shared_ptr<OracleGate> Gate,
+              std::string Only = "")
+      : Inner(Seed), Gate(std::move(Gate)), Only(std::move(Only)) {}
 
   std::vector<std::string> propose(const llm::OracleTask &Task) override {
-    Gate->wait();
+    if (Only.empty() || Task.Query->Name == Only)
+      Gate->wait();
     return Inner.propose(Task);
   }
 
 private:
   llm::SimulatedLlm Inner;
   std::shared_ptr<OracleGate> Gate;
+  std::string Only;
+};
+
+/// Opens the gate on scope exit: failed ASSERTs return early, and the
+/// fixture's shutdown still needs the worker released. Declare it after
+/// the StackFixture so it runs first.
+struct GateReleaser {
+  std::shared_ptr<OracleGate> Gate;
+  ~GateReleaser() { Gate->release(); }
 };
 
 TEST(SocketService, OrphanedCompletionRevivesAStalledBacklog) {
@@ -976,12 +986,7 @@ TEST(SocketService, OrphanedCompletionRevivesAStalledBacklog) {
   StackFixture Stack(Config, [Gate](uint64_t Seed) {
     return std::make_unique<GatedOracle>(Seed, Gate);
   });
-  // Failed ASSERTs below return early; the fixture's shutdown still needs
-  // the worker released. Destroyed before Stack (declared after it).
-  struct Releaser {
-    std::shared_ptr<OracleGate> Gate;
-    ~Releaser() { Gate->release(); }
-  } ReleaseOnExit{Gate};
+  GateReleaser ReleaseOnExit{Gate};
 
   {
     TestClient A(Stack.port());
@@ -1019,6 +1024,103 @@ TEST(SocketService, OrphanedCompletionRevivesAStalledBacklog) {
   EXPECT_NE(Line.find("\"name\":\"art_dot\""), std::string::npos) << Line;
   std::string Done = B.readLine();
   EXPECT_EQ(eventKind(parsedEvent(Done)), "done") << Done;
+}
+
+TEST(SocketService, ExecuteThenDisconnectSettlesCleanly) {
+  // The execute's lift is pinned at the gate while its client vanishes, so
+  // the evaluation and the rendered line finish for a session that is gone.
+  // The completion must drop the line without touching the transport's
+  // in-flight count a second time, and the server must keep executing.
+  auto Gate = std::make_shared<OracleGate>();
+  serve::ServiceConfig Config = StackFixture::config();
+  Config.Threads = 1;
+  StackFixture Stack(Config, [Gate](uint64_t Seed) {
+    return std::make_unique<GatedOracle>(Seed, Gate);
+  });
+  GateReleaser ReleaseOnExit{Gate};
+  const std::string Execute =
+      "{\"v\":2,\"id\":5,\"execute\":{\"name\":\"art_add\","
+      "\"sizes\":{\"N\":2},\"inputs\":{\"a\":[1,2],\"b\":[3,4]}}}";
+
+  {
+    TestClient A(Stack.port());
+    ASSERT_TRUE(A.connected());
+    A.sendLine(Execute);
+    ASSERT_TRUE(eventually(
+        [&] { return Stack.Srv->Server.stats().InFlight == 1; }));
+  } // A vanishes before its result lands
+  ASSERT_TRUE(eventually(
+      [&] { return Stack.Srv->Server.stats().OpenConns == 0; }));
+  Gate->release();
+
+  // One worker settles requests in order, so the orphan's line has been
+  // dropped by the time the new client's answer arrives.
+  TestClient B(Stack.port());
+  ASSERT_TRUE(B.connected());
+  B.sendLine(Execute);
+  support::Json Result = parsedEvent(B.readLine());
+  EXPECT_EQ(eventKind(Result), "result") << Result.dump();
+  ASSERT_NE(Result.find("status"), nullptr);
+  EXPECT_EQ(Result.find("status")->asString(), "ok");
+  ASSERT_NE(Result.find("data"), nullptr);
+  ASSERT_EQ(Result.find("data")->items().size(), 2u);
+  EXPECT_EQ(Result.find("data")->items()[0].asNumber(), 4.0);
+  EXPECT_EQ(Result.find("data")->items()[1].asNumber(), 6.0);
+  EXPECT_TRUE(eventually(
+      [&] { return Stack.Srv->Server.stats().InFlight == 0; }));
+  EXPECT_EQ(Stack.Srv->Server.stats().InFlight, 0);
+}
+
+TEST(SocketService, LiftsAndExecutesAnswerInAdmissionOrder) {
+  // One connection pipelines a slow v1 lift, an execute whose admission
+  // fails at once, and an execute served from the cache. The later two
+  // settle while the first is still pinned at the gate; every line still
+  // leaves in admission order.
+  auto Gate = std::make_shared<OracleGate>();
+  StackFixture Stack(StackFixture::config(), [Gate](uint64_t Seed) {
+    return std::make_unique<GatedOracle>(Seed, Gate, "art_dot");
+  });
+  GateReleaser ReleaseOnExit{Gate};
+  TestClient C(Stack.port());
+  ASSERT_TRUE(C.connected());
+
+  const std::string Cached =
+      "{\"v\":2,\"id\":3,\"execute\":{\"name\":\"art_add\","
+      "\"sizes\":{\"N\":2},\"inputs\":{\"a\":[1,2],\"b\":[3,4]}}}";
+  C.sendLine(Cached); // primes the result cache
+  support::Json Primed = parsedEvent(C.readLine());
+  ASSERT_EQ(Primed.find("status")->asString(), "ok") << Primed.dump();
+  ASSERT_EQ(Stack.Lifter.cacheStats().Hits, 0u);
+
+  C.sendLine("{\"v\":1,\"name\":\"art_dot\"}");
+  C.sendLine("{\"v\":2,\"id\":2,\"execute\":{\"name\":\"no_such_kernel\","
+             "\"sizes\":{\"N\":2}}}");
+  C.sendLine(Cached);
+  // The cached execute has been served while the lift ahead of it waits.
+  ASSERT_TRUE(
+      eventually([&] { return Stack.Lifter.cacheStats().Hits == 1; }));
+  Gate->release();
+
+  std::string First = C.readLine();
+  EXPECT_NE(First.find("\"status\":\"ok\""), std::string::npos) << First;
+  EXPECT_NE(First.find("\"name\":\"art_dot\""), std::string::npos)
+      << First;
+
+  support::Json Unknown = parsedEvent(C.readLine());
+  EXPECT_EQ(eventKind(Unknown), "result") << Unknown.dump();
+  EXPECT_EQ(Unknown.find("id")->asInteger(), 2);
+  EXPECT_EQ(Unknown.find("status")->asString(), "error");
+  ASSERT_NE(Unknown.find("error"), nullptr);
+  EXPECT_NE(Unknown.find("error")->asString().find("unknown benchmark"),
+            std::string::npos)
+      << Unknown.dump();
+
+  support::Json Hit = parsedEvent(C.readLine());
+  EXPECT_EQ(eventKind(Hit), "result") << Hit.dump();
+  EXPECT_EQ(Hit.find("id")->asInteger(), 3);
+  EXPECT_EQ(Hit.find("status")->asString(), "ok");
+  ASSERT_NE(Hit.find("cached"), nullptr);
+  EXPECT_TRUE(Hit.find("cached")->asBool());
 }
 
 } // namespace
