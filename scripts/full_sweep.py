@@ -4,7 +4,8 @@
 Usage:
     scripts/full_sweep.py --stagg build/stagg
         [--expected tests/expected_sweep.csv] [--out-dir sweep-out]
-        [--search td|bu] [--drop-penalty SEL] [--write-expected]
+        [--search td|bu] [--drop-penalty SEL] [--full-grammar]
+        [--write-expected]
 
 Runs `stagg --suite all --threads 1`, projects the CSV down to its
 deterministic columns (dropping the wall-clock seconds column) and fails if
@@ -13,10 +14,11 @@ expression, attempt and expansion counters, fail reason. A grammar or
 search change that flips a benchmark shows up here. Refresh the file
 deliberately with --write-expected.
 
---search and --drop-penalty are passed through to stagg, so the other
-enumeration modes are pinned the same way: tests/expected_sweep_bu.csv is
-the `--search bu` sweep, tests/expected_sweep_drop_a.csv the
-`--drop-penalty a` one.
+--search, --drop-penalty and --full-grammar are passed through to stagg,
+so the other enumeration modes are pinned the same way:
+tests/expected_sweep_bu.csv is the `--search bu` sweep,
+tests/expected_sweep_drop_a.csv the `--drop-penalty a` one and
+tests/expected_sweep_full.csv the `--full-grammar` one.
 
 Exit codes: 0 identical, 1 divergence found, 2 bad input/run failure.
 """
@@ -99,6 +101,9 @@ def main():
                         help="passed through to stagg (default: stagg's, td)")
     parser.add_argument("--drop-penalty", metavar="SEL",
                         help="passed through to stagg (e.g. a, b, a3)")
+    parser.add_argument("--full-grammar", action="store_true",
+                        help="passed through to stagg: the unrefined "
+                             "grammar")
     parser.add_argument("--write-expected", action="store_true",
                         help="refresh the expectation file from the run "
                              "instead of diffing against it")
@@ -109,6 +114,8 @@ def main():
         mode_args += ["--search", args.search]
     if args.drop_penalty:
         mode_args += ["--drop-penalty", args.drop_penalty]
+    if args.full_grammar:
+        mode_args.append("--full-grammar")
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

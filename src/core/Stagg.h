@@ -121,7 +121,7 @@ struct LiftResult {
   /// Complete templates submitted to validation.
   int Attempts = 0;
 
-  /// Queue pops in the search.
+  /// Expansions in the search (search::SearchResult::Expansions).
   int64_t Expansions = 0;
 
   /// End-to-end wall-clock seconds (oracle + grammar + search + verify).

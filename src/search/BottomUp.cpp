@@ -157,6 +157,7 @@ public:
   int attempts() const override { return Attempts; }
   int64_t expansions() const override { return Expansions; }
   double seconds() const override { return Clock.seconds(); }
+  size_t peakFrontier() const override { return PeakHeap; }
 
 private:
   void push(ChainState S) {
@@ -170,6 +171,7 @@ private:
     S.Seq = NextSeq++;
     Heap.push_back(std::move(S));
     std::push_heap(Heap.begin(), Heap.end(), Cmp);
+    PeakHeap = std::max(PeakHeap, Heap.size());
   }
 
   bool fail(const char *Why) {
@@ -192,6 +194,7 @@ private:
   uint64_t NextTicket = 0;
   int Attempts = 0;
   int64_t Expansions = 0;
+  size_t PeakHeap = 0;
   bool Done = false;
   std::string Reason;
 };

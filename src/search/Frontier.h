@@ -27,6 +27,7 @@
 #include "search/SearchTypes.h"
 #include "taco/Ast.h"
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -42,12 +43,13 @@ struct Candidate {
 
   taco::Program Program;
 
-  /// Counters immediately after this candidate was popped: Attempts
+  /// Counters immediately after this candidate was expanded: Attempts
   /// includes this candidate and every skipped one before it
   /// (AttemptsAtYield >= Ticket + 1, with equality under the all-ranks
-  /// mask), Expansions counts every queue pop up to and including the pop
-  /// that completed it. A run accepting this candidate reports exactly
-  /// these values.
+  /// mask), Expansions counts every partial or complete template the search
+  /// took in priority order, up to and including this one (see
+  /// SearchResult::Expansions). A run accepting this candidate reports
+  /// exactly these values.
   int AttemptsAtYield = 0;
   int64_t ExpansionsAtYield = 0;
 };
@@ -60,8 +62,8 @@ class CandidateStream {
 public:
   virtual ~CandidateStream();
 
-  /// Yields the next candidate to probe, after the per-pop timeout and
-  /// budget checks.
+  /// Yields the next candidate to probe, after the per-expansion timeout
+  /// and budget checks.
   virtual bool next(Candidate &Out) = 0;
 
   /// Why enumeration stopped ("timeout", "budget exhausted", "search space
@@ -73,8 +75,11 @@ public:
   virtual int64_t expansions() const = 0;
 
   /// Wall-clock seconds since the stream was created — the same clock the
-  /// per-pop timeout checks read.
+  /// per-expansion timeout checks read.
   virtual double seconds() const = 0;
+
+  /// Most entries the search's priority queue has held at once so far.
+  virtual size_t peakFrontier() const = 0;
 };
 
 /// Probes the candidates of \p Stream in order with the probe \p Factory

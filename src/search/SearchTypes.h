@@ -85,7 +85,9 @@ struct SearchResult {
   /// including the ones the rank mask settles without a probe.
   int Attempts = 0;
 
-  /// Number of queue pops (enumerated partial templates).
+  /// Number of expansions: partial and complete templates taken in
+  /// priority order. Top-down, each is a child its parent's queue entry
+  /// emits (search/TopDown.h); bottom-up, each is a queue pop.
   int64_t Expansions = 0;
 
   double Seconds = 0;

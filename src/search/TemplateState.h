@@ -13,11 +13,11 @@
 /// nonterminals are holes; a binary node whose OP nonterminal has not been
 /// expanded yet is an "op hole". A child shares its parent by reference,
 /// so one expansion costs O(1) integer work plus a copy of a stack whose
-/// height is bounded by the depth limit. The top-down queue holds a parent
-/// plus the production to apply, and builds the child Step only when that
-/// entry is popped and still has open nonterminals; a complete template is
-/// built, by replaying the parent's chain plus its last production, only
-/// when it is yielded.
+/// height is bounded by the depth limit. The top-down queue holds one entry
+/// per expanded state with children left to emit (search/TopDown.h), and
+/// builds a child Step only when that child is emitted and still has open
+/// nonterminals; a complete template is built, by replaying the parent's
+/// chain plus its last production, only when it is yielded.
 ///
 /// The metrics also settle the validator's rank verdict: every access rule
 /// carries the bit of its rank, and a complete template whose ranks are not
@@ -244,8 +244,8 @@ public:
       ++S->Refs;
   }
   StepRef(StepRef &&Other) noexcept : S(Other.S) { Other.S = nullptr; }
-  /// Heap sifts move entries many times per push and pop; a move is two
-  /// pointer writes and never touches a count.
+  /// The top-down search's family pool moves its entries as it grows; a
+  /// move is two pointer writes and never touches a count.
   StepRef &operator=(StepRef &&Other) noexcept {
     std::swap(S, Other.S);
     return *this;

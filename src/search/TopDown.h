@@ -10,6 +10,19 @@
 /// f(x) = c(x) + g(x) + X(x), with a depth limit of 6. Candidates are
 /// probed one at a time in enumeration order (search/Frontier.h).
 ///
+/// The queue expands states partially, after Enhanced Partial Expansion A\*
+/// (Goldenberg et al., JAIR 2014): an expanded state is one queue entry, its
+/// family, that holds its scored operator, bin and max children and scores
+/// its leaf children lazily, cheapest static cost first. The family is
+/// keyed on the least F it can still emit and then on the ordinal of its
+/// expansion, and it emits its best child only when no unscored leaf could
+/// tie or beat it; otherwise it scores the leaves that could, and re-enters
+/// the queue. Children come out in (F, parent's expansion ordinal,
+/// production order), which is the order of a queue holding every child
+/// under a push counter (tests/TopDownReference.h). Each emitted child is
+/// one expansion: SearchResult::Expansions counts them, and the timeout and
+/// budget checks run before each.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef STAGG_SEARCH_TOPDOWN_H

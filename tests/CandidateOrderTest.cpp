@@ -8,61 +8,37 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "LiftGrammar.h"
+#include "TopDownReference.h"
+
 #include "analysis/KernelModel.h"
 #include "benchsuite/Benchmark.h"
 #include "cfront/Parser.h"
 #include "core/Stagg.h"
 #include "grammar/DimensionList.h"
 #include "grammar/Template.h"
-#include "llm/Prompt.h"
-#include "llm/ResponseParser.h"
-#include "llm/SimulatedLlm.h"
 #include "search/BottomUp.h"
+#include "search/CostModel.h"
 #include "search/Frontier.h"
 #include "search/TopDown.h"
 #include "support/Rng.h"
 #include "taco/Parser.h"
 #include "taco/Printer.h"
-#include "taco/Semantics.h"
 #include "validate/Validator.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace stagg;
 
 namespace {
-
-/// The CLI's default oracle seed, so the grammars are the ones the sweep
-/// goldens run over.
-constexpr uint64_t OracleSeed = 20250411;
-
-/// Steps 1-5 of core::liftBenchmark: the grammar the search for \p B runs
-/// over.
-grammar::TemplateGrammar liftGrammar(const bench::Benchmark &B) {
-  cfront::CParseResult Parsed = cfront::parseCFunction(B.CSource);
-  EXPECT_TRUE(Parsed.ok()) << B.Name;
-  analysis::KernelModel Model = analysis::buildKernelModel(*Parsed.Function);
-  core::StaggConfig Config;
-  llm::SimulatedLlm Oracle(OracleSeed);
-  llm::OracleTask Task;
-  Task.Query = &B;
-  Task.Prompt = llm::buildPrompt(B.CSource, Config.NumCandidates);
-  Task.NumCandidates = Config.NumCandidates;
-  llm::ParsedResponses Responses = llm::parseResponses(Oracle.propose(Task));
-  std::vector<grammar::Templatized> Templates;
-  for (const taco::Program &P : Responses.Programs)
-    if (taco::checkWellFormed(P).empty())
-      Templates.push_back(grammar::templatize(P));
-  int LhsDim = Model.Summary.LhsDim;
-  return grammar::buildTemplateGrammar(
-      Templates, grammar::predictDimensionList(Templates, LhsDim), LhsDim,
-      Config.Grammar);
-}
 
 /// The grammar of `stagg bench`'s micro/topdown_enumeration_deep.
 grammar::TemplateGrammar deepGrammar() {
@@ -302,4 +278,164 @@ TEST(RankMask, NoProbeSeesARankInfeasibleTemplate) {
       EXPECT_EQ(All.FailReason, Masked.FailReason) << Where;
     }
   }
+}
+
+namespace {
+
+/// Drives the search's top-down stream and the eager reference
+/// (tests/TopDownReference.h) side by side until both end: every candidate
+/// (program, ticket, attempts, expansions) and the terminal reason and
+/// counters must agree.
+void expectReferenceOrder(const grammar::TemplateGrammar &G,
+                          const search::SearchConfig &Config,
+                          const std::string &Where) {
+  auto Want = search::reference::makeTopDownStream(G, Config);
+  auto Got = search::makeTopDownStream(G, Config);
+  search::Candidate W, C;
+  for (uint64_t I = 0;; ++I) {
+    const bool WantMore = Want->next(W);
+    ASSERT_EQ(WantMore, Got->next(C)) << Where << " #" << I;
+    if (!WantMore)
+      break;
+    ASSERT_EQ(W.Ticket, C.Ticket) << Where << " #" << I;
+    ASSERT_EQ(W.AttemptsAtYield, C.AttemptsAtYield) << Where << " #" << I;
+    ASSERT_EQ(W.ExpansionsAtYield, C.ExpansionsAtYield) << Where << " #" << I;
+    ASSERT_TRUE(taco::programEquals(W.Program, C.Program))
+        << Where << " #" << I << ": " << taco::printProgram(W.Program)
+        << " vs " << taco::printProgram(C.Program);
+  }
+  EXPECT_EQ(Want->failReason(), Got->failReason()) << Where;
+  EXPECT_EQ(Want->attempts(), Got->attempts()) << Where;
+  EXPECT_EQ(Want->expansions(), Got->expansions()) << Where;
+}
+
+struct ReferenceCase {
+  std::string Name;
+  grammar::GrammarOptions Grammar;
+  search::SearchConfig Search;
+};
+
+/// The sweep's configurations: the default, the grammar and depth
+/// ablations, each top-down penalty dropped, and the full grammar under a
+/// smaller attempt cap. The eager reference holds every scored child, so
+/// each case also caps expansions to keep its queue small: about 14 entries
+/// per expansion over the refined grammars, and about 141 over the full
+/// one, where misc_gemv_pair's queue reaches 39M entries (about 2 GB) by
+/// its 2,000th attempt.
+std::vector<ReferenceCase> referenceCases() {
+  search::SearchConfig Capped = untimedConfig();
+  Capped.MaxExpansions = 20'000;
+  std::vector<ReferenceCase> Cases;
+  const grammar::GrammarOptions Refined = core::StaggConfig().Grammar;
+  Cases.push_back({"default", Refined, Capped});
+  Cases.push_back({"equal-probability", Refined, Capped});
+  Cases.back().Grammar.EqualProbability = true;
+  Cases.push_back({"max-depth 4", Refined, Capped});
+  Cases.back().Search.MaxDepth = 4;
+  bool search::SearchConfig::*Penalties[] = {
+      &search::SearchConfig::PenaltyA1, &search::SearchConfig::PenaltyA2,
+      &search::SearchConfig::PenaltyA3, &search::SearchConfig::PenaltyA4,
+      &search::SearchConfig::PenaltyA5};
+  for (int A = 0; A < 5; ++A) {
+    Cases.push_back({"drop a" + std::to_string(A + 1), Refined, Capped});
+    Cases.back().Search.*Penalties[A] = false;
+  }
+  Cases.push_back({"full-grammar", Refined, Capped});
+  Cases.back().Grammar.FullGrammar = true;
+  Cases.back().Search.MaxAttempts = 2000;
+  Cases.back().Search.MaxExpansions = 5'000;
+  return Cases;
+}
+
+/// A one-symbol grammar over b(i), b(j), ... with the given rule costs,
+/// learned + and -, and round probabilities: tensor leaf 1 + rule cost, bin
+/// 4, hole charge 2, operator 1.
+grammar::TemplateGrammar handGrammar(std::vector<int> DimList,
+                                     std::vector<double> RuleCosts) {
+  grammar::TemplateGrammar G;
+  G.Lhs = taco::AccessExpr("a", {"i"});
+  G.DimList = std::move(DimList);
+  G.NumIndexVars = static_cast<int>(RuleCosts.size());
+  for (size_t I = 0; I < RuleCosts.size(); ++I) {
+    grammar::TensorRule R;
+    R.Symbol = "b";
+    R.Indices = {std::string(1, static_cast<char>('i' + I))};
+    R.Prob = 0.5;
+    R.Cost = RuleCosts[I];
+    G.TensorRules.push_back(R);
+  }
+  G.PExprTensor = 0.5;
+  G.PExprBin = 1.0 / 16;
+  G.POp[static_cast<int>(taco::BinOpKind::Add)] = 0.5;
+  G.POp[static_cast<int>(taco::BinOpKind::Sub)] = 0.5;
+  G.LearnedOps = {taco::BinOpKind::Add};
+  return G;
+}
+
+} // namespace
+
+// The partial-expansion queue against the eager one over every registry
+// grammar: the same candidates in the same order with the same counters,
+// and the same end. The (case, kernel) pairs are independent, so a few
+// threads share them.
+TEST(CandidateOrder, TopDownMatchesEagerReferenceAcrossRegistry) {
+  const std::vector<ReferenceCase> Cases = referenceCases();
+  const std::vector<bench::Benchmark> &Kernels = bench::allBenchmarks();
+  const size_t Jobs = Cases.size() * Kernels.size();
+  std::atomic<size_t> NextJob{0};
+  auto Work = [&] {
+    for (size_t J = NextJob++; J < Jobs; J = NextJob++) {
+      const ReferenceCase &Case = Cases[J / Kernels.size()];
+      const bench::Benchmark &B = Kernels[J % Kernels.size()];
+      expectReferenceOrder(liftGrammar(B, Case.Grammar), Case.Search,
+                           B.Name + " " + Case.Name);
+    }
+  };
+  std::vector<std::thread> Workers;
+  for (unsigned T = std::clamp(std::thread::hardware_concurrency(), 1u, 4u);
+       T > 0; --T)
+    Workers.emplace_back(Work);
+  for (std::thread &T : Workers)
+    T.join();
+}
+
+// Two leaves whose static costs differ, in the opposite order of their rule
+// indices, reach the same bound (c + cost) + g once c is large enough for
+// the difference to round away. They tie on F there, so the eager queue
+// takes the lower index first; the partial expansion must score both
+// before it emits either.
+TEST(CandidateOrder, LeavesSharingABoundAreScoredTogether) {
+  grammar::TemplateGrammar G = handGrammar({1, 1, 1}, {1 + 0x1p-51, 1});
+
+  // Under the first bin, the left operand's two leaves share a bound.
+  search::CostModel Costs(G);
+  const double Leaf0 = Costs.costExprTensor() + G.TensorRules[0].Cost;
+  const double Leaf1 = Costs.costExprTensor() + G.TensorRules[1].Cost;
+  const double C = Costs.costExprBin();
+  const double LeafG = Costs.holeCharge() + Costs.opHoleCharge();
+  ASSERT_GT(Leaf0, Leaf1);
+  ASSERT_EQ(C + Leaf0 + LeafG, C + Leaf1 + LeafG);
+
+  search::SearchConfig Config = untimedConfig();
+  Config.MaxExpansions = 20'000;
+  expectReferenceOrder(G, Config, "two leaves on one bound");
+}
+
+// The root's bin child scores exactly the bound of its one leaf, which
+// completes the template with no penalty: they tie on F, and the leaf's
+// lower production position goes first. A scored child equal to the bound
+// must wait until the leaves on that bound are scored.
+TEST(CandidateOrder, AChildOnALeafBoundWaitsForTheLeaf) {
+  grammar::TemplateGrammar G = handGrammar({1, 1}, {108});
+
+  // bin: c 4, g = 2 holes * 2 + 1 operator, a2's 100 (three tensors can no
+  // longer make the length of two).
+  search::CostModel Costs(G);
+  const double Bin = Costs.costExprBin() + 2 * Costs.holeCharge() +
+                     Costs.opHoleCharge() + 100;
+  ASSERT_EQ(Costs.costExprTensor() + G.TensorRules[0].Cost, Bin);
+
+  search::SearchConfig Config = untimedConfig();
+  Config.MaxExpansions = 20'000;
+  expectReferenceOrder(G, Config, "bin on the leaf's bound");
 }

@@ -1,5 +1,8 @@
 //===- tests/SearchTest.cpp - Weighted A* searches (Alg. 1 & 2) -----------===//
 
+#include "LiftGrammar.h"
+
+#include "benchsuite/Benchmark.h"
 #include "search/BottomUp.h"
 #include "search/TopDown.h"
 
@@ -67,6 +70,7 @@ public:
   int attempts() const override { return Pulls; }
   int64_t expansions() const override { return Pulls; }
   double seconds() const override { return 0; }
+  size_t peakFrontier() const override { return 0; }
 
 private:
   const int ThrowAt;
@@ -357,6 +361,22 @@ TEST(SearchLoop, TimeoutStopsSearch) {
   EXPECT_EQ(R.FailReason, "timeout");
   EXPECT_EQ(R.ProbesExecuted, Probes);
   EXPECT_GE(R.Seconds, Config.TimeoutSeconds);
+}
+
+// misc_mm3_chain runs its 20,000 attempts out. The top-down queue holds
+// one entry per expanded state with children left to emit, not one per
+// child: a queue of every child peaks at 102,263 entries here.
+TEST(TopDown, Mm3ChainFrontierStaysSmall) {
+  TemplateGrammar G = liftGrammar(*bench::findBenchmark("misc_mm3_chain"));
+  SearchConfig Config;
+  Config.TimeoutSeconds = 1e9; // The budget, not the host, ends the search.
+  auto Stream = makeTopDownStream(G, Config);
+  Candidate C;
+  while (Stream->next(C)) {
+  }
+  EXPECT_EQ(Stream->failReason(), "budget exhausted");
+  EXPECT_EQ(Stream->attempts(), Config.MaxAttempts);
+  EXPECT_LE(Stream->peakFrontier(), 20'000u);
 }
 
 TEST(SearchLoop, ResolveThreads) {

@@ -636,7 +636,7 @@ TEST(SocketService, PipelinedRequestsAnswerInOrder) {
   TestClient C(Stack.port());
   ASSERT_TRUE(C.connected());
 
-  std::vector<std::string> Names = {"art_copy", "art_add", "art_scale",
+  std::vector<std::string> Names = {"art_copy", "art_add", "art_scal_const",
                                     "art_copy"};
   for (const std::string &Name : Names)
     C.sendLine("{\"v\":1,\"name\":\"" + Name + "\"}");
@@ -644,6 +644,8 @@ TEST(SocketService, PipelinedRequestsAnswerInOrder) {
     std::string Line = C.readLine();
     EXPECT_NE(Line.find("\"name\":\"" + Name + "\""), std::string::npos)
         << "expected " << Name << " got " << Line;
+    EXPECT_NE(Line.find("\"status\":\"ok\""), std::string::npos)
+        << "expected a lift of " << Name << ", got " << Line;
   }
 }
 
