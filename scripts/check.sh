@@ -14,7 +14,7 @@
 #   --sanitize=thread
 #                    instrument with TSan (-DSTAGG_SANITIZE=thread) instead;
 #                    the CI tsan job runs the concurrency-heavy suites this
-#                    way (CTEST_ARGS="-R 'Serve|Socket|Vm|Search|Api'")
+#                    way (CTEST_ARGS="-R Serve|Socket|Vm|Search|Api")
 #   --bench          performance mode: build Release and run
 #                    `stagg bench --json` into $BUILD_DIR/bench.json — the
 #                    entry point both the CI perf job and local perf runs
@@ -36,7 +36,8 @@
 #                    --tidy or --tidy-search is given)
 #   CMAKE_ARGS=...   extra configure arguments, e.g. a compiler selection:
 #                    CMAKE_ARGS="-DCMAKE_CXX_COMPILER=clang++"
-#   CTEST_ARGS=...   extra ctest arguments
+#   CTEST_ARGS=...   extra ctest arguments, split on whitespace; quotes
+#                    inside are passed on literally, not parsed
 #   CTEST_PARALLEL_LEVEL=n
 #                    ctest job count (default: nproc); build -j is unaffected
 #   BENCH_ARGS=...   extra `stagg bench` arguments (default suite/threads

@@ -3,6 +3,8 @@
 #include "api/Endpoint.h"
 
 #include "api/KernelIngest.h"
+#include "llm/SimulatedLlm.h"
+#include "search/WorkerPool.h"
 #include "support/StringUtils.h"
 #include "taco/Printer.h"
 #include "validate/IoExamples.h"
@@ -10,11 +12,10 @@
 #include "vm/Optimizer.h"
 #include "vm/Interpreter.h"
 
+#include <exception>
+
 using namespace stagg;
 using namespace stagg::api;
-
-Endpoint::Endpoint(serve::ServiceConfig Config, serve::OracleFactory Factory)
-    : Base(Config.Config), Service(std::move(Config), std::move(Factory)) {}
 
 namespace {
 
@@ -40,15 +41,42 @@ std::string nearestBenchmark(const std::string &Name) {
 
 } // namespace
 
-LiftResponse Endpoint::admit(const LiftRequest &Request,
-                            serve::LiftRequest &Out) {
-  LiftResponse Head;
+Endpoint::Endpoint(serve::ServiceConfig Config, serve::OracleFactory Factory)
+    : Base(std::move(Config.Config)), Queue(Base.Serve.QueueDepth),
+      Cache(Base.Serve.CacheCapacity, Base.Serve.CacheShards,
+            Base.Serve.CachePath) {
+  if (!Factory)
+    Factory = [](uint64_t Seed) -> std::unique_ptr<llm::CandidateOracle> {
+      return std::make_unique<llm::SimulatedLlm>(Seed);
+    };
+  int Threads = search::resolveThreads(Config.Threads);
+  Pool.reserve(static_cast<size_t>(Threads));
+  for (int T = 0; T < Threads; ++T)
+    Pool.emplace_back([this, Factory, Seed = Config.OracleSeed] {
+      // The worker's private oracle persists across every job it serves.
+      workerLoop(*Factory(Seed));
+    });
+}
+
+Endpoint::~Endpoint() { shutdown(); }
+
+void Endpoint::shutdown() {
+  if (Stopped.exchange(true))
+    return;
+  Queue.close();
+  for (std::thread &T : Pool)
+    if (T.joinable())
+      T.join();
+}
+
+bool Endpoint::admit(const LiftRequest &Request, Job &Out) {
+  LiftResponse &Head = Out.Head;
   Head.Applied = Request.Patch;
   auto Fail = [&](Status St, std::string Name, std::string Error) {
     Head.St = St;
     Head.Name = std::move(Name);
     Head.Error = std::move(Error);
-    return std::move(Head);
+    return false;
   };
 
   if (!Request.RegistryName.empty() && Request.isInline())
@@ -67,19 +95,20 @@ LiftResponse Endpoint::admit(const LiftRequest &Request,
   Out.Config = Request.Patch.apply(Base);
 
   if (Request.isInline()) {
-    IngestResult Ingested = ingestCached(Request);
+    std::shared_ptr<const IngestResult> Ingested = ingestCached(Request);
     // Hard findings behind a refusal, or the warnings that survive clean().
-    Head.Diagnostics = std::move(Ingested.Findings);
-    if (!Ingested.ok()) {
+    Head.Diagnostics = Ingested->Findings;
+    if (!Ingested->ok()) {
       Status St = Status::IngestError;
-      if (Ingested.Status == IngestStatus::ParseError)
+      if (Ingested->Status == IngestStatus::ParseError)
         St = Status::KernelParseError;
-      else if (Ingested.Status == IngestStatus::UnsafeKernel)
+      else if (Ingested->Status == IngestStatus::UnsafeKernel)
         St = Status::UnsafeKernel;
       return Fail(St, Request.Name.empty() ? "inline" : Request.Name,
-                  Ingested.Error);
+                  Ingested->Error);
     }
-    Out.Query = std::move(Ingested.Kernel);
+    Out.Query = std::shared_ptr<const bench::Benchmark>(Ingested,
+                                                        &Ingested->Kernel);
   } else {
     const bench::Benchmark *Found = bench::findBenchmark(Request.RegistryName);
     if (!Found) {
@@ -90,32 +119,92 @@ LiftResponse Endpoint::admit(const LiftRequest &Request,
         Error += " — did you mean '" + Hint + "'?";
       return Fail(Status::UnknownBenchmark, Request.RegistryName, Error);
     }
-    Out.Query = *Found;
+    // The registry outlives every endpoint: point at the entry, own
+    // nothing.
+    Out.Query = std::shared_ptr<const bench::Benchmark>(
+        std::shared_ptr<const bench::Benchmark>(), Found);
   }
-  return Head;
+  return true;
 }
 
 Admission Endpoint::trySubmit(const LiftRequest &Request, ProgressFn Progress,
                               DoneFn Done, bool Wait) {
-  serve::LiftRequest Lift;
-  LiftResponse Head = admit(Request, Lift);
-  if (!Head.ok()) {
-    Done(std::move(Head));
+  Job Lift;
+  if (!admit(Request, Lift)) {
+    Done(std::move(Lift.Head));
     return Admission::Answered;
   }
   Lift.Progress = std::move(Progress);
-  // The one serve -> api translation: the worker's result joins the
-  // admission's patch echo and warnings.
-  Lift.Done = [Head = std::move(Head), Done = std::move(Done)](
-                  serve::LiftResponse &&Raw) mutable {
-    Head.Name = std::move(Raw.Benchmark);
-    Head.Category = std::move(Raw.Category);
-    Head.Result = std::move(Raw.Result);
-    Head.CacheHit = Raw.CacheHit;
-    Done(std::move(Head));
-  };
-  return Service.submit(std::move(Lift), Wait) ? Admission::Queued
-                                               : Admission::QueueFull;
+  Lift.Done = std::move(Done);
+  if (Queue.push(std::move(Lift), Wait))
+    return Admission::Queued;
+  if (!Queue.closed())
+    return Admission::QueueFull; // nothing was moved from; retry later
+  LiftResponse &Response = Lift.Head;
+  Response.Name = Lift.Query->Name;
+  Response.Category = Lift.Query->Category;
+  Response.Result.FailReason = "service is shut down";
+  Lift.Done(std::move(Response));
+  return Admission::Queued;
+}
+
+void Endpoint::workerLoop(llm::CandidateOracle &Oracle) {
+  for (;;) {
+    // One job per iteration, so its callbacks' captures (posted execute
+    // inputs, say) are released as soon as it settles.
+    Job Lift;
+    if (!Queue.pop(Lift))
+      return;
+    execute(Lift, Oracle);
+  }
+}
+
+void Endpoint::execute(Job &Lift, llm::CandidateOracle &Oracle) {
+  const bench::Benchmark &B = *Lift.Query;
+  LiftResponse &Response = Lift.Head;
+  Response.Name = B.Name;
+  Response.Category = B.Category;
+
+  // The key is the normalized kernel text, salted with everything else the
+  // result depends on beyond the source text: the benchmark name (the
+  // simulated oracle seeds its candidate stream per name), the ground truth
+  // (an ingested kernel resubmitted with a different oracle hint must not
+  // alias), and the fingerprint of the lift's effective configuration
+  // (per-request overrides change results). A backend conditioned on the
+  // prompt alone could drop the name/truth salts, never the fingerprint.
+  std::string Key = B.Name + '\x1f' + serve::ResultCache::keyFor(B.CSource) +
+                    '\x1f' + B.GroundTruth + '\x1f' +
+                    core::configFingerprint(Lift.Config);
+  if (Cache.lookup(Key, Response.Result)) {
+    Response.CacheHit = true;
+    Lift.Done(std::move(Response));
+    return;
+  }
+
+  if (Lift.Progress)
+    Lift.Progress("searching");
+  // A lift that throws (std::bad_alloc under a client-sized budget, say)
+  // answers its own request unsolved; it must not take the worker, and
+  // with it the whole process, down.
+  bool Threw = false;
+  try {
+    Response.Result = core::liftBenchmark(B, Oracle, Lift.Config);
+  } catch (const std::exception &E) {
+    Response.Result = core::LiftResult();
+    Response.Result.FailReason = std::string("internal error: ") + E.what();
+    Threw = true;
+  }
+  if (Lift.Progress)
+    Lift.Progress("verified");
+  // Deterministic failures (parse errors, exhausted search spaces, spent
+  // expansion budgets) are cached too — re-lifting identical text can only
+  // reproduce them. Wall-clock timeouts and internal errors are NOT: they
+  // depend on machine load and memory, and caching one would pin a
+  // transient failure for the whole session.
+  if (!Threw &&
+      (Response.Result.Solved || Response.Result.FailReason != "timeout"))
+    Cache.insert(Key, Response.Result);
+  Lift.Done(std::move(Response));
 }
 
 std::future<LiftResponse> Endpoint::submit(const LiftRequest &Request) {
@@ -130,7 +219,8 @@ std::future<LiftResponse> Endpoint::submit(const LiftRequest &Request) {
   return Out;
 }
 
-IngestResult Endpoint::ingestCached(const LiftRequest &Request) {
+std::shared_ptr<const IngestResult>
+Endpoint::ingestCached(const LiftRequest &Request) {
   std::string Key = normalizeKernelText(Request.KernelSource) + '\x1f' +
                     Request.Name + '\x1f' + Request.OracleHint;
   {
@@ -139,12 +229,12 @@ IngestResult Endpoint::ingestCached(const LiftRequest &Request) {
     if (It != IngestMemo.end())
       return It->second;
   }
-  IngestResult Ingested =
-      ingestKernel(Request.KernelSource, Request.Name, Request.OracleHint);
+  auto Ingested = std::make_shared<const IngestResult>(
+      ingestKernel(Request.KernelSource, Request.Name, Request.OracleHint));
   {
     std::lock_guard<std::mutex> Lock(IngestMutex);
     if (IngestMemo.size() >= 256)
-      IngestMemo.clear();
+      IngestMemo.clear(); // queued jobs keep their own entries alive
     IngestMemo.emplace(Key, Ingested);
   }
   return Ingested;
@@ -201,15 +291,15 @@ ExecuteOutcome Endpoint::executeLifted(const LiftRequest &Request,
   // The argument specs that shape the posted inputs, resolved the same way
   // admission resolved them (inline kernels hit the ingest memo; registry
   // kernels are read in place).
-  IngestResult Ingested;
+  std::shared_ptr<const IngestResult> Ingested;
   const bench::Benchmark *Found = nullptr;
   if (Request.isInline()) {
     Ingested = ingestCached(Request);
-    if (!Ingested.ok()) {
-      Out.Error = Ingested.Error;
+    if (!Ingested->ok()) {
+      Out.Error = Ingested->Error;
       return Out;
     }
-    Found = &Ingested.Kernel;
+    Found = &Ingested->Kernel;
   } else {
     Found = bench::findBenchmark(Request.RegistryName);
     if (!Found) {

@@ -1,8 +1,9 @@
 //===- driver/ServeCommand.cpp - stagg serve loop -------------------------===//
 //
-// Both sessions drive one api::Endpoint: stdin through its futures, in
+// Both sessions drive one api::Endpoint, which owns the request queue, the
+// worker pool and the result cache: stdin through its futures, printed in
 // admission order; --listen through api::SocketService, whose requests
-// settle (execute frames included) on the lift worker pool.
+// (execute frames included) settle on the endpoint's workers.
 //
 //===----------------------------------------------------------------------===//
 

@@ -16,7 +16,7 @@
 ///   * driveSerial: pulls candidates one at a time and probes each, stopping
 ///     at the first success or when the stream ends.
 ///
-/// Lifts run in parallel across requests (serve::LiftService) and across
+/// Lifts run in parallel across requests (api::Endpoint) and across
 /// kernels (the batch driver), never inside one search.
 ///
 //===----------------------------------------------------------------------===//

@@ -6,93 +6,89 @@
 ///
 /// \file
 /// The admission queue of the serving layer: a bounded multi-producer
-/// multi-consumer queue of lift requests. A producer that finds the queue
+/// multi-consumer queue of lift jobs. A producer that finds the queue
 /// full either waits for room (backpressure toward blocking clients) or is
 /// refused at once (the socket loop, which must never block); consumers
 /// block when it is empty, and close() wakes everyone so the worker pool
 /// can drain and exit. The bound is what keeps a flood of requests from
-/// ballooning memory: at most QueueDepth requests wait beyond the ones
-/// workers already hold.
+/// ballooning memory: at most Depth items wait beyond the ones workers
+/// already hold.
 ///
-/// Each request carries its own completion callback, LiftRequest::Done,
-/// the one way it settles.
+/// The item type is the client's: api::Endpoint queues its jobs, each
+/// carrying the completion callback that is the one way it settles.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef STAGG_SERVE_REQUESTQUEUE_H
 #define STAGG_SERVE_REQUESTQUEUE_H
 
-#include "core/Stagg.h"
-
+#include <algorithm>
 #include <condition_variable>
 #include <deque>
-#include <functional>
 #include <mutex>
 
 namespace stagg {
 namespace serve {
 
-/// What the service hands back per request.
-struct LiftResponse {
-  std::string Benchmark;
-  std::string Category;
-  core::LiftResult Result;
-
-  /// True when the result came out of the kernel-text cache and no pipeline
-  /// work ran for this request.
-  bool CacheHit = false;
-};
-
-/// One lift request as it travels through the service.
-///
-/// The request *owns* its benchmark: callers may submit kernels ingested
-/// from the wire (api::ingestKernel) and drop their buffers immediately —
-/// nothing in the service ever points into caller storage. (The original
-/// design held `const bench::Benchmark *` into the registry, which made any
-/// non-registry submission a lifetime hazard.)
-struct LiftRequest {
-  /// The kernel to lift.
-  bench::Benchmark Query;
-
-  /// The configuration this request runs under: the service-wide config
-  /// with any per-request overrides (api::ConfigPatch) already applied.
-  core::StaggConfig Config;
-
-  /// Optional phase observer, called on the worker: "searching" when it
-  /// picks the request up, "verified" when the pipeline finished. Cache
-  /// hits skip straight to Done and fire neither.
-  std::function<void(const char *Phase)> Progress;
-
-  /// Settles the request: called exactly once, on the worker that lifts or
-  /// cache-serves it (or by LiftService::submit after shutdown). Callers
-  /// that own thread-confined state marshal from here to their own thread
-  /// (SocketServer::post).
-  std::function<void(LiftResponse &&)> Done;
-};
-
-/// Bounded blocking MPMC queue. All methods are thread-safe.
-class RequestQueue {
+/// Bounded blocking MPMC queue of \p T. All methods are thread-safe.
+template <typename T> class RequestQueue {
 public:
   /// \p Depth < 1 is clamped to 1.
-  explicit RequestQueue(int Depth);
+  explicit RequestQueue(int Depth) : Depth(std::max(Depth, 1)) {}
 
-  /// Enqueues \p Request. When the queue is full, \p Wait blocks until
-  /// there is room; without it push returns false at once. Also false when
-  /// the queue is (or becomes) closed. \p Request is only moved from on
-  /// success, so the caller keeps its Done on failure.
-  bool push(LiftRequest &&Request, bool Wait);
+  /// Enqueues \p Item. When the queue is full, \p Wait blocks until there
+  /// is room; without it push returns false at once. Also false when the
+  /// queue is (or becomes) closed. \p Item is only moved from on success,
+  /// so the caller keeps it (and its callbacks) on failure.
+  bool push(T &&Item, bool Wait) {
+    std::unique_lock<std::mutex> Lock(Mutex);
+    auto HasRoom = [&] { return static_cast<int>(Items.size()) < Depth; };
+    if (Wait)
+      NotFull.wait(Lock, [&] { return Closed || HasRoom(); });
+    if (Closed || !HasRoom())
+      return false;
+    Items.push_back(std::move(Item));
+    Lock.unlock();
+    NotEmpty.notify_one();
+    return true;
+  }
 
-  /// Blocks until a request arrives, then dequeues into \p Out. Returns
+  /// Blocks until an item arrives, then dequeues into \p Out. Returns
   /// false when the queue is closed *and* drained — the consumer's signal
   /// to exit.
-  bool pop(LiftRequest &Out);
+  bool pop(T &Out) {
+    std::unique_lock<std::mutex> Lock(Mutex);
+    NotEmpty.wait(Lock, [&] { return Closed || !Items.empty(); });
+    if (Items.empty())
+      return false; // closed and drained
+    Out = std::move(Items.front());
+    Items.pop_front();
+    Lock.unlock();
+    NotFull.notify_one();
+    return true;
+  }
 
-  /// Closes admission. Pending requests remain poppable; blocked producers
+  /// Closes admission. Pending items remain poppable; blocked producers
   /// fail, blocked consumers drain then exit.
-  void close();
+  void close() {
+    {
+      std::lock_guard<std::mutex> Lock(Mutex);
+      Closed = true;
+    }
+    NotFull.notify_all();
+    NotEmpty.notify_all();
+  }
 
-  bool closed() const;
-  size_t size() const;
+  bool closed() const {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    return Closed;
+  }
+
+  size_t size() const {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    return Items.size();
+  }
+
   int depth() const { return Depth; }
 
 private:
@@ -100,7 +96,7 @@ private:
   mutable std::mutex Mutex;
   std::condition_variable NotFull;
   std::condition_variable NotEmpty;
-  std::deque<LiftRequest> Items;
+  std::deque<T> Items;
   bool Closed = false;
 };
 

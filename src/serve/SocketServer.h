@@ -18,7 +18,7 @@
 /// (api::SocketService implements the real one over api::Endpoint) — the
 /// layering mirrors the rest of the system: serve owns scheduling and
 /// backpressure, api owns the protocol. Lift work, and the evaluation of
-/// execute frames, runs on the serve::LiftService worker pool; the worker
+/// execute frames, runs on the api::Endpoint worker pool; the worker
 /// that settles a request renders its line and hands only that back to the
 /// loop through post(), which queues a closure and wakes the loop via an
 /// eventfd. Everything else runs on the loop thread — per-connection state

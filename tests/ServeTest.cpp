@@ -4,15 +4,19 @@
 //
 // Pins down the serving layer's contracts: the bounded queue's blocking and
 // backpressure semantics, LRU eviction and counters in the sharded result
-// cache, cache-hit determinism (a second lift of identical kernel text
-// never reaches the oracle), and schedule independence under concurrent
-// clients.
+// cache, and, through api::Endpoint, cache-hit determinism (a second lift
+// of identical kernel text never reaches the oracle), schedule independence
+// under concurrent clients, the journaled key layout, and queued kernels
+// that outlive the ingest memo.
 //
 //===----------------------------------------------------------------------===//
 
-#include "serve/LiftService.h"
+#include "api/Endpoint.h"
 
 #include "llm/SimulatedLlm.h"
+#include "serve/RequestQueue.h"
+#include "serve/ResultCache.h"
+#include "support/Json.h"
 #include "support/StringUtils.h"
 #include "taco/Parser.h"
 #include "taco/Printer.h"
@@ -35,57 +39,48 @@ namespace {
 // RequestQueue
 //===----------------------------------------------------------------------===//
 
-LiftRequest requestFor(const bench::Benchmark *B) {
-  LiftRequest R;
-  R.Query = *B; // requests own their benchmark (value semantics)
-  return R;
-}
-
 TEST(RequestQueue, FifoAndSize) {
-  const std::vector<bench::Benchmark> &All = bench::allBenchmarks();
-  RequestQueue Q(4);
+  RequestQueue<std::string> Q(4);
   EXPECT_EQ(Q.depth(), 4);
   EXPECT_EQ(Q.size(), 0u);
 
   for (int I = 0; I < 3; ++I)
-    ASSERT_TRUE(Q.push(requestFor(&All[static_cast<size_t>(I)]), true));
+    ASSERT_TRUE(Q.push("item" + std::to_string(I), true));
   EXPECT_EQ(Q.size(), 3u);
 
-  LiftRequest Out;
+  std::string Out;
   for (int I = 0; I < 3; ++I) {
     ASSERT_TRUE(Q.pop(Out));
-    EXPECT_EQ(Out.Query.Name, All[static_cast<size_t>(I)].Name);
+    EXPECT_EQ(Out, "item" + std::to_string(I));
   }
   EXPECT_EQ(Q.size(), 0u);
 }
 
 TEST(RequestQueue, BackpressureNonWaitingPushFailsWhenFull) {
-  const bench::Benchmark &B = bench::allBenchmarks().front();
-  RequestQueue Q(2);
-  LiftRequest A = requestFor(&B);
-  LiftRequest C = requestFor(&B);
-  LiftRequest D = requestFor(&B);
+  RequestQueue<std::string> Q(2);
+  std::string A = "a";
+  std::string C = "c";
+  std::string D = "d";
   EXPECT_TRUE(Q.push(std::move(A), false));
   EXPECT_TRUE(Q.push(std::move(C), false));
   // Full: the client feels backpressure, and D is not moved from.
   EXPECT_FALSE(Q.push(std::move(D), false));
+  EXPECT_EQ(D, "d");
   EXPECT_EQ(Q.size(), 2u);
 
-  LiftRequest Out;
+  std::string Out;
   ASSERT_TRUE(Q.pop(Out));
   // One slot drained, admission resumes.
   EXPECT_TRUE(Q.push(std::move(D), false));
 }
 
 TEST(RequestQueue, PushBlocksUntilDrained) {
-  const bench::Benchmark &B = bench::allBenchmarks().front();
-  RequestQueue Q(1);
-  LiftRequest First = requestFor(&B);
-  ASSERT_TRUE(Q.push(std::move(First), true));
+  RequestQueue<std::string> Q(1);
+  ASSERT_TRUE(Q.push("first", true));
 
   std::atomic<bool> Admitted{false};
   std::thread Producer([&] {
-    Q.push(requestFor(&B), true); // must block: depth 1, queue full
+    Q.push("second", true); // must block: depth 1, queue full
     Admitted = true;
   });
 
@@ -93,7 +88,7 @@ TEST(RequestQueue, PushBlocksUntilDrained) {
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   EXPECT_FALSE(Admitted.load());
 
-  LiftRequest Out;
+  std::string Out;
   ASSERT_TRUE(Q.pop(Out));
   Producer.join();
   EXPECT_TRUE(Admitted.load());
@@ -101,16 +96,15 @@ TEST(RequestQueue, PushBlocksUntilDrained) {
 }
 
 TEST(RequestQueue, CloseDrainsThenStops) {
-  const bench::Benchmark &B = bench::allBenchmarks().front();
-  RequestQueue Q(4);
-  ASSERT_TRUE(Q.push(requestFor(&B), true));
+  RequestQueue<std::string> Q(4);
+  ASSERT_TRUE(Q.push("pending", true));
   Q.close();
   EXPECT_TRUE(Q.closed());
 
-  LiftRequest Rejected = requestFor(&B);
+  std::string Rejected = "rejected";
   EXPECT_FALSE(Q.push(std::move(Rejected), true));
 
-  LiftRequest Out;
+  std::string Out;
   EXPECT_TRUE(Q.pop(Out)); // pending work survives close
   EXPECT_FALSE(Q.pop(Out)); // drained: consumers exit
 }
@@ -390,7 +384,7 @@ TEST(ResultCachePersist, EmptyJournalPathStaysInMemory) {
 }
 
 //===----------------------------------------------------------------------===//
-// LiftService
+// api::Endpoint — queue, workers and result cache
 //===----------------------------------------------------------------------===//
 
 /// Counts propose() calls through to a SimulatedLlm.
@@ -428,25 +422,27 @@ OracleFactory countingFactory(std::shared_ptr<std::atomic<uint64_t>> Calls) {
   };
 }
 
-/// Submits a copy of \p B through the service's one admission function,
-/// waiting for queue room, then waits for its Done.
-LiftResponse liftAndWait(LiftService &Service, const bench::Benchmark &B) {
-  auto Reply = std::make_shared<std::promise<LiftResponse>>();
-  std::future<LiftResponse> Settled = Reply->get_future();
-  LiftRequest Request;
-  Request.Query = B;
-  Request.Config = miniService(1).Config;
-  Request.Done = [Reply](LiftResponse &&R) { Reply->set_value(std::move(R)); };
-  EXPECT_TRUE(Service.submit(std::move(Request), /*Wait=*/true));
-  return Settled.get();
+api::LiftRequest byName(const std::string &Name) {
+  api::LiftRequest Request;
+  Request.RegistryName = Name;
+  return Request;
 }
 
-TEST(LiftService, CacheHitSkipsTheOracle) {
+/// Lifts registry kernel \p B through the endpoint's one admission
+/// function, waiting for queue room, then for its Done.
+api::LiftResponse liftAndWait(api::Endpoint &Service,
+                              const bench::Benchmark &B) {
+  api::LiftResponse Response = Service.lift(byName(B.Name));
+  EXPECT_TRUE(Response.ok()) << Response.Error;
+  return Response;
+}
+
+TEST(Endpoint, CacheHitSkipsTheOracle) {
   const bench::Benchmark &B = bench::allBenchmarks().front();
   auto Calls = std::make_shared<std::atomic<uint64_t>>(0);
-  LiftService Service(miniService(2), countingFactory(Calls));
+  api::Endpoint Service(miniService(2), countingFactory(Calls));
 
-  LiftResponse First = liftAndWait(Service, B);
+  api::LiftResponse First = liftAndWait(Service, B);
   EXPECT_FALSE(First.CacheHit);
   // Precondition for everything below: a timed-out result would not have
   // been cached.
@@ -455,7 +451,7 @@ TEST(LiftService, CacheHitSkipsTheOracle) {
   EXPECT_GE(AfterFirst, 1u);
 
   // Identical kernel text: answered from the cache, no oracle traffic.
-  LiftResponse Second = liftAndWait(Service, B);
+  api::LiftResponse Second = liftAndWait(Service, B);
   EXPECT_TRUE(Second.CacheHit);
   EXPECT_EQ(Calls->load(), AfterFirst);
 
@@ -469,22 +465,22 @@ TEST(LiftService, CacheHitSkipsTheOracle) {
   EXPECT_EQ(Stats.Misses, 1u);
 }
 
-TEST(LiftService, DisabledCacheAlwaysRunsThePipeline) {
+TEST(Endpoint, DisabledCacheAlwaysRunsThePipeline) {
   const bench::Benchmark &B = bench::allBenchmarks().front();
   auto Calls = std::make_shared<std::atomic<uint64_t>>(0);
   ServiceConfig Config = miniService(1);
   Config.Config.Serve.CacheCapacity = 0;
-  LiftService Service(Config, countingFactory(Calls));
+  api::Endpoint Service(Config, countingFactory(Calls));
 
   liftAndWait(Service, B);
   uint64_t AfterFirst = Calls->load();
-  LiftResponse Second = liftAndWait(Service, B);
+  api::LiftResponse Second = liftAndWait(Service, B);
   EXPECT_FALSE(Second.CacheHit);
   EXPECT_GT(Calls->load(), AfterFirst);
 }
 
-TEST(LiftService, ConcurrentClientsScheduleIndependence) {
-  // Three client threads hammer one service with interleaved, repeating
+TEST(Endpoint, ConcurrentClientsScheduleIndependence) {
+  // Three client threads hammer one endpoint with interleaved, repeating
   // requests over a deliberately tiny queue; every response must equal the
   // sequential reference regardless of worker/queue scheduling.
   std::vector<const bench::Benchmark *> Suite;
@@ -495,20 +491,20 @@ TEST(LiftService, ConcurrentClientsScheduleIndependence) {
   ASSERT_GE(Suite.size(), Take);
   Suite.resize(Take);
 
-  std::vector<LiftResponse> Reference;
+  std::vector<api::LiftResponse> Reference;
   {
-    LiftService Sequential(miniService(1));
+    api::Endpoint Sequential(miniService(1));
     for (const bench::Benchmark *B : Suite)
       Reference.push_back(liftAndWait(Sequential, *B));
   }
 
   ServiceConfig Config = miniService(3);
   Config.Config.Serve.QueueDepth = 2; // force backpressure on the clients
-  LiftService Service(Config);
+  api::Endpoint Service(Config);
 
   const int Clients = 3;
   const int Rounds = 3;
-  std::vector<std::vector<LiftResponse>> PerClient(Clients);
+  std::vector<std::vector<api::LiftResponse>> PerClient(Clients);
   std::vector<std::thread> Pool;
   for (int C = 0; C < Clients; ++C)
     Pool.emplace_back([&, C] {
@@ -524,17 +520,17 @@ TEST(LiftService, ConcurrentClientsScheduleIndependence) {
     T.join();
 
   for (int C = 0; C < Clients; ++C)
-    for (const LiftResponse &Got : PerClient[static_cast<size_t>(C)]) {
+    for (const api::LiftResponse &Got : PerClient[static_cast<size_t>(C)]) {
       size_t Index = 0;
-      while (Index < Suite.size() && Suite[Index]->Name != Got.Benchmark)
+      while (Index < Suite.size() && Suite[Index]->Name != Got.Name)
         ++Index;
-      ASSERT_LT(Index, Suite.size()) << Got.Benchmark;
-      const LiftResponse &Want = Reference[Index];
-      EXPECT_EQ(Got.Result.Solved, Want.Result.Solved) << Got.Benchmark;
-      EXPECT_EQ(Got.Result.Attempts, Want.Result.Attempts) << Got.Benchmark;
+      ASSERT_LT(Index, Suite.size()) << Got.Name;
+      const api::LiftResponse &Want = Reference[Index];
+      EXPECT_EQ(Got.Result.Solved, Want.Result.Solved) << Got.Name;
+      EXPECT_EQ(Got.Result.Attempts, Want.Result.Attempts) << Got.Name;
       EXPECT_EQ(taco::printProgram(Got.Result.Concrete),
                 taco::printProgram(Want.Result.Concrete))
-          << Got.Benchmark;
+          << Got.Name;
     }
 
   // 3 clients x 3 rounds x 4 kernels = 36 requests over 4 distinct kernels.
@@ -566,13 +562,13 @@ private:
   std::shared_ptr<std::atomic<uint64_t>> Calls;
 };
 
-TEST(LiftService, ThrowingLiftIsAnsweredAndNeverCached) {
+TEST(Endpoint, ThrowingLiftIsAnsweredAndNeverCached) {
   const bench::Benchmark *Victim = bench::findBenchmark("art_copy");
   const bench::Benchmark *Next = bench::findBenchmark("art_add");
   ASSERT_NE(Victim, nullptr);
   ASSERT_NE(Next, nullptr);
   auto Calls = std::make_shared<std::atomic<uint64_t>>(0);
-  LiftService Service(
+  api::Endpoint Service(
       miniService(1),
       [Calls](uint64_t Seed) -> std::unique_ptr<llm::CandidateOracle> {
         return std::make_unique<ThrowingOracle>(Seed, "art_copy", Calls);
@@ -580,17 +576,17 @@ TEST(LiftService, ThrowingLiftIsAnsweredAndNeverCached) {
 
   // The throwing request is answered, unsolved, and still settles.
   std::atomic<bool> Settled{false};
-  std::promise<LiftResponse> Reply;
-  std::future<LiftResponse> Answer = Reply.get_future();
-  LiftRequest Request;
-  Request.Query = *Victim;
-  Request.Config = miniService(1).Config;
-  Request.Done = [&](LiftResponse &&R) {
-    Reply.set_value(std::move(R));
-    Settled = true;
-  };
-  ASSERT_TRUE(Service.submit(std::move(Request), /*Wait=*/false));
-  LiftResponse Failed = Answer.get();
+  std::promise<api::LiftResponse> Reply;
+  std::future<api::LiftResponse> Answer = Reply.get_future();
+  ASSERT_EQ(Service.trySubmit(
+                byName(Victim->Name), {},
+                [&](api::LiftResponse &&R) {
+                  Reply.set_value(std::move(R));
+                  Settled = true;
+                },
+                /*Wait=*/false),
+            api::Admission::Queued);
+  api::LiftResponse Failed = Answer.get();
   EXPECT_FALSE(Failed.Result.Solved);
   EXPECT_FALSE(Failed.CacheHit);
   EXPECT_EQ(Failed.Result.FailReason.find("internal error: "), 0u)
@@ -598,25 +594,123 @@ TEST(LiftService, ThrowingLiftIsAnsweredAndNeverCached) {
 
   // The worker survives and lifts the next kernel normally. One worker
   // runs requests in order, so the first one has settled by now.
-  LiftResponse Ok = liftAndWait(Service, *Next);
+  api::LiftResponse Ok = liftAndWait(Service, *Next);
   EXPECT_TRUE(Ok.Result.Solved) << Ok.Result.FailReason;
   EXPECT_TRUE(Settled.load());
 
   // The failure was not cached: resubmitting re-runs the pipeline.
   uint64_t Before = Calls->load();
-  LiftResponse Again = liftAndWait(Service, *Victim);
+  api::LiftResponse Again = liftAndWait(Service, *Victim);
   EXPECT_FALSE(Again.CacheHit);
   EXPECT_GT(Calls->load(), Before);
   EXPECT_EQ(Service.cacheStats().Insertions, 1u);
 }
 
-TEST(LiftService, SubmitAfterShutdownFailsFast) {
+TEST(Endpoint, SubmitAfterShutdownFailsFast) {
   const bench::Benchmark &B = bench::allBenchmarks().front();
-  LiftService Service(miniService(1));
+  api::Endpoint Service(miniService(1));
   Service.shutdown();
-  LiftResponse Response = liftAndWait(Service, B);
+  api::LiftResponse Response = liftAndWait(Service, B);
   EXPECT_FALSE(Response.Result.Solved);
   EXPECT_NE(Response.Result.FailReason.find("shut down"), std::string::npos);
+}
+
+TEST(Endpoint, JournalKeyLayoutIsPinned) {
+  // The result-cache key, read back from the journal a lift writes
+  // through: name, normalized kernel text, ground truth and configuration
+  // fingerprint, joined by 0x1f. A journal only warm-starts a build that
+  // spells its keys the same way.
+  const bench::Benchmark *B = bench::findBenchmark("art_copy");
+  ASSERT_NE(B, nullptr);
+  std::string Path = freshJournal("endpoint-key");
+  ServiceConfig Config = miniService(1);
+  Config.Config.Serve.CachePath = Path;
+  std::string Want;
+  {
+    api::Endpoint Service(Config);
+    Want = B->Name + '\x1f' + ResultCache::keyFor(B->CSource) + '\x1f' +
+           B->GroundTruth + '\x1f' +
+           core::configFingerprint(Service.baseConfig());
+    ASSERT_FALSE(liftAndWait(Service, *B).CacheHit);
+  }
+  std::ifstream In(Path);
+  std::string Line;
+  ASSERT_TRUE(std::getline(In, Line));
+  support::JsonParseResult Record = support::parseJson(Line);
+  ASSERT_TRUE(Record.ok()) << Line;
+  const support::Json *Key = Record.Value.find("key");
+  ASSERT_NE(Key, nullptr) << Line;
+  EXPECT_EQ(Key->asString(), Want);
+  EXPECT_FALSE(std::getline(In, Line)); // one lift, one record
+  std::filesystem::remove(Path);
+}
+
+/// Blocks propose() for one kernel until the gate opens: a lift pinned on
+/// its worker for as long as the test wants.
+class GatedOracle : public llm::CandidateOracle {
+public:
+  GatedOracle(uint64_t Seed, std::shared_future<void> Gate, std::string Only)
+      : Inner(Seed), Gate(std::move(Gate)), Only(std::move(Only)) {}
+
+  std::vector<std::string> propose(const llm::OracleTask &Task) override {
+    if (Task.Query->Name == Only)
+      Gate.wait();
+    return Inner.propose(Task);
+  }
+
+private:
+  llm::SimulatedLlm Inner;
+  std::shared_future<void> Gate;
+  std::string Only;
+};
+
+TEST(Endpoint, QueuedInlineKernelSurvivesIngestMemoClear) {
+  // A queued lift holds its ingested kernel by shared pointer into the
+  // ingest memo; the memo's wholesale clear on overflow must not free it.
+  std::promise<void> Open;
+  std::shared_future<void> Gate = Open.get_future().share();
+  ServiceConfig Config = miniService(1);
+  Config.Config.Serve.QueueDepth = 1;
+  api::Endpoint Service(
+      Config, [Gate](uint64_t Seed) -> std::unique_ptr<llm::CandidateOracle> {
+        return std::make_unique<GatedOracle>(Seed, Gate, "art_copy");
+      });
+  // Opens the gate on every exit path: the destructor joins the worker.
+  std::shared_ptr<void> OpenOnExit(nullptr, [&](void *) { Open.set_value(); });
+
+  // The single worker takes art_copy and blocks in the oracle. The inline
+  // kernel waits for, then takes, the one queue slot.
+  std::future<api::LiftResponse> Held = Service.submit(byName("art_copy"));
+  api::LiftRequest Inline;
+  Inline.KernelSource =
+      "void kernel(int N, float* a, float* b, float* out) {"
+      "  for (int i = 0; i < N; i++)"
+      "    out[i] = a[i] * b[i] + a[i];"
+      "}";
+  Inline.Name = "queued_kernel";
+  std::future<api::LiftResponse> Queued = Service.submit(Inline);
+  ASSERT_EQ(Service.queueLength(), 1u);
+
+  // 256 more distinct inline kernels overflow the 256-entry memo, which
+  // clears wholesale. Each is ingested, then refused: the queue is full.
+  for (int I = 0; I < 256; ++I) {
+    api::LiftRequest Other = Inline;
+    Other.Name = "overflow_" + std::to_string(I);
+    ASSERT_EQ(Service.trySubmit(
+                  Other, {},
+                  [](api::LiftResponse &&) { ADD_FAILURE() << "settled"; },
+                  /*Wait=*/false),
+              api::Admission::QueueFull);
+  }
+
+  OpenOnExit.reset();
+  EXPECT_TRUE(Held.get().Result.Solved);
+  api::LiftResponse Response = Queued.get();
+  ASSERT_TRUE(Response.ok()) << Response.Error;
+  EXPECT_EQ(Response.Name, "queued_kernel");
+  EXPECT_EQ(Response.Category, "inline");
+  EXPECT_TRUE(Response.Result.Solved) << Response.Result.FailReason;
+  EXPECT_TRUE(Response.Result.Verified);
 }
 
 } // namespace
