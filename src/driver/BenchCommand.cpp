@@ -14,14 +14,19 @@
 #include "grammar/DimensionList.h"
 #include "grammar/Pcfg.h"
 #include "grammar/Template.h"
+#include "llm/Prompt.h"
+#include "llm/ResponseParser.h"
+#include "llm/SimulatedLlm.h"
 #include "search/TopDown.h"
 #include "serve/ResultCache.h"
 #include "serve/SocketServer.h"
 #include "support/Json.h"
+#include "support/Rng.h"
 #include "support/Timer.h"
 #include "taco/Einsum.h"
 #include "taco/Parser.h"
 #include "taco/Printer.h"
+#include "taco/Semantics.h"
 #include "validate/Validator.h"
 #include "verify/BoundedVerifier.h"
 #include "vm/Compiler.h"
@@ -297,7 +302,7 @@ std::vector<Micro> buildMicros(const MicroFixtures &F) {
         *F.Axpy, F.AxpyExamples, std::vector<int64_t>{1, 2});
     auto T = std::make_shared<taco::Program>(F.AxpyTemplate);
     Micros.push_back({"micro/validator_axpy", [V, T] {
-                        if (V->validate(*T).empty())
+                        if (V->validate(*T).empty() || V->memoHits() != 0)
                           std::abort();
                       }});
   }
@@ -306,7 +311,7 @@ std::vector<Micro> buildMicros(const MicroFixtures &F) {
         *F.Gemv, F.GemvExamples, std::vector<int64_t>{1, 2});
     auto T = std::make_shared<taco::Program>(F.GemvTemplate);
     Micros.push_back({"micro/validator_gemv", [V, T] {
-                        if (V->validate(*T).empty())
+                        if (V->validate(*T).empty() || V->memoHits() != 0)
                           std::abort();
                       }});
   }
@@ -320,14 +325,67 @@ std::vector<Micro> buildMicros(const MicroFixtures &F) {
     auto Reject = std::make_shared<taco::Program>(
         *taco::parseTacoProgram("a(i,j) = b(i,j,k,l) * c(k,l)").Prog);
     Micros.push_back({"micro/validator_reject_rank", [V, Reject] {
-                        if (!V->validate(*Reject).empty())
+                        if (!V->validate(*Reject).empty() ||
+                            V->memoHits() != 0)
                           std::abort();
                       }});
     auto Chain = std::make_shared<taco::Program>(
         *taco::parseTacoProgram("a(i,j) = b(i,k) * c(k,l) * d(l,j)").Prog);
     Micros.push_back({"micro/validator_chain3", [V, Chain] {
-                        if (V->validate(*Chain).empty())
+                        if (V->validate(*Chain).empty() || V->memoHits() != 0)
                           std::abort();
+                      }});
+  }
+
+  // The validator over the template stream of blas_axpby's default lift:
+  // the 4,654 templates it rejects before the first one that validates,
+  // of which the rejection memo answers 3,054 (each equal up to `+`/`*`
+  // reordering and renaming to an earlier one). Each iteration replays
+  // them through a fresh validator, so the memo starts empty as in a lift.
+  // The four micros above measure evaluation, not the memo: each validates
+  // one accepted or rank-rejected template, which the memo never records,
+  // and aborts on a memo hit.
+  {
+    const bench::Benchmark &B = *bench::findBenchmark("blas_axpby");
+    auto Fn = std::make_shared<cfront::CParseResult>(
+        cfront::parseCFunction(B.CSource));
+    core::StaggConfig Config;
+    Rng ExampleRng(Config.ExampleSeed);
+    auto Examples = std::make_shared<std::vector<validate::IoExample>>(
+        validate::generateExamples(B, *Fn->Function, Config.NumIoExamples,
+                                   ExampleRng));
+    auto Constants = std::make_shared<std::vector<int64_t>>(
+        analysis::buildKernelModel(*Fn->Function).Summary.Constants);
+    llm::SimulatedLlm Oracle(CliOptions().OracleSeed);
+    llm::OracleTask Task;
+    Task.Query = &B;
+    Task.Prompt = llm::buildPrompt(B.CSource, Config.NumCandidates);
+    Task.NumCandidates = Config.NumCandidates;
+    std::vector<grammar::Templatized> T;
+    for (const taco::Program &P :
+         llm::parseResponses(Oracle.propose(Task)).Programs)
+      if (taco::checkWellFormed(P).empty())
+        T.push_back(grammar::templatize(P));
+    const int LhsDim = analysis::analyzeKernel(*Fn->Function).LhsDim;
+    grammar::TemplateGrammar G = grammar::buildTemplateGrammar(
+        T, grammar::predictDimensionList(T, LhsDim), LhsDim, Config.Grammar);
+    auto Stream = std::make_shared<std::vector<taco::Program>>();
+    validate::Validator Recorder(B, *Examples, *Constants);
+    search::runTopDown(
+        G, Config.Search,
+        [&](const taco::Program &P) {
+          if (!Recorder.validate(P).empty())
+            return true;
+          Stream->push_back(P);
+          return false;
+        },
+        validate::bindableRanks(B));
+    Micros.push_back({"micro/validator_axpby_stream",
+                      [&B, Examples, Constants, Stream] {
+                        validate::Validator V(B, *Examples, *Constants);
+                        for (const taco::Program &P : *Stream)
+                          if (!V.validate(P).empty())
+                            std::abort();
                       }});
   }
 

@@ -8,8 +8,11 @@
 
 #include <algorithm>
 #include <cassert>
+#include <charconv>
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <string_view>
 
 using namespace stagg;
 using namespace stagg::validate;
@@ -164,6 +167,466 @@ bool validate::runsConsistently(const bench::Benchmark &B,
   return true;
 }
 
+namespace {
+
+/// boost::hash_combine's mixer: order-sensitive, cheap, good enough to
+/// order a chain's operands.
+uint64_t mix(uint64_t H, uint64_t V) {
+  return H ^ (V + 0x9e3779b97f4a7c15ull + (H << 6) + (H >> 2));
+}
+
+/// The memo table's hash of a key, eight bytes at a time.
+uint64_t hashKey(std::string_view Key) {
+  uint64_t H = Key.size();
+  for (size_t I = 0; I < Key.size(); I += 8) {
+    uint64_t Word = 0;
+    std::memcpy(&Word, Key.data() + I, std::min<size_t>(8, Key.size() - I));
+    H = mix(H, Word);
+  }
+  return H;
+}
+
+/// A name of at most eight bytes packed into one word, so that names
+/// compare as integers; 0 for a longer name. Names never hold a NUL.
+uint64_t nameWord(const std::string &Name) {
+  uint64_t Word = 0;
+  if (Name.empty() || Name.size() > 8)
+    return 0;
+  std::memcpy(&Word, Name.data(), Name.size());
+  return Word;
+}
+
+uint64_t magnitude(int64_t V) {
+  return V < 0 ? uint64_t(0) - static_cast<uint64_t>(V)
+               : static_cast<uint64_t>(V);
+}
+
+/// The rejection memo's canonical form of a template (Validator.h): every
+/// `+` chain flattened across the `+` nodes that introduce no reduction,
+/// every `*` chain across all its `*` nodes, the operands of each chain
+/// sorted, every other node kept as written. print() renames the symbols
+/// other than the LHS symbol by first appearance in that order. The
+/// buffers are reused from template to template.
+///
+/// Operands sort by a hash that names no symbol: a leaf hashes its index
+/// variables and a signature of its symbol (the sum of the hashes of all
+/// its uses), so renaming the symbols changes no hash. Leaves that still
+/// tie sort by their symbol's first appearance in the template, which keeps
+/// each symbol's uses together. Any deterministic order is sound, since the
+/// key prints the whole form; this one also gives `b*b*c` and `b*c*c`
+/// (over like leaves) one key, as a renaming maps one onto the other.
+class CanonicalForm {
+public:
+  /// Use counts are packed one byte per reduction variable.
+  static constexpr size_t MaxReductionVars = 8;
+  static constexpr size_t MaxLeaves = 255;
+
+  /// Builds the form of \p T (which has an RHS). False when \p T has more
+  /// reduction variables or leaves than the packed counts hold, or a name
+  /// longer than eight bytes; such a template has no key.
+  bool build(const Program &T) {
+    this->T = &T;
+    LhsName = nameWord(T.Lhs.name());
+    LhsVars.clear();
+    for (const std::string &Var : T.Lhs.indices())
+      LhsVars.push_back(nameWord(Var));
+    if (LhsName == 0 ||
+        std::find(LhsVars.begin(), LhsVars.end(), 0) != LhsVars.end())
+      return false;
+    Nodes.clear();
+    Operands.clear();
+    ReductionVars.clear();
+    Symbols.clear();
+    Signatures.clear();
+    Accesses.clear();
+    TotalUses = 0;
+    Leaves = 0;
+    HasDivision = false;
+    MaxLiteral = 0;
+    if (!scan(*T.Rhs))
+      return false;
+    NextAccess = 0;
+    Root = canon(*T.Rhs);
+    return true;
+  }
+
+  /// Appends the key of the form built last.
+  void print(std::string &Out) {
+    Numbers.assign(Symbols.size(), -1);
+    NextNumber = 0;
+    printAccess(T->Lhs.indices(), Out.append(T->Lhs.name()));
+    Out += '=';
+    printNode(Root, Out);
+  }
+
+  /// Facts of the template built last, for the exactness bound.
+  bool HasDivision = false;
+  size_t Leaves = 0;
+  uint64_t MaxLiteral = 0;
+  size_t reductions() const { return ReductionVars.size(); }
+
+private:
+  struct Node {
+    /// 'a' access, 'k' literal, '$' symbolic constant, '~' negate, 'm'
+    /// max, else the binary operator's character.
+    char Tag;
+    /// An access's symbol (an index into Symbols; -1 for the LHS symbol
+    /// and for every other node): the tie-break among equal hashes.
+    int Sym;
+    const Expr *Leaf;
+    /// Operands[Begin, Begin + Count): the children, in canonical order.
+    uint32_t Begin;
+    uint32_t Count;
+    uint64_t Hash;
+    /// Byte V: the leaves of this subtree that use reduction variable V.
+    uint64_t Uses;
+    /// Some reduction is introduced at this node (taco/Einsum.h: its
+    /// subtree holds every use and no child's does).
+    bool Reduces;
+  };
+
+  /// What scan() learns of each access, in leaf order.
+  struct AccessFacts {
+    int Sym;
+    uint64_t Shape;
+    uint64_t Uses;
+  };
+
+  static int find(const std::vector<uint64_t> &Words, uint64_t Word) {
+    for (size_t I = 0; I < Words.size(); ++I)
+      if (Words[I] == Word)
+        return static_cast<int>(I);
+    return -1;
+  }
+
+  /// Bit V set when \p Uses holds every use of reduction variable V.
+  uint32_t complete(uint64_t Uses) const {
+    uint32_t Mask = 0;
+    for (size_t V = 0; V < ReductionVars.size(); ++V)
+      if ((Uses >> (8 * V) & 0xff) == (TotalUses >> (8 * V) & 0xff))
+        Mask |= uint32_t(1) << V;
+    return Mask;
+  }
+
+  /// First pass: the reduction variables (on the RHS, not on the LHS) with
+  /// their total uses, the symbols with their signatures, each access's
+  /// facts, and the leaf count. A variable repeated within one access
+  /// counts once, as in the structure compiler.
+  bool scan(const Expr &E) {
+    switch (E.kind()) {
+    case Expr::Kind::Access: {
+      const auto &A = exprCast<AccessExpr>(E);
+      const uint64_t Name = nameWord(A.name());
+      const bool IsLhs = Name == LhsName;
+      uint64_t Shape = mix('a', IsLhs);
+      uint64_t Uses = 0;
+      uint64_t Seen = 0; // Reduction variables already counted here.
+      for (const std::string &Var : A.indices()) {
+        const uint64_t Word = nameWord(Var);
+        if (Word == 0)
+          return false;
+        Shape = mix(Shape, Word);
+        if (find(LhsVars, Word) >= 0)
+          continue;
+        int V = find(ReductionVars, Word);
+        if (V < 0) {
+          if (ReductionVars.size() == MaxReductionVars)
+            return false;
+          V = static_cast<int>(ReductionVars.size());
+          ReductionVars.push_back(Word);
+        }
+        if (Seen >> V & 1)
+          continue;
+        Seen |= uint64_t(1) << V;
+        Uses += uint64_t(1) << (8 * V);
+      }
+      int Sym = -1;
+      if (!IsLhs) {
+        if (Name == 0)
+          return false;
+        Sym = find(Symbols, Name);
+        if (Sym < 0) {
+          Sym = static_cast<int>(Symbols.size());
+          Symbols.push_back(Name);
+          Signatures.push_back(0);
+        }
+        Signatures[static_cast<size_t>(Sym)] += Shape * 0x9e3779b97f4a7c15ull;
+      }
+      Accesses.push_back({Sym, Shape, Uses});
+      TotalUses += Uses;
+      return ++Leaves <= MaxLeaves;
+    }
+    case Expr::Kind::Constant:
+      return ++Leaves <= MaxLeaves;
+    case Expr::Kind::Binary: {
+      const auto &Bin = exprCast<BinaryExpr>(E);
+      return scan(Bin.lhs()) && scan(Bin.rhs());
+    }
+    case Expr::Kind::Negate:
+      return scan(exprCast<NegateExpr>(E).operand());
+    case Expr::Kind::Max: {
+      const auto &M = exprCast<MaxExpr>(E);
+      return scan(M.lhs()) && scan(M.rhs());
+    }
+    }
+    return false;
+  }
+
+  int addLeaf(char Tag, int Sym, const Expr &E, uint64_t Hash,
+              uint64_t Uses) {
+    const uint32_t Begin = static_cast<uint32_t>(Operands.size());
+    Nodes.push_back({Tag, Sym, &E, Begin, 0, Hash, Uses, false});
+    return static_cast<int>(Nodes.size() - 1);
+  }
+
+  /// Second pass: lowers \p E, children first; returns its node.
+  int canon(const Expr &E) {
+    switch (E.kind()) {
+    case Expr::Kind::Access: {
+      const AccessFacts &A = Accesses[NextAccess++];
+      const uint64_t Signature =
+          A.Sym < 0 ? 0 : Signatures[static_cast<size_t>(A.Sym)];
+      return addLeaf('a', A.Sym, E, mix(A.Shape, Signature), A.Uses);
+    }
+    case Expr::Kind::Constant: {
+      const auto &C = exprCast<ConstantExpr>(E);
+      if (C.isSymbolic())
+        return addLeaf('$', -1, E, mix('$', 0), 0);
+      MaxLiteral = std::max(MaxLiteral, magnitude(C.value()));
+      return addLeaf('k', -1, E, mix('k', static_cast<uint64_t>(C.value())),
+                     0);
+    }
+    case Expr::Kind::Negate: {
+      const int Child = canon(exprCast<NegateExpr>(E).operand());
+      return opNode('~', Child, -1);
+    }
+    case Expr::Kind::Max: {
+      const auto &M = exprCast<MaxExpr>(E);
+      const int L = canon(M.lhs());
+      return opNode('m', L, canon(M.rhs()));
+    }
+    case Expr::Kind::Binary: {
+      const auto &Bin = exprCast<BinaryExpr>(E);
+      const int L = canon(Bin.lhs());
+      const int R = canon(Bin.rhs());
+      switch (Bin.op()) {
+      case BinOpKind::Add:
+        return opNode('+', L, R);
+      case BinOpKind::Mul:
+        return opNode('*', L, R);
+      case BinOpKind::Sub:
+        return opNode('-', L, R);
+      case BinOpKind::Div:
+        HasDivision = true;
+        return opNode('/', L, R);
+      }
+      break;
+    }
+    }
+    return -1;
+  }
+
+  /// An operator node over \p L and \p R (-1 for a negation). A `*` takes
+  /// over the operands of a `*` child, and a `+` those of a `+` child that
+  /// introduces no reduction; then the operands are sorted (a stable
+  /// insertion sort: chains are short, and it allocates nothing). A sum
+  /// over v introduced at a `*` child may move out to the chain: no other
+  /// factor uses v, so a * sum_v(f) = sum_v(a * f); a sum introduced at a
+  /// `+` child may not, as b + sum_v(f) adds b once, not once per v.
+  int opNode(char Tag, int L, int R) {
+    const uint32_t Begin = static_cast<uint32_t>(Operands.size());
+    const bool Chain = Tag == '+' || Tag == '*';
+    uint64_t Uses = 0;
+    uint32_t Within = ~uint32_t(0);
+    for (int Child : {L, R}) {
+      if (Child < 0)
+        continue;
+      const Node &N = Nodes[static_cast<size_t>(Child)];
+      Uses += N.Uses;
+      Within &= ~complete(N.Uses);
+      if (!Chain || N.Tag != Tag || (Tag == '+' && N.Reduces)) {
+        Operands.push_back(Child);
+        continue;
+      }
+      for (uint32_t I = N.Begin; I < N.Begin + N.Count; ++I)
+        Operands.push_back(Operands[I]);
+    }
+    auto Before = [this](int A, int B) {
+      const Node &X = Nodes[static_cast<size_t>(A)];
+      const Node &Y = Nodes[static_cast<size_t>(B)];
+      return X.Hash != Y.Hash ? X.Hash < Y.Hash : X.Sym < Y.Sym;
+    };
+    if (Chain)
+      for (size_t I = Begin + 1; I < Operands.size(); ++I)
+        for (size_t J = I; J > Begin && Before(Operands[J], Operands[J - 1]);
+             --J)
+          std::swap(Operands[J], Operands[J - 1]);
+    uint64_t Hash = mix(static_cast<unsigned char>(Tag), Operands.size() - Begin);
+    for (size_t I = Begin; I < Operands.size(); ++I)
+      Hash = mix(Hash, Nodes[static_cast<size_t>(Operands[I])].Hash);
+    const bool Reduces = (complete(Uses) & Within) != 0;
+    Nodes.push_back({Tag, -1, nullptr, Begin,
+                     static_cast<uint32_t>(Operands.size()) - Begin, Hash,
+                     Uses, Reduces});
+    return static_cast<int>(Nodes.size() - 1);
+  }
+
+  static void printAccess(const std::vector<std::string> &Indices,
+                          std::string &Out) {
+    Out += '(';
+    for (size_t I = 0; I < Indices.size(); ++I) {
+      if (I)
+        Out += ',';
+      Out += Indices[I];
+    }
+    Out += ')';
+  }
+
+  static void printNumber(uint64_t Value, std::string &Out) {
+    char Buf[24];
+    Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), Value).ptr);
+  }
+
+  void printNode(int Id, std::string &Out) {
+    const Node &N = Nodes[static_cast<size_t>(Id)];
+    switch (N.Tag) {
+    case 'a': {
+      const auto &A = exprCast<AccessExpr>(*N.Leaf);
+      if (N.Sym < 0) {
+        Out += A.name();
+      } else {
+        int &Number = Numbers[static_cast<size_t>(N.Sym)];
+        if (Number < 0)
+          Number = NextNumber++;
+        Out += '#';
+        if (Number < 10)
+          Out += static_cast<char>('0' + Number);
+        else
+          printNumber(static_cast<uint64_t>(Number), Out);
+      }
+      printAccess(A.indices(), Out);
+      return;
+    }
+    case 'k': {
+      const int64_t V = exprCast<ConstantExpr>(*N.Leaf).value();
+      if (V < 0)
+        Out += '-';
+      printNumber(magnitude(V), Out);
+      return;
+    }
+    case '$':
+      Out += '$';
+      return;
+    default:
+      Out += N.Tag;
+      Out += '(';
+      for (uint32_t I = 0; I < N.Count; ++I) {
+        if (I)
+          Out += ',';
+        printNode(Operands[N.Begin + I], Out);
+      }
+      Out += ')';
+      return;
+    }
+  }
+
+  const Program *T = nullptr;
+  std::vector<Node> Nodes;
+  std::vector<int> Operands;
+  int Root = -1;
+  /// Names as words (nameWord): the LHS symbol and index variables, and
+  /// the reduction variables and other symbols in order of first
+  /// appearance.
+  uint64_t LhsName = 0;
+  std::vector<uint64_t> LhsVars;
+  std::vector<uint64_t> ReductionVars;
+  std::vector<uint64_t> Symbols;
+  std::vector<uint64_t> Signatures;
+  std::vector<AccessFacts> Accesses;
+  size_t NextAccess = 0;
+  uint64_t TotalUses = 0;
+  /// print()'s renaming: symbol -> number, -1 until first printed.
+  std::vector<int> Numbers;
+  int NextNumber = 0;
+};
+
+/// The keys of the templates a validator rejected: their bytes back to back
+/// in one arena, found through an open-addressed table of (hash, offset,
+/// length). Both grow by doubling, so inserts amortize; the first insert
+/// reserves room for a few hundred keys.
+class KeySet {
+public:
+  bool contains(std::string_view Key, uint64_t Hash) const {
+    if (Slots.empty())
+      return false;
+    const size_t Mask = Slots.size() - 1;
+    for (size_t I = home(Hash, Mask);; I = (I + 1) & Mask) {
+      const Slot &S = Slots[I];
+      if (S.Size == 0)
+        return false;
+      if (S.Hash == Hash && std::string_view(Arena).substr(S.Begin, S.Size) ==
+                                Key)
+        return true;
+    }
+  }
+
+  /// Adds \p Key, which must be absent and non-empty.
+  void insert(std::string_view Key, uint64_t Hash) {
+    if (Slots.empty()) {
+      Slots.resize(512);
+      Arena.reserve(16384);
+    } else if (2 * (Count + 1) > Slots.size()) {
+      std::vector<Slot> Old(Slots.size() * 2);
+      Old.swap(Slots);
+      for (const Slot &S : Old)
+        if (S.Size != 0)
+          place(S);
+    }
+    assert(!Key.empty() && Arena.size() + Key.size() <= UINT32_MAX);
+    place({Hash, static_cast<uint32_t>(Arena.size()),
+           static_cast<uint32_t>(Key.size())});
+    Arena.append(Key);
+    ++Count;
+  }
+
+private:
+  struct Slot {
+    uint64_t Hash = 0;
+    uint32_t Begin = 0;
+    /// 0 marks an empty slot.
+    uint32_t Size = 0;
+  };
+
+  /// A key's first slot. FNV-1a's low bits depend only on the low bits of
+  /// its state, so keys that differ in a character or two cluster there;
+  /// the slot comes from the high bits of a multiplicative hash instead.
+  static size_t home(uint64_t Hash, size_t Mask) {
+    return static_cast<size_t>((Hash * 0x9e3779b97f4a7c15ull) >> 32) & Mask;
+  }
+
+  void place(const Slot &S) {
+    const size_t Mask = Slots.size() - 1;
+    size_t I = home(S.Hash, Mask);
+    while (Slots[I].Size != 0)
+      I = (I + 1) & Mask;
+    Slots[I] = S;
+  }
+
+  std::string Arena;
+  std::vector<Slot> Slots;
+  size_t Count = 0;
+};
+
+} // namespace
+
+std::string validate::templateKey(const Program &Template) {
+  CanonicalForm Form;
+  std::string Key;
+  if (Template.Rhs && Form.build(Template))
+    Form.print(Key);
+  return Key;
+}
+
 /// Everything the validator keeps between calls. The argument table is
 /// built once per validator; the rest is per-template scratch whose buffers
 /// are reused, so a call allocates only when a template outgrows them.
@@ -241,6 +704,18 @@ struct Validator::State {
   /// ordinal of the I-th symbolic constant.
   std::vector<double> ConstRegValues;
   std::vector<size_t> SymConstOrdinal;
+
+  //===-- Rejection memo ---------------------------------------------------===
+  /// Every value a template can read, over every example: input and output
+  /// cells, size and numeric scalars, and the constant pool. Exact when all
+  /// of them are integers below 2^53 in magnitude; then MaxValue bounds
+  /// their magnitudes and MaxExtent every index variable's extent.
+  bool IntegerValues = true;
+  uint64_t MaxValue = 0;
+  uint64_t MaxExtent = 0;
+  CanonicalForm Form;
+  std::string Key;
+  KeySet Rejected;
 };
 
 Validator::~Validator() = default;
@@ -296,7 +771,55 @@ Validator::State &Validator::state() const {
         Row.OutPositive = Row.OutPositive && Extent > 0;
     }
   }
+
+  // The memo's bounds. Every extent is some argument's dimension.
+  constexpr double Exact = 9007199254740992.0; // 2^53
+  auto NoteValue = [&S, Exact](double V) {
+    if (!(std::fabs(V) < Exact) || V != std::trunc(V)) {
+      S.IntegerValues = false;
+      return;
+    }
+    S.MaxValue = std::max(S.MaxValue, static_cast<uint64_t>(std::fabs(V)));
+  };
+  for (const State::ExampleArgs &Row : S.Table) {
+    for (const auto &[Name, Operand] : Row.Operands)
+      for (double V : Operand.flat())
+        NoteValue(V);
+    for (int64_t Extent : Row.Dims)
+      S.MaxExtent = std::max(S.MaxExtent, magnitude(Extent));
+  }
+  for (int64_t C : Constants)
+    NoteValue(static_cast<double>(C));
   return S;
+}
+
+bool Validator::memoizable(State &S, const Program &Template) const {
+  if (!S.IntegerValues || !S.Form.build(Template) || S.Form.HasDivision)
+    return false;
+  // Every intermediate value of every instantiation is at most
+  // W^Leaves * X^Reductions in magnitude (W >= 2 bounds each leaf, a sum
+  // of two values of at least 2 is at most their product, and a reduction
+  // adds at most X terms per variable), so double evaluation is exact
+  // while that stays below 2^53.
+  constexpr uint64_t Limit = (uint64_t(1) << 53) - 1;
+  const uint64_t W = std::max({S.MaxValue, S.Form.MaxLiteral, uint64_t(2)});
+  const uint64_t X = std::max(S.MaxExtent, uint64_t(1));
+  uint64_t Bound = 1;
+  auto Times = [&Bound, Limit](uint64_t F) {
+    if (Bound > Limit / F)
+      return false;
+    Bound *= F;
+    return true;
+  };
+  for (size_t I = 0; I < S.Form.Leaves; ++I)
+    if (!Times(W))
+      return false;
+  for (size_t I = 0; I < S.Form.reductions(); ++I)
+    if (!Times(X))
+      return false;
+  S.Key.clear();
+  S.Form.print(S.Key);
+  return true;
 }
 
 namespace {
@@ -350,21 +873,37 @@ bool Validator::rejectsOnRank(const Program &Template) const {
 
 std::vector<Instantiation>
 Validator::validate(const Program &Template, size_t MaxResults) const {
-  std::vector<Instantiation> Valid;
   if (!Template.Rhs || Examples.empty())
-    return Valid;
+    return {};
 
   const bench::ArgSpec *OutArg = B.outputArg();
   if (!OutArg)
-    return Valid;
+    return {};
 
   // The LHS symbol is pinned to the output argument; ranks must agree.
   if (static_cast<int>(Template.Lhs.order()) != OutArg->rank())
-    return Valid;
+    return {};
   if (rejectsOnRank(Template))
-    return Valid;
+    return {};
 
   State &S = state();
+  const bool Memo = memoizable(S, Template);
+  const uint64_t KeyHash = Memo ? hashKey(S.Key) : 0;
+  if (Memo && S.Rejected.contains(S.Key, KeyHash)) {
+    ++MemoHits;
+    return {};
+  }
+  std::vector<Instantiation> Valid = evaluate(S, Template, MaxResults);
+  if (Memo && Valid.empty())
+    S.Rejected.insert(S.Key, KeyHash);
+  return Valid;
+}
+
+std::vector<Instantiation> Validator::evaluate(State &S,
+                                               const Program &Template,
+                                               size_t MaxResults) const {
+  std::vector<Instantiation> Valid;
+  const bench::ArgSpec *OutArg = B.outputArg();
   const size_t NumExamples = Examples.size();
   const size_t NumArgs = B.Args.size();
   const std::string &LhsName = Template.Lhs.name();

@@ -19,7 +19,9 @@
 /// A validator is per-lift scratch as much as a table: it owns the template
 /// structure, the bytecode and one interpreter per example, and compiles
 /// every template into them in place. Validating a template no larger than
-/// an earlier one allocates nothing beyond the instantiations it returns.
+/// an earlier one allocates nothing beyond the instantiations it returns,
+/// except that recording a newly rejected template in the rejection memo
+/// (below) may grow the memo's storage, which doubles.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -81,7 +83,28 @@ uint64_t bindableRanks(const bench::Benchmark &B);
 ///    extents the consistency check settled (vm::Interpreter::
 ///    bindPrepared), so a binding runs no per-access checks;
 ///  * instantiation evaluation short-circuits on the first failing output
-///    cell of the first failing I/O example.
+///    cell of the first failing I/O example;
+///  * a template equal up to `+`/`*` reordering and symbol renaming to one
+///    this validator already rejected is rejected again without being
+///    built (the rejection memo). The grammar does not canonicalize, so a
+///    lift offers the same template many times, reassociated and
+///    commuted. The memo's key (templateKey) flattens each `+` chain
+///    across the `+` nodes that introduce no reduction and each `*` chain
+///    across all its `*` nodes, orders the chain's operands by a hash that
+///    names no symbol, keeps `-`, `/`, negation and `max` as written, and
+///    renames the symbols other than the LHS symbol by first appearance.
+///    Two templates with one key compute the same values for every
+///    binding: TACO places a reduction at the smallest subexpression
+///    holding all its uses, so a sum never moves across a `+` (b + sum(f)
+///    adds b once) and moves across a `*` only out of factors that do not
+///    use its variable (a * sum(f) = sum(a * f)); and they have the same
+///    bindings and constant assignments up to that renaming. Their
+///    evaluations agree exactly when the evaluation is exact, so the memo
+///    is used only for templates without `/` whose every intermediate
+///    value is an integer below 2^53: every input, size scalar, pool
+///    constant and literal is an integer, and W^leaves * X^reductions <
+///    2^53 for the largest magnitude W among them (at least 2) and the
+///    largest extent X. Any other template is evaluated as usual.
 ///
 /// Every pruned candidate is one evaluation would have rejected, so the
 /// surviving set — and the enumeration order within it — is bit-identical
@@ -113,8 +136,12 @@ public:
   bool rejectsOnRank(const taco::Program &Template) const;
 
   /// Total instantiations evaluated so far (across calls); a cost metric.
-  /// Shape-pruned bindings never reach evaluation and are not counted.
+  /// Shape-pruned bindings and templates the rejection memo answers never
+  /// reach evaluation and are not counted.
   int64_t instantiationsTried() const { return Tried; }
+
+  /// Calls the rejection memo answered so far; a cost metric.
+  int64_t memoHits() const { return MemoHits; }
 
   const std::vector<IoExample> &examples() const { return Examples; }
 
@@ -127,14 +154,30 @@ private:
   /// Builds the argument table on first use (it needs no template).
   State &state() const;
 
+  /// True when the rejection memo may answer \p Template; its key is then
+  /// in the state's key buffer.
+  bool memoizable(State &S, const taco::Program &Template) const;
+
+  /// validate() past the rank check and the memo.
+  std::vector<Instantiation> evaluate(State &S, const taco::Program &Template,
+                                      size_t MaxResults) const;
+
   const bench::Benchmark &B;
   std::vector<IoExample> Examples;
   std::vector<int64_t> Constants;
   /// bindableRanks(B).
   uint64_t ArgRanks = 0;
   mutable int64_t Tried = 0;
+  mutable int64_t MemoHits = 0;
   mutable std::unique_ptr<State> Cache;
 };
+
+/// The rejection memo's key of \p Template (see Validator): equal keys
+/// mean templates equal up to `+`/`*` reordering that moves no sum across
+/// a `+`, and a renaming of the symbols other than the LHS symbol. Empty
+/// when the template has no RHS, a name longer than 8 bytes, more than 8
+/// reduction variables or more than 255 leaves. Exposed for tests.
+std::string templateKey(const taco::Program &Template);
 
 /// Rewrites \p Template by applying \p SymbolBinding to tensor names and
 /// substituting \p ConstantValues into the symbolic constants (in leaf

@@ -3,8 +3,8 @@
 // Counts every global operator new of this binary, so it is a test
 // executable of its own. Pins how much the search -> validate path
 // allocates: a warm lift stays under a per-attempt budget, and validating a
-// template the validator has seen before allocates nothing beyond the
-// instantiations it returns. Under the sanitizer build the same runs guard
+// template no larger than one the validator has seen before allocates
+// nothing beyond the instantiations it returns. Under the sanitizer build the same runs guard
 // the validator's prepared bindings, which the VM reads unchecked.
 //
 //===----------------------------------------------------------------------===//
@@ -107,22 +107,50 @@ TEST(AllocBudget, WarmLiftStaysUnderPerAttemptBudget) {
   EXPECT_LE(allocsPerAttempt("misc_mm3_chain"), AllocsPerAttemptBudget);
 }
 
-// Templates that get past the rank check, are compiled and evaluated, and
-// match no instantiation: the second call reuses every buffer the first one
-// grew, constants or not.
-TEST(AllocBudget, RevalidatingARejectedTemplateAllocatesNothing) {
+// Templates that get past the rank check, are evaluated, and match no
+// instantiation: the second call of each is answered by the rejection memo,
+// which allocates nothing and evaluates nothing, nor does a reordered
+// equivalent of the first.
+TEST(AllocBudget, MemoAnsweredRejectionAllocatesNothing) {
   AxpbyValidator A;
   for (const char *Source :
        {"a(i) = b(i) * c(i) - d(i)", "a(i) = Const * b(i) + c * d(i)",
-        "a(i) = b(i) / Const"}) {
+        "a(i) = d(i) * c(i) - b(i)"}) {
     taco::Program T = parse(Source);
     ASSERT_FALSE(A.V.rejectsOnRank(T)) << Source;
-    int64_t TriedBefore = A.V.instantiationsTried();
     EXPECT_TRUE(A.V.validate(T).empty()) << Source;
+    const int64_t HitsBefore = A.V.memoHits();
+    const int64_t TriedBefore = A.V.instantiationsTried();
     int64_t Before = NewCalls.load();
     EXPECT_TRUE(A.V.validate(T).empty()) << Source;
     EXPECT_EQ(NewCalls.load() - Before, 0) << Source;
-    EXPECT_GT(A.V.instantiationsTried(), TriedBefore) << Source;
+    EXPECT_EQ(A.V.memoHits(), HitsBefore + 1) << Source;
+    EXPECT_EQ(A.V.instantiationsTried(), TriedBefore) << Source;
+  }
+}
+
+// Rejected templates that are evaluated again: one the memo never holds
+// (it divides), and one of the same shape as an earlier one but not
+// equivalent to it, whose evaluation runs on the buffers the earlier one
+// grew and whose key fits the memo's first reservation.
+TEST(AllocBudget, EvaluatingARejectedTemplateAgainAllocatesNothing) {
+  AxpbyValidator A;
+  const char *Divides = "a(i) = b(i) / Const";
+  const char *Pairs[][2] = {{Divides, Divides},
+                            {"a(i) = b(i) * c(i) - d(i)",
+                             "a(i) = b(i) * c(i) + d(i)"}};
+  for (const auto &[First, Second] : Pairs) {
+    taco::Program T1 = parse(First);
+    taco::Program T2 = parse(Second);
+    ASSERT_FALSE(A.V.rejectsOnRank(T2)) << Second;
+    EXPECT_TRUE(A.V.validate(T1).empty()) << First;
+    const int64_t HitsBefore = A.V.memoHits();
+    const int64_t TriedBefore = A.V.instantiationsTried();
+    int64_t Before = NewCalls.load();
+    EXPECT_TRUE(A.V.validate(T2).empty()) << Second;
+    EXPECT_EQ(NewCalls.load() - Before, 0) << Second;
+    EXPECT_EQ(A.V.memoHits(), HitsBefore) << Second;
+    EXPECT_GT(A.V.instantiationsTried(), TriedBefore) << Second;
   }
 }
 

@@ -7,7 +7,9 @@
 //    enumerator (rank filter + instantiateTemplate + evaluation by the
 //    reference evaluator of tests/EinsumReference.h — the seed algorithm).
 //    runsConsistently, the VM-backed check the baselines and ingestion
-//    use, must agree with the reference on every instantiation.
+//    use, must agree with the reference on every instantiation. Every
+//    template the validator's rejection memo answers over the registry's
+//    lifts must be one a fresh validator rejects.
 //  * BoundedVerifier: the cached-reference path must produce verdicts,
 //    test counts, and counterexample strings identical to the uncached
 //    path; and restricting the one-hot sweep to multiplied operand pairs
@@ -16,6 +18,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "EinsumReference.h"
+#include "LiftGrammar.h"
 
 #include "analysis/Checker.h"
 #include "analysis/KernelAnalysis.h"
@@ -25,6 +28,9 @@
 #include "cfront/Parser.h"
 #include "core/Stagg.h"
 #include "grammar/Template.h"
+#include "search/BottomUp.h"
+#include "search/TopDown.h"
+#include "support/Rng.h"
 #include "taco/Parser.h"
 #include "taco/Printer.h"
 #include "taco/Semantics.h"
@@ -36,6 +42,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <functional>
 
 using namespace stagg;
@@ -342,6 +349,63 @@ TEST(PerfEquivalence, ValidatorMatchesNaiveEnumerator) {
         TruthFast, naiveValidate(*F.B, F.Examples, F.Constants, Truth, 64),
         std::string(Name) + " / templatized ground truth");
   }
+}
+
+// The rejection memo against evaluation, over every registry kernel's
+// template stream as its default (top-down) and bottom-up lifts probe it:
+// each template the memo answers is validated again on a fresh validator,
+// which must reject it too. The top-down hits are bounded from below (the
+// sweep's were 10,062 of 16,977 validate calls when the memo was added), so
+// the memo cannot silently switch off.
+TEST(PerfEquivalence, ValidatorMemoAnswersOnlyRejectedTemplates) {
+  core::StaggConfig Config;
+  search::SearchConfig Search = Config.Search;
+  Search.TimeoutSeconds = 1e9; // The streams must not depend on the host.
+  int64_t Calls[2] = {0, 0}, Hits[2] = {0, 0};
+  for (const bench::Benchmark &B : bench::allBenchmarks()) {
+    cfront::CParseResult Parsed = cfront::parseCFunction(B.CSource);
+    ASSERT_TRUE(Parsed.ok()) << B.Name;
+    const cfront::CFunction &Fn = *Parsed.Function;
+    const std::vector<int64_t> Constants =
+        analysis::buildKernelModel(Fn).Summary.Constants;
+    Rng ExampleRng(Config.ExampleSeed);
+    const std::vector<IoExample> Examples =
+        generateExamples(B, Fn, Config.NumIoExamples, ExampleRng);
+    grammar::TemplateGrammar G = liftGrammar(B);
+    for (bool BottomUp : {false, true}) {
+      const std::string Where = B.Name + (BottomUp ? " bu" : " td");
+      Validator V(B, Examples, Constants);
+      verify::ReferenceCache Cache;
+      search::TemplateProbe Probe = [&](const taco::Program &T) {
+        ++Calls[BottomUp];
+        const int64_t HitsBefore = V.memoHits();
+        std::vector<Instantiation> Valid = V.validate(T);
+        if (V.memoHits() != HitsBefore) {
+          EXPECT_TRUE(Valid.empty()) << Where;
+          EXPECT_TRUE(Validator(B, Examples, Constants).validate(T).empty())
+              << Where << ": " << taco::printProgram(T);
+        }
+        for (const Instantiation &Inst : Valid)
+          if (verify::verifyEquivalence(B, Fn, Inst.Concrete, Config.Verify,
+                                        &Cache)
+                  .Equivalent)
+            return true;
+        return false;
+      };
+      const uint64_t Ranks = bindableRanks(B);
+      if (BottomUp)
+        search::runBottomUp(G, Search, Probe, Ranks);
+      else
+        search::runTopDown(G, Search, Probe, Ranks);
+      Hits[BottomUp] += V.memoHits();
+    }
+  }
+  std::printf("memo hits: top-down %lld of %lld calls, bottom-up %lld of "
+              "%lld\n",
+              static_cast<long long>(Hits[0]), static_cast<long long>(Calls[0]),
+              static_cast<long long>(Hits[1]),
+              static_cast<long long>(Calls[1]));
+  EXPECT_GE(Hits[0], 9'000);
 }
 
 namespace {

@@ -181,3 +181,101 @@ TEST(Validator, TransposeNeedsMatchingBinding) {
   EXPECT_EQ(Valid.front().SymbolBinding.at("b"), "A");
   EXPECT_TRUE(V.validate(parse("a(i,j) = b(i,j)")).empty());
 }
+
+namespace {
+
+std::string key(const char *Source) { return templateKey(parse(Source)); }
+
+} // namespace
+
+TEST(ValidatorMemo, KeyIgnoresChainOrderAndSymbolNames) {
+  // blas_axpby's stream offers these one after another.
+  const std::string Axpby = key("a(i) = c(i) * (c(i) * (Const * b))");
+  EXPECT_FALSE(Axpby.empty());
+  EXPECT_EQ(key("a(i) = c(i) * c(i) * (Const * b)"), Axpby);
+  EXPECT_EQ(key("a(i) = c(i) * (c(i) * Const * b)"), Axpby);
+  EXPECT_EQ(key("a(i) = b * Const * c(i) * c(i)"), Axpby);
+  EXPECT_EQ(key("a(i) = b(i) + c(i) + d(i)"), key("a(i) = d(i) + (c(i) + b(i))"));
+  EXPECT_EQ(key("a(i) = Const * b(i) + c * d(i)"),
+            key("a(i) = d(i) * c + b(i) * Const"));
+  // A sum moves out of a factor that does not use its variable: the
+  // matrix chain regrouped.
+  EXPECT_EQ(key("a(i,j) = b(i,k) * (c(k,l) * d(l,j))"),
+            key("a(i,j) = (b(i,k) * c(k,l)) * d(l,j)"));
+  // A chain inside a node kept as written.
+  EXPECT_EQ(key("a(i) = b(i) - c * d(i)"), key("a(i) = b(i) - d(i) * c"));
+  // A bijective renaming, alone and with a reordering.
+  EXPECT_EQ(key("a(i) = b(i,j) * c(j)"), key("a(i) = d(i,j) * e(j)"));
+  EXPECT_EQ(key("a(i) = b(i,j) * c(j)"), key("a(i) = e(j) * d(i,j)"));
+  // b and c range over the same arguments, so this is one template.
+  EXPECT_EQ(key("a(i) = b(i) - c(i)"), key("a(i) = c(i) - b(i)"));
+}
+
+TEST(ValidatorMemo, KeySeparatesInequivalentTemplates) {
+  // The sum over j wraps x + y on the left, and all three terms (z once
+  // per j) on the right.
+  EXPECT_NE(key("a(i) = (x(i,j) + y(j)) + z(i)"),
+            key("a(i) = x(i,j) + (y(j) + z(i))"));
+  EXPECT_NE(key("a(i) = b(i) - c"), key("a(i) = c - b(i)"));
+  EXPECT_NE(key("a(i) = a(i) - b(i)"), key("a(i) = b(i) - a(i)"));
+  EXPECT_NE(key("a(i) = b(i) * b(i)"), key("a(i) = b(i) * c(i)"));
+  // The LHS symbol reads the output argument; a fresh symbol reads any.
+  EXPECT_NE(key("a(i) = a(i) * b(i)"), key("a(i) = c(i) * b(i)"));
+  EXPECT_NE(key("a(i) = b(i,j) * c(j)"), key("a(i) = b(j,i) * c(j)"));
+  EXPECT_NE(key("a(i) = 2 * b(i)"), key("a(i) = 3 * b(i)"));
+  EXPECT_NE(key("a(i) = Const * b(i)"), key("a(i) = 2 * b(i)"));
+  EXPECT_NE(key("a(i) = max(b(i), 0) + c(i)"),
+            key("a(i) = max(b(i) + c(i), 0)"));
+}
+
+TEST(ValidatorMemo, AnswersAReorderedRejectedTemplate) {
+  Fixture F("blas_axpby");
+  Validator V(*F.B, F.Examples, F.Constants);
+  EXPECT_TRUE(V.validate(parse("a(i) = c(i) * (c(i) * (Const * b))")).empty());
+  EXPECT_EQ(V.memoHits(), 0);
+  const int64_t Tried = V.instantiationsTried();
+  EXPECT_GT(Tried, 0);
+  EXPECT_TRUE(V.validate(parse("a(i) = d * Const * e(i) * e(i)")).empty());
+  EXPECT_EQ(V.memoHits(), 1);
+  EXPECT_EQ(V.instantiationsTried(), Tried);
+  // Accepted templates are never recorded.
+  ASSERT_FALSE(V.validate(parse("a(i) = b * c(i) + d * e(i)")).empty());
+  ASSERT_FALSE(V.validate(parse("a(i) = e(i) * d + c(i) * b")).empty());
+  EXPECT_EQ(V.memoHits(), 1);
+}
+
+TEST(ValidatorMemo, DivisionIsNeverMemoized) {
+  Fixture F("blas_axpby");
+  Validator V(*F.B, F.Examples, F.Constants);
+  taco::Program T = parse("a(i) = b(i) / Const");
+  EXPECT_TRUE(V.validate(T).empty());
+  const int64_t Tried = V.instantiationsTried();
+  EXPECT_TRUE(V.validate(T).empty());
+  EXPECT_EQ(V.memoHits(), 0);
+  EXPECT_GT(V.instantiationsTried(), Tried);
+}
+
+TEST(ValidatorMemo, ValuesBeyondTheExactRangeDisableTheMemo) {
+  Fixture F("blas_axpby");
+  // A pool literal of 2^60 bounds nothing below 2^53: no template is
+  // memoized, not even a one-leaf one.
+  Validator Big(*F.B, F.Examples, {int64_t(1) << 60});
+  for (const char *Source : {"a(i) = b(i) * c(i) - d(i)", "a(i) = c"}) {
+    taco::Program T = parse(Source);
+    EXPECT_TRUE(Big.validate(T).empty()) << Source;
+    const int64_t Tried = Big.instantiationsTried();
+    EXPECT_TRUE(Big.validate(T).empty()) << Source;
+    EXPECT_GT(Big.instantiationsTried(), Tried) << Source;
+  }
+  // So does a template literal, under the kernel's own pool; the same
+  // template with a small literal is memoized.
+  Validator V(*F.B, F.Examples, F.Constants);
+  for (const char *Source : {"a(i) = b(i) * 9007199254740993",
+                             "a(i) = b(i) * 7"}) {
+    taco::Program T = parse(Source);
+    EXPECT_TRUE(V.validate(T).empty()) << Source;
+    EXPECT_TRUE(V.validate(T).empty()) << Source;
+  }
+  EXPECT_EQ(Big.memoHits(), 0);
+  EXPECT_EQ(V.memoHits(), 1);
+}
