@@ -175,7 +175,8 @@ uint64_t mix(uint64_t H, uint64_t V) {
   return H ^ (V + 0x9e3779b97f4a7c15ull + (H << 6) + (H >> 2));
 }
 
-/// The memo table's hash of a key, eight bytes at a time.
+/// The memo table's hash of a key, eight bytes at a time. The last step
+/// folds the high bits into the low ones, which pick the table slot.
 uint64_t hashKey(std::string_view Key) {
   uint64_t H = Key.size();
   for (size_t I = 0; I < Key.size(); I += 8) {
@@ -183,7 +184,8 @@ uint64_t hashKey(std::string_view Key) {
     std::memcpy(&Word, Key.data() + I, std::min<size_t>(8, Key.size() - I));
     H = mix(H, Word);
   }
-  return H;
+  H *= 0x9e3779b97f4a7c15ull;
+  return H ^ (H >> 32);
 }
 
 /// A name of at most eight bytes packed into one word, so that names
@@ -560,7 +562,7 @@ public:
     if (Slots.empty())
       return false;
     const size_t Mask = Slots.size() - 1;
-    for (size_t I = home(Hash, Mask);; I = (I + 1) & Mask) {
+    for (size_t I = Hash & Mask;; I = (I + 1) & Mask) {
       const Slot &S = Slots[I];
       if (S.Size == 0)
         return false;
@@ -597,16 +599,9 @@ private:
     uint32_t Size = 0;
   };
 
-  /// A key's first slot. FNV-1a's low bits depend only on the low bits of
-  /// its state, so keys that differ in a character or two cluster there;
-  /// the slot comes from the high bits of a multiplicative hash instead.
-  static size_t home(uint64_t Hash, size_t Mask) {
-    return static_cast<size_t>((Hash * 0x9e3779b97f4a7c15ull) >> 32) & Mask;
-  }
-
   void place(const Slot &S) {
     const size_t Mask = Slots.size() - 1;
-    size_t I = home(S.Hash, Mask);
+    size_t I = S.Hash & Mask;
     while (Slots[I].Size != 0)
       I = (I + 1) & Mask;
     Slots[I] = S;
