@@ -339,7 +339,7 @@ std::vector<Micro> buildMicros(const MicroFixtures &F) {
 
   // The validator over the template stream of blas_axpby's default lift:
   // the 4,654 templates it rejects before the first one that validates,
-  // of which the rejection memo answers 3,054 (each equal up to `+`/`*`
+  // of which the rejection memo answers 3,211 (each equal up to `+`/`*`
   // reordering and renaming to an earlier one). Each iteration replays
   // them through a fresh validator, so the memo starts empty as in a lift.
   // The four micros above measure evaluation, not the memo: each validates
@@ -347,15 +347,16 @@ std::vector<Micro> buildMicros(const MicroFixtures &F) {
   // and aborts on a memo hit.
   {
     const bench::Benchmark &B = *bench::findBenchmark("blas_axpby");
-    auto Fn = std::make_shared<cfront::CParseResult>(
-        cfront::parseCFunction(B.CSource));
+    cfront::CParseResult Parsed = cfront::parseCFunction(B.CSource);
+    const analysis::KernelModel Model =
+        analysis::buildKernelModel(*Parsed.Function);
     core::StaggConfig Config;
     Rng ExampleRng(Config.ExampleSeed);
     auto Examples = std::make_shared<std::vector<validate::IoExample>>(
-        validate::generateExamples(B, *Fn->Function, Config.NumIoExamples,
+        validate::generateExamples(B, *Parsed.Function, Config.NumIoExamples,
                                    ExampleRng));
-    auto Constants = std::make_shared<std::vector<int64_t>>(
-        analysis::buildKernelModel(*Fn->Function).Summary.Constants);
+    auto Constants =
+        std::make_shared<std::vector<int64_t>>(Model.Summary.Constants);
     llm::SimulatedLlm Oracle(CliOptions().OracleSeed);
     llm::OracleTask Task;
     Task.Query = &B;
@@ -366,7 +367,7 @@ std::vector<Micro> buildMicros(const MicroFixtures &F) {
          llm::parseResponses(Oracle.propose(Task)).Programs)
       if (taco::checkWellFormed(P).empty())
         T.push_back(grammar::templatize(P));
-    const int LhsDim = analysis::analyzeKernel(*Fn->Function).LhsDim;
+    const int LhsDim = Model.Summary.LhsDim;
     grammar::TemplateGrammar G = grammar::buildTemplateGrammar(
         T, grammar::predictDimensionList(T, LhsDim), LhsDim, Config.Grammar);
     auto Stream = std::make_shared<std::vector<taco::Program>>();

@@ -191,10 +191,11 @@ uint64_t hashKey(std::string_view Key) {
 /// A name of at most eight bytes packed into one word, so that names
 /// compare as integers; 0 for a longer name. Names never hold a NUL.
 uint64_t nameWord(const std::string &Name) {
-  uint64_t Word = 0;
-  if (Name.empty() || Name.size() > 8)
+  if (Name.size() > 8)
     return 0;
-  std::memcpy(&Word, Name.data(), Name.size());
+  uint64_t Word = 0;
+  for (char C : Name)
+    Word = Word << 8 | static_cast<unsigned char>(C);
   return Word;
 }
 
@@ -245,6 +246,9 @@ public:
     Leaves = 0;
     HasDivision = false;
     MaxLiteral = 0;
+    // Names are at most 8 bytes: the LHS access, its '(', ')', a comma or
+    // ')' per index, and '='.
+    KeyBound = 8 + 2 + 9 * LhsVars.size() + 1;
     if (!scan(*T.Rhs))
       return false;
     NextAccess = 0;
@@ -252,13 +256,20 @@ public:
     return true;
   }
 
-  /// Appends the key of the form built last.
+  /// Appends the key of the form built last. It is written through a
+  /// pointer into room sized by build(), which bounds every node's text.
   void print(std::string &Out) {
     Numbers.assign(Symbols.size(), -1);
     NextNumber = 0;
-    printAccess(T->Lhs.indices(), Out.append(T->Lhs.name()));
-    Out += '=';
-    printNode(Root, Out);
+    const size_t At = Out.size();
+    Out.resize(At + KeyBound);
+    char *P = Out.data() + At;
+    P = std::copy(T->Lhs.name().begin(), T->Lhs.name().end(), P);
+    P = printIndices(T->Lhs.indices(), P);
+    *P++ = '=';
+    P = printNode(Root, P);
+    assert(P <= Out.data() + At + KeyBound && "key bound too small");
+    Out.resize(static_cast<size_t>(P - Out.data()));
   }
 
   /// Facts of the template built last, for the exactness bound.
@@ -356,18 +367,26 @@ private:
       }
       Accesses.push_back({Sym, Shape, Uses});
       TotalUses += Uses;
+      // The name, or '#' and a symbol number below 256.
+      KeyBound += 8 + 2 + 9 * A.indices().size();
       return ++Leaves <= MaxLeaves;
     }
     case Expr::Kind::Constant:
+      KeyBound += 21; // A sign and 20 digits.
       return ++Leaves <= MaxLeaves;
+    // An operator's tag, '(', ')' and a comma per operand. A flattened
+    // chain of n operands prints n + 2 characters for its n - 1 nodes.
     case Expr::Kind::Binary: {
       const auto &Bin = exprCast<BinaryExpr>(E);
+      KeyBound += 5;
       return scan(Bin.lhs()) && scan(Bin.rhs());
     }
     case Expr::Kind::Negate:
+      KeyBound += 4;
       return scan(exprCast<NegateExpr>(E).operand());
     case Expr::Kind::Max: {
       const auto &M = exprCast<MaxExpr>(E);
+      KeyBound += 5;
       return scan(M.lhs()) && scan(M.rhs());
     }
     }
@@ -473,62 +492,57 @@ private:
     return static_cast<int>(Nodes.size() - 1);
   }
 
-  static void printAccess(const std::vector<std::string> &Indices,
-                          std::string &Out) {
-    Out += '(';
+  static char *printIndices(const std::vector<std::string> &Indices,
+                            char *P) {
+    *P++ = '(';
     for (size_t I = 0; I < Indices.size(); ++I) {
       if (I)
-        Out += ',';
-      Out += Indices[I];
+        *P++ = ',';
+      P = std::copy(Indices[I].begin(), Indices[I].end(), P);
     }
-    Out += ')';
+    *P++ = ')';
+    return P;
   }
 
-  static void printNumber(uint64_t Value, std::string &Out) {
-    char Buf[24];
-    Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), Value).ptr);
+  static char *printNumber(uint64_t Value, char *P) {
+    return std::to_chars(P, P + 20, Value).ptr;
   }
 
-  void printNode(int Id, std::string &Out) {
+  char *printNode(int Id, char *P) {
     const Node &N = Nodes[static_cast<size_t>(Id)];
     switch (N.Tag) {
     case 'a': {
       const auto &A = exprCast<AccessExpr>(*N.Leaf);
       if (N.Sym < 0) {
-        Out += A.name();
+        P = std::copy(A.name().begin(), A.name().end(), P);
       } else {
         int &Number = Numbers[static_cast<size_t>(N.Sym)];
         if (Number < 0)
           Number = NextNumber++;
-        Out += '#';
-        if (Number < 10)
-          Out += static_cast<char>('0' + Number);
-        else
-          printNumber(static_cast<uint64_t>(Number), Out);
+        *P++ = '#';
+        P = printNumber(static_cast<uint64_t>(Number), P);
       }
-      printAccess(A.indices(), Out);
-      return;
+      return printIndices(A.indices(), P);
     }
     case 'k': {
       const int64_t V = exprCast<ConstantExpr>(*N.Leaf).value();
       if (V < 0)
-        Out += '-';
-      printNumber(magnitude(V), Out);
-      return;
+        *P++ = '-';
+      return printNumber(magnitude(V), P);
     }
     case '$':
-      Out += '$';
-      return;
+      *P++ = '$';
+      return P;
     default:
-      Out += N.Tag;
-      Out += '(';
+      *P++ = N.Tag;
+      *P++ = '(';
       for (uint32_t I = 0; I < N.Count; ++I) {
         if (I)
-          Out += ',';
-        printNode(Operands[N.Begin + I], Out);
+          *P++ = ',';
+        P = printNode(Operands[N.Begin + I], P);
       }
-      Out += ')';
-      return;
+      *P++ = ')';
+      return P;
     }
   }
 
@@ -547,6 +561,8 @@ private:
   std::vector<AccessFacts> Accesses;
   size_t NextAccess = 0;
   uint64_t TotalUses = 0;
+  /// At least the length of the key print() writes.
+  size_t KeyBound = 0;
   /// print()'s renaming: symbol -> number, -1 until first printed.
   std::vector<int> Numbers;
   int NextNumber = 0;
